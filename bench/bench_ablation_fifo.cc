@@ -22,11 +22,13 @@ using rsn::core::Table;
 namespace {
 
 const char *
-outcome(const core::RunResult &r)
+outcome(const Status &s)
 {
-    return r.completed      ? "completed"
-           : r.deadlocked   ? "DEADLOCK"
-                            : "timeout";
+    switch (s.code) {
+      case StatusCode::Ok: return "completed";
+      case StatusCode::Deadlock: return "DEADLOCK";
+      default: return "timeout";
+    }
 }
 
 } // namespace
@@ -66,8 +68,8 @@ main(int argc, char **argv)
         const auto &cfg = jobs[i].cfg;
         const auto &r = runs[i];
         t.row({std::to_string(cfg.uop_fifo_depth),
-               std::to_string(cfg.fetch_fifo_depth), outcome(r.result),
-               r.result.completed ? Table::num(r.result.ms, 2) : "-"});
+               std::to_string(cfg.fetch_fifo_depth), outcome(r.status),
+               r.status.ok() ? Table::num(r.result.ms, 2) : "-"});
     }
     t.print();
 
@@ -88,8 +90,8 @@ main(int argc, char **argv)
     s.header({"packet FIFO depth", "outcome", "latency ms"});
     for (std::size_t i = 0; i < shape_jobs.size(); ++i) {
         const auto &r = shape_runs[i];
-        s.row({std::to_string(shape_depths[i]), outcome(r.result),
-               r.result.completed ? Table::num(r.result.ms, 2) : "-"});
+        s.row({std::to_string(shape_depths[i]), outcome(r.status),
+               r.status.ok() ? Table::num(r.result.ms, 2) : "-"});
     }
     s.print();
 

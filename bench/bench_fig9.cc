@@ -66,7 +66,7 @@ main()
     t.print();
 
     // Aggregate overhead (Sec. 5.1).
-    auto run = mach.run(compiled.program);
+    auto run = mach.runChecked(compiled.program).result;
     double ms = run.ms;
     double instr_rate_mbs = total_instr / (ms / 1e3) / 1e6;
     std::printf("\nTotal PL packets: %llu (paper: 1685)\n",

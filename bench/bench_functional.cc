@@ -92,11 +92,11 @@ functionalTinyEncoder(benchmark::State &state,
             mach, model, rsn::lib::ScheduleOptions::optimized());
         rsn::lib::initTensors(mach, compiled, 2025);
         state.ResumeTiming();
-        auto r = mach.run(compiled.program);
-        if (!r.completed)
+        const auto rep = mach.runChecked(compiled.program);
+        if (!rep.ok())
             state.SkipWithError("functional run did not complete");
-        ticks = r.ticks;
-        benchmark::DoNotOptimize(r.ticks);
+        ticks = rep.result.ticks;
+        benchmark::DoNotOptimize(ticks);
     }
     if (lane.machinesBuilt() > 1)
         state.SkipWithError("lane rebuilt a reusable machine");
@@ -151,10 +151,10 @@ BM_TimingOnlyTinyEncoder(benchmark::State &state)
         auto compiled = rsn::lib::compileModel(
             mach, model, rsn::lib::ScheduleOptions::optimized());
         state.ResumeTiming();
-        auto r = mach.run(compiled.program);
-        if (!r.completed)
+        const auto rep = mach.runChecked(compiled.program);
+        if (!rep.ok())
             state.SkipWithError("timing run did not complete");
-        benchmark::DoNotOptimize(r.ticks);
+        benchmark::DoNotOptimize(rep.result.ticks);
     }
     if (lane.machinesBuilt() > 1)
         state.SkipWithError("lane rebuilt a reusable machine");
@@ -189,10 +189,8 @@ BM_SweepThroughput(benchmark::State &state)
                 auto &mach = lane.machine(cfg);
                 auto compiled = rsn::lib::compileModel(
                     mach, model, rsn::lib::ScheduleOptions::optimized());
-                auto r = mach.run(compiled.program);
-                if (!r.completed)
-                    return rsn::Tick(0);
-                return r.ticks;
+                const auto rep = mach.runChecked(compiled.program);
+                return rep.ok() ? rep.result.ticks : rsn::Tick(0);
             });
         for (rsn::Tick t : ticks)
             if (t == 0)

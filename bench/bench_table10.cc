@@ -14,7 +14,6 @@
 #include "core/report.hh"
 
 using namespace rsn;
-using rsn::bench::runModel;
 using rsn::core::Table;
 
 int
@@ -36,7 +35,7 @@ main()
         auto compiled = lib::compileModel(
             mach, lib::bertLargeEncoder(batches[i], 384, true, 1),
             lib::ScheduleOptions::optimized());
-        auto r = mach.run(compiled.program);
+        auto r = mach.runChecked(compiled.program).result;
         vck_ms[i] = r.ms * 24;
         if (batches[i] == 8) {
             vck_tflops_b8 = mach.achievedTflops(r);

@@ -8,35 +8,16 @@
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.hh"
 #include "core/report.hh"
 
 using namespace rsn;
-using rsn::bench::runModel;
 using rsn::core::Table;
 
-namespace {
-
-/** One full BERT-Large = 24 encoders; simulate one and scale. */
-double
-bertMs(double bw_factor, double compute_factor)
-{
-    auto cfg = core::MachineConfig::vck190();
-    cfg.ddr.read_gbps *= bw_factor;
-    cfg.ddr.write_gbps *= bw_factor;
-    cfg.lpddr.read_gbps *= bw_factor;
-    cfg.lpddr.write_gbps *= bw_factor;
-    cfg.aie.macs_per_cycle *= compute_factor;
-    auto r = runModel(lib::bertLargeEncoder(8, 384, true, 1),
-                      lib::ScheduleOptions::optimized(), cfg);
-    return r.result.ms * 24;
-}
-
-} // namespace
-
 int
-main()
+main(int argc, char **argv)
 {
     core::banner("Table 11: bandwidth sweep (BERT-Large, S=384, B=8)");
 
@@ -53,41 +34,43 @@ main()
         {"2x BW", 2.0, 1.0, 387},
         {"3x BW", 3.0, 1.0, 372},
     };
+    constexpr std::size_t kBase = 3;  // "1x BW": the speedup baseline.
 
-    double base_ms = 0;
+    // One full BERT-Large = 24 encoders; simulate one and scale.
+    std::vector<bench::SweepJob> jobs;
+    for (const auto &r : rows) {
+        auto cfg = core::MachineConfig::vck190();
+        cfg.ddr.read_gbps *= r.bw;
+        cfg.ddr.write_gbps *= r.bw;
+        cfg.lpddr.read_gbps *= r.bw;
+        cfg.lpddr.write_gbps *= r.bw;
+        cfg.aie.macs_per_cycle *= r.compute;
+        jobs.push_back({lib::bertLargeEncoder(8, 384, true, 1),
+                        lib::ScheduleOptions::optimized(), cfg});
+    }
+    const auto runs = bench::runSweepPoints(
+        lib::SweepExecutor(bench::benchJobs(argc, argv)), jobs);
+
+    const double base_ms = runs[kBase].result.ms * 24;
     Table t("Latency vs bandwidth scaling");
     t.header({"Scenario", "paper ms", "sim ms", "paper speedup",
               "sim speedup"});
-    // Compute the 1x baseline first for speedup columns.
-    for (const auto &r : rows)
-        if (std::string(r.name) == "1x BW")
-            base_ms = bertMs(r.bw, r.compute);
-    for (const auto &r : rows) {
-        double ms = std::string(r.name) == "1x BW" ? base_ms
-                                                   : bertMs(r.bw,
-                                                            r.compute);
-        t.row({r.name, Table::num(r.paper_ms, 0), Table::num(ms, 0),
-               Table::num(444.0 / r.paper_ms, 2),
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const double ms = runs[i].result.ms * 24;
+        t.row({rows[i].name, Table::num(rows[i].paper_ms, 0),
+               Table::num(ms, 0), Table::num(444.0 / rows[i].paper_ms, 2),
                Table::num(base_ms / ms, 2)});
     }
     t.print();
 
     // Bandwidth utilization at 1x (paper: 78.6% of peak).
-    {
-        auto cfg = core::MachineConfig::vck190();
-        core::RsnMachine mach(cfg);
-        auto compiled = lib::compileModel(
-            mach, lib::bertLargeEncoder(8, 384, true, 1),
-            lib::ScheduleOptions::optimized());
-        auto res = mach.run(compiled.program);
-        double moved = mach.ddrChannel().bytesRead() +
-                       mach.ddrChannel().bytesWritten() +
-                       mach.lpddrChannel().bytesRead();
-        double secs = res.ms / 1e3;
-        double peak = (25.6 + 32.0) * 1e9;  // board peak, both channels
-        std::printf("\nPeak-bandwidth utilization at 1x: %.1f%% "
-                    "(paper: 78.6%% of peak)\n",
-                    100.0 * moved / secs / peak);
-    }
+    const auto &base = runs[kBase];
+    const double moved_mb =
+        base.ddr_read_mb + base.ddr_write_mb + base.lpddr_read_mb;
+    const double secs = base.result.ms / 1e3;
+    const double peak = (25.6 + 32.0) * 1e9;  // board peak, both channels
+    std::printf("\nPeak-bandwidth utilization at 1x: %.1f%% "
+                "(paper: 78.6%% of peak)\n",
+                100.0 * moved_mb * 1e6 / secs / peak);
     return 0;
 }

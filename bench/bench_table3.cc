@@ -17,7 +17,7 @@ using namespace rsn;
 using rsn::core::Table;
 
 int
-main()
+main(int argc, char **argv)
 {
     core::banner("Table 3: mapping-type latency estimation "
                  "(BERT attention, B=6, S=512)");
@@ -49,12 +49,13 @@ main()
 
     // Simulator check: type-D (pipelined) vs type-A-style (sequential)
     // on the full attention block.
-    auto seq = rsn::bench::runModel(rsn::bench::attentionModel(6, 512, 16,
-                                                               64),
-                                    lib::ScheduleOptions::bwOptimized());
-    auto pipe = rsn::bench::runModel(rsn::bench::attentionModel(6, 512,
-                                                                16, 64),
-                                     lib::ScheduleOptions::optimized());
+    const auto runs = bench::runSweepPoints(
+        lib::SweepExecutor(bench::benchJobs(argc, argv)),
+        {{bench::attentionModel(6, 512, 16, 64),
+          lib::ScheduleOptions::bwOptimized()},
+         {bench::attentionModel(6, 512, 16, 64),
+          lib::ScheduleOptions::optimized()}});
+    const auto &seq = runs[0], &pipe = runs[1];
     std::printf("Simulated: sequential %.2f ms vs pipelined %.2f ms "
                 "(%.1fx)\n",
                 seq.result.ms, pipe.result.ms,

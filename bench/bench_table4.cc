@@ -24,7 +24,7 @@ main()
     auto compiled = lib::compileModel(
         mach, lib::bertLargeEncoder(6, 512, true, 1),
         lib::ScheduleOptions::optimized());
-    auto run = mach.run(compiled.program);
+    auto run = mach.runChecked(compiled.program).result;
 
     core::PowerModel power;
     auto rows = power.breakdown(mach, run);

@@ -12,11 +12,10 @@
 #include "core/report.hh"
 
 using namespace rsn;
-using rsn::bench::runModel;
 using rsn::core::Table;
 
 int
-main()
+main(int argc, char **argv)
 {
     core::banner("Table 5a: decoder area overhead");
     auto cfg = core::MachineConfig::vck190();
@@ -39,8 +38,10 @@ main()
     t.print();
 
     core::banner("Table 5b: computation resource utilization");
-    auto run = runModel(lib::bertLargeEncoder(6, 512, true, 1),
-                        lib::ScheduleOptions::optimized());
+    const auto run = bench::runSweepPoints(
+        lib::SweepExecutor(bench::benchJobs(argc, argv)),
+        {{lib::bertLargeEncoder(6, 512, true, 1),
+          lib::ScheduleOptions::optimized()}})[0];
     Table u("Achieved vs peak FP32 performance");
     u.header({"Design", "Precision", "Peak TFLOPS", "BW GB/s",
               "Achieved TFLOPS", "Util"});

@@ -12,17 +12,18 @@
 #include "core/report.hh"
 
 using namespace rsn;
-using rsn::bench::runModel;
 using rsn::core::Table;
 
 int
-main()
+main(int argc, char **argv)
 {
     core::banner("Table 8: FPGA transformer accelerators at max "
                  "throughput");
 
-    auto run = runModel(lib::bertLargeEncoder(6, 512, true, 1),
-                        lib::ScheduleOptions::optimized());
+    const auto run = bench::runSweepPoints(
+        lib::SweepExecutor(bench::benchJobs(argc, argv)),
+        {{lib::bertLargeEncoder(6, 512, true, 1),
+          lib::ScheduleOptions::optimized()}})[0];
 
     Table t("Peak vs achieved ops");
     t.header({"Design", "Board", "Precision", "Peak TOPS",

@@ -1,22 +1,18 @@
 /**
  * @file
- * Shared helpers for the benchmark harness: construct a VCK190 machine,
- * compile a model with given schedule options, run it, and return the
+ * Shared helpers for the benchmark harness: compile a model with given
+ * schedule options, run it on a VCK190 machine, and return the
  * interesting aggregates. Every bench binary prints paper-reported
  * values alongside measured ones so the reproduction is auditable.
  *
- * Runs go through a BenchContext, which keeps one machine alive across
- * data points: as long as consecutive runs use an equal MachineConfig
- * (the common case — a figure sweeps batch size or schedule options on
- * one datapath), the machine is reset() between runs instead of being
- * rebuilt, so a sweep pays the datapath construction cost once.
- *
- * Sweep binaries run their data points through lib::SweepExecutor
- * (runSweepPoints below): each worker lane owns a machine, results land
- * in point order, and tick counts are bit-identical for every --jobs
- * value. Pass `--jobs N` (or RSN_JOBS=N; 0 = all hardware threads) to
- * any sweep bench; the default stays 1 so paper-reproduction output is
- * unchanged unless parallelism is asked for.
+ * Bench binaries run their data points through lib::SweepExecutor
+ * (runSweepPoints below): each worker lane owns a cached machine that
+ * is reset() between equal-config points instead of rebuilt, results
+ * land in point order, and tick counts are bit-identical for every
+ * --jobs value. Pass `--jobs N` (or RSN_JOBS=N; 0 = all hardware
+ * threads) to any sweep bench; the default stays 1 so
+ * paper-reproduction output is unchanged unless parallelism is asked
+ * for.
  */
 
 #ifndef RSN_BENCH_BENCH_UTIL_HH
@@ -25,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,6 +33,7 @@
 namespace rsn::bench {
 
 struct EncoderRun {
+    Status status;
     core::RunResult result;
     double achieved_tflops = 0;
     double ddr_read_mb = 0;
@@ -47,88 +43,6 @@ struct EncoderRun {
     std::uint64_t mm_flops = 0;
 };
 
-/** Compile + run @p model (timing-only) on a pristine @p mach and
- *  gather the aggregates every figure/table bench reports. */
-inline EncoderRun
-runOnMachine(core::RsnMachine &mach, const lib::Model &model,
-             lib::ScheduleOptions opts)
-{
-    auto compiled = lib::compileModel(mach, model, opts);
-    EncoderRun out;
-    out.result = mach.run(compiled.program);
-    if (!out.result.completed) {
-        std::fprintf(stderr, "run did not complete:\n%s\n",
-                     out.result.diagnosis.c_str());
-    }
-    out.achieved_tflops = mach.achievedTflops(out.result);
-    out.ddr_read_mb = mach.ddrChannel().bytesRead() / 1e6;
-    out.ddr_write_mb = mach.ddrChannel().bytesWritten() / 1e6;
-    out.lpddr_read_mb = mach.lpddrChannel().bytesRead() / 1e6;
-    out.packets = compiled.program.size();
-    out.mm_flops = compiled.mm_flops;
-    return out;
-}
-
-/**
- * A reusable machine/run context for benchmark sweeps. machine() hands
- * back a pristine machine for @p cfg: the cached instance reset between
- * runs while the configuration stays the same, a freshly built one when
- * the configuration changes (or the previous run deadlocked / timed
- * out, which leaves a machine that cannot be reset).
- */
-class BenchContext
-{
-  public:
-    /** A pristine machine for @p cfg (cached or rebuilt; see above). */
-    core::RsnMachine &
-    machine(const core::MachineConfig &cfg)
-    {
-        if (mach_ && cfg_ == cfg && mach_->resettable())
-            mach_->reset();
-        else
-            mach_ = std::make_unique<core::RsnMachine>(cfg_ = cfg);
-        return *mach_;
-    }
-
-    /** Compile + run @p model (timing-only) and gather the aggregates. */
-    EncoderRun
-    run(const lib::Model &model, lib::ScheduleOptions opts,
-        const core::MachineConfig &cfg = core::MachineConfig::vck190())
-    {
-        return runOnMachine(machine(cfg), model, opts);
-    }
-
-  private:
-    core::MachineConfig cfg_;
-    std::unique_ptr<core::RsnMachine> mach_;
-};
-
-/**
- * Compile + run @p model on this thread's bench context. Figure/table
- * binaries call this per data point; equal-config points share one
- * machine. The context is thread_local — one per sweep lane — so
- * parallel sweeps never share a machine, and sequential callers keep
- * the old single-context behavior (machine pinned across data points,
- * which also removes the rebuild jitter ROADMAP noted in
- * BM_FunctionalTinyEncoder).
- */
-inline EncoderRun
-runModel(const lib::Model &model, lib::ScheduleOptions opts,
-         const core::MachineConfig &cfg = core::MachineConfig::vck190())
-{
-    thread_local BenchContext ctx;
-    return ctx.run(model, opts, cfg);
-}
-
-/** Compile + run @p model on a sweep lane's cached machine. */
-inline EncoderRun
-runOnLane(lib::SweepLane &lane, const lib::Model &model,
-          lib::ScheduleOptions opts,
-          const core::MachineConfig &cfg = core::MachineConfig::vck190())
-{
-    return runOnMachine(lane.machine(cfg), model, opts);
-}
-
 /** One timing sweep point for runSweepPoints. */
 struct SweepJob {
     lib::Model model;
@@ -137,8 +51,9 @@ struct SweepJob {
 };
 
 /**
- * Run every job on the executor; results are in job order regardless
- * of --jobs. This is the loop body every fig/table sweep binary uses.
+ * Compile + run every job (timing-only) on the executor's lanes and
+ * gather the aggregates every figure/table bench reports; results are
+ * in job order regardless of --jobs.
  */
 inline std::vector<EncoderRun>
 runSweepPoints(const lib::SweepExecutor &ex,
@@ -146,8 +61,23 @@ runSweepPoints(const lib::SweepExecutor &ex,
 {
     return ex.map<EncoderRun>(
         jobs.size(), [&](lib::SweepLane &lane, std::size_t i) {
-            return runOnLane(lane, jobs[i].model, jobs[i].opts,
-                             jobs[i].cfg);
+            core::RsnMachine &mach = lane.machine(jobs[i].cfg);
+            const auto compiled =
+                lib::compileModel(mach, jobs[i].model, jobs[i].opts);
+            const core::RunReport rep = mach.runChecked(compiled.program);
+            if (!rep.ok())
+                std::fprintf(stderr, "run did not complete:\n%s\n",
+                             rep.status.message.c_str());
+            EncoderRun out;
+            out.status = rep.status;
+            out.result = rep.result;
+            out.achieved_tflops = mach.achievedTflops(rep.result);
+            out.ddr_read_mb = mach.ddrChannel().bytesRead() / 1e6;
+            out.ddr_write_mb = mach.ddrChannel().bytesWritten() / 1e6;
+            out.lpddr_read_mb = mach.lpddrChannel().bytesRead() / 1e6;
+            out.packets = compiled.program.size();
+            out.mm_flops = compiled.mm_flops;
+            return out;
         });
 }
 

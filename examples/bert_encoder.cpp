@@ -32,11 +32,12 @@ main()
                                            /*fuse_qkv=*/true);
         auto compiled = lib::compileModel(
             machine, model, lib::ScheduleOptions::optimized());
-        auto r = machine.run(compiled.program);
-        if (!r.completed) {
-            std::printf("timing run failed:\n%s\n", r.diagnosis.c_str());
+        const auto rep = machine.runChecked(compiled.program);
+        if (!rep.ok()) {
+            std::printf("timing run failed:\n%s\n", rep.toString().c_str());
             return 1;
         }
+        const core::RunResult &r = rep.result;
         core::PowerModel power;
         std::printf("BERT-Large 1st encoder (S=512, B=6, FP32)\n");
         std::printf("  latency        : %.2f ms (paper: 17.98 ms)\n",
@@ -62,10 +63,10 @@ main()
             machine, model, lib::ScheduleOptions::optimized());
         lib::initTensors(machine, compiled, 123);
         auto expected = lib::referenceForward(machine, model, compiled);
-        auto r = machine.run(compiled.program);
-        if (!r.completed) {
+        const auto rep = machine.runChecked(compiled.program);
+        if (!rep.ok()) {
             std::printf("functional run failed:\n%s\n",
-                        r.diagnosis.c_str());
+                        rep.toString().c_str());
             return 1;
         }
         std::printf("\nFunctional validation (batch 2, seq 32, hidden "

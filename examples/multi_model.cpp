@@ -39,12 +39,13 @@ main()
                           lib::ScheduleOptions::optimized()}) {
             core::RsnMachine machine(core::MachineConfig::vck190());
             auto compiled = lib::compileModel(machine, e.model, opts);
-            auto r = machine.run(compiled.program);
-            if (!r.completed) {
+            const auto rep = machine.runChecked(compiled.program);
+            if (!rep.ok()) {
                 std::printf("%s failed:\n%s\n", e.name,
-                            r.diagnosis.c_str());
+                            rep.toString().c_str());
                 return 1;
             }
+            const core::RunResult &r = rep.result;
             std::printf("%-34s %10.2f %10.2f %12llu %10zu  (%s)\n",
                         e.name, r.ms, machine.achievedTflops(r),
                         (unsigned long long)compiled.program.totalBytes(),

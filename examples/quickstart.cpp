@@ -57,11 +57,12 @@ main()
     // 4. Run and validate.
     lib::initTensors(machine, compiled, /*seed=*/2024);
     auto expected = lib::referenceForward(machine, model, compiled);
-    auto result = machine.run(compiled.program);
-    if (!result.completed) {
-        std::printf("run failed:\n%s\n", result.diagnosis.c_str());
+    const auto rep = machine.runChecked(compiled.program);
+    if (!rep.ok()) {
+        std::printf("run failed:\n%s\n", rep.toString().c_str());
         return 1;
     }
+    const core::RunResult &result = rep.result;
 
     auto got = lib::readTensor(machine, compiled, "out");
     std::string why;

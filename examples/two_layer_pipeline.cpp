@@ -63,13 +63,14 @@ main()
         auto compiled = lib::compileModel(machine, model, opts);
         lib::initTensors(machine, compiled, 7);
         auto expected = lib::referenceForward(machine, model, compiled);
-        auto r = machine.run(compiled.program);
-        if (!r.completed) {
+        const auto rep = machine.runChecked(compiled.program);
+        if (!rep.ok()) {
             std::printf("%s run failed:\n%s\n",
                         pipeline ? "pipelined" : "sequential",
-                        r.diagnosis.c_str());
+                        rep.toString().c_str());
             return 1;
         }
+        const core::RunResult &r = rep.result;
         auto got = lib::readTensor(machine, compiled, "out");
         bool ok = ref::allclose(got, expected.at("out"), 2e-3f, 2e-3f);
 

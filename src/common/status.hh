@@ -4,8 +4,9 @@
  *
  * The simulator distinguishes *simulator bugs* (rsn_panic / rsn_assert,
  * which throw std::logic_error) from *diagnosable run outcomes*: a config
- * that fails validation, a run that deadlocks, times out, livelocks, or
- * hits an unrecoverable injected fault. The latter must end the run, not
+ * that fails validation, a run that deadlocks, times out, livelocks,
+ * hits an unrecoverable injected fault, or completes with outputs that
+ * diverge from the reference. The latter must end the run, not
  * the process — a sweep executor or serving harness keeps going. Status
  * is that channel: a code plus a human-readable message, threaded through
  * MachineConfig::validate(), RsnMachine::runChecked(), and
@@ -27,6 +28,7 @@ enum class StatusCode : int {
     Timeout,         ///< Run hit its tick limit.
     Livelock,        ///< Watchdog per-tick event budget tripped.
     FaultDiagnosed,  ///< Unrecoverable injected/detected fault ended the run.
+    OutputMismatch,  ///< Run completed; outputs diverged from the reference.
 };
 
 /** Stable human-readable name of a status code. */
@@ -40,6 +42,7 @@ statusCodeName(StatusCode c)
       case StatusCode::Timeout: return "TIMEOUT";
       case StatusCode::Livelock: return "LIVELOCK";
       case StatusCode::FaultDiagnosed: return "FAULT";
+      case StatusCode::OutputMismatch: return "OUTPUT_MISMATCH";
     }
     return "UNKNOWN";
 }

@@ -116,8 +116,8 @@ struct MachineConfig {
      */
     std::uint64_t watchdog_events_per_tick = 50'000'000;
 
-    /** Member-wise equality (bench_util reuses a machine across equal
-     *  configurations instead of rebuilding the datapath). */
+    /** Member-wise equality (lib::SweepLane reuses a machine across
+     *  equal configurations instead of rebuilding the datapath). */
     bool operator==(const MachineConfig &) const = default;
 
     /**

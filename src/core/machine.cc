@@ -127,7 +127,7 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
     // thread exit: thread_local/static destruction is reverse order of
     // construction, so touching the pool here guarantees it outlives
     // every machine-holding object constructed later on this thread
-    // (e.g. bench_util's cached BenchContext) — their destructors
+    // (e.g. a lib::SweepLane's cached machine) — their destructors
     // retire tiles into a still-live pool. Registry warming keeps
     // sweep-lane first use off the startup-probe path entirely.
     sim::TilePool::instance();
@@ -240,60 +240,14 @@ RsnMachine::setFaultSeed(std::uint64_t seed)
         injector_->reseed(seed);
 }
 
-RunResult
-RsnMachine::run(const isa::RsnProgram &prog, Tick max_ticks)
-{
-    rsn_assert(!ran_, "RsnMachine::run needs a fresh or reset() machine");
-    ran_ = true;
-    prog.validate();
-
-    for (auto &f : fus_)
-        f->start();
-    decoder_->start(prog);
-
-    bool quiesced = eng_.run(max_ticks);
-
-    RunResult r;
-    r.ticks = eng_.now();
-    r.ms = ticksToMs(r.ticks, cfg_.clocks.plHz);
-    bool all_halted = true;
-    for (auto &f : fus_)
-        all_halted &= f->halted();
-    // A drained queue with coroutines still parked on a channel or
-    // stream is a *silent* deadlock (nothing left to wake them); it must
-    // not count as completion even when every FU happens to look done.
-    bool drain_clean = quiesced && eng_.drainedClean();
-    r.livelocked = eng_.watchdogTripped();
-    r.fault_aborted = eng_.stopRequested();
-    r.completed = quiesced && all_halted && decoder_->done() && drain_clean;
-    r.deadlocked = quiesced && !r.completed && !r.fault_aborted;
-    r.timed_out = !quiesced && !r.livelocked && !r.fault_aborted;
-    ran_completed_ = r.completed;
-    if (!r.completed) {
-        r.diagnosis = stallReport();
-        if (quiesced && !drain_clean)
-            r.diagnosis += "parked waiters at drain (silent deadlock):\n" +
-                           eng_.drainDiagnosis();
-        else if (r.fault_aborted && !eng_.drainedClean())
-            // The same waiter scan after a fault stop: names the dead
-            // stream's lost chunks and the endpoints parked on them.
-            r.diagnosis +=
-                "parked waiters at fault stop:\n" + eng_.drainDiagnosis();
-        if (r.livelocked)
-            r.diagnosis +=
-                "watchdog: tick " +
-                std::to_string(static_cast<unsigned long long>(r.ticks)) +
-                " exceeded the event budget without advancing time\n";
-        if (r.fault_aborted && injector_ && injector_->firstHardFault())
-            r.diagnosis += "hard fault: " +
-                           injector_->firstHardFault()->toString() + "\n";
-    }
-    return r;
-}
-
 RunReport
 RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
 {
+    rsn_assert(!ran_, "RsnMachine::runChecked needs a fresh or reset() "
+                      "machine");
+    ran_ = true;
+    prog.validate();
+
     RunReport rep;
     {
         const kernel::Registry &reg = kernel::Registry::instance();
@@ -301,30 +255,56 @@ RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
         rep.isa_source = reg.selectionSource();
         rep.isa_probe = reg.probe().toString();
     }
-    rep.result = run(prog, max_ticks);
+
+    for (auto &f : fus_)
+        f->start();
+    decoder_->start(prog);
+
+    const bool quiesced = eng_.run(max_ticks);
+
+    rep.result.ticks = eng_.now();
+    rep.result.ms = ticksToMs(rep.result.ticks, cfg_.clocks.plHz);
     if (injector_) {
         rep.faults = injector_->log();
         rep.faults_injected = injector_->totalInjected();
     }
-    const RunResult &r = rep.result;
+    bool all_halted = true;
+    for (auto &f : fus_)
+        all_halted &= f->halted();
+    // A drained queue with coroutines still parked on a channel or
+    // stream is a *silent* deadlock (nothing left to wake them); it must
+    // not count as completion even when every FU happens to look done.
+    const bool drain_clean = quiesced && eng_.drainedClean();
+    const bool completed =
+        quiesced && all_halted && decoder_->done() && drain_clean;
+    ran_completed_ = completed;
+
+    const std::string stall =
+        completed ? std::string() : stallReport(quiesced, drain_clean);
     if (injector_ && injector_->hardFaulted())
-        rep.status = Status::error(StatusCode::FaultDiagnosed,
-                                   injector_->firstHardFault()->toString());
-    else if (r.completed)
+        rep.status = Status::error(
+            StatusCode::FaultDiagnosed,
+            injector_->firstHardFault()->toString() +
+                (stall.empty() ? "" : "\n" + stall));
+    else if (completed)
         rep.status = Status::success();
-    else if (r.livelocked)
-        rep.status = Status::error(StatusCode::Livelock, r.diagnosis);
-    else if (r.timed_out)
-        rep.status = Status::error(StatusCode::Timeout, r.diagnosis);
+    else if (eng_.watchdogTripped())
+        rep.status = Status::error(StatusCode::Livelock, stall);
+    else if (!quiesced && !eng_.stopRequested())
+        rep.status = Status::error(StatusCode::Timeout, stall);
     else
-        rep.status = Status::error(StatusCode::Deadlock, r.diagnosis);
+        rep.status = Status::error(StatusCode::Deadlock, stall);
     return rep;
 }
 
 std::string
 RunReport::toString() const
 {
-    std::string s = status.toString();
+    // Headline: the status with the first message line. The stall
+    // report and waiter scan of an incomplete run follow the fault log.
+    const std::size_t nl = status.message.find('\n');
+    std::string s =
+        Status{status.code, status.message.substr(0, nl)}.toString();
     s += " after " +
          std::to_string(static_cast<unsigned long long>(result.ticks)) +
          " ticks";
@@ -340,16 +320,31 @@ RunReport::toString() const
         for (const auto &f : faults)
             s += "\n  " + f.toString();
     }
+    if (nl != std::string::npos)
+        s += status.message.substr(nl);
     return s;
 }
 
 std::string
-RsnMachine::stallReport() const
+RsnMachine::stallReport(bool quiesced, bool drain_clean) const
 {
-    std::string s = decoder_->stateString() + "\n";
+    std::string s = decoder_->stateString();
     for (const auto &f : fus_)
         if (!f->halted())
-            s += f->name() + ": " + f->stateString() + "\n";
+            s += "\n" + f->name() + ": " + f->stateString();
+    if (quiesced && !drain_clean)
+        s += "\nparked waiters at drain (silent deadlock):\n" +
+             eng_.drainDiagnosis();
+    else if (eng_.stopRequested() && !eng_.drainedClean())
+        // The same waiter scan after a fault stop: names the dead
+        // stream's lost chunks and the endpoints parked on them.
+        s += "\nparked waiters at fault stop:\n" + eng_.drainDiagnosis();
+    if (eng_.watchdogTripped())
+        s += "\nwatchdog: tick " +
+             std::to_string(static_cast<unsigned long long>(eng_.now())) +
+             " exceeded the event budget without advancing time";
+    while (!s.empty() && s.back() == '\n')
+        s.pop_back();
     return s;
 }
 

@@ -11,7 +11,7 @@
  * a pristine state — clock at 0, FU/stream/DRAM stats cleared, host
  * memory empty — so sweeps can reuse one machine per configuration
  * instead of rebuilding the full datapath per data point
- * (bench/bench_util.hh holds such a cached machine).
+ * (lib::SweepLane holds such a cached machine).
  */
 
 #ifndef RSN_CORE_MACHINE_HH
@@ -35,24 +35,20 @@ namespace rsn::core {
 /** Build the RSN-XNN "union" datapath graph for @p cfg (Sec. 4.2). */
 net::Topology buildRsnXnnTopology(const MachineConfig &cfg);
 
-/** Outcome of executing one RSN program. */
+/** How long one RSN program ran, in ticks and modeled wall-clock. */
 struct RunResult {
-    bool completed = false;    ///< Program drained, all FUs halted.
-    bool deadlocked = false;   ///< Quiesced with blocked FUs/decoders.
-    bool timed_out = false;    ///< Hit the tick limit.
-    bool livelocked = false;   ///< Watchdog: a tick exceeded its budget.
-    bool fault_aborted = false;  ///< Injector diagnosed a hard fault.
     Tick ticks = 0;
     double ms = 0;             ///< Wall-clock on the modeled platform.
-    std::string diagnosis;     ///< Stall report when not completed.
 };
 
 /**
- * Structured outcome for callers that want a diagnosable error channel
- * instead of picking RunResult flags apart (lib/runner, tools/rsn_sim).
- * status.ok() iff the program completed; otherwise status carries the
- * classification (FaultDiagnosed / Deadlock / Livelock / Timeout) and a
- * message naming the first fault site or the stalled endpoints.
+ * The one outcome of a run: status.ok() iff the program drained, every
+ * FU halted, and no waiter was left parked; otherwise status carries the
+ * classification (FaultDiagnosed / Livelock / Timeout / Deadlock) and a
+ * message whose first line names the first fault site or the stalled
+ * decoder, followed by the stall report and the engine's waiter scan.
+ * lib::runModelChecked() adds OutputMismatch for completed runs whose
+ * outputs diverged from the reference.
  */
 struct RunReport {
     Status status;
@@ -103,14 +99,10 @@ class RsnMachine
     /** Default run length: generous, but finite even for chaos runs. */
     static constexpr Tick kDefaultMaxTicks = Tick(200) * 1000 * 1000 * 1000;
 
-    /** Execute @p prog until completion / quiesce / @p max_ticks. */
-    RunResult run(const isa::RsnProgram &prog,
-                  Tick max_ticks = kDefaultMaxTicks);
-
     /**
-     * run() plus outcome classification: always returns (never throws on
-     * a diagnosed fault), with status Ok / FaultDiagnosed / Deadlock /
-     * Livelock / Timeout and the injector's fault log attached.
+     * Execute @p prog until completion / quiesce / @p max_ticks and
+     * classify the outcome. Always returns (never throws on a diagnosed
+     * fault), with the injector's fault log attached.
      */
     RunReport runChecked(const isa::RsnProgram &prog,
                          Tick max_ticks = kDefaultMaxTicks);
@@ -158,7 +150,7 @@ class RsnMachine
   private:
     void buildStreams();
     void buildFus();
-    std::string stallReport() const;
+    std::string stallReport(bool quiesced, bool drain_clean) const;
 
     MachineConfig cfg_;
     sim::Engine eng_;

@@ -1,8 +1,6 @@
 #include "fu/mme.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
 
@@ -118,17 +116,6 @@ MmeFu::runKernel(const isa::Uop &uop)
                 model_.chunkTicks(lhs.rows, lhs.cols, rhs.cols));
             countFlops(2ull * lhs.rows * lhs.cols * rhs.cols);
 
-            if (getenv("RSN_DEBUG_MME")) {
-                std::printf("[%s] rep=%u ks=%u lhs=%ux%u(%s %.4f %.4f) "
-                            "rhs=%ux%u(%s %.4f %.4f)\n",
-                            name().c_str(), rep, ks, lhs.rows, lhs.cols,
-                            lhs.hasData() ? "d" : "-",
-                            lhs.hasData() ? lhs.at(0, 0) : 0.f,
-                            lhs.hasData() ? lhs.at(1 % lhs.rows, 0) : 0.f,
-                            rhs.rows, rhs.cols, rhs.hasData() ? "d" : "-",
-                            rhs.hasData() ? rhs.at(0, 0) : 0.f,
-                            rhs.hasData() ? rhs.at(1 % rhs.rows, 0) : 0.f);
-            }
             if (lhs.hasData() && rhs.hasData()) {
                 std::size_t out_elems = std::size_t(out_rows) * out_cols;
                 if (!acc) {

@@ -1,8 +1,7 @@
 #include "fu/nonlinear.hh"
 
+#include <algorithm>
 #include <cmath>
-
-#include "common/log.hh"
 
 namespace rsn::fu {
 
@@ -30,26 +29,12 @@ softmaxRows(float *tile, std::uint32_t rows, std::uint32_t cols)
 }
 
 void
-softmaxRows(std::vector<float> &tile, std::uint32_t rows,
-            std::uint32_t cols)
-{
-    rsn_assert(tile.size() == std::size_t(rows) * cols, "tile shape");
-    softmaxRows(tile.data(), rows, cols);
-}
-
-void
 geluInplace(float *tile, std::size_t n)
 {
     constexpr float inv_sqrt2 = 0.70710678118654752f;
     for (std::size_t i = 0; i < n; ++i)
         tile[i] = 0.5f * tile[i] *
                   (1.0f + std::erf(tile[i] * inv_sqrt2));
-}
-
-void
-geluInplace(std::vector<float> &tile)
-{
-    geluInplace(tile.data(), tile.size());
 }
 
 void
@@ -86,14 +71,6 @@ layernormRows(float *tile, std::uint32_t rows, std::uint32_t cols)
 }
 
 void
-layernormRows(std::vector<float> &tile, std::uint32_t rows,
-              std::uint32_t cols)
-{
-    rsn_assert(tile.size() == std::size_t(rows) * cols, "tile shape");
-    layernormRows(tile.data(), rows, cols);
-}
-
-void
 scaleShiftRows(float *tile, std::uint32_t rows, std::uint32_t cols,
                const float *gamma, const float *beta)
 {
@@ -105,34 +82,10 @@ scaleShiftRows(float *tile, std::uint32_t rows, std::uint32_t cols,
 }
 
 void
-scaleShiftRows(std::vector<float> &tile, std::uint32_t rows,
-               std::uint32_t cols, const std::vector<float> &gamma,
-               const std::vector<float> &beta)
-{
-    rsn_assert(gamma.size() >= cols && beta.size() >= cols,
-               "scale/shift params too small");
-    scaleShiftRows(tile.data(), rows, cols, gamma.data(), beta.data());
-}
-
-void
 addInplace(float *tile, const float *other, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         tile[i] += other[i];
-}
-
-void
-addInplace(std::vector<float> &tile, const std::vector<float> &other)
-{
-    rsn_assert(tile.size() == other.size(), "residual shape mismatch");
-    addInplace(tile.data(), other.data(), other.size());
-}
-
-void
-addInplace(std::vector<float> &tile, const float *other, std::size_t n)
-{
-    rsn_assert(tile.size() == n, "residual shape mismatch");
-    addInplace(tile.data(), other, n);
 }
 
 // Scale-shift and residual add are deliberately NOT in the kernel

@@ -6,10 +6,9 @@
  * datapath; tests validate them against the independent naive versions in
  * src/ref.
  *
- * The raw-pointer forms are the datapath entry points — MemC applies them
- * in place to a pooled staging tile (sim/tile_pool.hh) with no vector
- * scratch. The std::vector overloads are convenience wrappers for tests
- * and reference checks.
+ * Every operator takes a raw pointer: MemC applies them in place to a
+ * pooled staging tile (sim/tile_pool.hh) with no vector scratch, and
+ * tests pass std::vector storage through .data()/.size().
  *
  * These are the **exact** kernels (libm erf/exp, double-precision
  * LayerNorm accumulation): the semantic reference for the vectorized
@@ -24,18 +23,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace rsn::fu {
 
 /** Numerically-stable row-wise softmax over a rows x cols tile. */
 void softmaxRows(float *tile, std::uint32_t rows, std::uint32_t cols);
-void softmaxRows(std::vector<float> &tile, std::uint32_t rows,
-                 std::uint32_t cols);
 
 /** Exact (erf-based) GELU applied element-wise to @p n values. */
 void geluInplace(float *tile, std::size_t n);
-void geluInplace(std::vector<float> &tile);
 
 /**
  * Row-wise LayerNorm: normalize each row to zero mean / unit variance
@@ -43,32 +38,22 @@ void geluInplace(std::vector<float> &tile);
  * compose the way Table 2 lists them.
  */
 void layernormRows(float *tile, std::uint32_t rows, std::uint32_t cols);
-void layernormRows(std::vector<float> &tile, std::uint32_t rows,
-                   std::uint32_t cols);
 
 /**
  * Apply gamma/beta per column: tile[r][c] = tile[r][c]*gamma[c]+beta[c].
  *
- * **Precondition (raw-pointer form):** @p gamma and @p beta must each
- * point at >= @p cols readable floats; the first @p cols of each are
- * used. The function itself cannot check this — unlike the vector
- * overload there is no size to assert against — so every caller owns
- * the contract. The zero-copy MemC path reads both in place from the
+ * **Precondition:** @p gamma and @p beta must each point at >= @p cols
+ * readable floats; the first @p cols of each are used. The function
+ * itself cannot check this, so every caller owns the contract. The zero-copy MemC path reads both in place from the
  * 2 x cols LPDDR parameter chunk (gamma = row 0, beta = row 1) and
  * asserts the chunk's shape and payload length at the call site
  * (fu/mem_fus.cc) before forming the pointers.
  */
 void scaleShiftRows(float *tile, std::uint32_t rows, std::uint32_t cols,
                     const float *gamma, const float *beta);
-void scaleShiftRows(std::vector<float> &tile, std::uint32_t rows,
-                    std::uint32_t cols, const std::vector<float> &gamma,
-                    const std::vector<float> &beta);
 
 /** tile[i] += other[i] for i in [0, n) (element-wise residual add). */
 void addInplace(float *tile, const float *other, std::size_t n);
-void addInplace(std::vector<float> &tile, const std::vector<float> &other);
-void addInplace(std::vector<float> &tile, const float *other,
-                std::size_t n);
 
 /** @{ FLOP-per-element costs used for MemC timing and the power model. */
 inline constexpr double kSoftmaxFlopsPerElem = 5.0;

@@ -135,26 +135,31 @@ runModelChecked(core::RsnMachine &mach, const Model &model,
                 float rtol, float atol, Tick max_ticks)
 {
     CheckedRun cr;
-    cr.functional = mach.host().functional();
+    const bool functional = mach.host().functional();
 
     std::map<std::string, ref::Matrix> refs;
-    if (cr.functional) {
+    if (functional) {
         initTensors(mach, compiled, seed);
         refs = referenceForward(mach, model, compiled);
     }
 
     cr.report = mach.runChecked(compiled.program, max_ticks);
 
-    if (cr.functional && cr.report.ok()) {
+    if (functional && cr.report.ok()) {
+        std::string names;
         for (const auto &[name, expect] : refs) {
             if (name == "input" || !compiled.hasTensor(name))
                 continue;
             ref::Matrix got = readTensor(mach, compiled, name);
             if (!ref::allclose(got, expect, rtol, atol)) {
-                cr.outputs_ok = false;
+                names += (names.empty() ? "" : ", ") + name;
                 cr.mismatched.push_back(name);
             }
         }
+        if (!cr.mismatched.empty())
+            cr.report.status = Status::error(
+                StatusCode::OutputMismatch,
+                names + " diverged from the reference");
     }
     return cr;
 }

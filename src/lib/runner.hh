@@ -44,17 +44,17 @@ std::map<std::string, ref::Matrix>
 referenceForward(core::RsnMachine &mach, const Model &model,
                  const CompiledModel &compiled);
 
-/** Outcome of runModelChecked: run classification plus output check. */
+/**
+ * Outcome of runModelChecked: the run report, whose status is
+ * OutputMismatch when a completed functional run's outputs diverged,
+ * plus the names of the diverged tensors.
+ */
 struct CheckedRun {
     core::RunReport report;
-    bool functional = false;   ///< Machine carried FP32 payloads.
-    /** All produced tensors matched the reference (functional runs that
-     *  completed; vacuously true otherwise). */
-    bool outputs_ok = true;
     std::vector<std::string> mismatched;  ///< Tensors that diverged.
 
     /** Completed with verified outputs (or a timing-only completion). */
-    bool ok() const { return report.ok() && outputs_ok; }
+    bool ok() const { return report.ok(); }
 };
 
 /**
@@ -62,7 +62,8 @@ struct CheckedRun {
  * FP32 reference, run through the structured RunReport channel, and —
  * when the run completes on a functional machine — compare every
  * produced tensor against the reference. Never throws on a diagnosed
- * fault / deadlock / timeout; those come back classified in the report.
+ * fault / deadlock / timeout or an output mismatch; those come back
+ * classified in the report.
  * This is the path rsn-sim and the chaos tier drive.
  */
 CheckedRun runModelChecked(core::RsnMachine &mach, const Model &model,

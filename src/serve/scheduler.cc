@@ -158,7 +158,7 @@ class ServingSim
         std::uint32_t slot = 0;
         std::vector<std::uint64_t> reqs;
         bool ok = false;
-        bool hard = false;  ///< FaultDiagnosed (or detected corruption).
+        bool hard = false;  ///< FaultDiagnosed or OutputMismatch.
         bool probe = false;
         Tick ticks = 1;
     };
@@ -448,7 +448,7 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     rep_.faults_injected += cr.report.faults_injected;
     f.ok = cr.ok();
     f.hard = cr.report.status.code == StatusCode::FaultDiagnosed ||
-             (cr.report.ok() && !cr.outputs_ok);
+             cr.report.status.code == StatusCode::OutputMismatch;
     f.ticks = cr.report.result.ticks ? cr.report.result.ticks : 1;
     flights_.push_back(std::move(f));
     push(now + flights_.back().ticks, EvKind::Completion,

@@ -237,7 +237,7 @@ class Engine
      * hold `when` stamps that a rewound clock would misorder. The slot
      * arena and free list survive, so a reset engine re-enters steady
      * state with zero warmup allocations — this is what lets one
-     * machine serve many benchmark data points (bench/bench_util.hh).
+     * machine serve many sweep points (lib::SweepLane).
      */
     void
     reset()

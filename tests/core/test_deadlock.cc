@@ -24,13 +24,11 @@ TEST(Deadlock, ShallowPacketFifoDeadlocksAndIsDiagnosed)
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(2, 128, true,
                                                            1),
                                lib::ScheduleOptions::bwOptimized());
-    auto r = mach.run(c.program);
-    ASSERT_FALSE(r.completed);
-    EXPECT_TRUE(r.deadlocked);
-    EXPECT_FALSE(r.timed_out);
+    auto r = mach.runChecked(c.program);
+    ASSERT_EQ(r.status.code, StatusCode::Deadlock) << r.toString();
     // The diagnosis names the stalled fetch unit and blocked FUs.
-    EXPECT_NE(r.diagnosis.find("fetch"), std::string::npos);
-    EXPECT_NE(r.diagnosis.find("blocked"), std::string::npos);
+    EXPECT_NE(r.status.message.find("fetch"), std::string::npos);
+    EXPECT_NE(r.status.message.find("blocked"), std::string::npos);
 }
 
 TEST(Deadlock, DefaultDepthsCompleteTheSameProgram)
@@ -39,9 +37,9 @@ TEST(Deadlock, DefaultDepthsCompleteTheSameProgram)
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(2, 128, true,
                                                            1),
                                lib::ScheduleOptions::bwOptimized());
-    auto r = mach.run(c.program);
-    EXPECT_TRUE(r.completed) << r.diagnosis;
-    EXPECT_TRUE(r.diagnosis.empty());
+    auto r = mach.runChecked(c.program);
+    EXPECT_EQ(r.status.code, StatusCode::Ok) << r.toString();
+    EXPECT_TRUE(r.status.message.empty());
 }
 
 TEST(Deadlock, TruncatedProgramReportsUnhaltedFus)
@@ -59,10 +57,9 @@ TEST(Deadlock, TruncatedProgramReportsUnhaltedFus)
     mu.routes.push_back({{FuType::MemA, 0}, {FuType::Mme, 0}});
     p.mops.emplace_back(mu);
     prog.append(p);
-    auto r = mach.run(prog);
-    EXPECT_FALSE(r.completed);
-    EXPECT_TRUE(r.deadlocked);
-    EXPECT_NE(r.diagnosis.find("MeshA"), std::string::npos);
+    auto r = mach.runChecked(prog);
+    EXPECT_EQ(r.status.code, StatusCode::Deadlock);
+    EXPECT_NE(r.status.message.find("MeshA"), std::string::npos);
 }
 
 TEST(Deadlock, TickLimitReportsTimeoutNotDeadlock)
@@ -71,10 +68,8 @@ TEST(Deadlock, TickLimitReportsTimeoutNotDeadlock)
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
                                                            1),
                                lib::ScheduleOptions::optimized());
-    auto r = mach.run(c.program, /*max_ticks=*/1000);
-    EXPECT_FALSE(r.completed);
-    EXPECT_TRUE(r.timed_out);
-    EXPECT_FALSE(r.deadlocked);
+    auto r = mach.runChecked(c.program, /*max_ticks=*/1000);
+    EXPECT_EQ(r.status.code, StatusCode::Timeout) << r.toString();
 }
 
 TEST(Deadlock, EmptyProgramWithHaltsCompletesImmediately)
@@ -91,8 +86,8 @@ TEST(Deadlock, EmptyProgramWithHaltsCompletesImmediately)
     counts[int(FuType::Ddr)] = 1;
     counts[int(FuType::Lpddr)] = 1;
     prog.appendHalts(counts);
-    auto r = mach.run(prog);
-    EXPECT_TRUE(r.completed) << r.diagnosis;
+    auto r = mach.runChecked(prog);
+    EXPECT_EQ(r.status.code, StatusCode::Ok) << r.toString();
 }
 
 TEST(Deadlock, MachineRunIsSingleUse)
@@ -103,9 +98,9 @@ TEST(Deadlock, MachineRunIsSingleUse)
     counts[int(FuType::Ddr)] = 1;
     prog.appendHalts(counts);
     // First run only halts DDR: other FUs never halt -> deadlock state.
-    auto r = mach.run(prog);
-    EXPECT_FALSE(r.completed);
-    EXPECT_THROW((void)mach.run(prog), std::logic_error);
+    auto r = mach.runChecked(prog);
+    EXPECT_EQ(r.status.code, StatusCode::Deadlock);
+    EXPECT_THROW((void)mach.runChecked(prog), std::logic_error);
 }
 
 } // namespace

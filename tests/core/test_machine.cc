@@ -52,8 +52,8 @@ runFunctional(const Model &model, ScheduleOptions opts,
     auto compiled = compileModel(mach, model, opts);
     rsn::lib::initTensors(mach, compiled, 42);
     auto refs = rsn::lib::referenceForward(mach, model, compiled);
-    RunResult r = mach.run(compiled.program);
-    EXPECT_TRUE(r.completed) << r.diagnosis;
+    auto r = mach.runChecked(compiled.program);
+    EXPECT_TRUE(r.ok()) << r.toString();
     for (const auto &[name, expect] : refs) {
         if (name == "input" || !compiled.hasTensor(name))
             continue;
@@ -62,7 +62,7 @@ runFunctional(const Model &model, ScheduleOptions opts,
         EXPECT_TRUE(ref::allclose(got, expect, rtol, atol, &why))
             << "tensor " << name << ": " << why;
     }
-    return r;
+    return r.result;
 }
 
 TEST(MachineFunctional, PlainGemmMatchesReference)
@@ -136,16 +136,16 @@ TEST(MachineTiming, OptimizedFasterThanNoOptimize)
     auto model = rsn::lib::bertLargeEncoder(1, 128, false, 1);
     RsnMachine m1(MachineConfig::vck190());
     auto c1 = compileModel(m1, model, ScheduleOptions::noOptimize());
-    auto r1 = m1.run(c1.program);
-    ASSERT_TRUE(r1.completed) << r1.diagnosis;
+    auto r1 = m1.runChecked(c1.program);
+    ASSERT_TRUE(r1.ok()) << r1.toString();
 
     RsnMachine m2(MachineConfig::vck190());
     auto model2 = rsn::lib::bertLargeEncoder(1, 128, true, 1);
     auto c2 = compileModel(m2, model2, ScheduleOptions::optimized());
-    auto r2 = m2.run(c2.program);
-    ASSERT_TRUE(r2.completed) << r2.diagnosis;
+    auto r2 = m2.runChecked(c2.program);
+    ASSERT_TRUE(r2.ok()) << r2.toString();
 
-    EXPECT_LT(r2.ticks, r1.ticks);
+    EXPECT_LT(r2.result.ticks, r1.result.ticks);
 }
 
 } // namespace

@@ -21,8 +21,9 @@ struct PowerFixture : public ::testing::Test {
         auto c = lib::compileModel(*mach,
                                    lib::bertLargeEncoder(2, 512, true, 1),
                                    lib::ScheduleOptions::optimized());
-        run = mach->run(c.program);
-        ASSERT_TRUE(run.completed) << run.diagnosis;
+        const auto rep = mach->runChecked(c.program);
+        ASSERT_TRUE(rep.ok()) << rep.toString();
+        run = rep.result;
     }
 
     std::unique_ptr<RsnMachine> mach;

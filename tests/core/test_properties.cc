@@ -48,8 +48,8 @@ TEST_P(GemmShapeProperty, DatapathMatchesReference)
                                  ScheduleOptions::optimized());
     lib::initTensors(mach, compiled, 1000 + m + k + n);
     auto refs = lib::referenceForward(mach, model, compiled);
-    auto r = mach.run(compiled.program);
-    ASSERT_TRUE(r.completed) << r.diagnosis;
+    auto r = mach.runChecked(compiled.program);
+    ASSERT_TRUE(r.ok()) << r.toString();
     auto got = lib::readTensor(mach, compiled, "out");
     std::string why;
     EXPECT_TRUE(refm::allclose(got, refs.at("out"), 1e-3f, 1e-3f, &why))
@@ -79,8 +79,8 @@ TEST_P(AttentionShapeProperty, DatapathMatchesReference)
     auto compiled = compileModel(mach, model, opts);
     lib::initTensors(mach, compiled, 77 + batch + seq);
     auto refs = lib::referenceForward(mach, model, compiled);
-    auto r = mach.run(compiled.program);
-    ASSERT_TRUE(r.completed) << r.diagnosis;
+    auto r = mach.runChecked(compiled.program);
+    ASSERT_TRUE(r.ok()) << r.toString();
     auto got = lib::readTensor(mach, compiled, "L0.attn_out");
     std::string why;
     EXPECT_TRUE(refm::allclose(got, refs.at("L0.attn_out"), 2e-3f, 2e-3f,
@@ -111,10 +111,10 @@ TEST(TimingProperties, LatencyMonotonicInBandwidth)
         auto c = compileModel(mach, lib::bertLargeEncoder(2, 256, true,
                                                           1),
                               ScheduleOptions::optimized());
-        auto r = mach.run(c.program);
-        ASSERT_TRUE(r.completed) << r.diagnosis;
-        EXPECT_LE(r.ticks, prev);
-        prev = r.ticks;
+        auto r = mach.runChecked(c.program);
+        ASSERT_TRUE(r.ok()) << r.toString();
+        EXPECT_LE(r.result.ticks, prev);
+        prev = r.result.ticks;
     }
 }
 
@@ -126,10 +126,10 @@ TEST(TimingProperties, LatencyMonotonicInBatch)
         auto c = compileModel(mach, lib::bertLargeEncoder(b, 256, true,
                                                           1),
                               ScheduleOptions::optimized());
-        auto r = mach.run(c.program);
-        ASSERT_TRUE(r.completed) << r.diagnosis;
-        EXPECT_GT(r.ticks, prev);
-        prev = r.ticks;
+        auto r = mach.runChecked(c.program);
+        ASSERT_TRUE(r.ok()) << r.toString();
+        EXPECT_GT(r.result.ticks, prev);
+        prev = r.result.ticks;
     }
 }
 
@@ -140,16 +140,16 @@ TEST(TimingProperties, PipelinedAttentionNotSlowerThanSequential)
         auto c1 = compileModel(m1, lib::bertLargeEncoder(2, seq, true,
                                                          1),
                                ScheduleOptions::optimized());
-        auto r1 = m1.run(c1.program);
+        auto r1 = m1.runChecked(c1.program);
         RsnMachine m2(MachineConfig::vck190());
         auto c2 = compileModel(m2, lib::bertLargeEncoder(2, seq, true,
                                                          1),
                                ScheduleOptions::bwOptimized());
-        auto r2 = m2.run(c2.program);
-        ASSERT_TRUE(r1.completed && r2.completed);
+        auto r2 = m2.runChecked(c2.program);
+        ASSERT_TRUE(r1.ok() && r2.ok());
         // 10% slack: at small sequence lengths the pipelined mapping's
         // per-head mesh traffic can offset part of its traffic savings.
-        EXPECT_LE(double(r1.ticks), double(r2.ticks) * 1.10);
+        EXPECT_LE(double(r1.result.ticks), double(r2.result.ticks) * 1.10);
     }
 }
 
@@ -161,12 +161,12 @@ TEST(TimingProperties, DeterministicAcrossRuns)
         auto c = compileModel(mach, lib::bertLargeEncoder(2, 256, true,
                                                           1),
                               ScheduleOptions::optimized());
-        auto r = mach.run(c.program);
-        ASSERT_TRUE(r.completed);
+        auto r = mach.runChecked(c.program);
+        ASSERT_TRUE(r.ok());
         if (trial == 0)
-            first = r.ticks;
+            first = r.result.ticks;
         else
-            EXPECT_EQ(r.ticks, first);
+            EXPECT_EQ(r.result.ticks, first);
     }
 }
 
@@ -177,12 +177,12 @@ TEST(TimingProperties, ComputeAndTrafficInvariantAcrossSchedules)
     RsnMachine m1(MachineConfig::vck190());
     auto c1 = compileModel(m1, lib::bertLargeEncoder(1, 256, true, 1),
                            ScheduleOptions::optimized());
-    auto r1 = m1.run(c1.program);
+    auto r1 = m1.runChecked(c1.program);
     RsnMachine m2(MachineConfig::vck190());
     auto c2 = compileModel(m2, lib::bertLargeEncoder(1, 256, true, 1),
                            ScheduleOptions::noOptimize());
-    auto r2 = m2.run(c2.program);
-    ASSERT_TRUE(r1.completed && r2.completed);
+    auto r2 = m2.runChecked(c2.program);
+    ASSERT_TRUE(r1.ok() && r2.ok());
     EXPECT_EQ(m1.totalFlops(), m2.totalFlops());
     EXPECT_LT(m1.ddrChannel().bytesWritten(),
               m2.ddrChannel().bytesWritten());
@@ -197,10 +197,10 @@ TEST(TimingProperties, InfiniteBandwidthApproachesComputeBound)
     RsnMachine mach(cfg);
     auto model = lib::bertLargeEncoder(4, 512, true, 1);
     auto c = compileModel(mach, model, ScheduleOptions::optimized());
-    auto r = mach.run(c.program);
-    ASSERT_TRUE(r.completed) << r.diagnosis;
+    auto r = mach.runChecked(c.program);
+    ASSERT_TRUE(r.ok()) << r.toString();
     // Achieved TFLOPS should close in on the 6.8 TFLOPS GEMM ceiling.
-    EXPECT_GT(mach.achievedTflops(r), 4.5);
+    EXPECT_GT(mach.achievedTflops(r.result), 4.5);
 }
 
 TEST(TimingProperties, BusyTicksNeverExceedRunLength)
@@ -208,11 +208,11 @@ TEST(TimingProperties, BusyTicksNeverExceedRunLength)
     RsnMachine mach(MachineConfig::vck190());
     auto c = compileModel(mach, lib::bertLargeEncoder(1, 128, true, 1),
                           ScheduleOptions::optimized());
-    auto r = mach.run(c.program);
-    ASSERT_TRUE(r.completed);
+    auto r = mach.runChecked(c.program);
+    ASSERT_TRUE(r.ok());
     for (const auto &f : mach.fus())
-        EXPECT_LE(f->stats().busy_ticks, r.ticks) << f->name();
-    EXPECT_LE(mach.ddrChannel().busyTicks(), r.ticks);
+        EXPECT_LE(f->stats().busy_ticks, r.result.ticks) << f->name();
+    EXPECT_LE(mach.ddrChannel().busyTicks(), r.result.ticks);
 }
 
 } // namespace

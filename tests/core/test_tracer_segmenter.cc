@@ -17,14 +17,14 @@ TEST(Tracer, RecordsKernelSlicesDuringARun)
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
                                                            1),
                                lib::ScheduleOptions::optimized());
-    auto r = mach.run(c.program);
-    ASSERT_TRUE(r.completed) << r.diagnosis;
+    auto r = mach.runChecked(c.program);
+    ASSERT_TRUE(r.ok()) << r.toString();
     EXPECT_GT(tracer.samples(), 100u);
     ASSERT_FALSE(tracer.slices().empty());
     // Slices are well-formed and bounded by the run.
     for (const auto &s : tracer.slices()) {
         EXPECT_LE(s.begin, s.end);
-        EXPECT_LE(s.end, r.ticks);
+        EXPECT_LE(s.end, r.result.ticks);
         EXPECT_FALSE(s.track.empty());
     }
     // Every MME shows activity.
@@ -44,7 +44,7 @@ TEST(Tracer, ChromeJsonIsStructurallySound)
     auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
                                                            1),
                                lib::ScheduleOptions::optimized());
-    (void)mach.run(c.program);
+    (void)mach.runChecked(c.program);
     std::string json = tracer.toChromeJson();
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);

@@ -14,7 +14,7 @@ TEST(Softmax, MatchesReferenceOnRandomTiles)
     for (std::uint32_t seed = 1; seed <= 8; ++seed) {
         auto m = ref::randomMatrix(16, 32, seed, 4.0f);
         auto tile = m.data;
-        fu::softmaxRows(tile, 16, 32);
+        fu::softmaxRows(tile.data(), 16, 32);
         auto expect = ref::softmax(m);
         for (std::size_t i = 0; i < tile.size(); ++i)
             EXPECT_NEAR(tile[i], expect.data[i], 1e-6);
@@ -25,7 +25,7 @@ TEST(Softmax, RowsSumToOne)
 {
     auto m = ref::randomMatrix(8, 64, 3, 10.0f);
     auto tile = m.data;
-    fu::softmaxRows(tile, 8, 64);
+    fu::softmaxRows(tile.data(), 8, 64);
     for (int r = 0; r < 8; ++r) {
         double sum = 0;
         for (int c = 0; c < 64; ++c)
@@ -38,7 +38,7 @@ TEST(Softmax, StableForLargeLogits)
 {
     // Without max subtraction exp(500) overflows to inf.
     std::vector<float> tile = {500.f, 499.f, 0.f, -500.f};
-    fu::softmaxRows(tile, 1, 4);
+    fu::softmaxRows(tile.data(), 1, 4);
     EXPECT_FALSE(std::isnan(tile[0]));
     EXPECT_GT(tile[0], tile[1]);
     EXPECT_NEAR(tile[0] + tile[1] + tile[2] + tile[3], 1.0f, 1e-5);
@@ -47,7 +47,7 @@ TEST(Softmax, StableForLargeLogits)
 TEST(Softmax, UniformInputGivesUniformOutput)
 {
     std::vector<float> tile(8, 3.25f);
-    fu::softmaxRows(tile, 1, 8);
+    fu::softmaxRows(tile.data(), 1, 8);
     for (float v : tile)
         EXPECT_NEAR(v, 0.125f, 1e-6);
 }
@@ -70,7 +70,7 @@ TEST(Gelu, MatchesReference)
 {
     auto m = ref::randomMatrix(8, 8, 17, 3.0f);
     auto tile = m.data;
-    fu::geluInplace(tile);
+    fu::geluInplace(tile.data(), tile.size());
     auto expect = ref::gelu(m);
     for (std::size_t i = 0; i < tile.size(); ++i)
         EXPECT_NEAR(tile[i], expect.data[i], 1e-5);
@@ -79,7 +79,7 @@ TEST(Gelu, MatchesReference)
 TEST(Gelu, KnownValues)
 {
     std::vector<float> tile = {0.f, 1.f, -1.f, 10.f, -10.f};
-    fu::geluInplace(tile);
+    fu::geluInplace(tile.data(), tile.size());
     EXPECT_FLOAT_EQ(tile[0], 0.f);
     EXPECT_NEAR(tile[1], 0.8413447f, 1e-5);
     EXPECT_NEAR(tile[2], -0.1586553f, 1e-5);
@@ -91,7 +91,7 @@ TEST(Layernorm, ZeroMeanUnitVariance)
 {
     auto m = ref::randomMatrix(4, 128, 5, 7.0f);
     auto tile = m.data;
-    fu::layernormRows(tile, 4, 128);
+    fu::layernormRows(tile.data(), 4, 128);
     for (int r = 0; r < 4; ++r) {
         double mean = 0, var = 0;
         for (int c = 0; c < 128; ++c)
@@ -116,8 +116,8 @@ TEST(Layernorm, WithScaleShiftMatchesReference)
         beta[i] = -0.3f + 0.05f * i;
     }
     auto tile = m.data;
-    fu::layernormRows(tile, 4, 16);
-    fu::scaleShiftRows(tile, 4, 16, gamma, beta);
+    fu::layernormRows(tile.data(), 4, 16);
+    fu::scaleShiftRows(tile.data(), 4, 16, gamma.data(), beta.data());
     auto expect = ref::layernorm(m, gamma, beta);
     for (std::size_t i = 0; i < tile.size(); ++i)
         EXPECT_NEAR(tile[i], expect.data[i], 1e-4);
@@ -126,7 +126,7 @@ TEST(Layernorm, WithScaleShiftMatchesReference)
 TEST(Layernorm, ConstantRowDoesNotBlowUp)
 {
     std::vector<float> tile(16, 2.5f);
-    fu::layernormRows(tile, 1, 16);
+    fu::layernormRows(tile.data(), 1, 16);
     for (float v : tile)
         EXPECT_NEAR(v, 0.f, 1e-2);  // eps prevents divide-by-zero
 }
@@ -149,7 +149,7 @@ TEST(Layernorm, LargeMeanRowsMatchReference)
             x = mean + (float(s >> 8) / float(1u << 23) - 1.0f);
         }
         auto tile = m.data;
-        fu::layernormRows(tile, rows, cols);
+        fu::layernormRows(tile.data(), rows, cols);
         auto expect = ref::layernorm(m, gamma, beta);
         for (std::size_t i = 0; i < tile.size(); ++i) {
             ASSERT_TRUE(std::isfinite(tile[i])) << "mean " << mean;
@@ -159,7 +159,7 @@ TEST(Layernorm, LargeMeanRowsMatchReference)
     }
     // All-constant large row: variance is exactly zero, outputs too.
     std::vector<float> flat(64, 1e4f);
-    fu::layernormRows(flat, 1, 64);
+    fu::layernormRows(flat.data(), 1, 64);
     for (float v : flat)
         EXPECT_FLOAT_EQ(v, 0.f);
 }
@@ -174,7 +174,7 @@ TEST(AddInplace, ElementwiseSum)
 {
     std::vector<float> a = {1, 2, 3};
     std::vector<float> b = {10, 20, 30};
-    fu::addInplace(a, b);
+    fu::addInplace(a.data(), b.data(), a.size());
     EXPECT_FLOAT_EQ(a[0], 11.f);
     EXPECT_FLOAT_EQ(a[2], 33.f);
 }

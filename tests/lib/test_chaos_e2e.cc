@@ -54,8 +54,7 @@ TEST(ChaosE2e, FaultsDisabledMatchesTheGoldenTrace)
     // the plain golden run: same tick count, verified outputs, Ok status.
     auto cr = chaosRun(sim::FaultSpec{});
     ASSERT_TRUE(cr.report.ok()) << cr.report.toString();
-    EXPECT_TRUE(cr.outputs_ok);
-    EXPECT_TRUE(cr.functional);
+    EXPECT_TRUE(cr.mismatched.empty());
     EXPECT_EQ(cr.report.result.ticks, kTinyEncoderGoldenTicks);
     EXPECT_EQ(cr.report.faults_injected, 0u);
 }
@@ -68,7 +67,6 @@ TEST(ChaosE2e, ChecksumsAloneDoNotMoveATick)
     f.checksums = true;
     auto cr = chaosRun(f);
     ASSERT_TRUE(cr.report.ok()) << cr.report.toString();
-    EXPECT_TRUE(cr.outputs_ok);
     EXPECT_EQ(cr.report.result.ticks, kTinyEncoderGoldenTicks);
 }
 
@@ -79,8 +77,8 @@ TEST(ChaosE2e, RecoveredStallsCompleteCorrectlyButLater)
     f.link_stall_rate = 0.05;
     f.link_stall_max = 32;
     auto cr = chaosRun(f);
-    ASSERT_TRUE(cr.report.ok()) << cr.report.toString();
-    EXPECT_TRUE(cr.outputs_ok) << "recovered faults corrupted outputs";
+    ASSERT_TRUE(cr.report.ok())
+        << "recovered faults corrupted outputs: " << cr.report.toString();
     EXPECT_GT(cr.report.faults_injected, 0u);
     EXPECT_GT(cr.report.result.ticks, kTinyEncoderGoldenTicks)
         << "injected stalls cost no time";
@@ -93,8 +91,6 @@ TEST(ChaosE2e, CertainBitFlipIsDiagnosedNotComputedWith)
     auto cr = chaosRun(f);
     EXPECT_FALSE(cr.report.ok());
     EXPECT_EQ(cr.report.status.code, StatusCode::FaultDiagnosed);
-    EXPECT_TRUE(cr.report.result.fault_aborted);
-    EXPECT_FALSE(cr.report.result.completed);
     // The diagnosis names the detecting site.
     EXPECT_NE(cr.report.status.message.find("checksum-mismatch"),
               std::string::npos)
@@ -128,14 +124,15 @@ TEST(ChaosE2e, SeededSchedulesAreReproducibleAndNeverHang)
 
         // Terminated (did not burn the whole budget), with a binary
         // outcome: verified-correct completion or a structured report.
-        EXPECT_FALSE(a.report.result.timed_out) << a.report.toString();
-        if (a.report.ok())
-            EXPECT_TRUE(a.outputs_ok)
-                << "seed " << seed
-                << " completed with corrupt outputs: the recovery path "
-                   "let bad data through";
-        else
+        EXPECT_NE(a.report.status.code, StatusCode::Timeout)
+            << a.report.toString();
+        EXPECT_NE(a.report.status.code, StatusCode::OutputMismatch)
+            << "seed " << seed
+            << " completed with corrupt outputs: the recovery path "
+               "let bad data through";
+        if (!a.report.ok()) {
             EXPECT_FALSE(a.report.status.message.empty());
+        }
     }
 }
 
@@ -160,7 +157,6 @@ TEST(ChaosE2e, ResetMachineReplaysTheChaosScheduleExactly)
         auto cr = lib::runModelChecked(mach, model, compiled, 2025, 2e-3f,
                                        2e-3f, kChaosTickBudget);
         ASSERT_TRUE(cr.report.ok()) << cr.report.toString();
-        EXPECT_TRUE(cr.outputs_ok);
         if (i) {
             EXPECT_EQ(cr.report.result.ticks, first_ticks);
             EXPECT_EQ(cr.report.faults_injected, first_faults);
@@ -184,10 +180,10 @@ TEST(ChaosE2e, DeadLinkEndsTheRunWithADiagnosisNamingTheStream)
         << cr.report.status.message;
     EXPECT_NE(cr.report.status.message.find("stream "), std::string::npos)
         << cr.report.status.message;
-    // The result-level diagnosis also names the parked endpoints.
-    EXPECT_NE(cr.report.result.diagnosis.find("lost to a dead link"),
+    // The waiter scan after the headline names the parked endpoints.
+    EXPECT_NE(cr.report.status.message.find("lost to a dead link"),
               std::string::npos)
-        << cr.report.result.diagnosis;
+        << cr.report.status.message;
 }
 
 } // namespace

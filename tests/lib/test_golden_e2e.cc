@@ -82,9 +82,9 @@ TEST(GoldenTrace, BertLargeEncoderTickCountIsPinned)
                                        /*fuse_qkv=*/true);
     auto compiled = lib::compileModel(mach, model,
                                       lib::ScheduleOptions::optimized());
-    auto r = mach.run(compiled.program);
-    ASSERT_TRUE(r.completed) << r.diagnosis;
-    EXPECT_EQ(r.ticks, kBertLargeGoldenTicks)
+    auto r = mach.runChecked(compiled.program);
+    ASSERT_TRUE(r.ok()) << r.toString();
+    EXPECT_EQ(r.result.ticks, kBertLargeGoldenTicks)
         << "BERT-Large end-to-end latency changed. If this PR "
            "deliberately changes scheduling or the timing model, update "
            "kBertLargeGoldenTicks (and ROADMAP.md) with the why; "
@@ -103,9 +103,9 @@ TEST(GoldenTrace, FunctionalOutputsMatchReferenceAndChecksum)
                                       lib::ScheduleOptions::optimized());
     lib::initTensors(mach, compiled, /*seed=*/123);
     auto expected = lib::referenceForward(mach, model, compiled);
-    auto r = mach.run(compiled.program);
-    ASSERT_TRUE(r.completed) << r.diagnosis;
-    EXPECT_EQ(r.ticks, kTinyEncoderGoldenTicks);
+    auto r = mach.runChecked(compiled.program);
+    ASSERT_TRUE(r.ok()) << r.toString();
+    EXPECT_EQ(r.result.ticks, kTinyEncoderGoldenTicks);
 
     // Every intermediate the datapath produced must match the naive
     // reference implementation.
@@ -155,9 +155,9 @@ TEST(GoldenTrace, FunctionalOutputsUnderEveryKernelTable)
             mach, model, lib::ScheduleOptions::optimized());
         lib::initTensors(mach, compiled, /*seed=*/123);
         auto expected = lib::referenceForward(mach, model, compiled);
-        auto r = mach.run(compiled.program);
-        ASSERT_TRUE(r.completed) << r.diagnosis;
-        EXPECT_EQ(r.ticks, kTinyEncoderGoldenTicks)
+        auto r = mach.runChecked(compiled.program);
+        ASSERT_TRUE(r.ok()) << r.toString();
+        EXPECT_EQ(r.result.ticks, kTinyEncoderGoldenTicks)
             << "kernel table " << t->name << " changed simulated time";
 
         std::size_t compared = 0;
@@ -211,11 +211,11 @@ TEST(GoldenTrace, MixedPrecisionBf16TickCountAndNumerics)
                                       lib::ScheduleOptions::optimized());
     lib::initTensors(mach, compiled, /*seed=*/123);
     auto expected = lib::referenceForward(mach, model, compiled);
-    auto r = mach.run(compiled.program);
-    ASSERT_TRUE(r.completed) << r.diagnosis;
-    EXPECT_LT(r.ticks, kTinyEncoderGoldenTicks)
+    auto r = mach.runChecked(compiled.program);
+    ASSERT_TRUE(r.ok()) << r.toString();
+    EXPECT_LT(r.result.ticks, kTinyEncoderGoldenTicks)
         << "bf16 tiles must beat FP32 end to end (half the wire bytes)";
-    EXPECT_EQ(r.ticks, kTinyEncoderBf16GoldenTicks)
+    EXPECT_EQ(r.result.ticks, kTinyEncoderBf16GoldenTicks)
         << "bf16 end-to-end latency changed. If this PR deliberately "
            "changes scheduling, the timing model, or the precision "
            "policy's conversion sites, update kTinyEncoderBf16GoldenTicks "
@@ -260,9 +260,9 @@ TEST(GoldenTrace, MixedPrecisionPayloadsDoNotPerturbTiming)
             mach, model, lib::ScheduleOptions::optimized());
         if (functional)
             lib::initTensors(mach, compiled, 123);
-        auto r = mach.run(compiled.program);
-        ASSERT_TRUE(r.completed) << r.diagnosis;
-        ticks[functional] = r.ticks;
+        auto r = mach.runChecked(compiled.program);
+        ASSERT_TRUE(r.ok()) << r.toString();
+        ticks[functional] = r.result.ticks;
     }
     EXPECT_EQ(ticks[0], ticks[1])
         << "carrying bf16 payloads changed simulated time";
@@ -279,9 +279,9 @@ TEST(GoldenTrace, FunctionalPayloadsDoNotPerturbTiming)
             mach, model, lib::ScheduleOptions::optimized());
         if (functional)
             lib::initTensors(mach, compiled, 123);
-        auto r = mach.run(compiled.program);
-        ASSERT_TRUE(r.completed) << r.diagnosis;
-        ticks[functional] = r.ticks;
+        auto r = mach.runChecked(compiled.program);
+        ASSERT_TRUE(r.ok()) << r.toString();
+        ticks[functional] = r.result.ticks;
     }
     EXPECT_EQ(ticks[0], ticks[1])
         << "carrying FP32 payloads changed simulated time";
@@ -299,12 +299,12 @@ TEST(GoldenTrace, ResetMachineReproducesTheGoldenTrace)
             mach.reset();
         auto compiled = lib::compileModel(
             mach, model, lib::ScheduleOptions::optimized());
-        auto r = mach.run(compiled.program);
-        ASSERT_TRUE(r.completed) << r.diagnosis;
+        auto r = mach.runChecked(compiled.program);
+        ASSERT_TRUE(r.ok()) << r.toString();
         if (i)
-            EXPECT_EQ(r.ticks, first) << "reset machine diverged";
+            EXPECT_EQ(r.result.ticks, first) << "reset machine diverged";
         else
-            first = r.ticks;
+            first = r.result.ticks;
     }
     EXPECT_EQ(first, kBertLargeGoldenTicks);
 }

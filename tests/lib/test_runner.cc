@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/machine.hh"
 #include "lib/codegen.hh"
 #include "lib/model.hh"
@@ -90,6 +92,33 @@ TEST(Runner, ReferenceForwardProducesEverySegmentOutput)
     // Shapes follow the model.
     EXPECT_EQ(refs.at("L0.qkv_out").cols, 96u);
     EXPECT_EQ(refs.at("L0.encoder_out").rows, 16u);
+}
+
+TEST(Runner, DivergedOutputsAreAnOutputMismatchNamingTheTensors)
+{
+    // The bf16 tiny encoder checked against the FP32 reference at zero
+    // tolerance: the run completes at its pinned tick count, but its
+    // rounded outputs diverge, so the one outcome is OutputMismatch.
+    auto cfg = MachineConfig::vck190(true);
+    cfg.precision.linear_weights = Dtype::Bf16;
+    cfg.precision.linear_activations = Dtype::Bf16;
+    cfg.precision.attention_activations = Dtype::Bf16;
+    RsnMachine mach(cfg);
+    auto model = lib::tinyEncoder(2, 32, 64, 4, 128, true);
+    auto c = lib::compileModel(mach, model,
+                               lib::ScheduleOptions::optimized());
+    auto cr = lib::runModelChecked(mach, model, c, 2025, 0.f, 0.f);
+    EXPECT_FALSE(cr.ok());
+    EXPECT_EQ(cr.report.status.code, StatusCode::OutputMismatch);
+    EXPECT_EQ(cr.report.result.ticks, 8489u);
+    EXPECT_NE(std::find(cr.mismatched.begin(), cr.mismatched.end(),
+                        "L0.encoder_out"),
+              cr.mismatched.end());
+    for (const auto &name : cr.mismatched)
+        EXPECT_NE(cr.report.status.message.find(name), std::string::npos)
+            << name << " missing from: " << cr.report.status.message;
+    // A mismatch is a completed run: the machine stays reusable.
+    EXPECT_TRUE(mach.resettable());
 }
 
 TEST(Runner, ReadTensorRejectsUnknownName)

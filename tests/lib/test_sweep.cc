@@ -58,7 +58,6 @@ struct PointResult {
     Tick ticks = 0;
     StatusCode code = StatusCode::Ok;
     std::string message;
-    bool outputs_ok = false;
     double output_checksum = 0;
     std::uint64_t faults_injected = 0;
 
@@ -83,9 +82,8 @@ sweepResults(const std::vector<lib::SweepPoint> &points, unsigned jobs)
             out.ticks = cr.report.result.ticks;
             out.code = cr.report.status.code;
             out.message = cr.report.status.message;
-            out.outputs_ok = cr.outputs_ok;
             out.faults_injected = cr.report.faults_injected;
-            if (cr.report.ok() && cr.functional) {
+            if (cr.report.ok() && mach.host().functional()) {
                 auto m = lib::readTensor(mach, compiled,
                                          finalOutput(p.model));
                 for (float v : m.data)
@@ -134,8 +132,7 @@ TEST(SweepExecutor, ParallelIsBitIdenticalToSequential)
         EXPECT_EQ(seq[i], par[i]) << "point " << i
                                   << " diverged between jobs=1 and "
                                      "jobs=4";
-        EXPECT_EQ(seq[i].code, StatusCode::Ok);
-        EXPECT_TRUE(seq[i].outputs_ok);
+        EXPECT_EQ(seq[i].code, StatusCode::Ok) << seq[i].message;
     }
     // The golden config's tick count holds inside a sweep, on any lane.
     EXPECT_EQ(seq[0].ticks, kTinyEncoderGoldenTicks);
@@ -174,7 +171,7 @@ TEST(SweepLaneTest, ReusesMachineAcrossEqualConfigsOnly)
     core::RsnMachine &first = lane.machine(cfg);
     auto compiled = lib::compileModel(first, tinyModel(),
                                       lib::ScheduleOptions::optimized());
-    ASSERT_TRUE(first.run(compiled.program).completed);
+    ASSERT_TRUE(first.runChecked(compiled.program).ok());
 
     // Equal config after a completed run: same machine, reset.
     core::RsnMachine &second = lane.machine(cfg);
@@ -245,7 +242,7 @@ TEST(SweepLaneTest, DiscardForcesRebuildAndTrimsPool)
     auto compiled = lib::compileModel(first, tinyModel(),
                                       lib::ScheduleOptions::optimized());
     lib::initTensors(first, compiled, 2025);
-    ASSERT_TRUE(first.run(compiled.program).completed);
+    ASSERT_TRUE(first.runChecked(compiled.program).ok());
 
     // Quarantine: the cached machine dies and its pooled buffers are
     // returned to the system (the breaker's anti-leak hook).

@@ -15,6 +15,9 @@
 
 #include <vector>
 
+#include "core/machine.hh"
+#include "lib/codegen.hh"
+#include "lib/model.hh"
 #include "sim/channel.hh"
 #include "sim/chunk.hh"
 #include "sim/engine.hh"
@@ -132,6 +135,24 @@ TEST(Watchdog, EventBudgetTurnsLivelockIntoDiagnosedStop)
     EXPECT_EQ(e.now(), 0u) << "livelock never advanced time";
     EXPECT_GE(sp.fired, 9'000u);
     EXPECT_LE(sp.fired, 11'000u) << "budget did not bound the spin";
+}
+
+TEST(Watchdog, MachineReportsATrippedBudgetAsLivelock)
+{
+    // At the machine level a tripped budget is the Livelock outcome,
+    // with the watchdog line closing the stall report.
+    auto cfg = rsn::core::MachineConfig::vck190();
+    cfg.watchdog_events_per_tick = 1;
+    rsn::core::RsnMachine mach(cfg);
+    auto c = rsn::lib::compileModel(
+        mach, rsn::lib::tinyEncoder(2, 32, 64, 4, 128, true),
+        rsn::lib::ScheduleOptions::optimized());
+    const auto r = mach.runChecked(c.program);
+    EXPECT_EQ(r.status.code, rsn::StatusCode::Livelock) << r.toString();
+    EXPECT_NE(r.status.message.find("exceeded the event budget"),
+              std::string::npos)
+        << r.status.message;
+    EXPECT_FALSE(mach.resettable());
 }
 
 TEST(Watchdog, BudgetDoesNotTripAcrossTicks)

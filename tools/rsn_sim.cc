@@ -35,7 +35,7 @@
  *                                     threads). Results are bit-
  *                                     identical for every N.
  *
- * Exit codes:
+ * Exit codes (exitCode() below maps a run's Status to them):
  *   0  run completed (outputs verified when --functional)
  *   1  run completed but outputs mismatched the FP32 reference
  *   2  usage error (unknown flag / model / schedule / --isa name)
@@ -51,6 +51,7 @@
  *   rsn-sim --model bert --sweep-batch 1,2,3,6,12,24 --jobs 8
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -152,6 +153,18 @@ parse(int argc, char **argv)
     return o;
 }
 
+/** The exit code for a run or configuration outcome (see the header). */
+int
+exitCode(rsn::StatusCode code)
+{
+    switch (code) {
+      case rsn::StatusCode::Ok: return 0;
+      case rsn::StatusCode::OutputMismatch: return 1;
+      case rsn::StatusCode::InvalidConfig: return 3;
+      default: return 4;  // a diagnosed run: fault, deadlock, ...
+    }
+}
+
 int runMain(const Options &o);
 
 } // namespace
@@ -165,7 +178,7 @@ main(int argc, char **argv)
     } catch (const std::runtime_error &e) {
         // rsn_fatal: a user/config error the driver can classify.
         std::fprintf(stderr, "%s\n", e.what());
-        return 3;
+        return exitCode(rsn::StatusCode::InvalidConfig);
     }
 }
 
@@ -227,7 +240,7 @@ runMain(const Options &o)
         cfg.fault = sim::FaultSpec::parse(o.fault_spec, &st);
         if (!st.ok()) {
             std::fprintf(stderr, "%s\n", st.toString().c_str());
-            return 3;
+            return exitCode(st.code);
         }
     }
     if (o.fault_seed_set) {
@@ -240,7 +253,7 @@ runMain(const Options &o)
     }
     if (Status st = cfg.validate(); !st.ok()) {
         std::fprintf(stderr, "%s\n", st.toString().c_str());
-        return 3;
+        return exitCode(st.code);
     }
 
     if (!o.sweep_batch.empty()) {
@@ -273,19 +286,20 @@ runMain(const Options &o)
                     "tasks/s", "status");
         int rc = 0;
         for (std::size_t i = 0; i < runs.size(); ++i) {
-            const auto &c = runs[i];
-            const auto &r = c.report.result;
+            const Status &st = runs[i].report.status;
+            const auto &r = runs[i].report.result;
             const std::uint32_t batch = batches[i];
-            if (!c.report.ok())
-                rc = 4;
-            else if (!c.outputs_ok)
-                rc = rc ? rc : 1;
+            rc = std::max(rc, exitCode(st.code));
+            std::string what = st.ok() ? "ok"
+                               : st.code == StatusCode::OutputMismatch
+                                   ? "MISMATCH"
+                                   : st.toString();
+            // One line per point: a failed run's stall detail is cut.
+            what.resize(std::min(what.size(), what.find('\n')));
             std::printf("  %8u %14llu %12.3f %10.1f  %s\n", batch,
                         (unsigned long long)r.ticks, r.ms,
                         r.ms > 0 ? batch / (r.ms / 1e3) : 0.0,
-                        !c.report.ok()
-                            ? c.report.status.toString().c_str()
-                            : (c.outputs_ok ? "ok" : "MISMATCH"));
+                        what.c_str());
         }
         return rc;
     }
@@ -319,10 +333,11 @@ runMain(const Options &o)
 
     auto checked = lib::runModelChecked(mach, model, compiled, 2025);
     const auto &r = checked.report.result;
-    if (!checked.report.ok()) {
+    const StatusCode code = checked.report.status.code;
+    if (code != StatusCode::Ok && code != StatusCode::OutputMismatch) {
         std::printf("RUN DID NOT COMPLETE\n%s\n",
                     checked.report.toString().c_str());
-        return 4;
+        return exitCode(code);
     }
 
     std::printf("%s: %u x %u, %s schedule\n", model.name.c_str(),
@@ -355,14 +370,12 @@ runMain(const Options &o)
     }
     if (o.functional) {
         std::printf("  functional: %s\n",
-                    checked.outputs_ok
-                        ? "all tensors match the FP32 reference"
-                        : "MISMATCH");
-        if (!checked.outputs_ok) {
-            for (const auto &name : checked.mismatched)
-                std::printf("    diverged: %s\n", name.c_str());
-            return 1;
-        }
+                    checked.ok() ? "all tensors match the FP32 reference"
+                                 : "MISMATCH");
+        for (const auto &name : checked.mismatched)
+            std::printf("    diverged: %s\n", name.c_str());
+        if (!checked.ok())
+            return exitCode(code);
     }
     if (tracer) {
         if (tracer->writeChromeJson(o.trace_path))
@@ -373,7 +386,7 @@ runMain(const Options &o)
             std::printf("  trace     : FAILED to write %s\n",
                         o.trace_path.c_str());
     }
-    return 0;
+    return exitCode(code);
 }
 
 } // namespace

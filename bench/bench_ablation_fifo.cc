@@ -48,8 +48,9 @@ main(int argc, char **argv)
     for (std::size_t uop_depth : uop_depths) {
         auto cfg = core::MachineConfig::vck190();
         cfg.uop_fifo_depth = uop_depth;
-        // The generated code interleaves delivery in blocks of 4, so
-        // depths below 5 starve sibling FUs behind the shared decoder.
+        // Every FU's uOP queue is built at this depth, and codegen keeps
+        // its interleave block below it, so the shared decoder never
+        // wedges on one FU's full queue.
         jobs.push_back({lib::bertLargeEncoder(6, 512, true, 1),
                         lib::ScheduleOptions::optimized(), cfg});
     }

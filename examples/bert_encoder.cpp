@@ -18,7 +18,6 @@
 #include "lib/codegen.hh"
 #include "lib/model.hh"
 #include "lib/runner.hh"
-#include "ref/ref_math.hh"
 
 int
 main()
@@ -61,30 +60,14 @@ main()
                                       /*ff=*/128, /*fuse_qkv=*/true);
         auto compiled = lib::compileModel(
             machine, model, lib::ScheduleOptions::optimized());
-        lib::initTensors(machine, compiled, 123);
-        auto expected = lib::referenceForward(machine, model, compiled);
-        const auto rep = machine.runChecked(compiled.program);
-        if (!rep.ok()) {
-            std::printf("functional run failed:\n%s\n",
-                        rep.toString().c_str());
-            return 1;
-        }
+        const auto checked =
+            lib::runModelChecked(machine, model, compiled, 123);
         std::printf("\nFunctional validation (batch 2, seq 32, hidden "
                     "64):\n");
-        bool all_ok = true;
-        for (const auto &[name, expect] : expected) {
-            if (name == "input" || !compiled.hasTensor(name))
-                continue;
-            auto got = lib::readTensor(machine, compiled, name);
-            std::string why;
-            bool ok = ref::allclose(got, expect, 2e-3f, 2e-3f, &why);
-            all_ok &= ok;
-            std::printf("  %-18s %s%s%s\n", name.c_str(),
-                        ok ? "ok" : "MISMATCH ", ok ? "" : "(",
-                        ok ? "" : (why + ")").c_str());
-        }
-        if (!all_ok)
+        if (!checked.ok()) {
+            std::printf("%s\n", checked.report.toString().c_str());
             return 1;
+        }
         std::printf("all intermediate tensors match the FP32 "
                     "reference.\n");
     }

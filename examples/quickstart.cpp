@@ -17,7 +17,6 @@
 #include "lib/codegen.hh"
 #include "lib/model.hh"
 #include "lib/runner.hh"
-#include "ref/ref_math.hh"
 
 int
 main()
@@ -54,26 +53,20 @@ main()
                 (unsigned long long)compiled.program.totalBytes(),
                 compiled.mm_flops / 1e6);
 
-    // 4. Run and validate.
-    lib::initTensors(machine, compiled, /*seed=*/2024);
-    auto expected = lib::referenceForward(machine, model, compiled);
-    const auto rep = machine.runChecked(compiled.program);
-    if (!rep.ok()) {
-        std::printf("run failed:\n%s\n", rep.toString().c_str());
+    // 4. Seed the tensors, run, and hold every output to the machine's
+    //    accuracy contract against the FP32 reference.
+    const auto checked =
+        lib::runModelChecked(machine, model, compiled, /*seed=*/2024);
+    if (!checked.ok()) {
+        std::printf("run failed:\n%s\n", checked.report.toString().c_str());
         return 1;
     }
-    const core::RunResult &result = rep.result;
-
-    auto got = lib::readTensor(machine, compiled, "out");
-    std::string why;
-    bool ok = ref::allclose(got, expected.at("out"), 1e-3f, 1e-3f, &why);
-    std::printf("simulated %.3f ms on the modeled VCK190; output %s\n",
-                result.ms, ok ? "matches the FP32 reference" : "WRONG");
-    if (!ok)
-        std::printf("  mismatch: %s\n", why.c_str());
+    const core::RunResult &result = checked.report.result;
+    std::printf("simulated %.3f ms on the modeled VCK190; output matches "
+                "the FP32 reference\n", result.ms);
     std::printf("achieved %.2f TFLOPS, DDR read %.2f MB, wrote %.2f MB\n",
                 machine.achievedTflops(result),
                 machine.ddrChannel().bytesRead() / 1e6,
                 machine.ddrChannel().bytesWritten() / 1e6);
-    return ok ? 0 : 1;
+    return 0;
 }

@@ -156,24 +156,25 @@ void
 RsnMachine::buildFus()
 {
     fu::AieModel aie_model(cfg_.aie);
+    const std::size_t q = cfg_.uop_fifo_depth;
     for (int i = 0; i < cfg_.num_mme; ++i)
         fus_.push_back(std::make_unique<fu::MmeFu>(
-            eng_, mme(i), aie_model, kMeshA, kMeshB, memC(i)));
+            eng_, mme(i), aie_model, kMeshA, kMeshB, memC(i), q));
     for (int i = 0; i < cfg_.num_mem_a; ++i)
-        fus_.push_back(std::make_unique<fu::MemAFu>(eng_, memA(i),
-                                                    kMeshA));
+        fus_.push_back(
+            std::make_unique<fu::MemAFu>(eng_, memA(i), kMeshA, q));
     for (int i = 0; i < cfg_.num_mem_b; ++i)
-        fus_.push_back(std::make_unique<fu::MemBFu>(eng_, memB(i),
-                                                    kMeshB));
+        fus_.push_back(
+            std::make_unique<fu::MemBFu>(eng_, memB(i), kMeshB, q));
     for (int i = 0; i < cfg_.num_mem_c; ++i)
         fus_.push_back(std::make_unique<fu::MemCFu>(
-            eng_, memC(i), mme(i), kDdr, cfg_.memc_flops_per_tick));
-    fus_.push_back(std::make_unique<fu::MeshFu>(eng_, kMeshA));
-    fus_.push_back(std::make_unique<fu::MeshFu>(eng_, kMeshB));
+            eng_, memC(i), mme(i), kDdr, cfg_.memc_flops_per_tick, q));
+    fus_.push_back(std::make_unique<fu::MeshFu>(eng_, kMeshA, q));
+    fus_.push_back(std::make_unique<fu::MeshFu>(eng_, kMeshB, q));
     fus_.push_back(std::make_unique<fu::DdrFu>(
-        eng_, kDdr, *ddr_chan_, host_, cfg_.offchip_layout));
+        eng_, kDdr, *ddr_chan_, host_, cfg_.offchip_layout, q));
     fus_.push_back(std::make_unique<fu::LpddrFu>(
-        eng_, kLpddr, *lpddr_chan_, host_, cfg_.offchip_layout));
+        eng_, kLpddr, *lpddr_chan_, host_, cfg_.offchip_layout, q));
 }
 
 void

@@ -48,7 +48,7 @@ struct RunResult {
  * message whose first line names the first fault site or the stalled
  * decoder, followed by the stall report and the engine's waiter scan.
  * lib::runModelChecked() adds OutputMismatch for completed runs whose
- * outputs diverged from the reference.
+ * outputs miss the accuracy contract (lib/runner.hh).
  */
 struct RunReport {
     Status status;

@@ -53,8 +53,9 @@ blockBursts(std::uint32_t rows, std::uint32_t cols, std::uint32_t pitch,
 // ----------------------------------------------------------------- DDR --
 
 DdrFu::DdrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-             mem::HostMemory &host, mem::LayoutKind layout)
-    : Fu(eng, id), chan_(chan), host_(host), layout_(layout)
+             mem::HostMemory &host, mem::LayoutKind layout,
+             std::size_t uop_depth)
+    : Fu(eng, id, uop_depth), chan_(chan), host_(host), layout_(layout)
 {
 }
 
@@ -121,8 +122,9 @@ DdrFu::runKernel(const isa::Uop &uop)
 // --------------------------------------------------------------- LPDDR --
 
 LpddrFu::LpddrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-                 mem::HostMemory &host, mem::LayoutKind layout)
-    : Fu(eng, id), chan_(chan), host_(host), layout_(layout)
+                 mem::HostMemory &host, mem::LayoutKind layout,
+                 std::size_t uop_depth)
+    : Fu(eng, id, uop_depth), chan_(chan), host_(host), layout_(layout)
 {
 }
 

@@ -26,7 +26,8 @@ class DdrFu : public Fu
 {
   public:
     DdrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-          mem::HostMemory &host, mem::LayoutKind layout);
+          mem::HostMemory &host, mem::LayoutKind layout,
+          std::size_t uop_depth = kDefaultUopDepth);
 
     mem::DramChannel &channel() { return chan_; }
 
@@ -43,7 +44,8 @@ class LpddrFu : public Fu
 {
   public:
     LpddrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
-            mem::HostMemory &host, mem::LayoutKind layout);
+            mem::HostMemory &host, mem::LayoutKind layout,
+            std::size_t uop_depth = kDefaultUopDepth);
 
     mem::DramChannel &channel() { return chan_; }
 

@@ -6,6 +6,9 @@ void
 gemmRefAccumulate(float *acc, const float *lhs, const float *rhs,
                   std::uint32_t m, std::uint32_t k, std::uint32_t n)
 {
+    // An empty product reads no operand: callers may pass dummies.
+    if (m == 0 || k == 0 || n == 0)
+        return;
     for (std::uint32_t i = 0; i < m; ++i) {
         const float *lrow = lhs + std::size_t(i) * k;
         float *dst = acc + std::size_t(i) * n;

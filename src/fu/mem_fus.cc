@@ -138,8 +138,9 @@ forEachOwnedSegment(TileBuffer &buf, Fn &&fn)
 
 // ---------------------------------------------------------------- MemA --
 
-MemAFu::MemAFu(sim::Engine &eng, FuId id, FuId mesh_dst)
-    : Fu(eng, id), mesh_dst_(mesh_dst)
+MemAFu::MemAFu(sim::Engine &eng, FuId id, FuId mesh_dst,
+               std::size_t uop_depth)
+    : Fu(eng, id, uop_depth), mesh_dst_(mesh_dst)
 {
 }
 
@@ -205,8 +206,9 @@ MemAFu::resetKernelState()
 
 // ---------------------------------------------------------------- MemB --
 
-MemBFu::MemBFu(sim::Engine &eng, FuId id, FuId mesh_dst)
-    : Fu(eng, id), mesh_dst_(mesh_dst)
+MemBFu::MemBFu(sim::Engine &eng, FuId id, FuId mesh_dst,
+               std::size_t uop_depth)
+    : Fu(eng, id, uop_depth), mesh_dst_(mesh_dst)
 {
 }
 
@@ -290,8 +292,8 @@ MemBFu::resetKernelState()
 // ---------------------------------------------------------------- MemC --
 
 MemCFu::MemCFu(sim::Engine &eng, FuId id, FuId mme_src, FuId ddr,
-               double flops_per_tick)
-    : Fu(eng, id), mme_src_(mme_src), ddr_(ddr),
+               double flops_per_tick, std::size_t uop_depth)
+    : Fu(eng, id, uop_depth), mme_src_(mme_src), ddr_(ddr),
       flops_per_tick_(flops_per_tick)
 {
     rsn_assert(flops_per_tick > 0, "bad MemC rate");

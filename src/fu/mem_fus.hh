@@ -45,7 +45,8 @@ struct TileBuffer {
 class MemAFu : public Fu
 {
   public:
-    MemAFu(sim::Engine &eng, FuId id, FuId mesh_dst);
+    MemAFu(sim::Engine &eng, FuId id, FuId mesh_dst,
+           std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
     sim::Task runKernel(const isa::Uop &uop) override;
@@ -64,7 +65,8 @@ class MemAFu : public Fu
 class MemBFu : public Fu
 {
   public:
-    MemBFu(sim::Engine &eng, FuId id, FuId mesh_dst);
+    MemBFu(sim::Engine &eng, FuId id, FuId mesh_dst,
+           std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
     sim::Task runKernel(const isa::Uop &uop) override;
@@ -90,7 +92,7 @@ class MemCFu : public Fu
      *        TFLOPS at 260 MHz = ~277 FLOP/tick)
      */
     MemCFu(sim::Engine &eng, FuId id, FuId mme_src, FuId ddr,
-           double flops_per_tick);
+           double flops_per_tick, std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
     sim::Task runKernel(const isa::Uop &uop) override;

@@ -4,7 +4,8 @@
 
 namespace rsn::fu {
 
-MeshFu::MeshFu(sim::Engine &eng, FuId id) : Fu(eng, id) {}
+MeshFu::MeshFu(sim::Engine &eng, FuId id, std::size_t uop_depth)
+    : Fu(eng, id, uop_depth) {}
 
 sim::Task
 MeshFu::broadcastKernel(const isa::MeshUop &u)

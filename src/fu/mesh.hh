@@ -20,7 +20,8 @@ namespace rsn::fu {
 class MeshFu : public Fu
 {
   public:
-    MeshFu(sim::Engine &eng, FuId id);
+    MeshFu(sim::Engine &eng, FuId id,
+           std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
     sim::Task runKernel(const isa::Uop &uop) override;

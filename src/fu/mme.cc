@@ -75,9 +75,9 @@ gemmAccumulateTyped(GemmScratch &scratch, float *acc,
 } // namespace
 
 MmeFu::MmeFu(sim::Engine &eng, FuId id, AieModel model, FuId lhs_src,
-             FuId rhs_src, FuId out_dst)
-    : Fu(eng, id), model_(model), lhs_src_(lhs_src), rhs_src_(rhs_src),
-      out_dst_(out_dst)
+             FuId rhs_src, FuId out_dst, std::size_t uop_depth)
+    : Fu(eng, id, uop_depth), model_(model), lhs_src_(lhs_src),
+      rhs_src_(rhs_src), out_dst_(out_dst)
 {
 }
 

@@ -21,7 +21,8 @@ class MmeFu : public Fu
 {
   public:
     MmeFu(sim::Engine &eng, FuId id, AieModel model, FuId lhs_src,
-          FuId rhs_src, FuId out_dst);
+          FuId rhs_src, FuId out_dst,
+          std::size_t uop_depth = kDefaultUopDepth);
 
     const AieModel &model() const { return model_; }
 

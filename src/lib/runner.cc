@@ -1,5 +1,8 @@
 #include "lib/runner.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/log.hh"
 
 namespace rsn::lib {
@@ -129,10 +132,33 @@ referenceForward(core::RsnMachine &mach, const Model &model,
     return acts;
 }
 
+float
+accuracyBound(const core::PrecisionPolicy &p)
+{
+    const bool all_f32 = p.linear_weights == Dtype::F32 &&
+                         p.linear_activations == Dtype::F32 &&
+                         p.attention_activations == Dtype::F32;
+    return all_f32 ? 2e-3f : 5e-2f;
+}
+
+bool
+meetsAccuracyBound(const ref::Matrix &got, const ref::Matrix &want,
+                   const core::PrecisionPolicy &p, std::string *why)
+{
+    const float bound = accuracyBound(p);
+    double sq = 0;
+    for (float v : want.data)
+        sq += double(v) * v;
+    const double rms =
+        want.data.empty() ? 0.0 : std::sqrt(sq / want.data.size());
+    return ref::allclose(got, want, bound,
+                         bound * float(std::max(1.0, rms)), why);
+}
+
 CheckedRun
 runModelChecked(core::RsnMachine &mach, const Model &model,
                 const CompiledModel &compiled, std::uint32_t seed,
-                float rtol, float atol, Tick max_ticks)
+                Tick max_ticks)
 {
     CheckedRun cr;
     const bool functional = mach.host().functional();
@@ -146,20 +172,22 @@ runModelChecked(core::RsnMachine &mach, const Model &model,
     cr.report = mach.runChecked(compiled.program, max_ticks);
 
     if (functional && cr.report.ok()) {
-        std::string names;
+        std::string detail;
         for (const auto &[name, expect] : refs) {
             if (name == "input" || !compiled.hasTensor(name))
                 continue;
-            ref::Matrix got = readTensor(mach, compiled, name);
-            if (!ref::allclose(got, expect, rtol, atol)) {
-                names += (names.empty() ? "" : ", ") + name;
+            std::string why;
+            if (!meetsAccuracyBound(readTensor(mach, compiled, name),
+                                    expect, mach.config().precision,
+                                    &why)) {
+                detail += (detail.empty() ? "" : "; ") + name + " " + why;
                 cr.mismatched.push_back(name);
             }
         }
         if (!cr.mismatched.empty())
             cr.report.status = Status::error(
                 StatusCode::OutputMismatch,
-                names + " diverged from the reference");
+                "diverged from the reference: " + detail);
     }
     return cr;
 }

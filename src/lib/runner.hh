@@ -44,6 +44,18 @@ std::map<std::string, ref::Matrix>
 referenceForward(core::RsnMachine &mach, const Model &model,
                  const CompiledModel &compiled);
 
+/** The accuracy contract's bound t for a precision policy: one value
+ *  for all-F32, a looser one when any field is 16-bit (values and
+ *  measured margins: docs/datapath.md "Accuracy contract"). */
+float accuracyBound(const core::PrecisionPolicy &p);
+
+/** One tensor under policy @p p's contract: allclose(rtol = t, atol =
+ *  t * max(1, rms(want))) with t = accuracyBound(p). On failure @p why
+ *  names the first diverged element (index, got, want, tol). */
+bool meetsAccuracyBound(const ref::Matrix &got, const ref::Matrix &want,
+                        const core::PrecisionPolicy &p,
+                        std::string *why = nullptr);
+
 /**
  * Outcome of runModelChecked: the run report, whose status is
  * OutputMismatch when a completed functional run's outputs diverged,
@@ -60,16 +72,16 @@ struct CheckedRun {
 /**
  * The full checked execution flow in one call: seed tensors, capture the
  * FP32 reference, run through the structured RunReport channel, and —
- * when the run completes on a functional machine — compare every
- * produced tensor against the reference. Never throws on a diagnosed
- * fault / deadlock / timeout or an output mismatch; those come back
- * classified in the report.
- * This is the path rsn-sim and the chaos tier drive.
+ * when the run completes on a functional machine — hold every produced
+ * tensor to the accuracy contract of the machine's precision policy.
+ * Never throws on a diagnosed fault / deadlock / timeout or an output
+ * mismatch; those come back classified in the report, and a mismatch's
+ * message names each diverged tensor with its first bad element.
+ * This is the path rsn-sim, rsn-serve, sweeps and the golden tier drive.
  */
 CheckedRun runModelChecked(core::RsnMachine &mach, const Model &model,
                            const CompiledModel &compiled,
-                           std::uint32_t seed = 2025, float rtol = 2e-3f,
-                           float atol = 2e-3f,
+                           std::uint32_t seed = 2025,
                            Tick max_ticks =
                                core::RsnMachine::kDefaultMaxTicks);
 

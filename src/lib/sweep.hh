@@ -171,10 +171,11 @@ struct SweepPoint {
 
 /**
  * Checked-run convenience over the executor: compile and execute every
- * point through lib::runModelChecked on its lane's machine. Results are
- * in point order. This is the rsn-sim --sweep-batch / chaos-sweep path;
- * the bench binaries use bench_util.hh's runSweepPoints instead (they
- * want timing and traffic aggregates, not functional verification).
+ * point through lib::runModelChecked (its accuracy contract included)
+ * on its lane's machine. Results are in point order. This is the
+ * rsn-sim --sweep-batch / chaos-sweep path; the bench binaries use
+ * bench_util.hh's runSweepPoints instead (they want timing and traffic
+ * aggregates, not functional verification).
  */
 std::vector<CheckedRun> runSweep(const SweepExecutor &ex,
                                  const std::vector<SweepPoint> &points);

@@ -442,7 +442,7 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     const lib::CompiledModel compiled =
         lib::compileModel(mach, model, lib::ScheduleOptions::optimized());
     const lib::CheckedRun cr =
-        lib::runModelChecked(mach, model, compiled, 2025, 2e-3f, 2e-3f,
+        lib::runModelChecked(mach, model, compiled, 2025,
                              spec_.policy.run_tick_budget);
     ++rep_.runs;
     rep_.faults_injected += cr.report.faults_injected;

@@ -4,18 +4,15 @@
 #include "lib/codegen.hh"
 #include "lib/model.hh"
 #include "lib/runner.hh"
-#include "ref/ref_math.hh"
 
 namespace {
 
 using rsn::core::MachineConfig;
 using rsn::core::RsnMachine;
-using rsn::core::RunResult;
 using rsn::lib::compileModel;
 using rsn::lib::LinearLayer;
 using rsn::lib::Model;
 using rsn::lib::ScheduleOptions;
-namespace ref = rsn::ref;
 
 Model
 singleLinear(std::uint32_t m, std::uint32_t k, std::uint32_t n, bool bias,
@@ -43,26 +40,14 @@ singleLinear(std::uint32_t m, std::uint32_t k, std::uint32_t n, bool bias,
     return mod;
 }
 
-/** Compile + init + run + functional-check one model. */
-RunResult
-runFunctional(const Model &model, ScheduleOptions opts,
-              float rtol = 1e-3f, float atol = 1e-3f)
+/** Compile + run one model, every tensor held to the accuracy contract. */
+void
+runFunctional(const Model &model, ScheduleOptions opts)
 {
     RsnMachine mach(MachineConfig::vck190(/*functional=*/true));
     auto compiled = compileModel(mach, model, opts);
-    rsn::lib::initTensors(mach, compiled, 42);
-    auto refs = rsn::lib::referenceForward(mach, model, compiled);
-    auto r = mach.runChecked(compiled.program);
-    EXPECT_TRUE(r.ok()) << r.toString();
-    for (const auto &[name, expect] : refs) {
-        if (name == "input" || !compiled.hasTensor(name))
-            continue;
-        auto got = rsn::lib::readTensor(mach, compiled, name);
-        std::string why;
-        EXPECT_TRUE(ref::allclose(got, expect, rtol, atol, &why))
-            << "tensor " << name << ": " << why;
-    }
-    return r.result;
+    auto cr = rsn::lib::runModelChecked(mach, model, compiled, 42);
+    EXPECT_TRUE(cr.ok()) << cr.report.toString();
 }
 
 TEST(MachineFunctional, PlainGemmMatchesReference)
@@ -116,19 +101,31 @@ TEST(MachineFunctional, GemmMultiTileMN)
 TEST(MachineFunctional, TinyEncoderOptimized)
 {
     auto model = rsn::lib::tinyEncoder(1, 24, 32, 4, 64, true);
-    runFunctional(model, ScheduleOptions::optimized(), 2e-3f, 2e-3f);
+    runFunctional(model, ScheduleOptions::optimized());
 }
 
 TEST(MachineFunctional, TinyEncoderNoOptimize)
 {
     auto model = rsn::lib::tinyEncoder(1, 24, 32, 4, 64, false);
-    runFunctional(model, ScheduleOptions::noOptimize(), 2e-3f, 2e-3f);
+    runFunctional(model, ScheduleOptions::noOptimize());
 }
 
 TEST(MachineFunctional, TinyEncoderBatch2)
 {
     auto model = rsn::lib::tinyEncoder(2, 16, 32, 4, 48, true);
-    runFunctional(model, ScheduleOptions::optimized(), 2e-3f, 2e-3f);
+    runFunctional(model, ScheduleOptions::optimized());
+}
+
+TEST(MachineConfigWiring, UopFifoDepthReachesEveryFu)
+{
+    for (std::size_t depth : {2u, 6u, 16u}) {
+        auto cfg = MachineConfig::vck190();
+        cfg.uop_fifo_depth = depth;
+        RsnMachine mach(cfg);
+        ASSERT_FALSE(mach.fus().empty());
+        for (const auto &f : mach.fus())
+            EXPECT_EQ(f->uopQueue().capacity(), depth) << f->name();
+    }
 }
 
 TEST(MachineTiming, OptimizedFasterThanNoOptimize)

@@ -45,7 +45,7 @@ chaosRun(const sim::FaultSpec &fault)
     auto compiled = lib::compileModel(mach, model,
                                       lib::ScheduleOptions::optimized());
     return lib::runModelChecked(mach, model, compiled, /*seed=*/2025,
-                                2e-3f, 2e-3f, kChaosTickBudget);
+                                kChaosTickBudget);
 }
 
 TEST(ChaosE2e, FaultsDisabledMatchesTheGoldenTrace)
@@ -154,8 +154,8 @@ TEST(ChaosE2e, ResetMachineReplaysTheChaosScheduleExactly)
         }
         auto compiled = lib::compileModel(
             mach, model, lib::ScheduleOptions::optimized());
-        auto cr = lib::runModelChecked(mach, model, compiled, 2025, 2e-3f,
-                                       2e-3f, kChaosTickBudget);
+        auto cr = lib::runModelChecked(mach, model, compiled, 2025,
+                                       kChaosTickBudget);
         ASSERT_TRUE(cr.report.ok()) << cr.report.toString();
         if (i) {
             EXPECT_EQ(cr.report.result.ticks, first_ticks);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
+#include <variant>
 
 #include "core/machine.hh"
 #include "lib/codegen.hh"
@@ -96,29 +97,68 @@ TEST(Runner, ReferenceForwardProducesEverySegmentOutput)
 
 TEST(Runner, DivergedOutputsAreAnOutputMismatchNamingTheTensors)
 {
-    // The bf16 tiny encoder checked against the FP32 reference at zero
-    // tolerance: the run completes at its pinned tick count, but its
-    // rounded outputs diverge, so the one outcome is OutputMismatch.
-    auto cfg = MachineConfig::vck190(true);
-    cfg.precision.linear_weights = Dtype::Bf16;
-    cfg.precision.linear_activations = Dtype::Bf16;
-    cfg.precision.attention_activations = Dtype::Bf16;
-    RsnMachine mach(cfg);
-    auto model = lib::tinyEncoder(2, 32, 64, 4, 128, true);
-    auto c = lib::compileModel(mach, model,
-                               lib::ScheduleOptions::optimized());
-    auto cr = lib::runModelChecked(mach, model, c, 2025, 0.f, 0.f);
+    // The datapath runs model A; the reference replays model B, which is
+    // A with ff1's GELU turned off. The run completes at A's pinned tick
+    // count, but ff1's output and everything downstream of it diverge,
+    // so the one outcome is OutputMismatch with each diverged tensor's
+    // first bad element in the message.
+    RsnMachine mach(MachineConfig::vck190(true));
+    const auto a = lib::tinyEncoder(2, 32, 64, 4, 128, true);
+    auto b = a;
+    for (auto &seg : b.segments)
+        if (auto *l = std::get_if<lib::LinearLayer>(&seg))
+            l->gelu = l->gelu && l->name != "L0.ff1";
+    auto c = lib::compileModel(mach, a, lib::ScheduleOptions::optimized());
+    auto cr = lib::runModelChecked(mach, b, c);
     EXPECT_FALSE(cr.ok());
     EXPECT_EQ(cr.report.status.code, StatusCode::OutputMismatch);
-    EXPECT_EQ(cr.report.result.ticks, 8489u);
-    EXPECT_NE(std::find(cr.mismatched.begin(), cr.mismatched.end(),
-                        "L0.encoder_out"),
-              cr.mismatched.end());
+    EXPECT_EQ(cr.report.result.ticks, 11084u);
+    EXPECT_EQ(cr.mismatched,
+              (std::vector<std::string>{"L0.encoder_out", "L0.ff1_out"}));
     for (const auto &name : cr.mismatched)
-        EXPECT_NE(cr.report.status.message.find(name), std::string::npos)
+        EXPECT_NE(cr.report.status.message.find(name + " elem "),
+                  std::string::npos)
             << name << " missing from: " << cr.report.status.message;
+    EXPECT_NE(cr.report.status.message.find("(tol "), std::string::npos)
+        << cr.report.status.message;
     // A mismatch is a completed run: the machine stays reusable.
     EXPECT_TRUE(mach.resettable());
+}
+
+TEST(Runner, AccuracyBoundFollowsThePrecisionPolicy)
+{
+    // docs/datapath.md "Accuracy contract": all-F32 is held to 2e-3,
+    // and any single 16-bit field loosens the bound to 5e-2.
+    EXPECT_FLOAT_EQ(lib::accuracyBound(core::PrecisionPolicy{}), 2e-3);
+    for (Dtype d : {Dtype::Bf16, Dtype::F16})
+        for (Dtype core::PrecisionPolicy::*field :
+             {&core::PrecisionPolicy::linear_weights,
+              &core::PrecisionPolicy::linear_activations,
+              &core::PrecisionPolicy::attention_activations}) {
+            core::PrecisionPolicy p;
+            p.*field = d;
+            EXPECT_FLOAT_EQ(lib::accuracyBound(p), 5e-2) << dtypeName(d);
+        }
+}
+
+TEST(Runner, AccuracyBoundScalesAbsoluteSlackWithTensorRms)
+{
+    // RMS <= 1 is held to exactly |d| <= t * (1 + |y|); above RMS 1 the
+    // absolute slack grows to t * rms, so the perturbation that fails a
+    // small tensor passes the same tensor scaled by 100.
+    const float t = lib::accuracyBound(core::PrecisionPolicy{});
+    auto meets = [&](float scale, float k, std::string *why = nullptr) {
+        const ref::Matrix want = ref::randomMatrix(8, 16, 7, 0.5f * scale);
+        ref::Matrix got = want;
+        got.data[5] += k * t * (1 + std::abs(want.data[5]));
+        return lib::meetsAccuracyBound(got, want, core::PrecisionPolicy{},
+                                       why);
+    };
+    std::string why;
+    EXPECT_TRUE(meets(1, 0.9f));
+    EXPECT_FALSE(meets(1, 1.1f, &why));
+    EXPECT_NE(why.find("elem 5:"), std::string::npos) << why;
+    EXPECT_TRUE(meets(100, 1.1f));
 }
 
 TEST(Runner, ReadTensorRejectsUnknownName)

@@ -157,6 +157,22 @@ TEST(ServingChaos, FaultsOffGoldenTicksBitExact)
     EXPECT_EQ(rep.machines_built, 1u);
 }
 
+TEST(ServingChaos, FunctionalBf16ServesEveryRequestFirstTime)
+{
+    // All-bf16 functional serving: every dispatch meets the bf16 accuracy
+    // contract, so healthy machines never look hard-faulted.
+    serve::ServeSpec spec;
+    spec.cfg = core::MachineConfig::vck190(/*functional=*/true);
+    spec.cfg.precision = {Dtype::Bf16, Dtype::Bf16, Dtype::Bf16};
+    spec.classes = serve::defaultClasses();
+    spec.offered_load = 20000;
+    spec.num_requests = 24;
+    const auto rep = serve::runServing(spec);
+    EXPECT_EQ(rep.ok, 24u) << rep.toString();
+    EXPECT_EQ(rep.retry_dispatches, 0u);
+    EXPECT_EQ(rep.breaker_opened, 0u);
+}
+
 TEST(ServingChaos, DeadlinesCancelQueuedWorkAndLateCompletions)
 {
     // A deadline shorter than one service time: requests that wait in

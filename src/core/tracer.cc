@@ -1,91 +1,36 @@
 #include "core/tracer.hh"
 
 #include <cstdio>
-#include <fstream>
+#include <iterator>
 
 namespace rsn::core {
 
-Tracer::Tracer(RsnMachine &machine, Tick period)
-    : mach_(machine), period_(period ? period : 1)
-{
-    open_label_.resize(mach_.fus().size());
-    open_since_.resize(mach_.fus().size(), 0);
-    // Seed the sampling loop; it reschedules itself while the machine
-    // has pending events (i.e. until the run quiesces).
-    mach_.engine().schedule(0, [this] { sample(); });
-}
-
-void
-Tracer::sample()
-{
-    ++samples_;
-    Tick now = mach_.engine().now();
-    const auto &fus = mach_.fus();
-    for (std::size_t i = 0; i < fus.size(); ++i) {
-        const auto &f = *fus[i];
-        std::string label;
-        if (f.halted())
-            label = "";
-        else if (f.inKernel())
-            label = "kernel";
-        // Stalled-on-uop shows as idle (gap), matching how a hardware
-        // timeline would look.
-        if (label != open_label_[i]) {
-            if (!open_label_[i].empty())
-                slices_.push_back(TraceSlice{f.name(), open_label_[i],
-                                             open_since_[i], now});
-            open_label_[i] = label;
-            open_since_[i] = now;
-        }
-    }
-    if (!mach_.engine().idle())
-        mach_.engine().schedule(period_, [this] { sample(); });
-    else {
-        // Close any open slices at quiesce.
-        for (std::size_t i = 0; i < fus.size(); ++i) {
-            if (!open_label_[i].empty()) {
-                slices_.push_back(TraceSlice{fus[i]->name(),
-                                             open_label_[i],
-                                             open_since_[i], now});
-                open_label_[i].clear();
-            }
-        }
-    }
-}
-
 std::string
-Tracer::toChromeJson() const
+kernelSpansToChromeJson(const RsnMachine &machine)
 {
-    // One process, one thread per FU track; durations in microseconds of
-    // modeled time.
-    const double us_per_tick = 1e6 / mach_.config().clocks.plHz;
+    // Indexed by KernelSpan::kind, the isa::Uop variant index.
+    static constexpr const char *kKindName[] = {
+        "mme", "ddr", "lpddr", "mesh", "mema", "memb", "memc"};
+    static_assert(std::size(kKindName) + 1 == std::variant_size_v<isa::Uop>,
+                  "one name per kernel uOP kind (Halt runs no kernel)");
+    const double us_per_tick = 1e6 / machine.config().clocks.plHz;
     std::string out = "{\"traceEvents\":[\n";
-    bool first = true;
-    for (const auto &s : slices_) {
-        if (!first)
-            out += ",\n";
-        first = false;
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,"
-                      "\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
-                      s.label.c_str(), s.track.c_str(),
-                      s.begin * us_per_tick,
-                      (s.end - s.begin) * us_per_tick);
-        out += buf;
+    const char *sep = "";
+    for (const auto &f : machine.fus()) {
+        for (const fu::KernelSpan &s : f->spans()) {
+            char buf[256];
+            std::snprintf(buf, sizeof(buf),
+                          "%s{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,"
+                          "\"tid\":\"%s\",\"ts\":%.3f,\"dur\":%.3f}",
+                          sep, kKindName[s.kind], f->name().c_str(),
+                          s.begin * us_per_tick,
+                          (s.end - s.begin) * us_per_tick);
+            out += buf;
+            sep = ",\n";
+        }
     }
     out += "\n]}\n";
     return out;
-}
-
-bool
-Tracer::writeChromeJson(const std::string &path) const
-{
-    std::ofstream f(path);
-    if (!f)
-        return false;
-    f << toChromeJson();
-    return bool(f);
 }
 
 } // namespace rsn::core

@@ -1,67 +1,23 @@
 /**
  * @file
- * Execution tracer: records per-FU kernel activity and DRAM transfers
- * during a run and exports them as Chrome trace-event JSON
- * (chrome://tracing / Perfetto), giving the simulator an equivalent of
- * the paper's device-level visualizations: one timeline row per FU,
- * one slice per kernel, with stall structure visible as gaps.
- *
- * Tracing hooks sample FU state on a fixed tick grid (cheap, bounded
- * memory) rather than instrumenting every kernel, so it can be attached
- * to any machine without touching the FU implementations.
+ * Chrome trace-event export (chrome://tracing / Perfetto) of the exact
+ * kernel spans every FU records while recording is on
+ * (fu::Fu::recordSpans): one timeline row per FU, one slice per executed
+ * kernel named by its uOP kind, with stalls visible as gaps.
  */
 
 #ifndef RSN_CORE_TRACER_HH
 #define RSN_CORE_TRACER_HH
 
 #include <string>
-#include <vector>
 
 #include "core/machine.hh"
 
 namespace rsn::core {
 
-/** One recorded activity slice. */
-struct TraceSlice {
-    std::string track;   ///< FU name.
-    std::string label;   ///< Kernel / state label.
-    Tick begin = 0;
-    Tick end = 0;
-};
-
-class Tracer
-{
-  public:
-    /**
-     * Attach to @p machine and sample every @p period ticks. Must be
-     * constructed before RsnMachine::run (it schedules its own sampling
-     * events on the machine's engine).
-     */
-    Tracer(RsnMachine &machine, Tick period = 256);
-
-    /** Recorded slices (coalesced per FU). */
-    const std::vector<TraceSlice> &slices() const { return slices_; }
-
-    /** Samples taken. */
-    std::uint64_t samples() const { return samples_; }
-
-    /** Render as Chrome trace-event JSON (complete events, us scale). */
-    std::string toChromeJson() const;
-
-    /** Write the JSON to @p path; returns false on I/O failure. */
-    bool writeChromeJson(const std::string &path) const;
-
-  private:
-    void sample();
-
-    RsnMachine &mach_;
-    Tick period_;
-    std::uint64_t samples_ = 0;
-    /** Open slice per FU index ("" = idle). */
-    std::vector<std::string> open_label_;
-    std::vector<Tick> open_since_;
-    std::vector<TraceSlice> slices_;
-};
+/** Render every FU's spans as Chrome trace JSON: one complete ("X")
+ *  event per span, tid = FU name, microseconds at the PL clock. */
+std::string kernelSpansToChromeJson(const RsnMachine &machine);
 
 } // namespace rsn::core
 

@@ -27,6 +27,7 @@ Fu::reset()
     rsn_assert(uop_q_.empty(), "%s reset with queued uOPs", name_.c_str());
     loop_ = {};
     stats_ = {};
+    spans_.clear();
     started_ = false;
     halted_ = false;
     in_kernel_ = false;
@@ -131,10 +132,13 @@ Fu::mainLoop()
         if (std::holds_alternative<isa::HaltUop>(u))
             break;
         in_kernel_ = true;
-        Tick t0 = eng_.now();
+        const Tick t0 = eng_.now();
         co_await runKernel(u);
-        stats_.busy_ticks += eng_.now() - t0;
+        const Tick t1 = eng_.now();
+        stats_.busy_ticks += t1 - t0;
         ++stats_.uops;
+        if (record_spans_) [[unlikely]]
+            spans_.push_back({std::uint8_t(u.index()), t0, t1});
         in_kernel_ = false;
     }
     halted_ = true;

@@ -39,6 +39,17 @@ struct FuStats {
     std::uint64_t flops = 0;      ///< Arithmetic work performed.
 };
 
+/**
+ * One executed kernel: ticks [begin, end) of the FU's timeline. The
+ * uOP kind is the isa::Uop variant index (0 mme ... 6 memc); it becomes
+ * a name only at export (core/tracer.hh).
+ */
+struct KernelSpan {
+    std::uint8_t kind = 0;
+    Tick begin = 0;
+    Tick end = 0;
+};
+
 class Fu
 {
   public:
@@ -64,7 +75,8 @@ class Fu
     /**
      * Return the FU to its pre-start state so the owning machine can run
      * another program: destroys the finished kernel-loop frame, zeroes
-     * stats, and drops subclass kernel state (staged tiles, ping-pong
+     * stats, clears recorded spans (recording stays on or off), and
+     * drops subclass kernel state (staged tiles, ping-pong
      * phase). Only legal before start() or after the loop halted — a
      * suspended kernel must never be destroyed under a live engine.
      */
@@ -73,10 +85,15 @@ class Fu
     /** True once a Halt uOP terminated the kernel loop. */
     bool halted() const { return halted_; }
 
-    /** True while a kernel is executing (not stalled on the uOP queue). */
-    bool inKernel() const { return in_kernel_; }
-
     const FuStats &stats() const { return stats_; }
+
+    /**
+     * Record one KernelSpan per executed kernel (off by default). The
+     * spans are exact — one per FuStats::uops, summing to busy_ticks —
+     * and recording adds no engine events, so ticks do not move.
+     */
+    void recordSpans(bool on) { record_spans_ = on; }
+    const std::vector<KernelSpan> &spans() const { return spans_; }
 
     /** @{ Port wiring (done by the machine builder). */
     void addInput(FuId from, sim::Stream *s);
@@ -135,11 +152,13 @@ class Fu
     std::vector<std::pair<FuId, sim::Stream *>> outputs_;
     sim::Task loop_;
     FuStats stats_;
+    std::vector<KernelSpan> spans_;
     sim::FaultInjector *fault_ = nullptr;  ///< Null unless chaos is armed.
     std::uint32_t fault_site_ = 0;
     bool started_ = false;
     bool halted_ = false;
     bool in_kernel_ = false;
+    bool record_spans_ = false;
 };
 
 } // namespace rsn::fu

@@ -136,6 +136,29 @@ forEachOwnedSegment(TileBuffer &buf, Fn &&fn)
 
 } // namespace
 
+template <typename Fill, typename Drain>
+sim::Task
+PingPong::run(bool do_fill, bool do_drain, Fill fill, Drain drain)
+{
+    TileBuffer &fill_buf = fill_ping_ ? ping_ : pong_;
+    TileBuffer &drain_buf = fill_ping_ ? pong_ : ping_;
+    if (do_fill)
+        fill_ping_ = !fill_ping_;
+
+    // Fill and drain run in parallel when both are enabled (Fig. 7b;
+    // MemC's RECV plus its fused operator overlaps SEND, Fig. 11).
+    if (do_fill && do_drain) {
+        sim::Task f = fill(fill_buf);
+        sim::Task d = drain(drain_buf);
+        co_await f;
+        co_await d;
+    } else if (do_fill) {
+        co_await fill(fill_buf);
+    } else if (do_drain) {
+        co_await drain(drain_buf);
+    }
+}
+
 // ---------------------------------------------------------------- MemA --
 
 MemAFu::MemAFu(sim::Engine &eng, FuId id, FuId mesh_dst,
@@ -178,30 +201,16 @@ sim::Task
 MemAFu::runKernel(const isa::Uop &uop)
 {
     const auto &u = std::get<isa::MemAUop>(uop);
-    TileBuffer &recv_buf = recv_to_ping_ ? ping_ : pong_;
-    TileBuffer &send_buf = recv_to_ping_ ? pong_ : ping_;
-    if (u.load)
-        recv_to_ping_ = !recv_to_ping_;
-
-    // Load and send run in parallel when both are enabled (Fig. 7b).
-    if (u.load && u.send) {
-        sim::Task ld = loadPart(u, recv_buf);
-        sim::Task snd = sendPart(u, send_buf);
-        co_await ld;
-        co_await snd;
-    } else if (u.load) {
-        co_await loadPart(u, recv_buf);
-    } else if (u.send) {
-        co_await sendPart(u, send_buf);
-    }
+    return buffers_.run(
+        u.load, u.send,
+        [this, &u](TileBuffer &b) { return loadPart(u, b); },
+        [this, &u](TileBuffer &b) { return sendPart(u, b); });
 }
 
 void
 MemAFu::resetKernelState()
 {
-    ping_ = {};
-    pong_ = {};
-    recv_to_ping_ = true;
+    buffers_.reset();
 }
 
 // ---------------------------------------------------------------- MemB --
@@ -264,29 +273,16 @@ sim::Task
 MemBFu::runKernel(const isa::Uop &uop)
 {
     const auto &u = std::get<isa::MemBUop>(uop);
-    TileBuffer &recv_buf = recv_to_ping_ ? ping_ : pong_;
-    TileBuffer &send_buf = recv_to_ping_ ? pong_ : ping_;
-    if (u.load)
-        recv_to_ping_ = !recv_to_ping_;
-
-    if (u.load && u.send) {
-        sim::Task ld = loadPart(u, recv_buf);
-        sim::Task snd = sendPart(u, send_buf);
-        co_await ld;
-        co_await snd;
-    } else if (u.load) {
-        co_await loadPart(u, recv_buf);
-    } else if (u.send) {
-        co_await sendPart(u, send_buf);
-    }
+    return buffers_.run(
+        u.load, u.send,
+        [this, &u](TileBuffer &b) { return loadPart(u, b); },
+        [this, &u](TileBuffer &b) { return sendPart(u, b); });
 }
 
 void
 MemBFu::resetKernelState()
 {
-    ping_ = {};
-    pong_ = {};
-    recv_to_ping_ = true;
+    buffers_.reset();
 }
 
 // ---------------------------------------------------------------- MemC --
@@ -487,31 +483,16 @@ sim::Task
 MemCFu::runKernel(const isa::Uop &uop)
 {
     const auto &u = std::get<isa::MemCUop>(uop);
-    TileBuffer &recv_buf = recv_to_ping_ ? ping_ : pong_;
-    TileBuffer &send_buf = recv_to_ping_ ? pong_ : ping_;
-    if (u.recv)
-        recv_to_ping_ = !recv_to_ping_;
-
-    // RCEV (plus its fused operator) overlaps SEND of the previous tile
-    // (paper Fig. 11).
-    if (u.recv && (u.store || u.send_mme)) {
-        sim::Task rc = recvPart(u, recv_buf);
-        sim::Task snd = sendPart(u, send_buf);
-        co_await rc;
-        co_await snd;
-    } else if (u.recv) {
-        co_await recvPart(u, recv_buf);
-    } else if (u.store || u.send_mme) {
-        co_await sendPart(u, send_buf);
-    }
+    return buffers_.run(
+        u.recv, u.store || u.send_mme,
+        [this, &u](TileBuffer &b) { return recvPart(u, b); },
+        [this, &u](TileBuffer &b) { return sendPart(u, b); });
 }
 
 void
 MemCFu::resetKernelState()
 {
-    ping_ = {};
-    pong_ = {};
-    recv_to_ping_ = true;
+    buffers_.reset();
 }
 
 } // namespace rsn::fu

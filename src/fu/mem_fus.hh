@@ -41,6 +41,30 @@ struct TileBuffer {
     bool hasData() const { return !tile.empty(); }
 };
 
+/**
+ * The ping-pong buffer pair behind every Mem FU kernel: one side fills
+ * (load / recv) while the other drains (send / store), and each fill
+ * flips the side the next fill lands in.
+ */
+class PingPong
+{
+  public:
+    /**
+     * One kernel: `fill(TileBuffer &)` when @p do_fill, `drain(TileBuffer
+     * &)` when @p do_drain, each returning a sim::Task. With both, the
+     * fill task is created before the drain task (tasks start eagerly,
+     * so the order is part of the schedule) and the two run in parallel.
+     */
+    template <typename Fill, typename Drain>
+    sim::Task run(bool do_fill, bool do_drain, Fill fill, Drain drain);
+
+    void reset() { *this = {}; }
+
+  private:
+    TileBuffer ping_, pong_;
+    bool fill_ping_ = true;
+};
+
 /** LHS scratchpad. Sends row-slices of the buffered tile toward MeshA. */
 class MemAFu : public Fu
 {
@@ -57,8 +81,7 @@ class MemAFu : public Fu
     sim::Task sendPart(const isa::MemAUop &u, TileBuffer &buf);
 
     FuId mesh_dst_;
-    TileBuffer ping_, pong_;
-    bool recv_to_ping_ = true;
+    PingPong buffers_;
 };
 
 /** RHS scratchpad. Broadcasts the buffered tile toward MeshB. */
@@ -77,8 +100,7 @@ class MemBFu : public Fu
     sim::Task sendPart(const isa::MemBUop &u, TileBuffer &buf);
 
     FuId mesh_dst_;
-    TileBuffer ping_, pong_;
-    bool recv_to_ping_ = true;
+    PingPong buffers_;
 };
 
 /** Output scratchpad with fused non-MM operators. */
@@ -105,8 +127,7 @@ class MemCFu : public Fu
     FuId mme_src_;
     FuId ddr_;
     double flops_per_tick_;
-    TileBuffer ping_, pong_;
-    bool recv_to_ping_ = true;
+    PingPong buffers_;
 };
 
 /** Split @p total rows into @p slices near-equal extents (first gets

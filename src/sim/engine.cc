@@ -1,7 +1,5 @@
 #include "sim/engine.hh"
 
-#include <algorithm>
-
 namespace rsn::sim {
 
 /**
@@ -29,12 +27,11 @@ Engine::cascade(int lvl, std::uint32_t bi)
 }
 
 /**
- * Find the tick of the next pending batch, cascading wheel levels and
- * migrating overflow segments as the search advances — but never past a
- * segment floor beyond @p max_ticks, so an aborted run leaves the wheel
- * base at or below the clamped now(). Returns kTickMax when no events are
- * pending; a return value > max_ticks may be a lower bound rather than an
- * exact tick.
+ * Find the tick of the next pending batch, cascading wheel levels as the
+ * search advances — but never past a segment floor beyond @p max_ticks,
+ * so an aborted run leaves the wheel base at or below the clamped now().
+ * Returns kTickMax when no events are pending; a return value >
+ * max_ticks may be a lower bound rather than an exact tick.
  */
 Tick
 Engine::nextEventTick(Tick max_ticks)
@@ -47,47 +44,28 @@ Engine::nextEventTick(Tick max_ticks)
 
         int lvl = 1;
         for (; lvl < kLevels; ++lvl) {
-            int shift = kLevelBits * lvl;
-            int j = findNextSet(
+            const int shift = kLevelBits * lvl;
+            const int j = findNextSet(
                 wheel_[lvl].occupied,
                 std::uint32_t((base_ >> shift) & kBucketMask) + 1);
             if (j < 0)
                 continue;
-            Tick seg = base_ >> (shift + kLevelBits) << (shift + kLevelBits);
-            Tick floor = seg | (Tick(j) << shift);
+            // The segment keeps base_'s bytes above this level (none at
+            // the top level) with this level's byte set to j. Masking
+            // rather than shifting by shift + kLevelBits avoids the
+            // undefined shift by 64 at the top.
+            const Tick below = (Tick(1) << shift) - 1;
+            const Tick floor = (base_ & ~((kBucketMask << shift) | below)) |
+                               (Tick(j) << shift);
             if (floor > max_ticks)
                 return floor;  // beyond the limit: do not enter the segment
             base_ = floor;
             cascade(lvl, std::uint32_t(j));
             break;
         }
-        if (lvl < kLevels)
-            continue;  // cascaded one level; rescan from level 0
-
-        // Wheel exhausted: migrate the next overflow super-segment.
-        if (tick_heap_.empty())
-            return kTickMax;
-        Tick t0 = tick_heap_.front();
-        constexpr int kSpanBits = kLevelBits * kLevels;
-        Tick floor = t0 >> kSpanBits << kSpanBits;
-        if (floor > max_ticks)
-            return t0;  // exact: heap min is the next pending tick
-        base_ = floor;
-        while (!tick_heap_.empty() &&
-               (tick_heap_.front() >> kSpanBits) == (t0 >> kSpanBits)) {
-            Tick t = tick_heap_.front();
-            std::pop_heap(tick_heap_.begin(), tick_heap_.end(),
-                          std::greater<>{});
-            tick_heap_.pop_back();
-            TickIndex::Entry e = batches_.take(t);
-            int lv = levelFor(t ^ base_);
-            for (std::uint32_t s = e.head; s != kNil;) {
-                std::uint32_t nxt = arena_[s].next;
-                arena_[s].next = kNil;
-                appendBucket(lv, (t >> (kLevelBits * lv)) & kBucketMask, s);
-                s = nxt;
-            }
-        }
+        if (lvl == kLevels)
+            return kTickMax;  // every level empty
+        // Cascaded one level; rescan from level 0.
     }
 }
 
@@ -190,8 +168,6 @@ Engine::~Engine()
     for (const Level &l : wheel_)
         for (const Bucket &b : l.b)
             releaseList(b.head);
-    batches_.forEach(
-        [this](const TickIndex::Entry &e) { releaseList(e.head); });
     releaseList(active_head_);  // non-kNil only if run() aborted mid-batch
 }
 

@@ -9,21 +9,22 @@
  * a suspended coroutine is the dominant event in every simulation) or a
  * small-buffer-optimized callable (the `schedule()` fallback). Slots at
  * the same tick form an intrusive FIFO list through their `next` index.
+ * Only the simulated datapath (FUs, streams, decoder, DRAM) schedules
+ * events during a run; observers such as kernel-span recording
+ * (fu::Fu::recordSpans) only read now(), so observing a run never moves
+ * its ticks.
  *
- * ## Two-level queue: hierarchical timing wheel + overflow heap
+ * ## One queue: a hierarchical timing wheel over all 64 tick bits
  *
- * Pending ticks are organized as a 4-level timing wheel (256 buckets per
- * level, so level L buckets span 256^L ticks) aligned to the wheel base.
- * Scheduling appends to the bucket whose level is the highest byte in
- * which the target tick differs from the base — O(1) with a bitmap of
- * occupied buckets per level. As time advances into a higher-level
- * bucket's segment, that bucket cascades its events one level down (each
- * event moves at most 3 times). A level-0 bucket holds exactly one tick,
- * so its intrusive list *is* the tick's FIFO batch. Ticks beyond the
- * base's 2^32-aligned super-segment (crossed once per ~16 simulated
- * seconds at 260 MHz, whatever the delta) overflow into a min-heap of
- * distinct ticks plus a flat hash index (TickIndex) and migrate into
- * the wheel segment-by-segment.
+ * Pending ticks are organized as an 8-level timing wheel (256 buckets per
+ * level, so level L buckets span 256^L ticks and the top level covers
+ * every bit of Tick) aligned to the wheel base. Scheduling appends to the
+ * bucket whose level is the highest byte in which the target tick
+ * differs from the base — O(1) with a bitmap of occupied buckets per
+ * level. As time advances into a higher-level bucket's segment, that
+ * bucket cascades its events to lower levels (an event moves at most
+ * once per level). A level-0 bucket holds exactly one tick, so its
+ * intrusive list *is* the tick's FIFO batch.
  * A "now-queue" fast path appends zero-delay events directly to the batch
  * currently being drained, which is how channel/stream wakeups
  * (`resumeNow`) bypass the wheel entirely.
@@ -82,7 +83,6 @@
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -91,7 +91,6 @@
 
 #include "common/log.hh"
 #include "common/types.hh"
-#include "sim/tick_index.hh"
 
 namespace rsn::sim {
 
@@ -360,8 +359,8 @@ class Engine
     static_assert(sizeof(Slot) <= 64, "Slot must stay one cache line");
 
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-    static constexpr int kLevels = 4;
     static constexpr int kLevelBits = 8;
+    static constexpr int kLevels = 64 / kLevelBits;  ///< Covers all of Tick.
     static constexpr std::uint32_t kBucketsPerLevel = 1u << kLevelBits;
     static constexpr Tick kBucketMask = kBucketsPerLevel - 1;
 
@@ -375,7 +374,7 @@ class Engine
     };
 
     /** Wheel level holding tick @p when, given x = when ^ base_:
-     *  the highest differing byte; >= kLevels means overflow. */
+     *  the highest differing byte. */
     static int
     levelFor(Tick x)
     {
@@ -443,23 +442,8 @@ class Engine
             active_tail_ = idx;
             return s;
         }
-        int lvl = levelFor(when ^ base_);
-        if (lvl < kLevels) {
-            appendBucket(lvl, (when >> (kLevelBits * lvl)) & kBucketMask,
-                         idx);
-            return s;
-        }
-        // Overflow: distinct-tick min-heap + flat index.
-        auto [entry, fresh] = batches_.findOrInsert(when);
-        if (fresh) {
-            tick_heap_.push_back(when);
-            std::push_heap(tick_heap_.begin(), tick_heap_.end(),
-                           std::greater<>{});
-            entry.head = idx;
-        } else {
-            arena_[entry.tail].next = idx;
-        }
-        entry.tail = idx;
+        const int lvl = levelFor(when ^ base_);
+        appendBucket(lvl, (when >> (kLevelBits * lvl)) & kBucketMask, idx);
         return s;
     }
 
@@ -488,8 +472,6 @@ class Engine
     std::vector<Slot> arena_;
     std::uint32_t free_head_ = kNil;  ///< Intrusive free list via Slot::next.
     std::array<Level, kLevels> wheel_{};
-    std::vector<Tick> tick_heap_;  ///< Min-heap over distinct overflow ticks.
-    TickIndex batches_;            ///< Overflow tick -> batch head/tail.
     std::uint32_t active_head_ = kNil;  ///< Batch being drained by run().
     std::uint32_t active_tail_ = kNil;
     // stop_requested_ and the watchdog state sit here, among the scalars

@@ -1,56 +1,113 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/machine.hh"
 #include "core/tracer.hh"
 #include "lib/codegen.hh"
 #include "lib/model.hh"
+#include "lib/runner.hh"
 #include "lib/segmenter.hh"
 
 namespace {
 
 using namespace rsn;
 
-TEST(Tracer, RecordsKernelSlicesDuringARun)
+void
+recordSpans(core::RsnMachine &mach, bool on)
 {
-    core::RsnMachine mach(core::MachineConfig::vck190());
-    core::Tracer tracer(mach, /*period=*/64);
-    auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
-                                                           1),
+    for (const auto &f : mach.fus())
+        f->recordSpans(on);
+}
+
+std::size_t
+totalSpans(const core::RsnMachine &mach)
+{
+    std::size_t n = 0;
+    for (const auto &f : mach.fus())
+        n += f->spans().size();
+    return n;
+}
+
+/** Ticks of one checked run of @p model, with span recording on or off;
+ *  @p mach is left holding the run's spans and stats. */
+Tick
+runTicks(core::RsnMachine &mach, const lib::Model &model, bool record)
+{
+    recordSpans(mach, record);
+    auto c = lib::compileModel(mach, model,
                                lib::ScheduleOptions::optimized());
-    auto r = mach.runChecked(c.program);
-    ASSERT_TRUE(r.ok()) << r.toString();
-    EXPECT_GT(tracer.samples(), 100u);
-    ASSERT_FALSE(tracer.slices().empty());
-    // Slices are well-formed and bounded by the run.
-    for (const auto &s : tracer.slices()) {
-        EXPECT_LE(s.begin, s.end);
-        EXPECT_LE(s.end, r.result.ticks);
-        EXPECT_FALSE(s.track.empty());
-    }
-    // Every MME shows activity.
-    for (int i = 0; i < 6; ++i) {
-        std::string name = "MME" + std::to_string(i);
-        bool found = false;
-        for (const auto &s : tracer.slices())
-            found |= s.track == name;
-        EXPECT_TRUE(found) << name;
+    auto r = lib::runModelChecked(mach, model, c);
+    EXPECT_TRUE(r.ok()) << r.report.toString();
+    return r.report.result.ticks;
+}
+
+/** One span per kernel, exactly the FU's stats, ordered and bounded. */
+void
+expectSpansMatchStats(const core::RsnMachine &mach, Tick ticks)
+{
+    for (const auto &f : mach.fus()) {
+        const auto &spans = f->spans();
+        EXPECT_EQ(spans.size(), f->stats().uops) << f->name();
+        Tick busy = 0;
+        Tick prev_end = 0;
+        for (const fu::KernelSpan &s : spans) {
+            EXPECT_LE(prev_end, s.begin) << f->name() << " spans overlap";
+            EXPECT_LE(s.begin, s.end) << f->name();
+            busy += s.end - s.begin;
+            prev_end = s.end;
+        }
+        EXPECT_LE(prev_end, ticks) << f->name() << " span past the run";
+        EXPECT_EQ(busy, f->stats().busy_ticks) << f->name();
     }
 }
 
-TEST(Tracer, ChromeJsonIsStructurallySound)
+TEST(KernelSpans, RecordingLeavesTicksUnchanged)
+{
+    const lib::Model bert = lib::bertLargeEncoder(1, 128, true, 1);
+    const lib::Model tiny = lib::tinyEncoder(6, 32, 64, 4, 128, true);
+    for (bool functional : {false, true}) {
+        const lib::Model &model = functional ? tiny : bert;
+        const auto cfg = core::MachineConfig::vck190(functional);
+        core::RsnMachine off(cfg), on(cfg);
+        const Tick ticks = runTicks(off, model, false);
+        EXPECT_EQ(runTicks(on, model, true), ticks) << model.name;
+        EXPECT_EQ(totalSpans(off), 0u);
+        EXPECT_GT(totalSpans(on), 0u);
+        expectSpansMatchStats(on, ticks);
+    }
+}
+
+TEST(KernelSpans, ChromeJsonHasOneCompleteEventPerSpan)
 {
     core::RsnMachine mach(core::MachineConfig::vck190());
-    core::Tracer tracer(mach, 64);
-    auto c = lib::compileModel(mach, lib::bertLargeEncoder(1, 128, true,
-                                                           1),
-                               lib::ScheduleOptions::optimized());
-    (void)mach.runChecked(c.program);
-    std::string json = tracer.toChromeJson();
+    (void)runTicks(mach, lib::bertLargeEncoder(1, 128, true, 1), true);
+    const std::string json = core::kernelSpansToChromeJson(mach);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    // Balanced braces (rough structural check).
+    EXPECT_NE(json.find("\"name\":\"mme\""), std::string::npos);
+    EXPECT_NE(json.find("\"tid\":\"MME0\""), std::string::npos);
+    std::size_t complete = 0;
+    for (std::size_t at = 0;
+         (at = json.find("\"ph\":\"X\"", at)) != std::string::npos; ++at)
+        ++complete;
+    EXPECT_EQ(complete, totalSpans(mach));
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
+}
+
+TEST(KernelSpans, ResetClearsSpans)
+{
+    core::RsnMachine mach(core::MachineConfig::vck190());
+    const lib::Model model = lib::bertLargeEncoder(1, 128, true, 1);
+    const Tick ticks = runTicks(mach, model, true);
+    const std::size_t spans = totalSpans(mach);
+    ASSERT_GT(spans, 0u);
+    mach.reset();
+    EXPECT_EQ(totalSpans(mach), 0u);
+    // A reused machine records the next run afresh, not on top.
+    EXPECT_EQ(runTicks(mach, model, true), ticks);
+    EXPECT_EQ(totalSpans(mach), spans);
+    expectSpansMatchStats(mach, ticks);
 }
 
 TEST(Segmenter, ClassifiesBertSegmentsLikeThePaper)

@@ -116,8 +116,8 @@ TEST(Engine, SameTickEventScheduledDuringDispatchRunsAfterQueued)
 
 TEST(Engine, TicksAcrossAllWheelLevelsRunInOrder)
 {
-    // One event per timing-wheel level plus the overflow heap (see the
-    // two-level queue description in engine.hh).
+    // One event on each of the timing wheel's lower levels, and one
+    // beyond 2^32 (the one-queue description in engine.hh).
     Engine e;
     std::vector<Tick> fired;
     const Tick far = (Tick(1) << 33) + 7;
@@ -126,6 +126,23 @@ TEST(Engine, TicksAcrossAllWheelLevelsRunInOrder)
     EXPECT_TRUE(e.run());
     EXPECT_EQ(fired, (std::vector<Tick>{3, 300, 70'000, 20'000'000, far}));
     EXPECT_EQ(e.now(), far);
+}
+
+TEST(Engine, TopWheelLevelTicksRunInOrder)
+{
+    // Level 7 holds ticks whose top byte differs from the base; its
+    // segment base is 0. A limit below the first event leaves it queued.
+    Engine e;
+    std::vector<Tick> fired;
+    const Tick top = (Tick(1) << 62) + 5;
+    const Tick l6 = (Tick(1) << 50) + 9;
+    for (Tick t : {top, l6, Tick(1) << 56, top + 1})
+        e.scheduleAt(t, [&fired, &e] { fired.push_back(e.now()); });
+    EXPECT_FALSE(e.run(Tick(1) << 40));
+    EXPECT_TRUE(fired.empty());
+    EXPECT_TRUE(e.run());
+    EXPECT_EQ(fired, (std::vector<Tick>{l6, Tick(1) << 56, top, top + 1}));
+    EXPECT_EQ(e.now(), top + 1);
 }
 
 TEST(Engine, PendingEventsTracksQueueDepth)

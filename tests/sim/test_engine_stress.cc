@@ -1,11 +1,11 @@
 /**
  * @file
- * Determinism stress test for the two-level (timing wheel) event engine.
+ * Determinism stress test for the timing-wheel event engine.
  *
  * Replays identical seeded scripts — interleaving inline callbacks,
  * heap-path callbacks (captures too large for the inline slot), coroutine
- * resumes across all wheel levels and the overflow heap, same-tick bursts,
- * and zero-delay chains — on both the production Engine and a reference
+ * resumes across the wheel levels (including ticks beyond 2^32),
+ * same-tick bursts, and zero-delay chains — on both the production Engine and a reference
  * engine that reproduces the seed implementation (single priority queue
  * ordered by (tick, sequence)). The observable execution order must match
  * bit-for-bit.
@@ -166,7 +166,7 @@ runScript(unsigned seed)
         }
         case 4: {  // parked coroutine resumed via raw handle
             tasks.push_back(parked(log, tag));
-            Tick d = rng() % 4 == 0 ? (Tick(1) << 33) + rng() % 100  // overflow
+            Tick d = rng() % 4 == 0 ? (Tick(1) << 33) + rng() % 100  // level 4
                                     : rng() % 70000;
             e.resumeAt(e.now() + d, tasks.back().handle());
             break;

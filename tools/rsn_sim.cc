@@ -18,7 +18,9 @@
  *                                     the best this CPU supports, or
  *                                     $RSN_ISA. Affects payload math
  *                                     only, never tick counts.
- *     --trace FILE                    write a Chrome trace JSON
+ *     --trace FILE                    record every FU's exact kernel
+ *                                     spans and write them as Chrome
+ *                                     trace JSON (ticks are unchanged)
  *     --plan                          print the segmentation plan
  *     --dot                           print the datapath as Graphviz DOT
  *     --instr                         print instruction statistics
@@ -33,12 +35,17 @@
  *     --jobs N                        worker lanes for --sweep-batch
  *                                     (default 1; 0 = all hardware
  *                                     threads). Results are bit-
- *                                     identical for every N.
+ *                                     identical for every N. --trace,
+ *                                     --plan, --dot and --instr do not
+ *                                     apply to a sweep.
  *
  * Exit codes (exitCode() below maps a run's Status to them):
  *   0  run completed (outputs verified when --functional)
  *   1  run completed but outputs mismatched the FP32 reference
- *   2  usage error (unknown flag / model / schedule / --isa name)
+ *   2  usage error (unknown flag / model / schedule / --isa name, a
+ *      --batch/--seq/--layers value that is not an integer >= 1, or a
+ *      single-run option combined with --sweep-batch); the reason goes
+ *      to stderr
  *   3  invalid configuration (bad machine config or fault spec)
  *   4  run diagnosed: injected hard fault, deadlock, livelock, timeout
  *
@@ -55,6 +62,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 
@@ -94,11 +102,31 @@ struct Options {
     long jobs = 1;
 };
 
-void
-usage()
+/** Reject the command line with a named reason (exit 2). */
+[[noreturn]] void
+usage(const std::string &why)
 {
-    std::fprintf(stderr, "see the header of tools/rsn_sim.cc for usage\n");
+    std::fprintf(stderr,
+                 "rsn-sim: %s (see the header of tools/rsn_sim.cc for "
+                 "usage)\n",
+                 why.c_str());
     std::exit(2);
+}
+
+/** @p text as an integer >= 1 that fits 32 bits, or a usage error. */
+std::uint32_t
+parseCount(const std::string &flag, const std::string &text)
+{
+    // Digits only: strtoull alone would accept "-3", " 7" and "12x".
+    // Out-of-range values saturate to ULLONG_MAX and fail the bound.
+    const bool digits = !text.empty() &&
+                        text.find_first_not_of("0123456789") ==
+                            std::string::npos;
+    const unsigned long long v =
+        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+    if (v < 1 || v > UINT32_MAX)
+        usage(flag + " expects an integer >= 1, got '" + text + "'");
+    return std::uint32_t(v);
 }
 
 Options
@@ -109,17 +137,17 @@ parse(int argc, char **argv)
         std::string a = argv[i];
         auto next = [&]() -> std::string {
             if (++i >= argc)
-                usage();
+                usage(a + " needs a value");
             return argv[i];
         };
         if (a == "--model")
             o.model = next();
         else if (a == "--batch")
-            o.batch = std::atoi(next().c_str());
+            o.batch = parseCount(a, next());
         else if (a == "--seq")
-            o.seq = std::atoi(next().c_str());
+            o.seq = parseCount(a, next());
         else if (a == "--layers")
-            o.layers = std::atoi(next().c_str());
+            o.layers = parseCount(a, next());
         else if (a == "--schedule")
             o.schedule = next();
         else if (a == "--no-fuse-qkv")
@@ -148,8 +176,13 @@ parse(int argc, char **argv)
         else if (a == "--jobs")
             o.jobs = std::strtol(next().c_str(), nullptr, 10);
         else
-            usage();
+            usage("unknown option " + a);
     }
+    if (!o.sweep_batch.empty() &&
+        (!o.trace_path.empty() || o.print_plan || o.print_dot ||
+         o.print_instr))
+        usage("--trace, --plan, --dot and --instr do not apply to "
+              "--sweep-batch");
     return o;
 }
 
@@ -213,7 +246,7 @@ runMain(const Options &o)
         else if (o.model == "tiny")
             m = lib::tinyEncoder(batch, 32, 64, 4, 128, o.fuse_qkv);
         else
-            usage();
+            usage("unknown model " + o.model);
         return m;
     };
     lib::Model model = makeModel(o.batch);
@@ -226,7 +259,7 @@ runMain(const Options &o)
     else if (o.schedule == "noopt")
         sched = lib::ScheduleOptions::noOptimize();
     else
-        usage();
+        usage("unknown schedule " + o.schedule);
 
     auto cfg = core::MachineConfig::vck190(o.functional);
     if (o.bw_scale != 1.0) {
@@ -268,10 +301,8 @@ runMain(const Options &o)
             std::size_t comma = o.sweep_batch.find(',', pos);
             if (comma == std::string::npos)
                 comma = o.sweep_batch.size();
-            const int batch =
-                std::atoi(o.sweep_batch.substr(pos, comma - pos).c_str());
-            if (batch <= 0)
-                usage();
+            const std::uint32_t batch = parseCount(
+                "--sweep-batch", o.sweep_batch.substr(pos, comma - pos));
             batches.push_back(batch);
             points.push_back({cfg, makeModel(batch), sched, 2025});
             pos = comma + 1;
@@ -327,9 +358,9 @@ runMain(const Options &o)
                     double(uop_bytes) / compiled.program.totalBytes());
     }
 
-    std::unique_ptr<core::Tracer> tracer;
     if (!o.trace_path.empty())
-        tracer = std::make_unique<core::Tracer>(mach);
+        for (const auto &f : mach.fus())
+            f->recordSpans(true);
 
     auto checked = lib::runModelChecked(mach, model, compiled, 2025);
     const auto &r = checked.report.result;
@@ -377,11 +408,16 @@ runMain(const Options &o)
         if (!checked.ok())
             return exitCode(code);
     }
-    if (tracer) {
-        if (tracer->writeChromeJson(o.trace_path))
-            std::printf("  trace     : %s (%zu slices; open in "
+    if (!o.trace_path.empty()) {
+        std::size_t spans = 0;
+        for (const auto &f : mach.fus())
+            spans += f->spans().size();
+        std::ofstream out(o.trace_path);
+        out << core::kernelSpansToChromeJson(mach);
+        if (out)
+            std::printf("  trace     : %s (%zu kernel spans; open in "
                         "chrome://tracing)\n",
-                        o.trace_path.c_str(), tracer->slices().size());
+                        o.trace_path.c_str(), spans);
         else
             std::printf("  trace     : FAILED to write %s\n",
                         o.trace_path.c_str());

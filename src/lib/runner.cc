@@ -38,25 +38,15 @@ readTensor(core::RsnMachine &mach, const CompiledModel &compiled,
 
 namespace {
 
-/** Extract a column range [off, off+w) of a matrix. */
+/** Copy the h x w block of @p m whose top-left element is (r0, c0). */
 ref::Matrix
-colRange(const ref::Matrix &m, std::uint32_t off, std::uint32_t w)
+copyBlock(const ref::Matrix &m, std::uint32_t r0, std::uint32_t h,
+          std::uint32_t c0, std::uint32_t w)
 {
-    ref::Matrix out(m.rows, w);
-    for (std::uint32_t i = 0; i < m.rows; ++i)
-        for (std::uint32_t j = 0; j < w; ++j)
-            out.at(i, j) = m.at(i, off + j);
-    return out;
-}
-
-/** Extract a row range. */
-ref::Matrix
-rowRange(const ref::Matrix &m, std::uint32_t off, std::uint32_t h)
-{
-    ref::Matrix out(h, m.cols);
+    ref::Matrix out(h, w);
     for (std::uint32_t i = 0; i < h; ++i)
-        for (std::uint32_t j = 0; j < m.cols; ++j)
-            out.at(i, j) = m.at(off + i, j);
+        for (std::uint32_t j = 0; j < w; ++j)
+            out.at(i, j) = m.at(r0 + i, c0 + j);
     return out;
 }
 
@@ -113,18 +103,19 @@ referenceForward(core::RsnMachine &mach, const Model &model,
             for (std::uint32_t h = 0; h < a->heads; ++h) {
                 const std::uint32_t b = h / a->heads_per_batch;
                 const std::uint32_t j = h % a->heads_per_batch;
-                ref::Matrix q = colRange(
-                    rowRange(q_all, b * a->seq, a->seq),
-                    a->q_col_off + j * a->dhead, a->dhead);
-                ref::Matrix k = colRange(
-                    rowRange(k_all, b * a->seq, a->seq),
-                    a->k_col_off + j * a->dhead, a->dhead);
-                ref::Matrix v = colRange(
-                    rowRange(v_all, b * a->seq, a->seq),
-                    a->v_col_off + j * a->dhead, a->dhead);
+                const std::uint32_t r0 = b * a->seq;
+                ref::Matrix q =
+                    copyBlock(q_all, r0, a->seq,
+                              a->q_col_off + j * a->dhead, a->dhead);
+                ref::Matrix k =
+                    copyBlock(k_all, r0, a->seq,
+                              a->k_col_off + j * a->dhead, a->dhead);
+                ref::Matrix v =
+                    copyBlock(v_all, r0, a->seq,
+                              a->v_col_off + j * a->dhead, a->dhead);
                 ref::Matrix probs = ref::softmax(ref::matmulBt(q, k));
                 ref::Matrix ctx = ref::matmul(probs, v);
-                placeBlock(out, ctx, b * a->seq, j * a->dhead);
+                placeBlock(out, ctx, r0, j * a->dhead);
             }
             acts[a->out_name] = std::move(out);
         }
@@ -156,22 +147,13 @@ meetsAccuracyBound(const ref::Matrix &got, const ref::Matrix &want,
 }
 
 CheckedRun
-runModelChecked(core::RsnMachine &mach, const Model &model,
-                const CompiledModel &compiled, std::uint32_t seed,
-                Tick max_ticks)
+runVerified(core::RsnMachine &mach, const CompiledModel &compiled,
+            const std::map<std::string, ref::Matrix> &refs, Tick max_ticks)
 {
     CheckedRun cr;
-    const bool functional = mach.host().functional();
-
-    std::map<std::string, ref::Matrix> refs;
-    if (functional) {
-        initTensors(mach, compiled, seed);
-        refs = referenceForward(mach, model, compiled);
-    }
-
     cr.report = mach.runChecked(compiled.program, max_ticks);
 
-    if (functional && cr.report.ok()) {
+    if (mach.host().functional() && cr.report.ok()) {
         std::string detail;
         for (const auto &[name, expect] : refs) {
             if (name == "input" || !compiled.hasTensor(name))
@@ -190,6 +172,18 @@ runModelChecked(core::RsnMachine &mach, const Model &model,
                 "diverged from the reference: " + detail);
     }
     return cr;
+}
+
+CheckedRun
+runModelChecked(core::RsnMachine &mach, const Model &model,
+                const CompiledModel &compiled, std::uint32_t seed,
+                Tick max_ticks)
+{
+    initTensors(mach, compiled, seed);
+    std::map<std::string, ref::Matrix> refs;
+    if (mach.host().functional())
+        refs = referenceForward(mach, model, compiled);
+    return runVerified(mach, compiled, refs, max_ticks);
 }
 
 } // namespace rsn::lib

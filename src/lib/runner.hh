@@ -70,14 +70,25 @@ struct CheckedRun {
 };
 
 /**
+ * The verifying body of every checked run: run the already-seeded
+ * @p compiled program through the structured RunReport channel and,
+ * when the run completes on a functional machine, hold every tensor of
+ * @p refs that the compiled model exposes (except "input") to the
+ * accuracy contract of the machine's precision policy. Never throws on
+ * a diagnosed fault / deadlock / timeout or an output mismatch; those
+ * come back classified in the report, and a mismatch's message names
+ * each diverged tensor with its first bad element. @p refs must be the
+ * referenceForward() of the tensors initTensors() wrote for this run.
+ */
+CheckedRun runVerified(core::RsnMachine &mach, const CompiledModel &compiled,
+                       const std::map<std::string, ref::Matrix> &refs,
+                       Tick max_ticks);
+
+/**
  * The full checked execution flow in one call: seed tensors, capture the
- * FP32 reference, run through the structured RunReport channel, and —
- * when the run completes on a functional machine — hold every produced
- * tensor to the accuracy contract of the machine's precision policy.
- * Never throws on a diagnosed fault / deadlock / timeout or an output
- * mismatch; those come back classified in the report, and a mismatch's
- * message names each diverged tensor with its first bad element.
- * This is the path rsn-sim, rsn-serve, sweeps and the golden tier drive.
+ * FP32 reference, then runVerified(). This is the path rsn-sim, sweeps
+ * and the golden tier drive; rsn-serve calls runVerified() with a
+ * reference it computed once per (class, batch).
  */
 CheckedRun runModelChecked(core::RsnMachine &mach, const Model &model,
                            const CompiledModel &compiled,

@@ -1,5 +1,6 @@
 #include "ref/ref_math.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -24,19 +25,63 @@ randomMatrix(std::uint32_t rows, std::uint32_t cols, std::uint32_t seed,
     return m;
 }
 
+namespace {
+
+/** Columns per register block: wide enough that the compiler vectorizes
+ *  along j (a narrower, fully unrolled j loop gets vectorized along the
+ *  strided k axis instead, which is slower than the naive loop). */
+constexpr std::uint32_t kBlockCols = 32;
+
+/**
+ * R rows x kBlockCols columns of C = A * B, with the accumulators held
+ * across the whole k loop. A rows are @p kdim apart, @p panel is B's
+ * column block packed kBlockCols wide, and C rows are @p ldc apart. Each
+ * element starts at +0 and adds its FP32 products in ascending k, so the
+ * result is bit-identical to the textbook triple loop for finite B. Only
+ * the first @p w columns are stored.
+ */
+template <std::uint32_t R>
+void
+gemmBlock(const float *a, std::uint32_t kdim, const float *panel,
+          float *c, std::size_t ldc, std::uint32_t w)
+{
+    float acc[R][kBlockCols] = {};
+    for (std::uint32_t k = 0; k < kdim; ++k) {
+        const float *brow = panel + std::size_t(k) * kBlockCols;
+        for (std::uint32_t r = 0; r < R; ++r) {
+            const float av = a[std::size_t(r) * kdim + k];
+            for (std::uint32_t j = 0; j < kBlockCols; ++j)
+                acc[r][j] += av * brow[j];
+        }
+    }
+    for (std::uint32_t r = 0; r < R; ++r)
+        for (std::uint32_t j = 0; j < w; ++j)
+            c[r * ldc + j] = acc[r][j];
+}
+
+} // namespace
+
 Matrix
 matmul(const Matrix &a, const Matrix &b)
 {
     rsn_assert(a.cols == b.rows, "matmul shape mismatch");
     Matrix c(a.rows, b.cols);
-    for (std::uint32_t i = 0; i < a.rows; ++i) {
-        for (std::uint32_t k = 0; k < a.cols; ++k) {
-            float av = a.at(i, k);
-            if (av == 0.f)
-                continue;
-            for (std::uint32_t j = 0; j < b.cols; ++j)
-                c.at(i, j) += av * b.at(k, j);
-        }
+    // One column block of B at a time, packed contiguous so it stays in
+    // cache across every row pair of A. The ragged last block leaves
+    // stale lanes in the panel; they are computed, never stored.
+    Matrix panel(b.rows, kBlockCols);
+    for (std::uint32_t j0 = 0; j0 < b.cols; j0 += kBlockCols) {
+        const std::uint32_t w = std::min(kBlockCols, b.cols - j0);
+        for (std::uint32_t k = 0; k < b.rows; ++k)
+            for (std::uint32_t j = 0; j < w; ++j)
+                panel.at(k, j) = b.at(k, j0 + j);
+        std::uint32_t i = 0;
+        for (; i + 2 <= a.rows; i += 2)
+            gemmBlock<2>(a.data.data() + std::size_t(i) * a.cols, a.cols,
+                         panel.data.data(), &c.at(i, j0), c.cols, w);
+        if (i < a.rows)
+            gemmBlock<1>(a.data.data() + std::size_t(i) * a.cols, a.cols,
+                         panel.data.data(), &c.at(i, j0), c.cols, w);
     }
     return c;
 }
@@ -45,15 +90,7 @@ Matrix
 matmulBt(const Matrix &a, const Matrix &b)
 {
     rsn_assert(a.cols == b.cols, "matmulBt shape mismatch");
-    Matrix c(a.rows, b.rows);
-    for (std::uint32_t i = 0; i < a.rows; ++i)
-        for (std::uint32_t j = 0; j < b.rows; ++j) {
-            float acc = 0.f;
-            for (std::uint32_t k = 0; k < a.cols; ++k)
-                acc += a.at(i, k) * b.at(j, k);
-            c.at(i, j) = acc;
-        }
-    return c;
+    return matmul(a, transpose(b));
 }
 
 Matrix
@@ -91,15 +128,18 @@ Matrix
 softmax(const Matrix &a)
 {
     Matrix c = a;
+    std::vector<double> e(a.cols);
     for (std::uint32_t i = 0; i < a.rows; ++i) {
         float mx = -INFINITY;
         for (std::uint32_t j = 0; j < a.cols; ++j)
             mx = std::max(mx, c.at(i, j));
         double sum = 0;
+        for (std::uint32_t j = 0; j < a.cols; ++j) {
+            e[j] = std::exp(double(c.at(i, j)) - mx);
+            sum += e[j];
+        }
         for (std::uint32_t j = 0; j < a.cols; ++j)
-            sum += std::exp(double(c.at(i, j)) - mx);
-        for (std::uint32_t j = 0; j < a.cols; ++j)
-            c.at(i, j) = float(std::exp(double(c.at(i, j)) - mx) / sum);
+            c.at(i, j) = float(e[j] / sum);
     }
     return c;
 }

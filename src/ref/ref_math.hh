@@ -46,10 +46,11 @@ struct Matrix {
 Matrix randomMatrix(std::uint32_t rows, std::uint32_t cols,
                     std::uint32_t seed, float scale = 1.0f);
 
-/** C = A * B. */
+/** C = A * B in FP32, each element summed from +0 in ascending k (so
+ *  any loop order that keeps that rule is bit-identical). */
 Matrix matmul(const Matrix &a, const Matrix &b);
 
-/** C = A * B^T. */
+/** C = A * B^T, computed as matmul(A, transpose(B)). */
 Matrix matmulBt(const Matrix &a, const Matrix &b);
 
 /** Transpose. */

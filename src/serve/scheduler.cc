@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
+#include <map>
 #include <queue>
+#include <utility>
 
 #include "common/log.hh"
 #include "lib/codegen.hh"
@@ -232,6 +234,15 @@ class ServingSim
     void dispatch(Tick now, std::size_t slot, std::uint32_t cls,
                   std::uint32_t cap);
     void openBreaker(std::size_t slot, Tick now);
+    /** The reference a dispatch of (cls, n) is held to: refs_'s entry,
+     *  computed on first use; empty on a timing-only fleet. */
+    const std::map<std::string, ref::Matrix> &
+    reference(std::uint32_t cls, std::uint32_t n, core::RsnMachine &mach,
+              const lib::Model &model, const lib::CompiledModel &compiled);
+
+    /** Every dispatch checks the same data seed, so a dispatch's
+     *  reference is a function of its (class, batch) alone. */
+    static constexpr std::uint32_t kDataSeed = 2025;
 
     const ServeSpec &spec_;
     ServingReport rep_;
@@ -247,6 +258,13 @@ class ServingSim
     std::uint64_t queued_total_ = 0;
     std::uint64_t resolved_ = 0;
     Tick est_service_ = 0;  ///< Integer EWMA of observed run ticks.
+    /** Reference tensors per (class, batch), minus "input": computed by
+     *  the first functional dispatch of a key, compared against by every
+     *  later one. Scoped to this simulation (docs/datapath.md,
+     *  "Reference oracle"). */
+    std::map<std::pair<std::uint32_t, std::uint32_t>,
+             std::map<std::string, ref::Matrix>>
+        refs_;
 };
 
 void
@@ -441,9 +459,11 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     const lib::Model model = spec_.classes[cls].build(n);
     const lib::CompiledModel compiled =
         lib::compileModel(mach, model, lib::ScheduleOptions::optimized());
+    lib::initTensors(mach, compiled, kDataSeed);
     const lib::CheckedRun cr =
-        lib::runModelChecked(mach, model, compiled, 2025,
-                             spec_.policy.run_tick_budget);
+        lib::runVerified(mach, compiled, reference(cls, n, mach, model,
+                                                   compiled),
+                         spec_.policy.run_tick_budget);
     ++rep_.runs;
     rep_.faults_injected += cr.report.faults_injected;
     f.ok = cr.ok();
@@ -453,6 +473,20 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     flights_.push_back(std::move(f));
     push(now + flights_.back().ticks, EvKind::Completion,
          flights_.size() - 1);
+}
+
+const std::map<std::string, ref::Matrix> &
+ServingSim::reference(std::uint32_t cls, std::uint32_t n,
+                      core::RsnMachine &mach, const lib::Model &model,
+                      const lib::CompiledModel &compiled)
+{
+    auto [it, miss] = refs_.try_emplace({cls, n});
+    if (miss && mach.host().functional()) {
+        it->second = lib::referenceForward(mach, model, compiled);
+        it->second.erase("input");
+        ++rep_.references;
+    }
+    return it->second;
 }
 
 ServingReport

@@ -116,6 +116,10 @@ struct ServingReport {
 
     std::uint64_t retry_dispatches = 0;  ///< Re-enqueues performed.
     std::uint64_t runs = 0;              ///< Inner simulations executed.
+    /** FP32 reference evaluations: at most one per distinct (class,
+     *  batch) dispatched, since every dispatch checks the same data
+     *  seed. Not rendered by toString(). */
+    std::uint64_t references = 0;
     std::uint64_t faults_injected = 0;   ///< Across all inner runs.
     std::uint64_t machines_built = 0;    ///< Fleet builds (incl. rebuilds).
     std::uint64_t machines_reused = 0;   ///< reset()-path dispatches.

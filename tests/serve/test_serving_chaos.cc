@@ -157,6 +157,50 @@ TEST(ServingChaos, FaultsOffGoldenTicksBitExact)
     EXPECT_EQ(rep.machines_built, 1u);
 }
 
+TEST(ServingChaos, OneReferencePerClassAndBatch)
+{
+    // Every dispatch checks data seed 2025, so the FP32 reference is
+    // computed by the first dispatch of each (class, batch) and reused
+    // by every later one, retries under chaos included.
+    auto bound = [](const serve::ServeSpec &spec) {
+        return spec.classes.size() * spec.policy.max_batch;
+    };
+    auto faults_off = chaosSpec(40000);
+    faults_off.cfg.fault = sim::FaultSpec{};
+    const auto clean = serve::runServing(faults_off);
+    EXPECT_EQ(clean.served(), clean.offered);
+    EXPECT_GE(clean.references, 1u);
+    EXPECT_LE(clean.references, bound(faults_off));
+    EXPECT_LT(clean.references, clean.runs);
+
+    auto chaos = chaosSpec(20000);
+    Status st;
+    chaos.cfg.fault =
+        sim::FaultSpec::parse("seed=1,link_drop=0.003,retries=0", &st);
+    ASSERT_TRUE(st.ok()) << st.toString();
+    chaos.policy.max_retries = 4;
+    const auto rep = serve::runServing(chaos);
+    EXPECT_GT(rep.retry_dispatches, 0u);  // The seed forces retries.
+    EXPECT_GE(rep.references, 1u);
+    EXPECT_LE(rep.references, bound(chaos));
+    EXPECT_LT(rep.references, rep.runs);
+
+    // One class, one request per batch: exactly one distinct key.
+    serve::ServeSpec one;
+    one.cfg = core::MachineConfig::vck190(/*functional=*/true);
+    one.classes = {serve::defaultClasses().front()};
+    one.policy.max_batch = 1;
+    one.num_requests = 8;
+    const auto single = serve::runServing(one);
+    EXPECT_EQ(single.ok, 8u);
+    EXPECT_EQ(single.runs, 8u);
+    EXPECT_EQ(single.references, 1u);
+
+    // A timing-only fleet has no reference to compute.
+    one.cfg = core::MachineConfig::vck190(/*functional=*/false);
+    EXPECT_EQ(serve::runServing(one).references, 0u);
+}
+
 TEST(ServingChaos, FunctionalBf16ServesEveryRequestFirstTime)
 {
     // All-bf16 functional serving: every dispatch meets the bf16 accuracy

@@ -124,12 +124,18 @@ using rsn::sim::TilePool;
 using rsn::sim::TileRef;
 
 void
+nop(void *)
+{
+}
+
+/** Raw callbacks on consecutive ticks: wheel insertion plus dispatch. */
+void
 BM_EngineEventDispatch(benchmark::State &state)
 {
     for (auto _ : state) {
         Engine e;
-        for (int i = 0; i < state.range(0); ++i)
-            e.schedule(i, [] {});
+        for (Tick i = 0; i < Tick(state.range(0)); ++i)
+            e.callAt(i, nop, nullptr);
         e.run();
         benchmark::DoNotOptimize(e.eventsProcessed());
     }
@@ -176,7 +182,7 @@ BM_SameTickBurst(benchmark::State &state)
     for (auto _ : state) {
         Engine e;
         for (int i = 0; i < state.range(0); ++i)
-            e.scheduleAt(1, [] {});
+            e.callAt(1, nop, nullptr);
         e.run();
         benchmark::DoNotOptimize(e.eventsProcessed());
     }
@@ -186,12 +192,14 @@ BENCHMARK(BM_SameTickBurst)->Arg(10000);
 
 struct ZeroDelayChain {
     Engine *e;
-    long *remaining;
-    void
-    operator()() const
+    long remaining;
+
+    static void
+    step(void *p)
     {
-        if (--*remaining > 0)
-            e->schedule(0, *this);
+        ZeroDelayChain *c = static_cast<ZeroDelayChain *>(p);
+        if (--c->remaining > 0)
+            c->e->callAt(c->e->now(), step, c);
     }
 };
 
@@ -202,10 +210,10 @@ BM_ZeroDelayNowQueue(benchmark::State &state)
 {
     for (auto _ : state) {
         Engine e;
-        long remaining = state.range(0);
-        e.schedule(0, ZeroDelayChain{&e, &remaining});
+        ZeroDelayChain chain{&e, state.range(0)};
+        e.callAt(0, ZeroDelayChain::step, &chain);
         e.run();
-        benchmark::DoNotOptimize(remaining);
+        benchmark::DoNotOptimize(chain.remaining);
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -77,13 +77,6 @@ ticksToMs(Tick t, double pl_hz = 260e6)
     return static_cast<double>(t) / pl_hz * 1e3;
 }
 
-/** Convert milliseconds to ticks for a given PL frequency. */
-inline Tick
-msToTicks(double ms, double pl_hz = 260e6)
-{
-    return static_cast<Tick>(ms * 1e-3 * pl_hz);
-}
-
 /** Convert a GB/s bandwidth into bytes per PL tick. */
 inline double
 gbpsToBytesPerTick(double gbps, double pl_hz = 260e6)

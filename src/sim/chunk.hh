@@ -74,21 +74,6 @@ struct Chunk {
             return data.data()[i];
         }
     }
-
-    /** Copy the payload out as floats, upconverting typed payloads
-     *  (tests / reference checks; allocates). */
-    std::vector<float>
-    toVector() const
-    {
-        rsn_assert(data, "no payload to copy");
-        if (dtype == Dtype::F32)
-            return std::vector<float>(data.data(), data.data() + elems());
-        std::vector<float> out(elems());
-        const std::uint16_t *p = data.data16();
-        for (std::uint64_t i = 0; i < out.size(); ++i)
-            out[i] = dtype == Dtype::Bf16 ? bf16ToF32(p[i]) : f16ToF32(p[i]);
-        return out;
-    }
 };
 
 static_assert(sizeof(Chunk) <= 32,

@@ -114,23 +114,16 @@ Engine::run(Tick max_ticks)
         std::uint32_t cur = active_head_;
         --pending_;
         ++events_processed_;
-        Slot &s = arena_[cur];
+        // Read the payload into registers before dispatch: the event may
+        // schedule and grow the arena, invalidating references into it.
+        const Slot &s = arena_[cur];
         if (s.kind == Kind::Coro) {
-            // Fast path: nothing to copy or destroy, just resume.
             std::coroutine_handle<> h = s.u.coro;
             h.resume();
-        } else if (s.kind == Kind::Ptr) {
-            // Raw-callback path: two register loads, then call.
+        } else {
             void (*fn)(void *) = s.u.pair.fn;
             void *arg = s.u.pair.arg;
             fn(arg);
-        } else {
-            // The callback may schedule and grow the arena, invalidating
-            // references into it; fire a stack copy of the POD slot.
-            Slot local = s;
-            local.invoke(local);
-            if (local.kind == Kind::Heap)
-                local.cleanup(local);
         }
         // Re-read after dispatch: the event may have extended its own
         // batch through the now-queue fast path. Only then may the slot
@@ -159,26 +152,6 @@ Engine::drainDiagnosis() const
         if (!w.quiet(w.obj))
             s += w.describe(w.obj) + "\n";
     return s;
-}
-
-Engine::~Engine()
-{
-    // Pending heap-path callables own memory; coroutine frames are owned
-    // by their Task wrappers, never by the engine.
-    for (const Level &l : wheel_)
-        for (const Bucket &b : l.b)
-            releaseList(b.head);
-    releaseList(active_head_);  // non-kNil only if run() aborted mid-batch
-}
-
-void
-Engine::releaseList(std::uint32_t head)
-{
-    for (std::uint32_t i = head; i != kNil; i = arena_[i].next) {
-        Slot &s = arena_[i];
-        if (s.kind == Kind::Heap)
-            s.cleanup(s);
-    }
 }
 
 } // namespace rsn::sim

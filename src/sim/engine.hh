@@ -4,11 +4,13 @@
  *
  * ## Event slots
  *
- * Events live in POD slots inside a recycling arena. Each slot carries a
- * tagged union: a bare `std::coroutine_handle<>` (the fast path — resuming
- * a suspended coroutine is the dominant event in every simulation) or a
- * small-buffer-optimized callable (the `schedule()` fallback). Slots at
- * the same tick form an intrusive FIFO list through their `next` index.
+ * Events live in 32-byte POD slots inside a recycling arena. A slot holds
+ * one of the two things the datapath schedules: a bare
+ * `std::coroutine_handle<>` (an FU kernel resume — `resumeAt`,
+ * `resumeNow`, `delay`/`delayUntil`; the dominant event in every
+ * simulation) or a raw `void (*)(void *)` callback with its argument
+ * (`callAt`; stream link completions). Slots at the same tick form an
+ * intrusive FIFO list through their `next` index.
  * Only the simulated datapath (FUs, streams, decoder, DRAM) schedules
  * events during a run; observers such as kernel-span recording
  * (fu::Fu::recordSpans) only read now(), so observing a run never moves
@@ -33,11 +35,12 @@
  *
  * In steady state the schedule/dispatch path performs **zero heap
  * allocations**: slots are recycled through a free list, the wheel is
- * fixed-size inline storage, and coroutine resumption stores nothing but
- * the handle. The only allocating paths are (a) one-time growth of the
- * arena / free list, amortized away after warmup, and (b) `schedule()`
- * callables that are too large or not trivially copyable for the inline
- * buffer, which fall back to the heap (`std::function` lands there).
+ * fixed-size inline storage, and an event stores nothing but a handle or
+ * a (callback, argument) pair. The only allocating path is one-time
+ * growth of the arena, amortized away after warmup. The engine owns no
+ * event payload: coroutine frames belong to their Task and callback
+ * arguments to their scheduler, so a destroyed engine drops its pending
+ * events without invoking or freeing anything.
  *
  * ## Ordering contract
  *
@@ -81,12 +84,9 @@
 #include <array>
 #include <bit>
 #include <coroutine>
-#include <cstddef>
 #include <cstdint>
-#include <new>
 #include <string>
 #include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -115,49 +115,12 @@ struct WaitableRec {
 class Engine
 {
   public:
-    /** Inline slot storage for schedule() callables; larger or
-     *  non-trivially-copyable ones fall back to the heap. Sized so a Slot
-     *  is exactly one cache line. */
-    static constexpr std::size_t kInlineFnSize = 32;
-
     Engine() = default;
-    ~Engine();
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
     /** Current simulated time in ticks. */
     Tick now() const { return now_; }
-
-    /** Schedule @p fn to run @p delay ticks from now. */
-    template <typename F>
-    void
-    schedule(Tick delay, F &&fn)
-    {
-        scheduleAt(now_ + delay, std::forward<F>(fn));
-    }
-
-    /** Schedule @p fn at absolute tick @p when (>= now). */
-    template <typename F>
-    void
-    scheduleAt(Tick when, F &&fn)
-    {
-        using Fn = std::decay_t<F>;
-        Slot &s = slotFor(when);
-        if constexpr (sizeof(Fn) <= kInlineFnSize &&
-                      alignof(Fn) <= alignof(std::max_align_t) &&
-                      std::is_trivially_copyable_v<Fn>) {
-            ::new (static_cast<void *>(s.u.fn)) Fn(std::forward<F>(fn));
-            s.invoke = [](Slot &sl) {
-                (*std::launder(reinterpret_cast<Fn *>(sl.u.fn)))();
-            };
-            s.kind = Kind::Inline;
-        } else {
-            s.u.heap = new Fn(std::forward<F>(fn));
-            s.invoke = [](Slot &sl) { (*static_cast<Fn *>(sl.u.heap))(); };
-            s.cleanup = [](Slot &sl) { delete static_cast<Fn *>(sl.u.heap); };
-            s.kind = Kind::Heap;
-        }
-    }
 
     /** Schedule resumption of a coroutine at absolute tick @p when. */
     void
@@ -169,11 +132,10 @@ class Engine
     }
 
     /**
-     * Schedule a raw callback at absolute tick @p when. This is the
-     * cheapest non-coroutine event: dispatch reads two pointers and
-     * calls, with none of the slot-copy or cleanup bookkeeping of
-     * schedule(). Used by the stream link scheduler's per-chunk
-     * completion events.
+     * Schedule the raw callback `fn(arg)` at absolute tick @p when.
+     * Dispatch reads two pointers and calls. @p arg must stay valid
+     * until the event runs or the engine is destroyed. Used by the
+     * stream link scheduler's per-chunk completion events.
      */
     void
     callAt(Tick when, void (*fn)(void *), void *arg)
@@ -182,13 +144,6 @@ class Engine
         s.u.pair.fn = fn;
         s.u.pair.arg = arg;
         s.kind = Kind::Ptr;
-    }
-
-    /** Schedule resumption of a coroutine @p delay ticks from now. */
-    void
-    resumeAfter(Tick delay, std::coroutine_handle<> h)
-    {
-        resumeAt(now_ + delay, h);
     }
 
     /**
@@ -328,35 +283,29 @@ class Engine
 
   private:
     enum class Kind : std::uint8_t {
-        Coro,    ///< Resume u.coro; nothing to destroy.
-        Ptr,     ///< Call u.pair.fn(u.pair.arg); nothing to destroy.
-        Inline,  ///< Trivially-copyable callable constructed in u.fn.
-        Heap,    ///< u.heap owns a callable; cleanup() deletes it.
+        Coro,  ///< Resume u.coro.
+        Ptr,   ///< Call u.pair.fn(u.pair.arg).
     };
 
     /** POD event slot; see file comment. Trivially copyable so the arena
-     *  can grow by memcpy and dispatch can fire a stack copy. */
+     *  grows by memcpy. */
     struct Slot {
         union Payload {
             // coroutine_handle's default ctor is non-trivial; leave the
-            // union uninitialized until a schedule/resume call fills it.
+            // union uninitialized until a resume/call fills it.
             Payload() {}
             std::coroutine_handle<> coro;
             struct {
                 void (*fn)(void *);
                 void *arg;
             } pair;
-            alignas(std::max_align_t) std::byte fn[kInlineFnSize];
-            void *heap;
         } u;
-        void (*invoke)(Slot &);   ///< Unused on the coroutine fast path.
-        void (*cleanup)(Slot &);  ///< Valid only when kind == Kind::Heap.
-        Tick when;                ///< Target tick (needed by cascades).
-        std::uint32_t next;       ///< Next slot in the same-tick FIFO.
+        Tick when;           ///< Target tick (needed by cascades).
+        std::uint32_t next;  ///< Next slot in the same-tick FIFO.
         Kind kind;
     };
     static_assert(std::is_trivially_copyable_v<Slot>);
-    static_assert(sizeof(Slot) <= 64, "Slot must stay one cache line");
+    static_assert(sizeof(Slot) == 32, "two slots per cache line");
 
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
     static constexpr int kLevelBits = 8;
@@ -467,7 +416,6 @@ class Engine
 
     Tick nextEventTick(Tick max_ticks);
     void cascade(int lvl, std::uint32_t bi);
-    void releaseList(std::uint32_t head);
 
     std::vector<Slot> arena_;
     std::uint32_t free_head_ = kNil;  ///< Intrusive free list via Slot::next.

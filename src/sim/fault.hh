@@ -170,7 +170,6 @@ class FaultInjector
     /** Register a fault site; decisions are keyed by the name's hash, so
      *  the schedule is independent of registration order. */
     SiteId registerSite(const std::string &name);
-    const std::string &siteName(SiteId s) const { return sites_[s].name; }
 
     /** Outcome of admitting one transfer / access at a faulty site. */
     struct Outcome {

@@ -31,13 +31,13 @@
  *
  * ## Lifetime
  *
- * In-flight transfers hold a raw `this` in their engine completion
- * event, so a Stream with a non-empty link (`inFlight() > 0`) must not
- * be destroyed while its engine may still dispatch — the same rule Task
- * imposes for coroutine frames. The machine guarantees this by
+ * Every chunk admitted to the link holds a raw `this` in its engine
+ * completion event, so a Stream with admitted, undelivered chunks must
+ * not be destroyed while its engine may still dispatch — the same rule
+ * Task imposes for coroutine frames. The machine guarantees this by
  * destroying streams only after Engine::run returned and never running
- * that engine again (events dropped at engine destruction are released,
- * not invoked).
+ * that engine again (events pending at engine destruction are dropped,
+ * never invoked).
  */
 
 #ifndef RSN_SIM_STREAM_HH
@@ -133,7 +133,6 @@ class Stream
     /** @} */
 
     const std::string &name() const { return name_; }
-    double bytesPerTick() const { return bytes_per_tick_; }
 
     /** Total bytes delivered (stats). */
     Bytes bytesTransferred() const { return bytes_transferred_; }
@@ -151,8 +150,6 @@ class Stream
     bool hasBlockedSender() const { return !pending_.empty(); }
     bool hasBlockedReceiver() const { return !recv_waiters_.empty(); }
     std::size_t queued() const { return q_.size(); }
-    /** Chunks admitted to the link but not yet delivered. */
-    std::size_t inFlight() const { return xfer_.size(); }
 
     /** Transfer duration in ticks for a chunk of @p b bytes (>= 1). */
     Tick

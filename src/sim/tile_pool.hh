@@ -416,21 +416,13 @@ class GatherTile
     /**
      * Writable access to segment @p i (copy-on-write when the segment
      * is still shared with its producer — TileRef::ensureUnique).
-     * F32 gathers only; typed gathers go through segmentMutableRaw.
+     * F32 gathers only.
      */
     float *
     segmentMutable(std::size_t i)
     {
         rsn_assert(i < count_, "gather segment out of range");
         return segs_[i].tile.ensureUnique(segs_[i].elems);
-    }
-
-    /** Dtype-agnostic writable access to segment @p i (same COW rule). */
-    void *
-    segmentMutableRaw(std::size_t i)
-    {
-        rsn_assert(i < count_, "gather segment out of range");
-        return segs_[i].tile.ensureUniqueRaw(segs_[i].elems);
     }
 
     /**

@@ -2,10 +2,9 @@
  * @file
  * Counting-allocator verification of the engine's allocation-free
  * dispatch invariant (see the file comment in sim/engine.hh): after
- * warmup, coroutine resumption and inline-callback dispatch must perform
+ * warmup, coroutine resumption and raw-callback dispatch must perform
  * zero heap allocations, and channel traffic must be O(1) allocations
- * regardless of item count. Also checks that undispatched heap-path
- * callables are released on engine destruction.
+ * regardless of item count.
  *
  * The whole test binary replaces global operator new/delete with counting
  * versions; tests only compare counter deltas around regions where no
@@ -14,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -25,7 +23,6 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
-std::atomic<std::uint64_t> g_deletes{0};
 } // namespace
 
 void *
@@ -46,7 +43,6 @@ operator new[](std::size_t n)
 void
 operator delete(void *p) noexcept
 {
-    g_deletes.fetch_add(1, std::memory_order_relaxed);
     std::free(p);
 }
 
@@ -92,7 +88,6 @@ operator new[](std::size_t n, std::align_val_t al)
 void
 operator delete(void *p, std::align_val_t) noexcept
 {
-    g_deletes.fetch_add(1, std::memory_order_relaxed);
     std::free(p);
 }
 
@@ -147,29 +142,31 @@ TEST(EngineAlloc, CoroutineResumeDispatchIsAllocationFree)
     EXPECT_TRUE(t.done());
 }
 
+/** Self-rescheduling raw callback: one event per tick until done. */
 struct Chain {
     Engine *e;
-    int *remaining;
-    void
-    operator()() const
+    int remaining;
+
+    static void
+    step(void *p)
     {
-        if (--*remaining > 0)
-            e->schedule(1, *this);
+        Chain *c = static_cast<Chain *>(p);
+        if (--c->remaining > 0)
+            c->e->callAt(c->e->now() + 1, step, c);
     }
 };
-static_assert(sizeof(Chain) <= Engine::kInlineFnSize);
 
-TEST(EngineAlloc, InlineCallbackDispatchIsAllocationFree)
+TEST(EngineAlloc, RawCallbackDispatchIsAllocationFree)
 {
     Engine e;
-    int remaining = 20000;
-    e.schedule(1, Chain{&e, &remaining});
+    Chain chain{&e, 20000};
+    e.callAt(1, Chain::step, &chain);
     e.run(1000);  // warmup
     std::uint64_t before = news();
     e.run(15000);
-    EXPECT_EQ(news(), before) << "inline callback path allocated";
+    EXPECT_EQ(news(), before) << "raw callback path allocated";
     EXPECT_TRUE(e.run());
-    EXPECT_EQ(remaining, 0);
+    EXPECT_EQ(chain.remaining, 0);
 }
 
 Task
@@ -202,21 +199,6 @@ TEST(EngineAlloc, ChannelTrafficAllocatesO1NotPerItem)
     // per wakeup through a node-based priority queue).
     EXPECT_LE(news() - before, 64u);
     EXPECT_EQ(sum, 10000L * 9999 / 2);
-}
-
-TEST(EngineAlloc, UndispatchedHeapCallablesReleasedOnDestruction)
-{
-    std::uint64_t nb = news();
-    std::uint64_t db = g_deletes.load(std::memory_order_relaxed);
-    {
-        Engine e;
-        std::array<char, 200> big{};  // forces the heap fallback path
-        for (int i = 0; i < 16; ++i)
-            e.schedule(5 + i % 3, [big] { (void)big; });
-        // Destroyed with all 16 events still pending.
-    }
-    EXPECT_EQ(news() - nb, g_deletes.load(std::memory_order_relaxed) - db)
-        << "engine destruction leaked pending heap callables";
 }
 
 } // namespace

@@ -2,20 +2,21 @@
  * @file
  * Determinism stress test for the timing-wheel event engine.
  *
- * Replays identical seeded scripts — interleaving inline callbacks,
- * heap-path callbacks (captures too large for the inline slot), coroutine
- * resumes across the wheel levels (including ticks beyond 2^32),
- * same-tick bursts, and zero-delay chains — on both the production Engine and a reference
+ * Replays identical seeded scripts — interleaving near-tick callbacks,
+ * callbacks spread across several wheel levels, coroutine resumes across
+ * the wheel levels (including ticks beyond 2^32), same-tick bursts, and
+ * zero-delay chains — on both the production Engine and a reference
  * engine that reproduces the seed implementation (single priority queue
- * ordered by (tick, sequence)). The observable execution order must match
- * bit-for-bit.
+ * ordered by (tick, sequence)). The production engine runs the script's
+ * callbacks as raw `callAt` events and its coroutines through
+ * `resumeAt`. The observable execution order must match bit-for-bit.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <queue>
 #include <random>
@@ -40,13 +41,7 @@ class RefEngine
     Tick now() const { return now_; }
 
     void
-    schedule(Tick delay, std::function<void()> fn)
-    {
-        scheduleAt(now_ + delay, std::move(fn));
-    }
-
-    void
-    scheduleAt(Tick when, std::function<void()> fn)
+    enqueue(Tick when, std::function<void()> fn)
     {
         queue_.push(Event{when, next_seq_++, std::move(fn)});
     }
@@ -54,7 +49,7 @@ class RefEngine
     void
     resumeAt(Tick when, std::coroutine_handle<> h)
     {
-        scheduleAt(when, [h] { h.resume(); });
+        enqueue(when, [h] { h.resume(); });
     }
 
     bool
@@ -92,6 +87,27 @@ class RefEngine
     Tick now_ = 0;
     std::uint64_t next_seq_ = 0;
 };
+
+/** Closures the script schedules. The production engine takes each as a
+ *  raw callback whose argument is the stored closure; the deque keeps
+ *  every entry's address stable until the script ends. */
+using Closures = std::deque<std::function<void()>>;
+
+void
+post(RefEngine &e, Closures &, Tick when, std::function<void()> fn)
+{
+    e.enqueue(when, std::move(fn));
+}
+
+void
+post(Engine &e, Closures &keep, Tick when, std::function<void()> fn)
+{
+    keep.push_back(std::move(fn));
+    e.callAt(
+        when,
+        [](void *p) { (*static_cast<std::function<void()> *>(p))(); },
+        &keep.back());
+}
 
 /** Engine-generic delay awaitable (Engine::delay is Engine-specific). */
 template <typename E>
@@ -135,6 +151,7 @@ std::vector<int>
 runScript(unsigned seed)
 {
     E e;
+    Closures keep;
     std::vector<int> log;
     std::mt19937 rng(seed);
     std::vector<Task> tasks;
@@ -142,22 +159,21 @@ runScript(unsigned seed)
     for (int op = 0; op < 400; ++op) {
         int tag = 100000 + op * 10;
         switch (rng() % 6) {
-        case 0: {  // small inline callback, near tick
+        case 0: {  // callback, near tick
             Tick d = rng() % 60;
-            e.schedule(d, [&log, tag] { log.push_back(tag); });
+            post(e, keep, e.now() + d, [&log, tag] { log.push_back(tag); });
             break;
         }
-        case 1: {  // heap-path callback (capture exceeds the inline slot)
-            std::array<char, 100> pad{};
-            pad[0] = char(op);
+        case 1: {  // callback far enough out to cascade
             Tick d = rng() % 300000;  // spans several wheel levels
-            e.schedule(d, [&log, tag, pad] { log.push_back(tag + pad[0]); });
+            post(e, keep, e.now() + d, [&log, tag] { log.push_back(tag); });
             break;
         }
         case 2: {  // same-tick burst
             Tick d = rng() % 40;
             for (int k = 0; k < 8; ++k)
-                e.schedule(d, [&log, tag, k] { log.push_back(tag + k); });
+                post(e, keep, e.now() + d,
+                     [&log, tag, k] { log.push_back(tag + k); });
             break;
         }
         case 3: {  // coroutine actor with its own timed hops
@@ -173,9 +189,9 @@ runScript(unsigned seed)
         }
         case 5: {  // zero-delay chain scheduled from inside an event
             Tick d = rng() % 25;
-            e.schedule(d, [&e, &log, tag] {
+            post(e, keep, e.now() + d, [&e, &keep, &log, tag] {
                 log.push_back(tag);
-                e.schedule(0, [&log, tag] { log.push_back(tag + 1); });
+                post(e, keep, e.now(), [&log, tag] { log.push_back(tag + 1); });
             });
             break;
         }

@@ -84,7 +84,8 @@ TEST(TilePool, ChunkCopySharesPayloadByRefcount)
     EXPECT_EQ(c.data.data(), d.data.data());
     EXPECT_FALSE(c.data.unique());
     EXPECT_FLOAT_EQ(d.at(1, 1), 4.f);
-    EXPECT_EQ(d.toVector(), (std::vector<float>{1.f, 2.f, 3.f, 4.f}));
+    EXPECT_EQ(std::vector<float>(d.data.data(), d.data.data() + d.elems()),
+              (std::vector<float>{1.f, 2.f, 3.f, 4.f}));
 }
 
 TEST(TilePool, TrimReleasesRetiredBuffersAndResetsFreeBytes)

@@ -15,7 +15,7 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
 # Benchmarks must at least run (one fast rep; timing is bench_json.sh's job).
 "$BUILD/bench_micro_sim" --benchmark_min_time=0 \
-    --benchmark_filter='BM_EngineEventDispatch/1000$|BM_ChannelPingPong/1000$|BM_CoroResumeDispatch/1000$' \
+    --benchmark_filter='BM_EngineEventDispatch/1000$|BM_ChannelPingPong/1000$|BM_CoroResumeDispatch/1000$|BM_SameTickBurst/10000$|BM_ZeroDelayNowQueue/10000$' \
     >/dev/null 2>&1
 
 # Chaos smoke (docs/robustness.md): two seeded fault schedules on the

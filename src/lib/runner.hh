@@ -30,6 +30,28 @@ namespace rsn::lib {
 void initTensors(core::RsnMachine &mach, const CompiledModel &compiled,
                  std::uint32_t seed, float scale = 0.5f);
 
+/**
+ * The seeded host image of one compiled model: what initTensors() wrote,
+ * one payload per entry of CompiledModel::tensors. Only "input" and the
+ * weights carry data; activations (they start zeroed) and every tensor
+ * of a timing-only machine hold an empty payload.
+ */
+using SeededImage = std::vector<std::vector<float>>;
+
+/** Capture @p compiled's seeded regions, right after initTensors(). */
+SeededImage captureSeeded(core::RsnMachine &mach,
+                          const CompiledModel &compiled);
+
+/**
+ * Re-place @p compiled's tensor layout on a reset or freshly built
+ * machine whose config matches the one it was compiled on (the fault
+ * seed aside), asserting every address equals TensorInfo::addr, and
+ * copy @p image's seeded regions in. The host then equals compileModel()
+ * followed by initTensors() on a fresh machine, without either.
+ */
+void restoreTensors(core::RsnMachine &mach, const CompiledModel &compiled,
+                    const SeededImage &image);
+
 /** Read a tensor out of simulated off-chip memory as a matrix. */
 ref::Matrix readTensor(core::RsnMachine &mach,
                        const CompiledModel &compiled,
@@ -74,7 +96,8 @@ struct CheckedRun {
  * @p compiled program through the structured RunReport channel and,
  * when the run completes on a functional machine, hold every tensor of
  * @p refs that the compiled model exposes (except "input") to the
- * accuracy contract of the machine's precision policy. Never throws on
+ * accuracy contract of the machine's precision policy, compared in
+ * place in host memory. Never throws on
  * a diagnosed fault / deadlock / timeout or an output mismatch; those
  * come back classified in the report, and a mismatch's message names
  * each diverged tensor with its first bad element. @p refs must be the
@@ -87,8 +110,9 @@ CheckedRun runVerified(core::RsnMachine &mach, const CompiledModel &compiled,
 /**
  * The full checked execution flow in one call: seed tensors, capture the
  * FP32 reference, then runVerified(). This is the path rsn-sim, sweeps
- * and the golden tier drive; rsn-serve calls runVerified() with a
- * reference it computed once per (class, batch).
+ * and the golden tier drive; rsn-serve restores a memoized program and
+ * seeded image per (class, batch) instead (restoreTensors()) and calls
+ * runVerified() with that key's memoized reference.
  */
 CheckedRun runModelChecked(core::RsnMachine &mach, const Model &model,
                            const CompiledModel &compiled,

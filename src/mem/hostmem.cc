@@ -153,6 +153,13 @@ HostMemory::fillRegion(Addr base, const float *values, std::size_t n)
 std::vector<float>
 HostMemory::readRegion(Addr base) const
 {
+    const std::span<const float> r = region(base);
+    return {r.begin(), r.end()};
+}
+
+std::span<const float>
+HostMemory::region(Addr base) const
+{
     auto it = regions_.find(base);
     rsn_assert(it != regions_.end(), "read of unknown region");
     return it->second.data;

@@ -13,6 +13,7 @@
 #define RSN_MEM_HOSTMEM_HH
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -100,6 +101,10 @@ class HostMemory
 
     /** Snapshot a whole region (functional verification). */
     std::vector<float> readRegion(Addr base) const;
+
+    /** A whole region's storage, in place (empty in timing-only mode):
+     *  verify compares outputs here without a readRegion copy. */
+    std::span<const float> region(Addr base) const;
 
   private:
     static constexpr Addr kBase = 0x1000;

@@ -206,6 +206,21 @@ allclose(const Matrix &a, const Matrix &b, float rtol, float atol,
     return true;
 }
 
+bool
+allcloseFast(std::span<const float> a, std::span<const float> b,
+             float rtol, float atol)
+{
+    rsn_assert(a.size() == b.size(), "shape mismatch");
+    unsigned bad = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const float x = a[i], y = b[i];
+        const float tol = atol + rtol * std::abs(y);
+        bad |= unsigned(std::abs(x - y) > tol) |
+               unsigned((x != x) != (y != y));
+    }
+    return bad == 0;
+}
+
 float
 maxAbsDiff(const Matrix &a, const Matrix &b)
 {

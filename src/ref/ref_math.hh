@@ -12,6 +12,7 @@
 #define RSN_REF_REF_MATH_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,6 +79,15 @@ Matrix layernorm(const Matrix &a, const std::vector<float> &gamma,
  */
 bool allclose(const Matrix &a, const Matrix &b, float rtol, float atol,
               std::string *why = nullptr);
+
+/**
+ * allclose()'s decision for equal-length payloads, in one branch-free
+ * pass the compiler vectorizes: the same per-element predicate, no
+ * early exit and no diagnostics. Rerun allclose() on false to name the
+ * first diverged element.
+ */
+bool allcloseFast(std::span<const float> a, std::span<const float> b,
+                  float rtol, float atol);
 
 /** Max absolute element difference. */
 float maxAbsDiff(const Matrix &a, const Matrix &b);

@@ -159,10 +159,21 @@ class ServingSim
     struct Flight {
         std::uint32_t slot = 0;
         std::vector<std::uint64_t> reqs;
-        bool ok = false;
-        bool hard = false;  ///< FaultDiagnosed or OutputMismatch.
+        StatusCode status = StatusCode::Ok;  ///< The inner run's outcome.
         bool probe = false;
         Tick ticks = 1;
+    };
+
+    /** Everything a dispatch of one (class, batch) needs before it
+     *  runs. All of it is a pure function of the key: the lane machines
+     *  share the spec config apart from the fault seed, and every
+     *  dispatch checks the same data seed. */
+    struct Memo {
+        lib::CompiledModel compiled;
+        lib::SeededImage image;  ///< Captured before any run.
+        /** Reference tensors minus "input"; empty on a timing-only
+         *  fleet. */
+        std::map<std::string, ref::Matrix> refs;
     };
 
     enum class Outcome : std::uint8_t { Ok, Shed, Timeout, Faulted };
@@ -234,11 +245,12 @@ class ServingSim
     void dispatch(Tick now, std::size_t slot, std::uint32_t cls,
                   std::uint32_t cap);
     void openBreaker(std::size_t slot, Tick now);
-    /** The reference a dispatch of (cls, n) is held to: refs_'s entry,
-     *  computed on first use; empty on a timing-only fleet. */
-    const std::map<std::string, ref::Matrix> &
-    reference(std::uint32_t cls, std::uint32_t n, core::RsnMachine &mach,
-              const lib::Model &model, const lib::CompiledModel &compiled);
+    /** Put the (cls, n) program and its seeded image on @p mach, which
+     *  lane reset left pristine: the first dispatch of a key compiles,
+     *  seeds and evaluates the reference into memo_; every later one
+     *  restores from it. */
+    const Memo &prepare(std::uint32_t cls, std::uint32_t n,
+                        core::RsnMachine &mach);
 
     /** Every dispatch checks the same data seed, so a dispatch's
      *  reference is a function of its (class, batch) alone. */
@@ -258,13 +270,9 @@ class ServingSim
     std::uint64_t queued_total_ = 0;
     std::uint64_t resolved_ = 0;
     Tick est_service_ = 0;  ///< Integer EWMA of observed run ticks.
-    /** Reference tensors per (class, batch), minus "input": computed by
-     *  the first functional dispatch of a key, compared against by every
-     *  later one. Scoped to this simulation (docs/datapath.md,
-     *  "Reference oracle"). */
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::map<std::string, ref::Matrix>>
-        refs_;
+    /** Per (class, batch), filled by the first dispatch of a key.
+     *  Scoped to this simulation (docs/datapath.md, "Serving memo"). */
+    std::map<std::pair<std::uint32_t, std::uint32_t>, Memo> memo_;
 };
 
 void
@@ -321,13 +329,22 @@ ServingSim::onCompletion(std::uint64_t fid, Tick now)
     est_service_ =
         est_service_ ? (est_service_ * 7 + f.ticks) / 8 : f.ticks;
 
-    if (f.ok) {
+    if (f.status == StatusCode::Ok ||
+        f.status == StatusCode::OutputMismatch) {
+        // The run completed, so the slot is healthy. A mismatch is a
+        // verification failure, not a hard fault: its (class, batch)
+        // replays the same program on the same image, so a retry would
+        // fail the same way. Its requests resolve faulted at once.
         for (std::uint64_t rid : f.reqs) {
             const Request &r = reqs_[rid];
-            if (p.deadline && now > r.arrival + p.deadline)
+            if (f.status == StatusCode::OutputMismatch) {
+                ++rep_.mismatched;
+                resolve(rid, Outcome::Faulted, now);
+            } else if (p.deadline && now > r.arrival + p.deadline) {
                 resolve(rid, Outcome::Timeout, now);
-            else
+            } else {
                 resolve(rid, Outcome::Ok, now);
+            }
         }
         s.consec_hard = 0;
         if (f.probe)
@@ -364,7 +381,7 @@ ServingSim::onCompletion(std::uint64_t fid, Tick now)
         push(at, EvKind::Retry, rid);
     }
 
-    if (f.hard)
+    if (f.status == StatusCode::FaultDiagnosed)
         ++s.consec_hard;
     if (f.probe || s.consec_hard >= p.breaker_threshold) {
         // A failed probe reopens immediately; a closed slot opens once
@@ -456,37 +473,40 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     ++dispatch_seq_;
 
     core::RsnMachine &mach = s.lane.machine(cfg);
-    const lib::Model model = spec_.classes[cls].build(n);
-    const lib::CompiledModel compiled =
-        lib::compileModel(mach, model, lib::ScheduleOptions::optimized());
-    lib::initTensors(mach, compiled, kDataSeed);
-    const lib::CheckedRun cr =
-        lib::runVerified(mach, compiled, reference(cls, n, mach, model,
-                                                   compiled),
-                         spec_.policy.run_tick_budget);
+    const Memo &m = prepare(cls, n, mach);
+    const lib::CheckedRun cr = lib::runVerified(
+        mach, m.compiled, m.refs, spec_.policy.run_tick_budget);
     ++rep_.runs;
     rep_.faults_injected += cr.report.faults_injected;
-    f.ok = cr.ok();
-    f.hard = cr.report.status.code == StatusCode::FaultDiagnosed ||
-             cr.report.status.code == StatusCode::OutputMismatch;
+    f.status = cr.report.status.code;
     f.ticks = cr.report.result.ticks ? cr.report.result.ticks : 1;
     flights_.push_back(std::move(f));
     push(now + flights_.back().ticks, EvKind::Completion,
          flights_.size() - 1);
 }
 
-const std::map<std::string, ref::Matrix> &
-ServingSim::reference(std::uint32_t cls, std::uint32_t n,
-                      core::RsnMachine &mach, const lib::Model &model,
-                      const lib::CompiledModel &compiled)
+const ServingSim::Memo &
+ServingSim::prepare(std::uint32_t cls, std::uint32_t n,
+                    core::RsnMachine &mach)
 {
-    auto [it, miss] = refs_.try_emplace({cls, n});
-    if (miss && mach.host().functional()) {
-        it->second = lib::referenceForward(mach, model, compiled);
-        it->second.erase("input");
+    auto [it, miss] = memo_.try_emplace({cls, n});
+    Memo &m = it->second;
+    if (!miss) {
+        lib::restoreTensors(mach, m.compiled, m.image);
+        return m;
+    }
+    const lib::Model model = spec_.classes[cls].build(n);
+    m.compiled =
+        lib::compileModel(mach, model, lib::ScheduleOptions::optimized());
+    ++rep_.programs;
+    lib::initTensors(mach, m.compiled, kDataSeed);
+    m.image = lib::captureSeeded(mach, m.compiled);
+    if (mach.host().functional()) {
+        m.refs = lib::referenceForward(mach, model, m.compiled);
+        m.refs.erase("input");
         ++rep_.references;
     }
-    return it->second;
+    return m;
 }
 
 ServingReport

@@ -24,6 +24,11 @@
  *   Livelock / Timeout re-enqueues its requests after an exponential
  *   backoff (base << attempt) plus seed-derived jitter, up to
  *   max_retries per request; exhaustion resolves the request faulted.
+ * - **Verification failures** are not retried: a batch whose run ends
+ *   OutputMismatch resolves its requests faulted at once and leaves
+ *   the slot's breaker state alone. A dispatch of one (class, batch)
+ *   always replays the same memoized program on the same seeded
+ *   image, so a retry would mismatch again.
  * - **Load shedding**: arrivals are refused (shed) when total queue
  *   depth reaches queue_capacity, or when the projected wait — an
  *   integer EWMA of observed service ticks times the queued batch
@@ -111,15 +116,22 @@ struct ServingReport {
     std::uint64_t retried = 0;      ///< Completed after >= 1 retry.
     std::uint64_t shed = 0;         ///< Refused at admission.
     std::uint64_t timeout = 0;      ///< Deadline expired (queued or late).
-    std::uint64_t faulted = 0;      ///< Retries exhausted.
+    std::uint64_t faulted = 0;      ///< Retries exhausted, or mismatched.
     /** @} */
 
     std::uint64_t retry_dispatches = 0;  ///< Re-enqueues performed.
     std::uint64_t runs = 0;              ///< Inner simulations executed.
-    /** FP32 reference evaluations: at most one per distinct (class,
-     *  batch) dispatched, since every dispatch checks the same data
-     *  seed. Not rendered by toString(). */
+    /** Programs compiled: exactly one per distinct (class, batch)
+     *  dispatched, the serving memo's entry count. Not rendered by
+     *  toString(). */
+    std::uint64_t programs = 0;
+    /** FP32 reference evaluations: one per memo entry on a functional
+     *  fleet, none on a timing-only one. Not rendered by toString(). */
     std::uint64_t references = 0;
+    /** Requests resolved faulted because their batch's outputs failed
+     *  the accuracy contract (OutputMismatch): never retried, never
+     *  counted toward a breaker. Not rendered by toString(). */
+    std::uint64_t mismatched = 0;
     std::uint64_t faults_injected = 0;   ///< Across all inner runs.
     std::uint64_t machines_built = 0;    ///< Fleet builds (incl. rebuilds).
     std::uint64_t machines_reused = 0;   ///< reset()-path dispatches.

@@ -3,12 +3,25 @@
 # benchmarks and emit a merged BENCH_sim.json summary for the
 # performance trajectory across PRs.
 #
-# Usage: tools/bench_json.sh [build-dir] [out-json]
+# The record also holds the end-to-end serving claim: three runs of
+# `python3 perfbench/run.py --workload serve --seed 1 --seconds 10
+# --trace 0`, summarized as median/min/max of latency_p90_ms,
+# peak_rss_mb and setup_s under the "perfbench" key, with the host and
+# perfbench's build type. Given a parent checkout, its runs alternate
+# with this tree's (so host drift hits both alike) and land beside
+# them as the "before".
+#
+# Usage: tools/bench_json.sh [build-dir] [out-json] [parent-checkout]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD="${1:-build}"
 OUT="${2:-BENCH_sim.json}"
+PARENT="${3:-}"
+if [[ -n "$PARENT" && ! -f "$PARENT/perfbench/run.py" ]]; then
+    echo "error: $PARENT has no perfbench/run.py" >&2
+    exit 1
+fi
 
 for bin in bench_micro_sim bench_functional bench_serving; do
     if [[ ! -x "$BUILD/$bin" ]]; then
@@ -20,7 +33,8 @@ done
 RAW_MICRO="$(mktemp)"
 RAW_FUNC="$(mktemp)"
 RAW_SERVE="$(mktemp)"
-trap 'rm -f "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE"' EXIT
+RAW_PERF="$(mktemp)"
+trap 'rm -f "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE" "$RAW_PERF"' EXIT
 "$BUILD/bench_micro_sim" --benchmark_format=json --benchmark_min_time=0.5 \
     >"$RAW_MICRO" 2>/dev/null
 "$BUILD/bench_functional" --benchmark_format=json --benchmark_min_time=0.5 \
@@ -28,11 +42,25 @@ trap 'rm -f "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE"' EXIT
 "$BUILD/bench_serving" --benchmark_format=json --benchmark_min_time=0.5 \
     >"$RAW_SERVE" 2>/dev/null
 
-python3 - "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE" "$OUT" <<'EOF'
+# One "<tree> <run.py JSON line>" per run; run.py builds each tree's
+# perfbench binary into that tree's .bench_build/ on first use.
+for _ in 1 2 3; do
+    for tree in change ${PARENT:+parent}; do
+        dir=.
+        [[ "$tree" == parent ]] && dir="$PARENT"
+        line="$(cd "$dir" && python3 perfbench/run.py --workload serve \
+            --seed 1 --seconds 10 --trace 0 2>/dev/null | tail -n 1)"
+        echo "$tree $line" >>"$RAW_PERF"
+    done
+done
+
+python3 - "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE" "$RAW_PERF" "$OUT" <<'EOF'
 import json
+import os
+import statistics
 import sys
 
-raws = [json.load(open(p)) for p in sys.argv[1:-1]]
+raws = [json.load(open(p)) for p in sys.argv[1:4]]
 ctx = raws[0].get("context", {})
 out = {
     "context": {
@@ -75,6 +103,42 @@ for raw in raws:
             if counter in b:
                 entry[counter] = b[counter]
         out["events_per_second"][b["name"]] = entry
+
+
+def field(path, prefix, sep):
+    """The value after @sep on @path's first line starting @prefix."""
+    try:
+        for line in open(path):
+            if line.startswith(prefix):
+                return line.split(sep, 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+runs = {}
+for line in open(sys.argv[4]):
+    tree, _, result = line.strip().partition(" ")
+    res = json.loads(result)
+    if not res["correct"] or res["failed"]:
+        sys.exit(f"perfbench serve failed in the {tree} tree: {result}")
+    runs.setdefault(tree, []).append(res["metrics"])
+perf = {
+    "command": "python3 perfbench/run.py --workload serve --seed 1 "
+               "--seconds 10 --trace 0",
+    "host": {"cpu": field("/proc/cpuinfo", "model name", ":"),
+             "num_cpus": os.cpu_count()},
+    "build_type": field(".bench_build/CMakeCache.txt",
+                        "CMAKE_BUILD_TYPE:", "="),
+}
+for tree, samples in runs.items():
+    perf[tree] = {}
+    for metric in ("latency_p90_ms", "peak_rss_mb", "setup_s"):
+        vals = [s[metric]["value"] for s in samples]
+        perf[tree][metric] = {"median": statistics.median(vals),
+                              "min": min(vals), "max": max(vals),
+                              "runs": len(vals)}
+out["perfbench"] = perf
 json.dump(out, open(sys.argv[-1], "w"), indent=2)
 print(f"wrote {sys.argv[-1]}")
 EOF

@@ -19,13 +19,12 @@ main()
     core::banner("Fig. 16: FU compute / memory / bandwidth properties");
 
     core::RsnMachine mach(core::MachineConfig::vck190());
-    const double pl_hz = mach.config().clocks.plHz;
 
     Table t("Per-FU properties (bandwidth = sum of in+out edges)");
     t.header({"FU", "compute TFLOPS", "memory KB", "agg BW GB/s"});
     for (const auto &f : mach.fus()) {
         double bw_gbs =
-            mach.topology().aggregateBandwidth(f->id()) * pl_hz / 1e9;
+            mach.topology().aggregateBandwidth(f->id()) * kPlHz / 1e9;
         t.row({f->name(),
                Table::num(mach.fuPeakTflops(f->id()), 3),
                Table::num(mach.fuMemoryBytes(f->id()) / 1024.0, 0),

@@ -6,6 +6,7 @@
 #ifndef RSN_COMMON_TYPES_HH
 #define RSN_COMMON_TYPES_HH
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -62,26 +63,62 @@ struct FuId {
 /** Invalid / unset FU id. */
 inline constexpr FuId kNoFu{};
 
-/** Clock frequencies of the modeled VCK190 platform. */
-struct ClockSpec {
-    double plHz = 260e6;    ///< PL fabric clock (simulation tick).
-    double aieHz = 1.25e9;  ///< AIE array clock.
-
-    bool operator==(const ClockSpec &) const = default;
-};
-
-/** Convert ticks (PL cycles) to milliseconds for a given PL frequency. */
-inline double
-ticksToMs(Tick t, double pl_hz = 260e6)
+/** Constructor-style ids for the RSN-XNN FU instances (paper Fig. 10). */
+constexpr FuId
+mme(int i)
 {
-    return static_cast<double>(t) / pl_hz * 1e3;
+    return {FuType::Mme, static_cast<std::uint8_t>(i)};
+}
+constexpr FuId
+memA(int i)
+{
+    return {FuType::MemA, static_cast<std::uint8_t>(i)};
+}
+constexpr FuId
+memB(int i)
+{
+    return {FuType::MemB, static_cast<std::uint8_t>(i)};
+}
+constexpr FuId
+memC(int i)
+{
+    return {FuType::MemC, static_cast<std::uint8_t>(i)};
+}
+inline constexpr FuId kMeshA{FuType::MeshA, 0};
+inline constexpr FuId kMeshB{FuType::MeshB, 0};
+inline constexpr FuId kDdr{FuType::Ddr, 0};
+inline constexpr FuId kLpddr{FuType::Lpddr, 0};
+
+/** PL fabric clock of the modeled VCK190 platform (simulation tick). */
+inline constexpr double kPlHz = 260e6;
+/** AIE array clock of the modeled VCK190 platform. */
+inline constexpr double kAieHz = 1.25e9;
+
+/** Convert ticks (PL cycles) to milliseconds. */
+inline double
+ticksToMs(Tick t)
+{
+    return static_cast<double>(t) / kPlHz * 1e3;
+}
+
+/**
+ * Round a non-negative duration up to whole ticks. A configured rate so
+ * slow that the duration leaves Tick's range saturates at 2^62 ticks
+ * instead of overflowing the cast: the run then times out at its
+ * max_ticks like any other slow one.
+ */
+inline Tick
+ceilTicks(double ticks)
+{
+    constexpr double kMax = 0x1p62;
+    return ticks < kMax ? static_cast<Tick>(std::ceil(ticks)) : Tick(kMax);
 }
 
 /** Convert a GB/s bandwidth into bytes per PL tick. */
 inline double
-gbpsToBytesPerTick(double gbps, double pl_hz = 260e6)
+gbpsToBytesPerTick(double gbps)
 {
-    return gbps * 1e9 / pl_hz;
+    return gbps * 1e9 / kPlHz;
 }
 
 } // namespace rsn

@@ -20,8 +20,8 @@ AreaModel::decoderArea(const MachineConfig &cfg)
     a.dsp += 2;  // stride address generators (DDR, LPDDR)
 
     // Per-FU third-level decoders + uOP FIFOs.
-    const int fus = cfg.num_mme + cfg.num_mem_a + cfg.num_mem_b +
-                    cfg.num_mem_c + 2 /*mesh*/ + 2 /*ddr, lpddr*/;
+    const int fus = kNumMme + kNumMemA + kNumMemB + kNumMemC +
+                    2 /*mesh*/ + 2 /*ddr, lpddr*/;
     a.lut += 140 * fus;
     a.ff += 120 * fus;
 

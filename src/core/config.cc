@@ -47,79 +47,50 @@ PrecisionPolicy::validate() const
 Status
 MachineConfig::validate() const
 {
-    // FuId packs the per-type index into 8 bits, so counts are capped.
-    auto checkCount = [](int n, const char *what) -> Status {
-        if (n <= 0)
-            return invalid(std::string(what) + " must be positive, got " +
-                           std::to_string(n));
-        if (n > 255)
-            return invalid(std::string(what) + " exceeds FuId range (" +
-                           std::to_string(n) + " > 255)");
-        return Status::success();
-    };
-    if (Status s = checkCount(num_mme, "num_mme"); !s)
-        return s;
-    if (Status s = checkCount(num_mem_a, "num_mem_a"); !s)
-        return s;
-    if (Status s = checkCount(num_mem_b, "num_mem_b"); !s)
-        return s;
-    if (Status s = checkCount(num_mem_c, "num_mem_c"); !s)
-        return s;
-    // Each MME streams its accumulators to a dedicated partner MemC
-    // (paper Fig. 4); the topology builder pairs them one-to-one.
-    if (num_mem_c != num_mme)
-        return invalid("num_mem_c must equal num_mme (each MME has a "
-                       "partner MemC), got " + std::to_string(num_mem_c) +
-                       " vs " + std::to_string(num_mme));
-
-    if (!positiveFinite(clocks.plHz))
-        return invalid("clocks.plHz must be positive and finite");
-    if (!positiveFinite(clocks.aieHz))
-        return invalid("clocks.aieHz must be positive and finite");
-
-    auto checkDram = [](const mem::DramConfig &d) -> Status {
-        if (!positiveFinite(d.read_gbps) || !positiveFinite(d.write_gbps))
-            return invalid(d.name + " bandwidth must be positive and "
-                           "finite");
-        if (!positiveFinite(d.pl_hz))
-            return invalid(d.name + " pl_hz must be positive and finite");
-        return Status::success();
-    };
-    if (Status s = checkDram(ddr); !s)
-        return s;
-    if (Status s = checkDram(lpddr); !s)
-        return s;
-
     const struct {
         double v;
         const char *name;
-    } width_fields[] = {
-        {widths.ddr_to_mem, "ddr_to_mem"},
-        {widths.lpddr_to_mem, "lpddr_to_mem"},
-        {widths.mem_to_mesh, "mem_to_mesh"},
-        {widths.mesha_to_mme, "mesha_to_mme"},
-        {widths.meshb_to_mme, "meshb_to_mme"},
-        {widths.mme_to_memc, "mme_to_memc"},
-        {widths.memc_to_ddr, "memc_to_ddr"},
+    } rates[] = {
+        {ddr.read_gbps, "ddr.read_gbps"},
+        {ddr.write_gbps, "ddr.write_gbps"},
+        {lpddr.read_gbps, "lpddr.read_gbps"},
+        {lpddr.write_gbps, "lpddr.write_gbps"},
     };
-    for (const auto &w : width_fields)
-        if (!positiveFinite(w.v))
-            return invalid(std::string("stream width ") + w.name +
+    for (const auto &r : rates)
+        if (!positiveFinite(r.v))
+            return invalid(std::string(r.name) +
                            " must be positive and finite");
 
-    if (!positiveFinite(memc_flops_per_tick))
-        return invalid("memc_flops_per_tick must be positive and finite");
+    // The AIE model divides by the macro-tile dimensions and both rates;
+    // a zero, negative or non-finite value there crashes (SIGFPE) or
+    // casts an infinite cycle count to a Tick. The upper bound keeps
+    // grid^3 and grid * native_* inside int.
+    const struct {
+        int v;
+        const char *name;
+    } aie_dims[] = {
+        {aie.grid, "grid"},
+        {aie.native_m, "native_m"},
+        {aie.native_k, "native_k"},
+        {aie.native_n, "native_n"},
+    };
+    for (const auto &f : aie_dims)
+        if (f.v < 1 || f.v > 1024)
+            return invalid(std::string("aie.") + f.name +
+                           " must be in [1, 1024], got " +
+                           std::to_string(f.v));
+    if (!positiveFinite(aie.macs_per_cycle))
+        return invalid("aie.macs_per_cycle must be positive and finite");
+    if (!positiveFinite(aie.drain_bytes_per_cycle))
+        return invalid("aie.drain_bytes_per_cycle must be positive and "
+                       "finite");
+    if (!std::isfinite(aie.overhead_base) || aie.overhead_base < 0)
+        return invalid("aie.overhead_base must be finite and >= 0");
 
-    if (stream_depth == 0)
-        return invalid("stream_depth must be positive");
     if (uop_fifo_depth == 0)
         return invalid("uop_fifo_depth must be positive");
     if (fetch_fifo_depth == 0)
         return invalid("fetch_fifo_depth must be positive");
-    if (decoder_ticks_per_packet == 0 || decoder_ticks_per_uop == 0)
-        return invalid("decoder tick costs must be positive");
-    if (watchdog_events_per_tick == 0)
-        return invalid("watchdog_events_per_tick must be positive");
 
     if (Status s = precision.validate(); !s)
         return s;

@@ -1,8 +1,10 @@
 /**
  * @file
- * Machine configuration: clocks, DRAM rates, FU counts, link widths,
- * buffer capacities, and the AIE model — with a preset mirroring the
- * RSN-XNN prototype on the VCK190 (paper Secs. 4.1, 5, Fig. 16).
+ * Machine description: the fixed RSN-XNN datapath (FU counts, link
+ * widths, buffer capacities, fixed costs) as constants, and the
+ * MachineConfig a caller varies (DRAM rates, the AIE model, FIFO depths,
+ * layout, precision, faults) — with a preset mirroring the RSN-XNN
+ * prototype on the VCK190 (paper Secs. 4.1, 5, Fig. 16).
  */
 
 #ifndef RSN_CORE_CONFIG_HH
@@ -21,29 +23,72 @@
 
 namespace rsn::core {
 
-/** Link widths in bytes per PL tick (260 MHz: 1 GB/s = ~3.85 B/tick). */
-struct StreamWidths {
-    double ddr_to_mem = 127;     ///< DDR FU -> MemA/MemB/MemC (~33 GB/s).
-    double lpddr_to_mem = 127;   ///< LPDDR FU -> MemB/MemC.
-    double mem_to_mesh = 385;    ///< MemA/MemB/MemC -> mesh (~100 GB/s).
-    double mesha_to_mme = 280;   ///< MeshA -> each MME (~73 GB/s).
-    double meshb_to_mme = 192;   ///< MeshB -> each MME (~50 GB/s).
-    double mme_to_memc = 385;    ///< MME -> partner MemC (~100 GB/s).
-    double memc_to_ddr = 127;    ///< MemC -> DDR FU store path.
+/**
+ * @name The RSN-XNN datapath (paper Fig. 10)
+ * One fixed shape on the VCK190. No caller varies these, so they are
+ * constants rather than MachineConfig fields: a configuration the
+ * generator cannot wire can then not be written down.
+ * @{
+ */
 
-    bool operator==(const StreamWidths &) const = default;
-};
+/** FU counts. Codegen derives its lane wiring from these. */
+inline constexpr int kNumMme = 6;
+inline constexpr int kNumMemA = 3;
+inline constexpr int kNumMemB = 3;
+inline constexpr int kNumMemC = 6;
 
-/** Per-FU-type scratchpad capacities (Fig. 16), for reporting. */
-struct FuMemories {
-    Bytes mme = 590 * 1024;      ///< Per-MME AIE-local storage.
-    Bytes mem_a = 256 * 1024;
-    Bytes mem_b01 = 512 * 1024;  ///< MemB0/MemB1.
-    Bytes mem_b2 = 256 * 1024;
-    Bytes mem_c = 1024 * 1024;
+// Each MME streams its accumulators to a dedicated partner MemC (paper
+// Fig. 4), and attention runs one lane per MemA/MemB pair: pipelined
+// attention pairs MME l (QK^T) with MME l + kNumMme/2 (PV), sequential
+// attention lets scratchpad l serve MMEs l and l + kNumMme/2.
+static_assert(kNumMemC == kNumMme, "one partner MemC per MME");
+static_assert(kNumMemA == kNumMme / 2 && kNumMemB == kNumMme / 2,
+              "one MemA/MemB pair per two MMEs");
 
-    bool operator==(const FuMemories &) const = default;
-};
+// Link widths in bytes per PL tick (260 MHz: 1 GB/s = ~3.85 B/tick).
+/// DDR FU -> MemA/MemB/MemC (~33 GB/s).
+inline constexpr double kDdrToMemWidth = 127;
+/// LPDDR FU -> MemB/MemC.
+inline constexpr double kLpddrToMemWidth = 127;
+/// MemA/MemB/MemC -> mesh (~100 GB/s).
+inline constexpr double kMemToMeshWidth = 385;
+/// MeshA -> each MME (~73 GB/s).
+inline constexpr double kMeshAToMmeWidth = 280;
+/// MeshB -> each MME (~50 GB/s).
+inline constexpr double kMeshBToMmeWidth = 192;
+/// MME -> partner MemC (~100 GB/s).
+inline constexpr double kMmeToMemCWidth = 385;
+/// MemC -> DDR FU store path.
+inline constexpr double kMemCToDdrWidth = 127;
+
+// Per-FU-type scratchpad capacities (Fig. 16), for reporting.
+/// Per-MME AIE-local storage.
+inline constexpr Bytes kMmeMemoryBytes = 590 * 1024;
+inline constexpr Bytes kMemAMemoryBytes = 256 * 1024;
+/// MemB0/MemB1.
+inline constexpr Bytes kMemB01MemoryBytes = 512 * 1024;
+inline constexpr Bytes kMemB2MemoryBytes = 256 * 1024;
+inline constexpr Bytes kMemCMemoryBytes = 1024 * 1024;
+
+/** Non-MM processing rate of one MemC (0.072 TFLOPS / 260 MHz). */
+inline constexpr double kMemCFlopsPerTick = 277;
+
+inline constexpr std::size_t kStreamDepth = 2;  ///< Chunks per stream FIFO.
+
+/** Second-level decoder costs (isa::DecoderUnit::Config). */
+inline constexpr Tick kDecoderTicksPerPacket = 4;
+inline constexpr Tick kDecoderTicksPerUop = 2;
+
+/**
+ * Livelock watchdog: abort a run when one tick processes this many
+ * events without time advancing (Engine::setEventsPerTickBudget).
+ * The budget is far above anything a legal program reaches — the
+ * full BERT-Large run averages ~30 events/tick — so it only fires
+ * on genuine zero-delay wakeup cycles.
+ */
+inline constexpr std::uint64_t kWatchdogEventsPerTick = 50'000'000;
+
+/** @} */
 
 /**
  * Per-operator-class element types for the typed-tile datapath
@@ -68,23 +113,16 @@ struct PrecisionPolicy {
     Status validate() const;
 };
 
+/**
+ * What a caller varies about the machine. The datapath shape, link
+ * widths, clocks and fixed costs are the constants above
+ * (docs/datapath.md "Machine description").
+ */
 struct MachineConfig {
-    int num_mme = 6;
-    int num_mem_a = 3;
-    int num_mem_b = 3;
-    int num_mem_c = 6;
-
-    ClockSpec clocks;
     mem::DramConfig ddr;
     mem::DramConfig lpddr;
     fu::AieModelParams aie;
-    StreamWidths widths;
-    FuMemories memories;
 
-    /** Non-MM processing rate of one MemC (0.072 TFLOPS / 260 MHz). */
-    double memc_flops_per_tick = 277;
-
-    std::size_t stream_depth = 2;      ///< Chunks per stream FIFO.
     std::size_t uop_fifo_depth = 6;    ///< Per-FU uOP queue (Sec. 3.3).
     /**
      * Fetch -> type-decoder FIFOs, in packets. The paper reports depth 6
@@ -95,8 +133,6 @@ struct MachineConfig {
      * this and reproduces the deadlock below the threshold.
      */
     std::size_t fetch_fifo_depth = 12;
-    Tick decoder_ticks_per_packet = 4;
-    Tick decoder_ticks_per_uop = 2;
 
     mem::LayoutKind offchip_layout = mem::LayoutKind::Blocked;
     bool functional = false;  ///< Carry typed payloads through the network.
@@ -106,15 +142,6 @@ struct MachineConfig {
 
     /** Fault-injection plan; disabled (all rates zero) by default. */
     sim::FaultSpec fault;
-
-    /**
-     * Livelock watchdog: abort a run when one tick processes this many
-     * events without time advancing (Engine::setEventsPerTickBudget).
-     * The default is far above anything a legal program reaches — the
-     * full BERT-Large run averages ~30 events/tick — so it only fires
-     * on genuine zero-delay wakeup cycles.
-     */
-    std::uint64_t watchdog_events_per_tick = 50'000'000;
 
     /** Member-wise equality (lib::SweepLane reuses a machine across
      *  equal configurations instead of rebuilding the datapath). */
@@ -137,8 +164,9 @@ struct MachineConfig {
 
     /**
      * Structural sanity check, run by RsnMachine before any topology is
-     * built: FU counts, rates, widths and depths that used to fail as
-     * mid-run asserts are rejected up front with a diagnosable Status.
+     * built: rates, AIE parameters and depths that used to fail as
+     * mid-run asserts (or silently misbehave) are rejected up front with
+     * a diagnosable Status naming the field.
      */
     Status validate() const;
 

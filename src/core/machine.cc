@@ -12,36 +12,10 @@ namespace rsn::core {
 
 namespace {
 
-FuId
-mme(int i)
-{
-    return {FuType::Mme, static_cast<std::uint8_t>(i)};
-}
-FuId
-memA(int i)
-{
-    return {FuType::MemA, static_cast<std::uint8_t>(i)};
-}
-FuId
-memB(int i)
-{
-    return {FuType::MemB, static_cast<std::uint8_t>(i)};
-}
-FuId
-memC(int i)
-{
-    return {FuType::MemC, static_cast<std::uint8_t>(i)};
-}
-
-constexpr FuId kMeshA{FuType::MeshA, 0};
-constexpr FuId kMeshB{FuType::MeshB, 0};
-constexpr FuId kDdr{FuType::Ddr, 0};
-constexpr FuId kLpddr{FuType::Lpddr, 0};
-
 /**
  * Gate on MachineConfig::validate() before any member that consumes the
- * configuration is built (DramChannel and the topology assert on bad
- * values mid-construction). cfg_ is the first member, so funneling the
+ * configuration is built (DramChannel asserts on bad rates
+ * mid-construction). cfg_ is the first member, so funneling the
  * copy through here turns every structural error into one catchable
  * std::runtime_error up front.
  */
@@ -56,61 +30,59 @@ validatedOrFatal(const MachineConfig &cfg)
 } // namespace
 
 net::Topology
-buildRsnXnnTopology(const MachineConfig &cfg)
+buildRsnXnnTopology()
 {
     net::Topology t;
-    const auto &w = cfg.widths;
-    const auto depth = cfg.stream_depth;
 
     t.addNode(kDdr);
     t.addNode(kLpddr);
     t.addNode(kMeshA);
     t.addNode(kMeshB);
-    for (int i = 0; i < cfg.num_mme; ++i)
+    for (int i = 0; i < kNumMme; ++i)
         t.addNode(mme(i));
-    for (int i = 0; i < cfg.num_mem_a; ++i)
+    for (int i = 0; i < kNumMemA; ++i)
         t.addNode(memA(i));
-    for (int i = 0; i < cfg.num_mem_b; ++i)
+    for (int i = 0; i < kNumMemB; ++i)
         t.addNode(memB(i));
-    for (int i = 0; i < cfg.num_mem_c; ++i)
+    for (int i = 0; i < kNumMemC; ++i)
         t.addNode(memC(i));
 
     // DDR feature-map paths: LHS tiles into MemA, attention K/V into MemB,
     // residual tiles into MemC (union-datapath decisions, Sec. 4.2).
-    for (int i = 0; i < cfg.num_mem_a; ++i)
-        t.addEdge({kDdr, memA(i), w.ddr_to_mem, depth});
-    for (int i = 0; i < cfg.num_mem_b; ++i)
-        t.addEdge({kDdr, memB(i), w.ddr_to_mem, depth});
-    for (int i = 0; i < cfg.num_mem_c; ++i)
-        t.addEdge({kDdr, memC(i), w.ddr_to_mem, depth});
+    for (int i = 0; i < kNumMemA; ++i)
+        t.addEdge({kDdr, memA(i), kDdrToMemWidth, kStreamDepth});
+    for (int i = 0; i < kNumMemB; ++i)
+        t.addEdge({kDdr, memB(i), kDdrToMemWidth, kStreamDepth});
+    for (int i = 0; i < kNumMemC; ++i)
+        t.addEdge({kDdr, memC(i), kDdrToMemWidth, kStreamDepth});
 
     // LPDDR weight/bias paths into MemB; LayerNorm parameters into MemC.
-    for (int i = 0; i < cfg.num_mem_b; ++i)
-        t.addEdge({kLpddr, memB(i), w.lpddr_to_mem, depth});
-    for (int i = 0; i < cfg.num_mem_c; ++i)
-        t.addEdge({kLpddr, memC(i), w.lpddr_to_mem, depth});
+    for (int i = 0; i < kNumMemB; ++i)
+        t.addEdge({kLpddr, memB(i), kLpddrToMemWidth, kStreamDepth});
+    for (int i = 0; i < kNumMemC; ++i)
+        t.addEdge({kLpddr, memC(i), kLpddrToMemWidth, kStreamDepth});
 
     // Scratchpads into the meshes.
-    for (int i = 0; i < cfg.num_mem_a; ++i)
-        t.addEdge({memA(i), kMeshA, w.mem_to_mesh, depth});
-    for (int i = 0; i < cfg.num_mem_b; ++i)
-        t.addEdge({memB(i), kMeshB, w.mem_to_mesh, depth});
+    for (int i = 0; i < kNumMemA; ++i)
+        t.addEdge({memA(i), kMeshA, kMemToMeshWidth, kStreamDepth});
+    for (int i = 0; i < kNumMemB; ++i)
+        t.addEdge({memB(i), kMeshB, kMemToMeshWidth, kStreamDepth});
     // MemC re-injection for dynamic layer pipelining (Table 1's "dynamic
     // chain of pipelined FUs").
-    for (int i = 0; i < cfg.num_mem_c; ++i) {
-        t.addEdge({memC(i), kMeshA, w.mem_to_mesh, depth});
-        t.addEdge({memC(i), kMeshB, w.mem_to_mesh, depth});
+    for (int i = 0; i < kNumMemC; ++i) {
+        t.addEdge({memC(i), kMeshA, kMemToMeshWidth, kStreamDepth});
+        t.addEdge({memC(i), kMeshB, kMemToMeshWidth, kStreamDepth});
     }
 
     // Meshes into the MMEs; each MME into its fixed MemC partner; MemC
     // store path back through the DDR FU.
-    for (int i = 0; i < cfg.num_mme; ++i) {
-        t.addEdge({kMeshA, mme(i), w.mesha_to_mme, depth});
-        t.addEdge({kMeshB, mme(i), w.meshb_to_mme, depth});
-        t.addEdge({mme(i), memC(i), w.mme_to_memc, depth});
+    for (int i = 0; i < kNumMme; ++i) {
+        t.addEdge({kMeshA, mme(i), kMeshAToMmeWidth, kStreamDepth});
+        t.addEdge({kMeshB, mme(i), kMeshBToMmeWidth, kStreamDepth});
+        t.addEdge({mme(i), memC(i), kMmeToMemCWidth, kStreamDepth});
     }
-    for (int i = 0; i < cfg.num_mem_c; ++i)
-        t.addEdge({memC(i), kDdr, w.memc_to_ddr, depth});
+    for (int i = 0; i < kNumMemC; ++i)
+        t.addEdge({memC(i), kDdr, kMemCToDdrWidth, kStreamDepth});
 
     t.validate();
     return t;
@@ -120,7 +92,7 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
     : cfg_(validatedOrFatal(cfg)), host_(cfg.functional),
       ddr_chan_(std::make_unique<mem::DramChannel>(eng_, cfg.ddr)),
       lpddr_chan_(std::make_unique<mem::DramChannel>(eng_, cfg.lpddr)),
-      topo_(buildRsnXnnTopology(cfg))
+      topo_(buildRsnXnnTopology())
 {
     // Warm the thread-local tile pool and the kernel registry before
     // anything can hold tiles on this thread. Ordering matters at
@@ -132,13 +104,13 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
     // sweep-lane first use off the startup-probe path entirely.
     sim::TilePool::instance();
     kernel::Registry::instance();
-    eng_.setEventsPerTickBudget(cfg_.watchdog_events_per_tick);
+    eng_.setEventsPerTickBudget(kWatchdogEventsPerTick);
     buildFus();
     buildStreams();
     decoder_ = std::make_unique<isa::DecoderUnit>(
         eng_, isa::DecoderUnit::Config{cfg.fetch_fifo_depth,
-                                       cfg.decoder_ticks_per_packet,
-                                       cfg.decoder_ticks_per_uop});
+                                       kDecoderTicksPerPacket,
+                                       kDecoderTicksPerUop});
     for (auto &f : fus_)
         decoder_->attach(f.get());
     if (cfg_.fault.enabled()) {
@@ -157,18 +129,18 @@ RsnMachine::buildFus()
 {
     fu::AieModel aie_model(cfg_.aie);
     const std::size_t q = cfg_.uop_fifo_depth;
-    for (int i = 0; i < cfg_.num_mme; ++i)
+    for (int i = 0; i < kNumMme; ++i)
         fus_.push_back(std::make_unique<fu::MmeFu>(
             eng_, mme(i), aie_model, kMeshA, kMeshB, memC(i), q));
-    for (int i = 0; i < cfg_.num_mem_a; ++i)
+    for (int i = 0; i < kNumMemA; ++i)
         fus_.push_back(
             std::make_unique<fu::MemAFu>(eng_, memA(i), kMeshA, q));
-    for (int i = 0; i < cfg_.num_mem_b; ++i)
+    for (int i = 0; i < kNumMemB; ++i)
         fus_.push_back(
             std::make_unique<fu::MemBFu>(eng_, memB(i), kMeshB, q));
-    for (int i = 0; i < cfg_.num_mem_c; ++i)
+    for (int i = 0; i < kNumMemC; ++i)
         fus_.push_back(std::make_unique<fu::MemCFu>(
-            eng_, memC(i), mme(i), kDdr, cfg_.memc_flops_per_tick, q));
+            eng_, memC(i), mme(i), kDdr, kMemCFlopsPerTick, q));
     fus_.push_back(std::make_unique<fu::MeshFu>(eng_, kMeshA, q));
     fus_.push_back(std::make_unique<fu::MeshFu>(eng_, kMeshB, q));
     fus_.push_back(std::make_unique<fu::DdrFu>(
@@ -264,7 +236,7 @@ RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
     const bool quiesced = eng_.run(max_ticks);
 
     rep.result.ticks = eng_.now();
-    rep.result.ms = ticksToMs(rep.result.ticks, cfg_.clocks.plHz);
+    rep.result.ms = ticksToMs(rep.result.ticks);
     if (injector_) {
         rep.faults = injector_->log();
         rep.faults_injected = injector_->totalInjected();
@@ -363,7 +335,7 @@ RsnMachine::achievedTflops(const RunResult &r) const
 {
     if (r.ticks == 0)
         return 0;
-    double secs = static_cast<double>(r.ticks) / cfg_.clocks.plHz;
+    double secs = static_cast<double>(r.ticks) / kPlHz;
     return totalFlops() / secs / 1e12;
 }
 
@@ -371,7 +343,7 @@ double
 RsnMachine::peakTflops() const
 {
     fu::AieModel m(cfg_.aie);
-    return m.peakFlopsPerMme() * cfg_.num_mme / 1e12;
+    return m.peakFlopsPerMme() * kNumMme / 1e12;
 }
 
 double
@@ -382,7 +354,7 @@ RsnMachine::fuPeakTflops(FuId id) const
         return m.peakFlopsPerMme() / 1e12;
     }
     if (id.type == FuType::MemC)
-        return cfg_.memc_flops_per_tick * cfg_.clocks.plHz / 1e12;
+        return kMemCFlopsPerTick * kPlHz / 1e12;
     return 0.0;
 }
 
@@ -390,11 +362,11 @@ Bytes
 RsnMachine::fuMemoryBytes(FuId id) const
 {
     switch (id.type) {
-      case FuType::Mme: return cfg_.memories.mme;
-      case FuType::MemA: return cfg_.memories.mem_a;
+      case FuType::Mme: return kMmeMemoryBytes;
+      case FuType::MemA: return kMemAMemoryBytes;
       case FuType::MemB:
-        return id.index < 2 ? cfg_.memories.mem_b01 : cfg_.memories.mem_b2;
-      case FuType::MemC: return cfg_.memories.mem_c;
+        return id.index < 2 ? kMemB01MemoryBytes : kMemB2MemoryBytes;
+      case FuType::MemC: return kMemCMemoryBytes;
       default: return 0;
     }
 }

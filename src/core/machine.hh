@@ -32,8 +32,8 @@
 
 namespace rsn::core {
 
-/** Build the RSN-XNN "union" datapath graph for @p cfg (Sec. 4.2). */
-net::Topology buildRsnXnnTopology(const MachineConfig &cfg);
+/** Build the RSN-XNN "union" datapath graph (Sec. 4.2). */
+net::Topology buildRsnXnnTopology();
 
 /** How long one RSN program ran, in ticks and modeled wall-clock. */
 struct RunResult {

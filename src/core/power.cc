@@ -9,7 +9,7 @@ PowerModel::breakdown(RsnMachine &m, const RunResult &r) const
 {
     if (r.ticks == 0)
         return {};
-    const double secs = r.ticks / m.config().clocks.plHz;
+    const double secs = r.ticks / kPlHz;
 
     // Activity-based utilization: kernel-resident time includes stream
     // stalls, so compute FUs scale by FLOPs against their peak and
@@ -69,7 +69,7 @@ PowerModel::breakdown(RsnMachine &m, const RunResult &r) const
     // Decoder activity scales with instruction processing.
     double dec_util =
         r.ticks ? std::min(1.0, double(m.decoder().uopsIssued()) *
-                                    m.config().decoder_ticks_per_uop /
+                                    kDecoderTicksPerUop /
                                     r.ticks)
                 : 0.0;
     acc["Decoder"] = p_.decoder_dynamic * dec_util;

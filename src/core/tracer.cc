@@ -13,7 +13,7 @@ kernelSpansToChromeJson(const RsnMachine &machine)
         "mme", "ddr", "lpddr", "mesh", "mema", "memb", "memc"};
     static_assert(std::size(kKindName) + 1 == std::variant_size_v<isa::Uop>,
                   "one name per kernel uOP kind (Halt runs no kernel)");
-    const double us_per_tick = 1e6 / machine.config().clocks.plHz;
+    const double us_per_tick = 1e6 / kPlHz;
     std::string out = "{\"traceEvents\":[\n";
     const char *sep = "";
     for (const auto &f : machine.fus()) {

@@ -1,7 +1,6 @@
 #include "fu/aie_model.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/log.hh"
 
@@ -48,8 +47,7 @@ AieModel::chunkTicks(std::uint32_t m, std::uint32_t k,
                      std::uint32_t n) const
 {
     double cycles = chunkCycles(m, k, n);
-    double ticks = cycles * p_.pl_hz / p_.aie_hz;
-    auto t = static_cast<Tick>(std::ceil(ticks));
+    auto t = ceilTicks(cycles * kPlHz / kAieHz);
     return t ? t : 1;
 }
 
@@ -59,7 +57,7 @@ AieModel::steadyGflops(std::uint32_t m, std::uint32_t k, std::uint32_t n,
 {
     double cycles = chunkCycles(m, k, n);
     double flops = 2.0 * m * k * n;
-    return flops / (cycles / p_.aie_hz) * mmes / 1e9;
+    return flops / (cycles / kAieHz) * mmes / 1e9;
 }
 
 } // namespace rsn::fu

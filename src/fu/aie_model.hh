@@ -32,8 +32,6 @@ struct AieModelParams {
     double macs_per_cycle = 8; ///< FP32 MACs per tile per AIE cycle.
     double overhead_base = 350;     ///< Fixed cycles per macro-iteration.
     double drain_bytes_per_cycle = 21.33;  ///< Output drain rate.
-    double aie_hz = 1.25e9;
-    double pl_hz = 260e6;
 
     bool operator==(const AieModelParams &) const = default;
 };
@@ -51,7 +49,7 @@ class AieModel
     /** Peak FP32 throughput of one MME in FLOPS. */
     double peakFlopsPerMme() const
     {
-        return tilesPerMme() * p_.macs_per_cycle * 2.0 * p_.aie_hz;
+        return tilesPerMme() * p_.macs_per_cycle * 2.0 * kAieHz;
     }
 
     /**

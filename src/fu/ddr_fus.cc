@@ -37,19 +37,6 @@ loadTypedBlock(mem::HostMemory &host, Addr addr, std::uint32_t pitch,
 
 } // namespace
 
-std::uint32_t
-blockBursts(std::uint32_t rows, std::uint32_t cols, std::uint32_t pitch,
-            mem::LayoutKind kind)
-{
-    if (kind == mem::LayoutKind::Blocked) {
-        mem::BlockedLayout bl;
-        return ((rows + bl.block_rows - 1) / bl.block_rows) *
-               ((cols + bl.block_cols - 1) / bl.block_cols);
-    }
-    // Row-major: contiguous when the block spans full rows.
-    return (pitch == cols) ? 1 : rows;
-}
-
 // ----------------------------------------------------------------- DDR --
 
 DdrFu::DdrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
@@ -72,8 +59,8 @@ DdrFu::runKernel(const isa::Uop &uop)
             mem::DramRequest req{mem::Dir::Read,
                                  Bytes(u.rows) * u.cols *
                                      dtypeBytes(u.dtype),
-                                 blockBursts(u.rows, u.cols, u.pitch,
-                                             layout_)};
+                                 mem::blockBursts(u.rows, u.cols, u.pitch,
+                                                  layout_)};
             co_await chan_.access(req);
             sim::Chunk c;
             if (host_.functional()) {
@@ -95,8 +82,8 @@ DdrFu::runKernel(const isa::Uop &uop)
             sim::Chunk c = co_await in(u.src).recv();
             countIn(c);
             mem::DramRequest req{mem::Dir::Write, c.bytes(),
-                                 blockBursts(c.rows, c.cols, u.pitch,
-                                             layout_)};
+                                 mem::blockBursts(c.rows, c.cols, u.pitch,
+                                                  layout_)};
             co_await chan_.access(req);
             if (c.hasData()) {
                 if (c.dtype == Dtype::F32) {
@@ -138,8 +125,8 @@ LpddrFu::runKernel(const isa::Uop &uop)
                    "bias / LN-parameter loads must stay FP32");
         mem::DramRequest req{mem::Dir::Read,
                              Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
-                             blockBursts(u.rows, u.cols, u.pitch,
-                                         layout_)};
+                             mem::blockBursts(u.rows, u.cols, u.pitch,
+                                              layout_)};
         co_await chan_.access(req);
         sim::Chunk c;
         if (host_.functional()) {

@@ -18,10 +18,6 @@
 
 namespace rsn::fu {
 
-/** Compute the burst count of a block access under a layout. */
-std::uint32_t blockBursts(std::uint32_t rows, std::uint32_t cols,
-                          std::uint32_t pitch, mem::LayoutKind kind);
-
 class DdrFu : public Fu
 {
   public:

@@ -11,32 +11,6 @@ namespace rsn::lib {
 
 namespace {
 
-FuId
-mme(int i)
-{
-    return {FuType::Mme, static_cast<std::uint8_t>(i)};
-}
-FuId
-memA(int i)
-{
-    return {FuType::MemA, static_cast<std::uint8_t>(i)};
-}
-FuId
-memB(int i)
-{
-    return {FuType::MemB, static_cast<std::uint8_t>(i)};
-}
-FuId
-memC(int i)
-{
-    return {FuType::MemC, static_cast<std::uint8_t>(i)};
-}
-
-constexpr FuId kMeshA{FuType::MeshA, 0};
-constexpr FuId kMeshB{FuType::MeshB, 0};
-constexpr FuId kDdr{FuType::Ddr, 0};
-constexpr FuId kLpddr{FuType::Lpddr, 0};
-
 std::uint32_t
 ceilDiv(std::uint32_t a, std::uint32_t b)
 {
@@ -309,7 +283,7 @@ void
 ProgramBuilder::genLinear(const LinearLayer &l)
 {
     const auto &cfg = mach_.config();
-    const int n_mme = cfg.num_mme;
+    const int n_mme = core::kNumMme;
     // Precision policy (core/config.hh): weights and activations may be
     // typed; bias and LN gamma/beta always load as FP32. Host tensors
     // stay FP32 truth — the DDR/LPDDR FUs convert at the boundary.
@@ -568,14 +542,13 @@ laneCount(std::uint32_t heads, std::uint32_t lanes, std::uint32_t l)
 
 /** Lane masks grouped by identical head counts. */
 std::map<std::uint32_t, std::uint8_t>
-lanesByCount(std::uint32_t heads, std::uint32_t lanes,
-             std::uint32_t shift = 0)
+lanesByCount(std::uint32_t heads, std::uint32_t lanes)
 {
     std::map<std::uint32_t, std::uint8_t> groups;
     for (std::uint32_t l = 0; l < lanes; ++l) {
         std::uint32_t c = laneCount(heads, lanes, l);
         if (c > 0)
-            groups[c] |= std::uint8_t(1u << (l + shift));
+            groups[c] |= std::uint8_t(1u << l);
     }
     return groups;
 }
@@ -588,7 +561,10 @@ ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
     const std::uint32_t S = a.seq;
     const std::uint32_t D = a.dhead;
     const std::uint32_t H = a.heads;
-    const std::uint32_t lanes = std::min<std::uint32_t>(3, H);
+    // Lane l runs QK^T on MME l and PV on MME l + pv, each feeding its
+    // partner MemC; one lane per MemA/MemB pair (core/config.hh).
+    const std::uint32_t pv = core::kNumMme / 2;
+    const std::uint32_t lanes = std::min<std::uint32_t>(pv, H);
     const std::uint32_t batch = H / a.heads_per_batch;
 
     const TensorInfo q_t = tensor(a.q_src);
@@ -621,7 +597,7 @@ ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
         m2.tile_k = S;
         m2.tile_n = D;
         m2.out_dtype = act;
-        emit(FuType::Mme, std::uint8_t(mask << 3), m2);
+        emit(FuType::Mme, std::uint8_t(mask << pv), m2);
 
         // MemA: one Q tile per head.
         isa::MemAUop al;
@@ -682,7 +658,7 @@ ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
         memc_streams.push_back(pingPongStream(mask, c1r, c1b, c1s,
                                               count));
 
-        // MemC lane-3 group: context tiles draining to DDR.
+        // MemC PV group: context tiles draining to DDR.
         isa::MemCUop c2r;
         c2r.rows = S;
         c2r.cols = D;
@@ -694,7 +670,7 @@ ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
         c2b.store = true;
         isa::MemCUop c2s = c2b;
         c2s.recv = false;
-        memc_streams.push_back(pingPongStream(std::uint8_t(mask << 3),
+        memc_streams.push_back(pingPongStream(std::uint8_t(mask << pv),
                                               c2r, c2b, c2s, count));
     }
     emitInterleaved(FuType::MemA, std::move(mema_streams));
@@ -712,9 +688,9 @@ ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
         isa::MeshUop mb = ma;
         for (std::uint32_t l = 0; l < upto_lane; ++l) {
             ma.routes.push_back({memA(l), mme(l)});           // Q
-            ma.routes.push_back({memC(l), mme(3 + l)});       // probs
+            ma.routes.push_back({memC(l), mme(pv + l)});      // probs
             mb.routes.push_back({memB(l), mme(l)});           // K^T
-            mb.routes.push_back({memB(l), mme(3 + l)});       // V
+            mb.routes.push_back({memB(l), mme(pv + l)});      // V
         }
         emit(FuType::MeshA, 0x1, ma);
         emit(FuType::MeshB, 0x1, mb);
@@ -772,7 +748,7 @@ ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
         ctx.rows = S;
         ctx.cols = D;
         ctx.pitch = out_t.cols;
-        ctx.src = memC(3 + lane);
+        ctx.src = memC(pv + lane);
         ctx.dtype = act;
         queueDdrStore(ctx);
     }
@@ -784,9 +760,9 @@ ProgramBuilder::genAttentionSequential(const AttentionBlock &a)
     const std::uint32_t S = a.seq;
     const std::uint32_t D = a.dhead;
     const std::uint32_t H = a.heads;
-    const std::uint32_t lanes = std::min<std::uint32_t>(6, H);
+    const std::uint32_t lanes = std::min<std::uint32_t>(core::kNumMme, H);
     const std::uint32_t batch = H / a.heads_per_batch;
-    const std::uint32_t n_mem = 3;
+    const std::uint32_t n_mem = core::kNumMemA;  // == kNumMemB
     const std::uint32_t score_split = 4;
 
     const TensorInfo &q_t = tensor(a.q_src);
@@ -807,8 +783,8 @@ ProgramBuilder::genAttentionSequential(const AttentionBlock &a)
                    sizeof(float);
     };
 
-    // Mesh routes shared by both passes: MemA_i feeds MME_i and MME_{i+3}
-    // alternately; same for MemB.
+    // Mesh routes shared by both passes: MemA_i feeds MME_i and
+    // MME_{i+n_mem} alternately; same for MemB.
     auto emit_meshes = [&](std::uint32_t upto_lane,
                            std::uint32_t repeats) {
         isa::MeshUop ma;
@@ -848,11 +824,12 @@ ProgramBuilder::genAttentionSequential(const AttentionBlock &a)
             emit(FuType::Mme, mask, mm);
         }
         // MemA/MemB: chunk counts per scratchpad instance (a scratchpad
-        // serves lanes l and l+3).
+        // serves lanes l and l+n_mem).
         for (std::uint32_t i = 0; i < n_mem; ++i) {
             std::uint32_t cnt = laneCount(H, lanes, i) +
-                                (lanes > 3 ? laneCount(H, lanes, i + 3)
-                                           : 0);
+                                (lanes > n_mem
+                                     ? laneCount(H, lanes, i + n_mem)
+                                     : 0);
             if (cnt == 0)
                 continue;
             isa::MemAUop al;
@@ -1119,10 +1096,10 @@ ProgramBuilder::pack() const
     }
 
     std::array<int, kNumFuTypes> counts{};
-    counts[static_cast<int>(FuType::Mme)] = mach_.config().num_mme;
-    counts[static_cast<int>(FuType::MemA)] = mach_.config().num_mem_a;
-    counts[static_cast<int>(FuType::MemB)] = mach_.config().num_mem_b;
-    counts[static_cast<int>(FuType::MemC)] = mach_.config().num_mem_c;
+    counts[static_cast<int>(FuType::Mme)] = core::kNumMme;
+    counts[static_cast<int>(FuType::MemA)] = core::kNumMemA;
+    counts[static_cast<int>(FuType::MemB)] = core::kNumMemB;
+    counts[static_cast<int>(FuType::MemC)] = core::kNumMemC;
     counts[static_cast<int>(FuType::MeshA)] = 1;
     counts[static_cast<int>(FuType::MeshB)] = 1;
     counts[static_cast<int>(FuType::Ddr)] = 1;

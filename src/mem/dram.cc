@@ -1,7 +1,6 @@
 #include "mem/dram.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/log.hh"
 #include "sim/fault.hh"
@@ -10,8 +9,8 @@ namespace rsn::mem {
 
 DramChannel::DramChannel(sim::Engine &eng, DramConfig cfg)
     : eng_(eng), cfg_(std::move(cfg)),
-      read_bpt_(gbpsToBytesPerTick(cfg_.read_gbps, cfg_.pl_hz)),
-      write_bpt_(gbpsToBytesPerTick(cfg_.write_gbps, cfg_.pl_hz))
+      read_bpt_(gbpsToBytesPerTick(cfg_.read_gbps)),
+      write_bpt_(gbpsToBytesPerTick(cfg_.write_gbps))
 {
     rsn_assert(read_bpt_ > 0 && write_bpt_ > 0, "bad DRAM bandwidth");
 }
@@ -21,9 +20,8 @@ DramChannel::serviceTicks(const DramRequest &req) const
 {
     double bpt = req.dir == Dir::Read ? read_bpt_ : write_bpt_;
     double transfer = static_cast<double>(req.bytes) / bpt;
-    Tick overhead = Tick(req.bursts ? req.bursts : 1) *
-                    cfg_.per_burst_overhead;
-    auto t = static_cast<Tick>(std::ceil(transfer)) + overhead;
+    Tick overhead = Tick(req.bursts ? req.bursts : 1) * kPerBurstOverhead;
+    auto t = ceilTicks(transfer) + overhead;
     return t ? t : 1;
 }
 
@@ -59,16 +57,6 @@ DramChannel::access(DramRequest req)
     else
         bytes_written_ += req.bytes;
     co_await eng_.delayUntil(busy_until_);
-}
-
-void
-DramChannel::scaleBandwidth(double factor)
-{
-    rsn_assert(factor > 0, "bandwidth factor must be positive");
-    read_bpt_ = gbpsToBytesPerTick(cfg_.read_gbps * factor, cfg_.pl_hz);
-    write_bpt_ = gbpsToBytesPerTick(cfg_.write_gbps * factor, cfg_.pl_hz);
-    cfg_.read_gbps *= factor;
-    cfg_.write_gbps *= factor;
 }
 
 double

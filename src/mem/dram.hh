@@ -48,13 +48,14 @@ struct DramRequest {
     std::uint32_t bursts = 1;
 };
 
+/** Row-activation / turnaround cost of one burst, in PL ticks. */
+inline constexpr Tick kPerBurstOverhead = 16;
+
 /** Configuration of one DRAM channel. */
 struct DramConfig {
     std::string name = "DRAM";
     double read_gbps = 21.0;        ///< Achieved read bandwidth.
     double write_gbps = 23.5;       ///< Achieved write bandwidth.
-    Tick per_burst_overhead = 16;   ///< Row-activation / turnaround cost.
-    double pl_hz = 260e6;
 
     bool operator==(const DramConfig &) const = default;
 };
@@ -77,9 +78,6 @@ class DramChannel
     /** Perform @p req, blocking until service completes. */
     sim::Task access(DramRequest req);
 
-    /** Scale both bandwidths by @p factor (Table 11 bandwidth sweep). */
-    void scaleBandwidth(double factor);
-
     /**
      * Arm transaction-fault injection (docs/robustness.md). Transient
      * errors are retried with exponential backoff in simulated ticks —
@@ -92,8 +90,8 @@ class DramChannel
 
     /**
      * Clear stats and queueing state for a fresh run on a rewound engine
-     * (RsnMachine::reset). Bandwidth scaling is configuration, not run
-     * state, and survives.
+     * (RsnMachine::reset). The configured rates are not run state and
+     * survive.
      */
     void
     reset()

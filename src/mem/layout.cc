@@ -1,45 +1,16 @@
 #include "mem/layout.hh"
 
-#include "common/log.hh"
-
 namespace rsn::mem {
 
-namespace {
-
-/** ceil(a / b) for positive integers. */
 std::uint32_t
-ceilDiv(std::uint32_t a, std::uint32_t b)
+blockBursts(std::uint32_t rows, std::uint32_t cols, std::uint32_t pitch,
+            LayoutKind kind)
 {
-    return (a + b - 1) / b;
-}
-
-} // namespace
-
-std::uint32_t
-burstsFor(const TileAccess &a, LayoutKind kind, const BlockedLayout &bl)
-{
-    rsn_assert(a.row_off + a.rows <= a.mat_rows &&
-                   a.col_off + a.cols <= a.mat_cols,
-               "tile access out of matrix bounds");
-    if (a.rows == 0 || a.cols == 0)
-        return 0;
-
-    switch (kind) {
-      case LayoutKind::RowMajor:
-        // Full-width row spans are contiguous across rows.
-        if (a.col_off == 0 && a.cols == a.mat_cols)
-            return 1;
-        return a.rows;
-      case LayoutKind::Blocked: {
-        // One burst per touched block; blocks are contiguous internally.
-        std::uint32_t rb = ceilDiv(a.row_off + a.rows, bl.block_rows) -
-                           a.row_off / bl.block_rows;
-        std::uint32_t cb = ceilDiv(a.col_off + a.cols, bl.block_cols) -
-                           a.col_off / bl.block_cols;
-        return rb * cb;
-      }
-    }
-    return a.rows;
+    if (kind == LayoutKind::Blocked)
+        return ((rows + kBlockRows - 1) / kBlockRows) *
+               ((cols + kBlockCols - 1) / kBlockCols);
+    // Row-major: contiguous when the block spans full rows.
+    return (pitch == cols) ? 1 : rows;
 }
 
 } // namespace rsn::mem

@@ -7,18 +7,17 @@
  * blocked to row-major or transposed format."
  *
  * The layout determines how many distinct DRAM bursts a 2-D tile access
- * touches; each burst pays the channel's per-burst overhead. A row-major
- * matrix costs one burst per partial row, while the blocked layout costs one
- * burst per touched block — the difference is the paper's motivation for
- * blocking, and is measured by bench_ablation_tiles.
+ * touches; each burst pays the channel's per-burst overhead
+ * (mem::kPerBurstOverhead). A row-major matrix costs one burst per partial
+ * row, while the blocked layout costs one burst per touched block — the
+ * difference is the paper's motivation for blocking, and is measured by
+ * bench_ablation_tiles.
  */
 
 #ifndef RSN_MEM_LAYOUT_HH
 #define RSN_MEM_LAYOUT_HH
 
 #include <cstdint>
-
-#include "common/types.hh"
 
 namespace rsn::mem {
 
@@ -28,35 +27,18 @@ enum class LayoutKind : std::uint8_t {
     Blocked,    ///< 128x64 blocks, each block contiguous.
 };
 
-/** A rectangular tile access within a rows x cols matrix. */
-struct TileAccess {
-    std::uint32_t mat_rows = 0;
-    std::uint32_t mat_cols = 0;
-    std::uint32_t row_off = 0;
-    std::uint32_t col_off = 0;
-    std::uint32_t rows = 0;
-    std::uint32_t cols = 0;
-};
-
-/** Parameters of the blocked layout (paper uses 128 x 64). */
-struct BlockedLayout {
-    std::uint32_t block_rows = 128;
-    std::uint32_t block_cols = 64;
-};
+/** Shape of one block of the blocked layout (paper uses 128 x 64). */
+inline constexpr std::uint32_t kBlockRows = 128;
+inline constexpr std::uint32_t kBlockCols = 64;
 
 /**
- * Number of distinct contiguous bursts @p a touches under @p kind.
- * Used to fill DramRequest::bursts.
+ * Number of distinct contiguous bursts a rows x cols block access into a
+ * matrix of row pitch @p pitch touches under @p kind; fills
+ * DramRequest::bursts for the DDR and LPDDR FUs. Blocked accesses are
+ * counted as block-aligned.
  */
-std::uint32_t burstsFor(const TileAccess &a, LayoutKind kind,
-                        const BlockedLayout &bl = {});
-
-/** Bytes covered by the tile access (FP32 elements). */
-inline Bytes
-tileBytes(const TileAccess &a)
-{
-    return Bytes(a.rows) * a.cols * sizeof(float);
-}
+std::uint32_t blockBursts(std::uint32_t rows, std::uint32_t cols,
+                          std::uint32_t pitch, LayoutKind kind);
 
 } // namespace rsn::mem
 

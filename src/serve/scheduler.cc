@@ -41,7 +41,7 @@ Tick
 ServeSpec::meanGapTicks() const
 {
     rsn_assert(offered_load > 0, "offered load must be positive");
-    const double gap = cfg.clocks.plHz / offered_load;
+    const double gap = kPlHz / offered_load;
     return gap < 1 ? Tick(1) : Tick(gap);
 }
 
@@ -560,8 +560,7 @@ ServingSim::run()
         rep_.machines_reused += s.lane.machinesReused();
     }
     if (rep_.horizon > 0)
-        rep_.goodput = double(rep_.served()) * spec_.cfg.clocks.plHz /
-                       double(rep_.horizon);
+        rep_.goodput = double(rep_.served()) * kPlHz / double(rep_.horizon);
     return rep_;
 }
 

@@ -95,14 +95,16 @@ TEST(AreaModel, DecoderFootprintMatchesPaperBand)
     EXPECT_LT(pct, 5.0);
 }
 
-TEST(AreaModel, AreaGrowsWithDatapathSize)
+TEST(AreaModel, BramGrowsWithFetchFifoDepth)
 {
+    // The datapath shape is fixed (core/config.hh); the packet FIFOs are
+    // what a caller sizes, and they land in BRAM.
     auto small = MachineConfig::vck190();
     auto big = MachineConfig::vck190();
-    big.num_mme = 8;
-    big.num_mem_c = 8;
-    big.num_mem_a = 6;
-    EXPECT_GT(core::AreaModel::decoderArea(big).lut,
+    big.fetch_fifo_depth = 4 * small.fetch_fifo_depth;
+    EXPECT_GT(core::AreaModel::decoderArea(big).bram,
+              core::AreaModel::decoderArea(small).bram);
+    EXPECT_EQ(core::AreaModel::decoderArea(big).lut,
               core::AreaModel::decoderArea(small).lut);
 }
 

@@ -138,7 +138,7 @@ TEST(Segmenter, UnionRequirementsMatchRsnXnnTopology)
     // Stage 3 (Sec. 4.2): the machine's "union datapath" must provide
     // every edge class any segment of any evaluated model needs.
     lib::Segmenter seg(lib::PlatformBudget{});
-    auto topo = core::buildRsnXnnTopology(core::MachineConfig::vck190());
+    auto topo = core::buildRsnXnnTopology();
     for (auto model : {lib::bertLargeEncoder(6, 512, true, 1),
                        lib::vitEncoder(6, false, 1), lib::ncf(6),
                        lib::mlp(6)}) {

@@ -9,40 +9,12 @@ using namespace rsn;
 using rsn::test::FuHarness;
 using rsn::test::iotaData;
 
-constexpr FuId kDdr{FuType::Ddr, 0};
-constexpr FuId kLpddr{FuType::Lpddr, 0};
-FuId
-memA(int i)
-{
-    return {FuType::MemA, std::uint8_t(i)};
-}
-FuId
-memC(int i)
-{
-    return {FuType::MemC, std::uint8_t(i)};
-}
-
 struct DdrRig {
     FuHarness h;
     mem::HostMemory host{true};
     mem::DramChannel chan{h.eng, mem::DramConfig{}};
     fu::DdrFu fu{h.eng, kDdr, chan, host, mem::LayoutKind::Blocked};
 };
-
-TEST(BlockBursts, RowMajorFullWidthIsOne)
-{
-    EXPECT_EQ(fu::blockBursts(128, 64, 64, mem::LayoutKind::RowMajor),
-              1u);
-    EXPECT_EQ(fu::blockBursts(128, 64, 1024, mem::LayoutKind::RowMajor),
-              128u);
-}
-
-TEST(BlockBursts, BlockedCountsTouchedBlocks)
-{
-    EXPECT_EQ(fu::blockBursts(768, 128, 1024, mem::LayoutKind::Blocked),
-              6u * 2u);
-    EXPECT_EQ(fu::blockBursts(1, 1, 1024, mem::LayoutKind::Blocked), 1u);
-}
 
 TEST(DdrFu, LoadReadsBlockAndStreamsIt)
 {

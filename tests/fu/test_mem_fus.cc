@@ -11,12 +11,6 @@ using namespace rsn;
 using rsn::test::FuHarness;
 using rsn::test::iotaData;
 
-constexpr FuId kDdr{FuType::Ddr, 0};
-constexpr FuId kLpddr{FuType::Lpddr, 0};
-constexpr FuId kMeshA{FuType::MeshA, 0};
-constexpr FuId kMeshB{FuType::MeshB, 0};
-constexpr FuId kMme{FuType::Mme, 0};
-
 TEST(SliceRows, EvenSplit)
 {
     auto s = fu::sliceRows(12, 3);
@@ -227,8 +221,8 @@ struct MemCRig {
     sim::Stream &to_mesha;
 
     MemCRig()
-        : fu(h.eng, {FuType::MemC, 0}, kMme, kDdr, 277.0),
-          from_mme(h.input(fu, kMme)), from_ddr(h.input(fu, kDdr)),
+        : fu(h.eng, {FuType::MemC, 0}, mme(0), kDdr, 277.0),
+          from_mme(h.input(fu, mme(0))), from_ddr(h.input(fu, kDdr)),
           from_lpddr(h.input(fu, kLpddr)), to_ddr(h.output(fu, kDdr)),
           to_mesha(h.output(fu, kMeshA))
     {

@@ -109,16 +109,10 @@ operator delete[](void *p, std::size_t, std::align_val_t al) noexcept
     operator delete(p, al);
 }
 
-
 namespace {
 
 using namespace rsn;
 using rsn::test::FuHarness;
-
-constexpr FuId kDdr{FuType::Ddr, 0};
-constexpr FuId kLpddr{FuType::Lpddr, 0};
-constexpr FuId kMeshA{FuType::MeshA, 0};
-constexpr FuId kMeshB{FuType::MeshB, 0};
 
 std::uint64_t
 news()

@@ -10,22 +10,6 @@ namespace {
 using namespace rsn;
 using rsn::test::FuHarness;
 
-FuId
-memA(int i)
-{
-    return {FuType::MemA, std::uint8_t(i)};
-}
-FuId
-memC(int i)
-{
-    return {FuType::MemC, std::uint8_t(i)};
-}
-FuId
-mme(int i)
-{
-    return {FuType::Mme, std::uint8_t(i)};
-}
-
 struct MeshRig {
     FuHarness h;
     fu::MeshFu mesh{h.eng, FuId{FuType::MeshA, 0}};

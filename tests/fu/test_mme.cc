@@ -9,10 +9,6 @@ namespace {
 using namespace rsn;
 using rsn::test::FuHarness;
 
-constexpr FuId kMeshA{FuType::MeshA, 0};
-constexpr FuId kMeshB{FuType::MeshB, 0};
-constexpr FuId kMemC{FuType::MemC, 0};
-
 sim::Chunk
 matChunk(const ref::Matrix &m, std::uint32_t tag = 0)
 {
@@ -28,9 +24,9 @@ struct MmeRig {
 
     explicit MmeRig(fu::AieModelParams p = {})
         : mme(h.eng, FuId{FuType::Mme, 0}, fu::AieModel(p), kMeshA,
-              kMeshB, kMemC),
+              kMeshB, memC(0)),
           lhs(h.input(mme, kMeshA)), rhs(h.input(mme, kMeshB)),
-          out(h.output(mme, kMemC))
+          out(h.output(mme, memC(0)))
     {
     }
 };

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "core/machine.hh"
+#include "isa/packet.hh"
 #include "lib/codegen.hh"
 #include "lib/model.hh"
 
@@ -204,6 +210,108 @@ TEST(Codegen, RejectsLayerNormOnPartialWidthTiles)
     auto opts = ScheduleOptions::optimized();
     opts.out_tile_n = 1024;
     EXPECT_THROW((void)compileModel(mach, mod, opts), std::logic_error);
+}
+
+/** 64-bit FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Codegen, ProgramBytesArePinned)
+{
+    // The assembled program of every rsn-sim model (default options:
+    // batch 6, seq 512, one layer, fused QKV) under every schedule, f32
+    // and all-bf16, on timing-only machines. Golden ticks alone cannot
+    // prove that a codegen rewrite emits the same programs; these bytes
+    // do. The hashes were recorded by running this test against the
+    // build before the lane wiring was derived from the core/config.hh
+    // FU-count constants (it used literal 3s and 6s). The assembler
+    // encodes no dtype tags, so f32 and bf16 hash alike; the golden bf16
+    // ticks pin the precision stamping.
+    struct Case {
+        const char *model;
+        const char *schedule;
+        bool bf16;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {"bert", "opt", false, 0x7c1e6108e3f42909ull},
+        {"bert", "opt", true, 0x7c1e6108e3f42909ull},
+        {"bert", "bw", false, 0x5ac13d06ebb01975ull},
+        {"bert", "bw", true, 0x5ac13d06ebb01975ull},
+        {"bert", "noopt", false, 0x416b50bb4ff27477ull},
+        {"bert", "noopt", true, 0x416b50bb4ff27477ull},
+        {"vit", "opt", false, 0x5ae1087419a61357ull},
+        {"vit", "opt", true, 0x5ae1087419a61357ull},
+        {"vit", "bw", false, 0x2489bb51fe84d02dull},
+        {"vit", "bw", true, 0x2489bb51fe84d02dull},
+        {"vit", "noopt", false, 0x3267ce6f593d47d4ull},
+        {"vit", "noopt", true, 0x3267ce6f593d47d4ull},
+        {"ncf", "opt", false, 0xe68985a04f768788ull},
+        {"ncf", "opt", true, 0xe68985a04f768788ull},
+        {"ncf", "bw", false, 0x91908332c0262785ull},
+        {"ncf", "bw", true, 0x91908332c0262785ull},
+        {"ncf", "noopt", false, 0x90da682da04f2784ull},
+        {"ncf", "noopt", true, 0x90da682da04f2784ull},
+        {"mlp", "opt", false, 0x5bdb9f0f00da602full},
+        {"mlp", "opt", true, 0x5bdb9f0f00da602full},
+        {"mlp", "bw", false, 0xac1d78fcbc828e32ull},
+        {"mlp", "bw", true, 0xac1d78fcbc828e32ull},
+        {"mlp", "noopt", false, 0x68f757994b38b7a8ull},
+        {"mlp", "noopt", true, 0x68f757994b38b7a8ull},
+        {"tiny", "opt", false, 0x68ac35495433c84bull},
+        {"tiny", "opt", true, 0x68ac35495433c84bull},
+        {"tiny", "bw", false, 0x5922c761f7e4b73ull},
+        {"tiny", "bw", true, 0x5922c761f7e4b73ull},
+        {"tiny", "noopt", false, 0x19e4cc7b111be5efull},
+        {"tiny", "noopt", true, 0x19e4cc7b111be5efull},
+    };
+    auto makeModel = [](const std::string &name) {
+        constexpr std::uint32_t kBatch = 6;
+        if (name == "bert")
+            return bertLargeEncoder(kBatch, 512, true, 1);
+        if (name == "vit")
+            return vitEncoder(kBatch, true, 1);
+        if (name == "ncf")
+            return ncf(kBatch);
+        if (name == "mlp")
+            return mlp(kBatch);
+        return tinyEncoder(kBatch, 32, 64, 4, 128, true);
+    };
+    auto makeSchedule = [](const std::string &name) {
+        if (name == "bw")
+            return ScheduleOptions::bwOptimized();
+        if (name == "noopt")
+            return ScheduleOptions::noOptimize();
+        return ScheduleOptions::optimized();
+    };
+    std::string table;
+    for (const Case &c : cases) {
+        auto cfg = core::MachineConfig::vck190();
+        if (c.bf16)
+            cfg.precision = {Dtype::Bf16, Dtype::Bf16, Dtype::Bf16};
+        core::RsnMachine mach(cfg);
+        const auto compiled = compileModel(mach, makeModel(c.model),
+                                           makeSchedule(c.schedule));
+        const std::uint64_t h = fnv1a(isa::assemble(compiled.program));
+        EXPECT_EQ(h, c.hash) << c.model << " " << c.schedule
+                             << (c.bf16 ? " bf16" : " f32");
+        char row[128];
+        std::snprintf(row, sizeof row,
+                      "        {\"%s\", \"%s\", %s, 0x%llxull},\n",
+                      c.model, c.schedule, c.bf16 ? "true" : "false",
+                      static_cast<unsigned long long>(h));
+        table += row;
+    }
+    if (HasFailure())  // the rows to paste when re-recording
+        std::printf("%s", table.c_str());
 }
 
 } // namespace

@@ -20,7 +20,6 @@ testCfg()
     DramConfig cfg;
     cfg.read_gbps = 21.0;
     cfg.write_gbps = 23.5;
-    cfg.per_burst_overhead = 16;
     return cfg;
 }
 
@@ -90,11 +89,12 @@ TEST(Dram, StatsTrackBothDirections)
 TEST(Dram, ScaleBandwidthShortensService)
 {
     Engine e;
-    DramChannel ch(e, testCfg());
+    DramConfig doubled = testCfg();
+    doubled.read_gbps *= 2;
+    doubled.write_gbps *= 2;
     DramRequest req{Dir::Read, 1 << 20, 1};
-    Tick base = ch.serviceTicks(req);
-    ch.scaleBandwidth(2.0);
-    Tick faster = ch.serviceTicks(req);
+    Tick base = DramChannel(e, testCfg()).serviceTicks(req);
+    Tick faster = DramChannel(e, doubled).serviceTicks(req);
     // Transfer halves; the burst overhead does not scale.
     EXPECT_NEAR(static_cast<double>(faster - 16),
                 static_cast<double>(base - 16) / 2, 2.0);

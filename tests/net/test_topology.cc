@@ -9,14 +9,6 @@ using namespace rsn;
 using net::Edge;
 using net::Topology;
 
-FuId
-mme(int i)
-{
-    return {FuType::Mme, std::uint8_t(i)};
-}
-constexpr FuId kMeshA{FuType::MeshA, 0};
-constexpr FuId kDdr{FuType::Ddr, 0};
-
 TEST(Topology, NodeAndEdgeLookup)
 {
     Topology t;
@@ -96,8 +88,7 @@ TEST(Topology, DotExportNamesEveryNode)
 
 TEST(RsnXnnTopology, MatchesPaperFigure10Structure)
 {
-    auto cfg = core::MachineConfig::vck190();
-    auto t = core::buildRsnXnnTopology(cfg);
+    auto t = core::buildRsnXnnTopology();
     // 6 MME + 3 MemA + 3 MemB + 6 MemC + 2 mesh + DDR + LPDDR = 22.
     EXPECT_EQ(t.nodes().size(), 22u);
 

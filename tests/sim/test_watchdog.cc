@@ -141,9 +141,8 @@ TEST(Watchdog, MachineReportsATrippedBudgetAsLivelock)
 {
     // At the machine level a tripped budget is the Livelock outcome,
     // with the watchdog line closing the stall report.
-    auto cfg = rsn::core::MachineConfig::vck190();
-    cfg.watchdog_events_per_tick = 1;
-    rsn::core::RsnMachine mach(cfg);
+    rsn::core::RsnMachine mach(rsn::core::MachineConfig::vck190());
+    mach.engine().setEventsPerTickBudget(1);
     auto c = rsn::lib::compileModel(
         mach, rsn::lib::tinyEncoder(2, 32, 64, 4, 128, true),
         rsn::lib::ScheduleOptions::optimized());

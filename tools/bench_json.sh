@@ -3,10 +3,11 @@
 # benchmarks and emit a merged BENCH_sim.json summary for the
 # performance trajectory across PRs.
 #
-# The record also holds the end-to-end serving claim: three runs of
-# `python3 perfbench/run.py --workload serve --seed 1 --seconds 10
+# The record also holds the end-to-end metrics of every perfbench
+# workload (checked, checked_bf16, sweep, serve): three runs each of
+# `python3 perfbench/run.py --workload W --seed 1 --seconds 10
 # --trace 0`, summarized as median/min/max of latency_p90_ms,
-# peak_rss_mb and setup_s under the "perfbench" key, with the host and
+# peak_rss_mb and setup_s under "perfbench"."W", with the host and
 # perfbench's build type. Given a parent checkout, its runs alternate
 # with this tree's (so host drift hits both alike) and land beside
 # them as the "before".
@@ -42,15 +43,19 @@ trap 'rm -f "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE" "$RAW_PERF"' EXIT
 "$BUILD/bench_serving" --benchmark_format=json --benchmark_min_time=0.5 \
     >"$RAW_SERVE" 2>/dev/null
 
-# One "<tree> <run.py JSON line>" per run; run.py builds each tree's
-# perfbench binary into that tree's .bench_build/ on first use.
-for _ in 1 2 3; do
-    for tree in change ${PARENT:+parent}; do
-        dir=.
-        [[ "$tree" == parent ]] && dir="$PARENT"
-        line="$(cd "$dir" && python3 perfbench/run.py --workload serve \
-            --seed 1 --seconds 10 --trace 0 2>/dev/null | tail -n 1)"
-        echo "$tree $line" >>"$RAW_PERF"
+# One "<workload> <tree> <run.py JSON line>" per run; run.py builds
+# each tree's perfbench binary into that tree's .bench_build/ on first
+# use.
+for workload in checked checked_bf16 sweep serve; do
+    for _ in 1 2 3; do
+        for tree in change ${PARENT:+parent}; do
+            dir=.
+            [[ "$tree" == parent ]] && dir="$PARENT"
+            line="$(cd "$dir" && python3 perfbench/run.py \
+                --workload "$workload" --seed 1 --seconds 10 --trace 0 \
+                2>/dev/null | tail -n 1)"
+            echo "$workload $tree $line" >>"$RAW_PERF"
+        done
     done
 done
 
@@ -118,26 +123,30 @@ def field(path, prefix, sep):
 
 runs = {}
 for line in open(sys.argv[4]):
-    tree, _, result = line.strip().partition(" ")
+    workload, tree, result = line.strip().split(" ", 2)
     res = json.loads(result)
     if not res["correct"] or res["failed"]:
-        sys.exit(f"perfbench serve failed in the {tree} tree: {result}")
-    runs.setdefault(tree, []).append(res["metrics"])
+        sys.exit(f"perfbench {workload} failed in the {tree} tree: "
+                 f"{result}")
+    runs.setdefault(workload, {}).setdefault(tree, []).append(
+        res["metrics"])
 perf = {
-    "command": "python3 perfbench/run.py --workload serve --seed 1 "
+    "command": "python3 perfbench/run.py --workload W --seed 1 "
                "--seconds 10 --trace 0",
     "host": {"cpu": field("/proc/cpuinfo", "model name", ":"),
              "num_cpus": os.cpu_count()},
     "build_type": field(".bench_build/CMakeCache.txt",
                         "CMAKE_BUILD_TYPE:", "="),
 }
-for tree, samples in runs.items():
-    perf[tree] = {}
-    for metric in ("latency_p90_ms", "peak_rss_mb", "setup_s"):
-        vals = [s[metric]["value"] for s in samples]
-        perf[tree][metric] = {"median": statistics.median(vals),
-                              "min": min(vals), "max": max(vals),
-                              "runs": len(vals)}
+for workload, trees in runs.items():
+    perf[workload] = {}
+    for tree, samples in trees.items():
+        perf[workload][tree] = {}
+        for metric in ("latency_p90_ms", "peak_rss_mb", "setup_s"):
+            vals = [s[metric]["value"] for s in samples]
+            perf[workload][tree][metric] = {
+                "median": statistics.median(vals), "min": min(vals),
+                "max": max(vals), "runs": len(vals)}
 out["perfbench"] = perf
 json.dump(out, open(sys.argv[-1], "w"), indent=2)
 print(f"wrote {sys.argv[-1]}")

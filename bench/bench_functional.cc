@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -135,6 +136,71 @@ BM_FunctionalTinyEncoderExact(benchmark::State &state)
                           rsn::Dtype::F32);
 }
 BENCHMARK(BM_FunctionalTinyEncoderExact)->Unit(benchmark::kMillisecond);
+
+/**
+ * The whole checked flow at the golden tiny shape (B=2, S=32, H=64,
+ * 4 heads, FF=128), f32 — what `rsn-sim --model tiny --functional` and
+ * perfbench's `checked` unit do: build the machine, compile, seed the
+ * tensors, evaluate the FP32 reference oracle, run the datapath and
+ * hold every output to the accuracy contract. Each iteration takes its
+ * own data seed, so nothing is cached across iterations. One counter
+ * per phase, in ms per iteration, timed around the calls here the way
+ * perfbench's traced units time them; the phases of the oracle
+ * (`init_ms`, `reference_ms`) are the ones the ISA variants and the
+ * jump-ahead seeding of src/ref cut.
+ */
+void
+BM_CheckedTinyEncoder(benchmark::State &state)
+{
+    using Clock = std::chrono::steady_clock;
+    const auto model = rsn::lib::tinyEncoder(2, 32, 64, 4, 128, true);
+    const auto cfg = rsn::core::MachineConfig::vck190(/*functional=*/true);
+    double build = 0, compile = 0, init = 0, reference = 0, run = 0,
+           verify = 0;
+    auto lap = [](Clock::time_point &t0, double &acc) {
+        const Clock::time_point t1 = Clock::now();
+        acc += std::chrono::duration<double, std::milli>(t1 - t0).count();
+        t0 = t1;
+    };
+    std::uint32_t seed = 2025;
+    for (auto _ : state) {
+        Clock::time_point t = Clock::now();
+        rsn::core::RsnMachine mach(cfg);
+        lap(t, build);
+        const auto compiled = rsn::lib::compileModel(
+            mach, model, rsn::lib::ScheduleOptions::optimized());
+        lap(t, compile);
+        rsn::lib::initTensors(mach, compiled, seed++);
+        lap(t, init);
+        const auto expect = rsn::lib::expectations(
+            rsn::lib::referenceForward(mach, model, compiled), cfg.precision);
+        lap(t, reference);
+        const auto rep = mach.runChecked(compiled.program);
+        lap(t, run);
+        if (!rep.ok())
+            state.SkipWithError("checked run did not complete");
+        // runVerified()'s passing path: each output compared in place.
+        bool met = true;
+        for (const auto &[name, e] : expect)
+            if (compiled.hasTensor(name))
+                met &= rsn::ref::allcloseFast(
+                    mach.host().region(compiled.tensor(name).addr),
+                    e.want.data, e.rtol, e.atol);
+        lap(t, verify);
+        if (!met)
+            state.SkipWithError("an output diverged from the reference");
+        benchmark::DoNotOptimize(met);
+    }
+    const double n = double(state.iterations());
+    state.counters["build_ms"] = build / n;
+    state.counters["compile_ms"] = compile / n;
+    state.counters["init_ms"] = init / n;
+    state.counters["reference_ms"] = reference / n;
+    state.counters["run_ms"] = run / n;
+    state.counters["verify_ms"] = verify / n;
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CheckedTinyEncoder)->Unit(benchmark::kMillisecond);
 
 /** Same workload timing-only: the sim-overhead floor under the number
  *  above (the gap between the two is pure functional-payload cost). */

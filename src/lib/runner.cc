@@ -41,11 +41,8 @@ initTensors(core::RsnMachine &mach, const CompiledModel &compiled,
         return;
     std::uint32_t salt = 1;
     for (const auto &t : compiled.tensors) {
-        if (seeded(t)) {
-            ref::Matrix m = ref::randomMatrix(t.rows, t.cols,
-                                              seed + salt, scale);
-            mach.host().fillRegion(t.addr, m.data.data(), m.data.size());
-        }
+        if (seeded(t))
+            ref::fillRandom(mach.host().region(t.addr), seed + salt, scale);
         ++salt;
     }
 }
@@ -197,31 +194,44 @@ meetsAccuracyBound(const ref::Matrix &got, const ref::Matrix &want,
     return ref::allclose(got, want, rtol, atol, why);
 }
 
+Expectations
+expectations(std::map<std::string, ref::Matrix> refs,
+             const core::PrecisionPolicy &p)
+{
+    Expectations out;
+    for (auto &[name, want] : refs) {
+        if (name == "input")
+            continue;
+        const auto [rtol, atol] = contractTolerance(want, p);
+        out.emplace(name, Expected{std::move(want), rtol, atol});
+    }
+    return out;
+}
+
 CheckedRun
 runVerified(core::RsnMachine &mach, const CompiledModel &compiled,
-            const std::map<std::string, ref::Matrix> &refs, Tick max_ticks)
+            const Expectations &expect, Tick max_ticks)
 {
     CheckedRun cr;
     cr.report = mach.runChecked(compiled.program, max_ticks);
 
     if (mach.host().functional() && cr.report.ok()) {
         std::string detail;
-        for (const auto &[name, expect] : refs) {
-            if (name == "input" || !compiled.hasTensor(name))
+        for (const auto &[name, e] : expect) {
+            if (!compiled.hasTensor(name))
                 continue;
             // Compare in place against the host region; only a failure
             // pays for a copy and the scalar pass that names the first
             // diverged element.
             const TensorInfo &t = compiled.tensor(name);
-            const auto [rtol, atol] =
-                contractTolerance(expect, mach.config().precision);
-            if (t.rows == expect.rows && t.cols == expect.cols &&
-                ref::allcloseFast(mach.host().region(t.addr), expect.data,
-                                  rtol, atol))
+            if (t.rows == e.want.rows && t.cols == e.want.cols &&
+                ref::allcloseFast(mach.host().region(t.addr), e.want.data,
+                                  e.rtol, e.atol))
                 continue;
             std::string why;
-            const bool met = ref::allclose(readTensor(mach, compiled, name),
-                                           expect, rtol, atol, &why);
+            const bool met =
+                ref::allclose(readTensor(mach, compiled, name), e.want,
+                              e.rtol, e.atol, &why);
             rsn_assert(!met, "in-place and scalar compares disagree on %s",
                        name.c_str());
             detail += (detail.empty() ? "" : "; ") + name + " " + why;
@@ -241,10 +251,11 @@ runModelChecked(core::RsnMachine &mach, const Model &model,
                 Tick max_ticks)
 {
     initTensors(mach, compiled, seed);
-    std::map<std::string, ref::Matrix> refs;
+    Expectations expect;
     if (mach.host().functional())
-        refs = referenceForward(mach, model, compiled);
-    return runVerified(mach, compiled, refs, max_ticks);
+        expect = expectations(referenceForward(mach, model, compiled),
+                              mach.config().precision);
+    return runVerified(mach, compiled, expect, max_ticks);
 }
 
 } // namespace rsn::lib

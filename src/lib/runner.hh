@@ -78,6 +78,25 @@ bool meetsAccuracyBound(const ref::Matrix &got, const ref::Matrix &want,
                         const core::PrecisionPolicy &p,
                         std::string *why = nullptr);
 
+/** One reference tensor with the (rtol, atol) its contract gives it. */
+struct Expected {
+    ref::Matrix want;
+    float rtol = 0;
+    float atol = 0;
+};
+
+/** What a checked run's outputs are held to, by tensor name. */
+using Expectations = std::map<std::string, Expected>;
+
+/**
+ * @p refs (a referenceForward() result) without "input", each tensor
+ * with the tolerances meetsAccuracyBound() would use under policy
+ * @p p. A memoized reference computes them once here instead of
+ * redoing the RMS pass on every run.
+ */
+Expectations expectations(std::map<std::string, ref::Matrix> refs,
+                          const core::PrecisionPolicy &p);
+
 /**
  * Outcome of runModelChecked: the run report, whose status is
  * OutputMismatch when a completed functional run's outputs diverged,
@@ -95,24 +114,24 @@ struct CheckedRun {
  * The verifying body of every checked run: run the already-seeded
  * @p compiled program through the structured RunReport channel and,
  * when the run completes on a functional machine, hold every tensor of
- * @p refs that the compiled model exposes (except "input") to the
- * accuracy contract of the machine's precision policy, compared in
- * place in host memory. Never throws on
+ * @p expect that the compiled model exposes to its tolerances,
+ * compared in place in host memory. Never throws on
  * a diagnosed fault / deadlock / timeout or an output mismatch; those
  * come back classified in the report, and a mismatch's message names
- * each diverged tensor with its first bad element. @p refs must be the
- * referenceForward() of the tensors initTensors() wrote for this run.
+ * each diverged tensor with its first bad element. @p expect must be
+ * the expectations() of the referenceForward() of the tensors
+ * initTensors() wrote for this run, under the machine's precision
+ * policy.
  */
 CheckedRun runVerified(core::RsnMachine &mach, const CompiledModel &compiled,
-                       const std::map<std::string, ref::Matrix> &refs,
-                       Tick max_ticks);
+                       const Expectations &expect, Tick max_ticks);
 
 /**
  * The full checked execution flow in one call: seed tensors, capture the
  * FP32 reference, then runVerified(). This is the path rsn-sim, sweeps
  * and the golden tier drive; rsn-serve restores a memoized program and
  * seeded image per (class, batch) instead (restoreTensors()) and calls
- * runVerified() with that key's memoized reference.
+ * runVerified() with that key's memoized expectations.
  */
 CheckedRun runModelChecked(core::RsnMachine &mach, const Model &model,
                            const CompiledModel &compiled,

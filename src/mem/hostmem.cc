@@ -136,18 +136,12 @@ HostMemory::writeBlock(Addr addr, std::uint64_t pitch_elems,
 void
 HostMemory::fillRegion(Addr base, const std::vector<float> &values)
 {
-    fillRegion(base, values.data(), values.size());
-}
-
-void
-HostMemory::fillRegion(Addr base, const float *values, std::size_t n)
-{
     if (!functional_)
         return;
     auto it = regions_.find(base);
     rsn_assert(it != regions_.end(), "fill of unknown region");
-    rsn_assert(n == it->second.elems, "fill size mismatch");
-    it->second.data.assign(values, values + n);
+    rsn_assert(values.size() == it->second.elems, "fill size mismatch");
+    it->second.data = values;
 }
 
 std::vector<float>
@@ -162,6 +156,14 @@ HostMemory::region(Addr base) const
 {
     auto it = regions_.find(base);
     rsn_assert(it != regions_.end(), "read of unknown region");
+    return it->second.data;
+}
+
+std::span<float>
+HostMemory::region(Addr base)
+{
+    auto it = regions_.find(base);
+    rsn_assert(it != regions_.end(), "fill of unknown region");
     return it->second.data;
 }
 

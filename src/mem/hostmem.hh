@@ -96,15 +96,16 @@ class HostMemory
     /** Fill a whole region with values (functional initialization). */
     void fillRegion(Addr base, const std::vector<float> &values);
 
-    /** Fill a whole region from raw storage of @p n floats. */
-    void fillRegion(Addr base, const float *values, std::size_t n);
-
     /** Snapshot a whole region (functional verification). */
     std::vector<float> readRegion(Addr base) const;
 
     /** A whole region's storage, in place (empty in timing-only mode):
      *  verify compares outputs here without a readRegion copy. */
     std::span<const float> region(Addr base) const;
+
+    /** A whole region's storage, writable in place: seeding fills it
+     *  without a staging copy. */
+    std::span<float> region(Addr base);
 
   private:
     static constexpr Addr kBase = 0x1000;

@@ -47,6 +47,11 @@ struct Matrix {
 Matrix randomMatrix(std::uint32_t rows, std::uint32_t cols,
                     std::uint32_t seed, float scale = 1.0f);
 
+/** Write randomMatrix()'s values for a matrix of out.size() elements
+ *  into @p out, in place (a seeded host region). */
+void fillRandom(std::span<float> out, std::uint32_t seed,
+                float scale = 1.0f);
+
 /** C = A * B in FP32, each element summed from +0 in ascending k (so
  *  any loop order that keeps that rule is bit-identical). */
 Matrix matmul(const Matrix &a, const Matrix &b);
@@ -91,6 +96,27 @@ bool allcloseFast(std::span<const float> a, std::span<const float> b,
 
 /** Max absolute element difference. */
 float maxAbsDiff(const Matrix &a, const Matrix &b);
+
+/**
+ * One instruction-set variant of the oracle's vector loops. matmul(),
+ * allcloseFast() and fillRandom() run the best variant the CPU
+ * supports, chosen by cpuid on first use. Every variant gives the same
+ * bits: ref_math.cc builds with -ffp-contract=off, so each step stays
+ * one FP32 multiply and one FP32 add, never a fused multiply-add.
+ */
+struct Variant {
+    const char *isa;  ///< "avx512f", "avx2" or "baseline".
+    Matrix (*matmul)(const Matrix &a, const Matrix &b);
+    bool (*allcloseFast)(std::span<const float> a,
+                         std::span<const float> b, float rtol, float atol);
+    void (*fillRandom)(std::span<float> out, std::uint32_t seed,
+                       float scale);
+};
+
+/** The variants this CPU can run, best first: the first is the one
+ *  matmul(), allcloseFast() and fillRandom() call. Tests run every
+ *  one. */
+std::span<const Variant> runnableVariants();
 
 } // namespace rsn::ref
 

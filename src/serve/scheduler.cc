@@ -171,9 +171,9 @@ class ServingSim
     struct Memo {
         lib::CompiledModel compiled;
         lib::SeededImage image;  ///< Captured before any run.
-        /** Reference tensors minus "input"; empty on a timing-only
+        /** The reference with its tolerances; empty on a timing-only
          *  fleet. */
-        std::map<std::string, ref::Matrix> refs;
+        lib::Expectations expect;
     };
 
     enum class Outcome : std::uint8_t { Ok, Shed, Timeout, Faulted };
@@ -475,7 +475,7 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     core::RsnMachine &mach = s.lane.machine(cfg);
     const Memo &m = prepare(cls, n, mach);
     const lib::CheckedRun cr = lib::runVerified(
-        mach, m.compiled, m.refs, spec_.policy.run_tick_budget);
+        mach, m.compiled, m.expect, spec_.policy.run_tick_budget);
     ++rep_.runs;
     rep_.faults_injected += cr.report.faults_injected;
     f.status = cr.report.status.code;
@@ -502,8 +502,9 @@ ServingSim::prepare(std::uint32_t cls, std::uint32_t n,
     lib::initTensors(mach, m.compiled, kDataSeed);
     m.image = lib::captureSeeded(mach, m.compiled);
     if (mach.host().functional()) {
-        m.refs = lib::referenceForward(mach, model, m.compiled);
-        m.refs.erase("input");
+        m.expect = lib::expectations(
+            lib::referenceForward(mach, model, m.compiled),
+            mach.config().precision);
         ++rep_.references;
     }
     return m;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -142,7 +143,9 @@ TEST(Runner, InPlaceVerifyMakesAllcloseDecisions)
     // and only reruns ref::allclose to name the diverged element, so the
     // two must agree on every input: NaN and inf on either side, |d|
     // exactly at the tolerance and one ulp above it, empty tensors, and
-    // the contract's absolute slack above RMS 1.
+    // the contract's absolute slack above RMS 1. Every ISA variant of
+    // allcloseFast this CPU can run is held to it, not only the one
+    // the dispatcher picked.
     const float inf = std::numeric_limits<float>::infinity();
     const float nan = std::numeric_limits<float>::quiet_NaN();
     const std::pair<float, float> edges[] = {
@@ -155,8 +158,14 @@ TEST(Runner, InPlaceVerifyMakesAllcloseDecisions)
                       float rtol, float atol) {
         const bool fast =
             ref::allcloseFast(got.data, want.data, rtol, atol);
-        EXPECT_EQ(fast, ref::allclose(got, want, rtol, atol))
+        const bool scalar = ref::allclose(got, want, rtol, atol);
+        EXPECT_EQ(fast, scalar)
             << "case " << cases << " rtol " << rtol << " atol " << atol;
+        for (const ref::Variant &v : ref::runnableVariants())
+            EXPECT_EQ(v.allcloseFast(got.data, want.data, rtol, atol),
+                      scalar)
+                << v.isa << " case " << cases << " rtol " << rtol
+                << " atol " << atol;
         ++cases;
         passed += fast;
         return fast;
@@ -174,6 +183,16 @@ TEST(Runner, InPlaceVerifyMakesAllcloseDecisions)
                 1.0, std::sqrt(sq / want.data.size())));
             if (scale > 1)
                 EXPECT_GT(atol, rtol);  // RMS above 1.
+            // The tolerances a memoized reference carries are these.
+            const lib::Expectations ex =
+                lib::expectations({{"input", want}, {"y", want}},
+                                  core::PrecisionPolicy{d, d, d});
+            EXPECT_EQ(ex.count("input"), 0u);
+            const lib::Expected &e = ex.at("y");
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(e.rtol),
+                      std::bit_cast<std::uint32_t>(rtol));
+            EXPECT_EQ(std::bit_cast<std::uint32_t>(e.atol),
+                      std::bit_cast<std::uint32_t>(atol));
             EXPECT_TRUE(decide(want, want, rtol, atol));
 
             for (std::size_t i = 0; i < want.data.size(); ++i) {

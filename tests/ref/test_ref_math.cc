@@ -2,10 +2,16 @@
  * @file
  * The reference oracle's own contract (src/ref/ref_math.hh).
  *
- *  - The register-blocked matmul and the transpose-fed matmulBt are
- *    bit-identical to a textbook triple loop that sums each element from
- *    +0 in ascending k, over a grid of ragged shapes, k = 0, and A with
- *    zero entries.
+ *  - The register-blocked matmul, in every ISA variant the CPU runs,
+ *    and the transpose-fed matmulBt are bit-identical to a textbook
+ *    triple loop that sums each element from +0 in ascending k, over a
+ *    grid of ragged shapes, k = 0, and A with zero entries.
+ *  - No variant fuses a multiply and an add: a product whose FMA and
+ *    unfused results differ in sign gives the unfused +0, and an
+ *    allcloseFast tolerance sitting on a rounding tie gives the
+ *    unfused decision.
+ *  - randomMatrix and every variant's fillRandom (jump-ahead chains)
+ *    equal one serial xorshift32 loop bit for bit.
  *  - softmax is bit-identical to its two-pass definition.
  *  - referenceForward over the golden tiny encoder and NCF, f32 and
  *    bf16, three data seeds each, hashes to pinned values: a change to
@@ -21,8 +27,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/machine.hh"
@@ -88,6 +97,10 @@ TEST(RefMath, BlockedMatmulIsBitIdenticalToTheTripleLoop)
                 const ref::Matrix want = naiveMatmul(a, b);
                 EXPECT_EQ(firstBitDiff(ref::matmul(a, b), want), -1)
                     << "matmul " << m << "x" << k << "x" << n;
+                for (const ref::Variant &v : ref::runnableVariants())
+                    EXPECT_EQ(firstBitDiff(v.matmul(a, b), want), -1)
+                        << v.isa << " matmul " << m << "x" << k << "x"
+                        << n;
                 EXPECT_EQ(firstBitDiff(ref::matmulBt(a, ref::transpose(b)),
                                        want),
                           -1)
@@ -116,6 +129,109 @@ TEST(RefMath, ZeroDepthAndZeroOperandsGivePositiveZeros)
     EXPECT_EQ(firstBitDiff(ref::matmul(ref::Matrix(3, 17), b),
                            ref::Matrix(3, 40)),
               -1);
+}
+
+TEST(RefMath, EveryRunnableVariantIsListedBestFirst)
+{
+    const auto variants = ref::runnableVariants();
+    ASSERT_FALSE(variants.empty());
+    EXPECT_STREQ(variants.back().isa, "baseline");
+    std::vector<std::string> names;
+    for (const ref::Variant &v : variants)
+        names.push_back(v.isa);
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    __builtin_cpu_init();
+    std::vector<std::string> want;
+    if (__builtin_cpu_supports("avx512f"))
+        want.push_back("avx512f");
+    if (__builtin_cpu_supports("avx2"))
+        want.push_back("avx2");
+    want.push_back("baseline");
+    EXPECT_EQ(names, want);
+#endif
+    std::printf("oracle variants run here:");
+    for (const std::string &n : names)
+        std::printf(" %s", n.c_str());
+    std::printf("\n");
+}
+
+TEST(RefMath, NoVariantContractsIntoAFusedMultiplyAdd)
+{
+    // k = 2 with A = [1, 1+2^-12] and B = [-(1+2^-11); 1+2^-12]. The
+    // second product is 1 + 2^-11 + 2^-24, which rounds (a tie, to
+    // even) to 1 + 2^-11 and cancels the first: +0. An FMA keeps the
+    // 2^-24.
+    const float u12 = std::ldexp(1.0f, -12), u11 = std::ldexp(1.0f, -11);
+    ref::Matrix a(1, 2), b(2, 1);
+    a.data = {1.0f, 1.0f + u12};
+    b.data = {-(1.0f + u11), 1.0f + u12};
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(naiveMatmul(a, b).data[0]), 0u);
+    // The tolerance atol + rtol * |y| with rtol = 2^24 + 2^12,
+    // y = 1 + 2^-12 and atol = 1: the product 2^24 + 2^13 + 1 rounds to
+    // 2^24 + 2^13, and adding 1 is a tie back to it. Fused, the
+    // tolerance is 2^24 + 2^13 + 2, which |x - y| below equals.
+    const float rtol = 16777216.0f + 4096.0f, atol = 1.0f;
+    const std::vector<float> y = {1.0f + u12};
+    const std::vector<float> x = {16777216.0f + 8192.0f + 4.0f};
+    ref::Matrix got(1, 1), want(1, 1);
+    got.data = x;
+    want.data = y;
+    EXPECT_FALSE(ref::allclose(got, want, rtol, atol));
+    for (const ref::Variant &v : ref::runnableVariants()) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(v.matmul(a, b).data[0]), 0u)
+            << v.isa;
+        EXPECT_FALSE(v.allcloseFast(x, y, rtol, atol)) << v.isa;
+    }
+}
+
+/** The seeding contract, one xorshift32 step per element. */
+std::vector<float>
+serialRandom(std::size_t n, std::uint32_t seed, float scale)
+{
+    std::vector<float> out(n);
+    std::uint32_t s = seed ? seed : 0x9e3779b9u;
+    for (float &v : out) {
+        s ^= s << 13;
+        s ^= s >> 17;
+        s ^= s << 5;
+        v = (float(s) / 4294967296.0f * 2.0f - 1.0f) * scale;
+    }
+    return out;
+}
+
+TEST(RefMath, SeedingEqualsTheSerialXorshiftLoop)
+{
+    auto same = [](const std::vector<float> &got,
+                   const std::vector<float> &want) {
+        return got.size() == want.size() &&
+               std::memcmp(got.data(), want.data(),
+                           want.size() * sizeof(float)) == 0;
+    };
+    // (rows, cols, scale): every length through several whole chain
+    // splits, so each segment boundary (and the serial cut-over) is
+    // crossed at +-1, then two matrix shapes at initTensors' scale too.
+    std::vector<std::tuple<std::uint32_t, std::uint32_t, float>> shapes;
+    for (std::uint32_t n = 0; n <= 1100; ++n)
+        shapes.emplace_back(1, n, 1.0f);
+    for (float scale : {1.0f, 0.5f}) {
+        shapes.emplace_back(64, 192, scale);
+        shapes.emplace_back(333, 517, scale);
+    }
+    for (std::uint32_t seed : {0u, 1u, 0xffffffffu})
+        for (const auto &[r, c, scale] : shapes) {
+            const std::vector<float> want =
+                serialRandom(std::size_t(r) * c, seed, scale);
+            EXPECT_TRUE(same(ref::randomMatrix(r, c, seed, scale).data,
+                             want))
+                << r << "x" << c << " seed " << seed << " scale " << scale;
+            for (const ref::Variant &v : ref::runnableVariants()) {
+                std::vector<float> got(want.size(), -2.0f);
+                v.fillRandom(got, seed, scale);
+                EXPECT_TRUE(same(got, want))
+                    << v.isa << " " << r << "x" << c << " seed " << seed
+                    << " scale " << scale;
+            }
+        }
 }
 
 TEST(RefMath, SoftmaxIsBitIdenticalToTheTwoPassDefinition)

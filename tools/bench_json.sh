@@ -9,8 +9,8 @@
 # --trace 0`, summarized as median/min/max of latency_p90_ms,
 # peak_rss_mb and setup_s under "perfbench"."W", with the host and
 # perfbench's build type. Given a parent checkout, its runs alternate
-# with this tree's (so host drift hits both alike) and land beside
-# them as the "before".
+# with this tree's, each tree leading every other round (so host drift
+# hits both alike), and land beside them as the "before".
 #
 # Usage: tools/bench_json.sh [build-dir] [out-json] [parent-checkout]
 set -euo pipefail
@@ -45,10 +45,16 @@ trap 'rm -f "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE" "$RAW_PERF"' EXIT
 
 # One "<workload> <tree> <run.py JSON line>" per run; run.py builds
 # each tree's perfbench binary into that tree's .bench_build/ on first
-# use.
+# use. With a parent, the order within a pair flips every round: with
+# this tree always first, sweep read 9% worse on latency_p90_ms and
+# 34% on setup_s, where 10 alternating pairs read no difference.
 for workload in checked checked_bf16 sweep serve; do
-    for _ in 1 2 3; do
-        for tree in change ${PARENT:+parent}; do
+    for round in 1 2 3; do
+        order="change ${PARENT:+parent}"
+        if [[ -n "$PARENT" ]] && (( round % 2 == 0 )); then
+            order="parent change"
+        fi
+        for tree in $order; do
             dir=.
             [[ "$tree" == parent ]] && dir="$PARENT"
             line="$(cd "$dir" && python3 perfbench/run.py \
@@ -102,9 +108,12 @@ for raw in raws:
                     entry["dtype"] = tok[len("dtype="):]
                 else:
                     entry["isa"] = tok
+        # The *_ms counters are BM_CheckedTinyEncoder's per-phase host
+        # times, ms per checked run.
         for counter in ("allocs_per_event", "allocs_per_chunk",
                         "allocs_per_tile", "p99_ticks", "p50_ticks",
-                        "goodput_rps", "ticks"):
+                        "goodput_rps", "ticks", "build_ms", "compile_ms",
+                        "init_ms", "reference_ms", "run_ms", "verify_ms"):
             if counter in b:
                 entry[counter] = b[counter]
         out["events_per_second"][b["name"]] = entry

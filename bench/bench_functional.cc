@@ -33,25 +33,6 @@
 
 namespace {
 
-/** The probed-best vectorized kernel table — what a production run on
- *  this machine would select (never the scalar reference). Benchmarks
- *  pin it explicitly so the recorded label names the ISA even when the
- *  bench process is launched with RSN_ISA set. */
-const rsn::kernel::KernelTable &
-bestTable()
-{
-    auto &reg = rsn::kernel::Registry::instance();
-    std::vector<rsn::kernel::Isa> compiled_in;
-    for (const auto *t : reg.tables())
-        compiled_in.push_back(t->isa);
-    const rsn::kernel::Isa best =
-        rsn::kernel::chooseBest(reg.probe(), compiled_in);
-    for (const auto *t : reg.tables())
-        if (t->isa == best)
-            return *t;
-    return reg.active();
-}
-
 /**
  * Functional tiny-encoder end-to-end (B=2, S=64, H=128, FF=256): the
  * ROADMAP headline number for the functional data plane — every lever
@@ -63,13 +44,14 @@ bestTable()
  * cache the sweep and serving tiers use — so every timed iteration
  * runs the one warm machine instead of paying an untimed-but-variance-
  * inducing rebuild, and the bench measures the production reuse path.
- * @p table picks the payload kernels: the runtime-selected best (the
- * headline) or the exact scalar reference (the A/B); @p dtype is the
- * precision policy for weights and activations (ISSUE 10). The series
- * label in BENCH_sim.json carries both the table's ISA name and the
- * dtype, and the simulated end-to-end tick count lands in the counters
- * — the bf16 series must sit strictly below the f32 series there
- * (byte-true wire traffic: 16-bit tiles halve link and DRAM time).
+ * @p table picks the payload kernels: the best runnable table (the
+ * headline; pinned, so the label names it even under RSN_ISA) or the
+ * exact scalar reference (the A/B); @p dtype is the precision policy
+ * for weights and activations. The series label in BENCH_sim.json
+ * carries both the table's ISA name and the dtype, and the simulated
+ * end-to-end tick count lands in the counters — the bf16 series must
+ * sit strictly below the f32 series there (byte-true wire traffic:
+ * 16-bit tiles halve link and DRAM time).
  */
 void
 functionalTinyEncoder(benchmark::State &state,
@@ -110,7 +92,8 @@ functionalTinyEncoder(benchmark::State &state,
 void
 BM_FunctionalTinyEncoder(benchmark::State &state)
 {
-    functionalTinyEncoder(state, bestTable(), rsn::Dtype::F32);
+    functionalTinyEncoder(state, *rsn::kernel::runnableTables().front(),
+                          rsn::Dtype::F32);
 }
 BENCHMARK(BM_FunctionalTinyEncoder)->Unit(benchmark::kMillisecond);
 
@@ -121,7 +104,8 @@ BENCHMARK(BM_FunctionalTinyEncoder)->Unit(benchmark::kMillisecond);
 void
 BM_FunctionalTinyEncoderBf16(benchmark::State &state)
 {
-    functionalTinyEncoder(state, bestTable(), rsn::Dtype::Bf16);
+    functionalTinyEncoder(state, *rsn::kernel::runnableTables().front(),
+                          rsn::Dtype::Bf16);
 }
 BENCHMARK(BM_FunctionalTinyEncoderBf16)->Unit(benchmark::kMillisecond);
 
@@ -131,8 +115,7 @@ BENCHMARK(BM_FunctionalTinyEncoderBf16)->Unit(benchmark::kMillisecond);
 void
 BM_FunctionalTinyEncoderExact(benchmark::State &state)
 {
-    functionalTinyEncoder(state,
-                          *rsn::kernel::Registry::instance().find("scalar"),
+    functionalTinyEncoder(state, *rsn::kernel::runnableTables().back(),
                           rsn::Dtype::F32);
 }
 BENCHMARK(BM_FunctionalTinyEncoderExact)->Unit(benchmark::kMillisecond);
@@ -294,7 +277,7 @@ nonlinearInput(std::size_t n)
 void
 BM_NonlinearSoftmax(benchmark::State &state)
 {
-    const auto &table = bestTable();
+    const auto &table = *rsn::kernel::runnableTables().front();
     const std::uint32_t rows = 64;
     const auto cols = static_cast<std::uint32_t>(state.range(0));
     const auto src = nonlinearInput(std::size_t(rows) * cols);
@@ -333,7 +316,7 @@ BENCHMARK(BM_NonlinearSoftmaxExact)->Arg(512);
 void
 BM_NonlinearGelu(benchmark::State &state)
 {
-    const auto &table = bestTable();
+    const auto &table = *rsn::kernel::runnableTables().front();
     const auto src = nonlinearInput(state.range(0));
     auto tile = src;
     for (auto _ : state) {

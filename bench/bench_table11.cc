@@ -44,7 +44,7 @@ main(int argc, char **argv)
         cfg.ddr.write_gbps *= r.bw;
         cfg.lpddr.read_gbps *= r.bw;
         cfg.lpddr.write_gbps *= r.bw;
-        cfg.aie.macs_per_cycle *= r.compute;
+        cfg.aie_macs_per_cycle *= r.compute;
         jobs.push_back({lib::bertLargeEncoder(8, 384, true, 1),
                         lib::ScheduleOptions::optimized(), cfg});
     }

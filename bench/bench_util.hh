@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "core/machine.hh"
 #include "lib/codegen.hh"
 #include "lib/model.hh"
@@ -85,20 +86,27 @@ runSweepPoints(const lib::SweepExecutor &ex,
  * Parse the sweep-parallelism request for a bench binary: `--jobs N` or
  * `--jobs=N` on the command line wins, else the RSN_JOBS environment
  * variable, else 1 (sequential — the paper-reproduction default). 0
- * means every hardware thread. Unrelated arguments are ignored, so
+ * means every hardware thread; a value that is not wholly an integer
+ * >= 0 exits 2 naming its source. Unrelated arguments are ignored, so
  * benches can keep their existing flag handling.
  */
 inline unsigned
 benchJobs(int argc, char **argv)
 {
-    long requested = 1;
+    unsigned requested = 1;
+    const auto parse = [&requested](const char *what, const char *text) {
+        if (Status st = parseNumber(what, text, requested); !st.ok()) {
+            std::fprintf(stderr, "%s\n", st.message.c_str());
+            std::exit(2);
+        }
+    };
     if (const char *env = std::getenv("RSN_JOBS"))
-        requested = std::strtol(env, nullptr, 10);
+        parse("RSN_JOBS", env);
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            requested = std::strtol(argv[i + 1], nullptr, 10);
+            parse("--jobs", argv[i + 1]);
         else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            requested = std::strtol(argv[i] + 7, nullptr, 10);
+            parse("--jobs", argv[i] + 7);
     }
     return lib::SweepExecutor::resolveJobs(requested);
 }

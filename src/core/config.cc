@@ -61,31 +61,10 @@ MachineConfig::validate() const
             return invalid(std::string(r.name) +
                            " must be positive and finite");
 
-    // The AIE model divides by the macro-tile dimensions and both rates;
-    // a zero, negative or non-finite value there crashes (SIGFPE) or
-    // casts an infinite cycle count to a Tick. The upper bound keeps
-    // grid^3 and grid * native_* inside int.
-    const struct {
-        int v;
-        const char *name;
-    } aie_dims[] = {
-        {aie.grid, "grid"},
-        {aie.native_m, "native_m"},
-        {aie.native_k, "native_k"},
-        {aie.native_n, "native_n"},
-    };
-    for (const auto &f : aie_dims)
-        if (f.v < 1 || f.v > 1024)
-            return invalid(std::string("aie.") + f.name +
-                           " must be in [1, 1024], got " +
-                           std::to_string(f.v));
-    if (!positiveFinite(aie.macs_per_cycle))
-        return invalid("aie.macs_per_cycle must be positive and finite");
-    if (!positiveFinite(aie.drain_bytes_per_cycle))
-        return invalid("aie.drain_bytes_per_cycle must be positive and "
-                       "finite");
-    if (!std::isfinite(aie.overhead_base) || aie.overhead_base < 0)
-        return invalid("aie.overhead_base must be finite and >= 0");
+    // A zero MAC rate cast an infinite cycle count to a Tick; a
+    // negative one never finished.
+    if (!positiveFinite(aie_macs_per_cycle))
+        return invalid("aie_macs_per_cycle must be positive and finite");
 
     if (uop_fifo_depth == 0)
         return invalid("uop_fifo_depth must be positive");

@@ -2,9 +2,9 @@
  * @file
  * Machine description: the fixed RSN-XNN datapath (FU counts, link
  * widths, buffer capacities, fixed costs) as constants, and the
- * MachineConfig a caller varies (DRAM rates, the AIE model, FIFO depths,
- * layout, precision, faults) — with a preset mirroring the RSN-XNN
- * prototype on the VCK190 (paper Secs. 4.1, 5, Fig. 16).
+ * MachineConfig a caller varies (DRAM rates, the AIE MAC rate, FIFO
+ * depths, layout, precision, faults) — with a preset mirroring the
+ * RSN-XNN prototype on the VCK190 (paper Secs. 4.1, 5, Fig. 16).
  */
 
 #ifndef RSN_CORE_CONFIG_HH
@@ -16,7 +16,6 @@
 #include "common/dtype.hh"
 #include "common/status.hh"
 #include "common/types.hh"
-#include "fu/aie_model.hh"
 #include "mem/dram.hh"
 #include "mem/layout.hh"
 #include "sim/fault.hh"
@@ -121,7 +120,9 @@ struct PrecisionPolicy {
 struct MachineConfig {
     mem::DramConfig ddr;
     mem::DramConfig lpddr;
-    fu::AieModelParams aie;
+    /** FP32 MACs per AIE tile per AIE cycle: the one AIE-model value a
+     *  caller varies (fu::AieModelParams holds the rest). */
+    double aie_macs_per_cycle = 8;
 
     std::size_t uop_fifo_depth = 6;    ///< Per-FU uOP queue (Sec. 3.3).
     /**
@@ -164,7 +165,7 @@ struct MachineConfig {
 
     /**
      * Structural sanity check, run by RsnMachine before any topology is
-     * built: rates, AIE parameters and depths that used to fail as
+     * built: rates, the AIE MAC rate and depths that used to fail as
      * mid-run asserts (or silently misbehave) are rejected up front with
      * a diagnosable Status naming the field.
      */

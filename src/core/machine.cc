@@ -2,7 +2,6 @@
 
 #include "common/log.hh"
 #include "fu/ddr_fus.hh"
-#include "fu/kernel_registry.hh"
 #include "fu/mem_fus.hh"
 #include "fu/mesh.hh"
 #include "fu/mme.hh"
@@ -25,6 +24,15 @@ validatedOrFatal(const MachineConfig &cfg)
     if (Status s = cfg.validate(); !s.ok())
         rsn_fatal("invalid machine configuration: %s", s.message.c_str());
     return cfg;
+}
+
+/** The AIE model at the configured MAC rate, calibrated otherwise. */
+fu::AieModel
+aieModel(const MachineConfig &cfg)
+{
+    fu::AieModelParams p;
+    p.macs_per_cycle = cfg.aie_macs_per_cycle;
+    return fu::AieModel(p);
 }
 
 } // namespace
@@ -94,16 +102,13 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
       lpddr_chan_(std::make_unique<mem::DramChannel>(eng_, cfg.lpddr)),
       topo_(buildRsnXnnTopology())
 {
-    // Warm the thread-local tile pool and the kernel registry before
-    // anything can hold tiles on this thread. Ordering matters at
-    // thread exit: thread_local/static destruction is reverse order of
-    // construction, so touching the pool here guarantees it outlives
-    // every machine-holding object constructed later on this thread
-    // (e.g. a lib::SweepLane's cached machine) — their destructors
-    // retire tiles into a still-live pool. Registry warming keeps
-    // sweep-lane first use off the startup-probe path entirely.
+    // Warm the thread-local tile pool before anything can hold tiles
+    // on this thread. Ordering matters at thread exit: thread_local/
+    // static destruction is reverse order of construction, so touching
+    // the pool here guarantees it outlives every machine-holding object
+    // constructed later on this thread (e.g. a lib::SweepLane's cached
+    // machine) — their destructors retire tiles into a still-live pool.
     sim::TilePool::instance();
-    kernel::Registry::instance();
     eng_.setEventsPerTickBudget(kWatchdogEventsPerTick);
     buildFus();
     buildStreams();
@@ -127,7 +132,7 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
 void
 RsnMachine::buildFus()
 {
-    fu::AieModel aie_model(cfg_.aie);
+    const fu::AieModel aie_model = aieModel(cfg_);
     const std::size_t q = cfg_.uop_fifo_depth;
     for (int i = 0; i < kNumMme; ++i)
         fus_.push_back(std::make_unique<fu::MmeFu>(
@@ -222,13 +227,6 @@ RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
     prog.validate();
 
     RunReport rep;
-    {
-        const kernel::Registry &reg = kernel::Registry::instance();
-        rep.isa = reg.active().name;
-        rep.isa_source = reg.selectionSource();
-        rep.isa_probe = reg.probe().toString();
-    }
-
     for (auto &f : fus_)
         f->start();
     decoder_->start(prog);
@@ -281,8 +279,6 @@ RunReport::toString() const
     s += " after " +
          std::to_string(static_cast<unsigned long long>(result.ticks)) +
          " ticks";
-    if (!isa.empty())
-        s += "; kernels " + isa + " (" + isa_source + ")";
     if (faults_injected > 0) {
         s += "; " +
              std::to_string(static_cast<unsigned long long>(
@@ -342,17 +338,14 @@ RsnMachine::achievedTflops(const RunResult &r) const
 double
 RsnMachine::peakTflops() const
 {
-    fu::AieModel m(cfg_.aie);
-    return m.peakFlopsPerMme() * kNumMme / 1e12;
+    return aieModel(cfg_).peakFlopsPerMme() * kNumMme / 1e12;
 }
 
 double
 RsnMachine::fuPeakTflops(FuId id) const
 {
-    if (id.type == FuType::Mme) {
-        fu::AieModel m(cfg_.aie);
-        return m.peakFlopsPerMme() / 1e12;
-    }
+    if (id.type == FuType::Mme)
+        return aieModel(cfg_).peakFlopsPerMme() / 1e12;
     if (id.type == FuType::MemC)
         return kMemCFlopsPerTick * kPlHz / 1e12;
     return 0.0;

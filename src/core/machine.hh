@@ -57,17 +57,6 @@ struct RunReport {
     std::vector<sim::FaultRecord> faults;
     std::uint64_t faults_injected = 0;  ///< Total, including beyond log.
 
-    /** @{ Which payload kernels actually ran (fu/kernel_registry.hh),
-     *  so a production artifact can log what it executed: the active
-     *  table's name ("avx512" | ... | "scalar"), how it was chosen
-     *  ("probe", "env:RSN_ISA", "cli:--isa", ...), and the cpuid/xgetbv
-     *  probe summary. Kernel choice moves payload values only — tick
-     *  counts are identical under every table. */
-    std::string isa;
-    std::string isa_source;
-    std::string isa_probe;
-    /** @} */
-
     bool ok() const { return status.ok(); }
     std::string toString() const;
 };

@@ -1,13 +1,9 @@
 #include "fu/kernel_registry.hh"
 
 #include <cstdlib>
+#include <vector>
 
 #include "common/log.hh"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
-#define RSN_PROBE_X86 1
-#endif
 
 namespace rsn::kernel {
 
@@ -37,292 +33,81 @@ extern const KernelTable table;
 }
 #endif
 
-const char *
-isaName(Isa isa)
+std::span<const KernelTable *const>
+runnableTables()
 {
-    switch (isa) {
-      case Isa::Scalar: return "scalar";
-      case Isa::Portable: return "portable";
-      case Isa::Neon: return "neon";
-      case Isa::Avx2: return "avx2";
-      case Isa::Avx512: return "avx512";
-    }
-    return "unknown";
-}
-
-std::optional<Isa>
-isaFromName(std::string_view name)
-{
-    if (name == "scalar")
-        return Isa::Scalar;
-    if (name == "portable")
-        return Isa::Portable;
-    if (name == "neon")
-        return Isa::Neon;
-    if (name == "avx2")
-        return Isa::Avx2;
-    if (name == "avx512")
-        return Isa::Avx512;
-    return std::nullopt;
-}
-
-bool
-CpuProbe::supports(Isa isa) const
-{
-    switch (isa) {
-      case Isa::Scalar:
-      case Isa::Portable:
-        return true;
-      case Isa::Neon:
-        return neon;
-      case Isa::Avx2:
-        return cpu_avx2 && cpu_fma && os_ymm;
-      case Isa::Avx512:
-        return cpu_avx512f && os_ymm && os_zmm;
-    }
-    return false;
-}
-
-std::string
-CpuProbe::toString() const
-{
-#ifdef __ARM_NEON
-    return std::string("neon=") + (neon ? "1" : "0");
-#else
-    std::string s;
-    const auto bit = [&s](const char *name, bool v) {
-        if (!s.empty())
-            s += ' ';
-        s += name;
-        s += v ? "=1" : "=0";
-    };
-    bit("avx", cpu_avx);
-    bit("fma", cpu_fma);
-    bit("avx2", cpu_avx2);
-    bit("avx512f", cpu_avx512f);
-    bit("os_ymm", os_ymm);
-    bit("os_zmm", os_zmm);
-    return s;
+    // Best first, each cpuid probe run once.
+    static const std::vector<const KernelTable *> runnable = [] {
+        std::vector<const KernelTable *> v;
+#if defined(RSN_KERNEL_HAVE_AVX512) || defined(RSN_KERNEL_HAVE_AVX2)
+        __builtin_cpu_init();
 #endif
-}
-
-namespace {
-
-#ifdef RSN_PROBE_X86
-/** xgetbv(0) without requiring -mxsave on this TU: the raw opcode is
- *  fine because we only execute it after cpuid reports OSXSAVE. */
-[[gnu::cold]] std::uint64_t
-xgetbv0()
-{
-    std::uint32_t eax, edx;
-    __asm__ volatile(".byte 0x0f, 0x01, 0xd0"  // xgetbv
-                     : "=a"(eax), "=d"(edx)
-                     : "c"(0));
-    return (std::uint64_t(edx) << 32) | eax;
-}
-#endif
-
-} // namespace
-
-CpuProbe
-probeCpu()
-{
-    CpuProbe p;
-#ifdef RSN_PROBE_X86
-    unsigned eax, ebx, ecx, edx;
-    if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
-        constexpr unsigned kFma = 1u << 12;
-        constexpr unsigned kOsxsave = 1u << 27;
-        constexpr unsigned kAvx = 1u << 28;
-        p.cpu_fma = ecx & kFma;
-        p.cpu_avx = ecx & kAvx;
-        if (ecx & kOsxsave) {
-            const std::uint64_t xcr0 = xgetbv0();
-            // ymm needs x87+sse+avx state (bits 0..2); zmm additionally
-            // opmask+zmm_hi256+hi16_zmm (bits 5..7).
-            p.os_ymm = (xcr0 & 0x6) == 0x6;
-            p.os_zmm = p.os_ymm && (xcr0 & 0xe0) == 0xe0;
-        }
-    }
-    if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx)) {
-        constexpr unsigned kAvx2 = 1u << 5;
-        constexpr unsigned kAvx512f = 1u << 16;
-        p.cpu_avx2 = ebx & kAvx2;
-        p.cpu_avx512f = ebx & kAvx512f;
-    }
-#endif
-#ifdef __ARM_NEON
-    p.neon = true;
-#endif
-    return p;
-}
-
-Isa
-chooseBest(const CpuProbe &probe, const std::vector<Isa> &compiled_in)
-{
-    for (Isa isa : compiled_in) {
-        if (isa == Isa::Scalar)
-            continue;  // exact reference is opt-in only
-        if (probe.supports(isa))
-            return isa;
-    }
-    return Isa::Portable;
-}
-
-namespace {
-
-bool
-contains(const std::vector<Isa> &compiled_in, Isa isa)
-{
-    for (Isa have : compiled_in)
-        if (have == isa)
-            return true;
-    return false;
-}
-
-} // namespace
-
-StartupChoice
-resolveStartupIsa(const char *rsn_isa, const char *rsn_nonlinear,
-                  const CpuProbe &probe,
-                  const std::vector<Isa> &compiled_in)
-{
-    const Isa best = chooseBest(probe, compiled_in);
-
-    // The RSN_NONLINEAR alias was deprecated when the kernel registry
-    // replaced NonlinearMode and has been removed after two majors.
-    // Refusing to run beats silently ignoring it: a sweep that still
-    // exports it would otherwise run the wrong table without a trace.
-    if (rsn_nonlinear && *rsn_nonlinear) {
-        rsn_fatal("RSN_NONLINEAR has been removed; set RSN_ISA "
-                  "(RSN_ISA=scalar for the exact reference kernels, "
-                  "avx512|avx2|neon|portable otherwise)");
-    }
-
-    if (rsn_isa && *rsn_isa) {
-        const std::optional<Isa> want = isaFromName(rsn_isa);
-        std::string why;
-        if (!want) {
-            why = "unknown RSN_ISA value '" + std::string(rsn_isa) +
-                  "' (want avx512|avx2|neon|portable|scalar)";
-        } else if (!contains(compiled_in, *want)) {
-            why = "RSN_ISA=" + std::string(rsn_isa) +
-                  " is not compiled into this binary";
-        } else if (!probe.supports(*want)) {
-            why = "RSN_ISA=" + std::string(rsn_isa) +
-                  " is not executable on this CPU (" + probe.toString() +
-                  ")";
-        } else {
-            return {*want, "env:RSN_ISA", {}};
-        }
-        return {best, "probe",
-                why + "; falling back to " + isaName(best)};
-    }
-
-    return {best, "probe", {}};
-}
-
-Registry::Registry()
-{
-    // Best-first, scalar last, mirroring chooseBest's preference order.
 #ifdef RSN_KERNEL_HAVE_AVX512
-    tables_.push_back(&avx512::table);
+        if (__builtin_cpu_supports("avx512f"))
+            v.push_back(&avx512::table);
 #endif
 #ifdef RSN_KERNEL_HAVE_AVX2
-    tables_.push_back(&avx2::table);
+        if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
+            v.push_back(&avx2::table);
 #endif
 #ifdef RSN_KERNEL_HAVE_NEON
-    tables_.push_back(&neon::table);
+        v.push_back(&neon::table);
 #endif
-    tables_.push_back(&portable::table);
-    tables_.push_back(&scalar::table);
-
-    probe_ = probeCpu();
-
-    std::vector<Isa> compiled_in;
-    for (const KernelTable *t : tables_)
-        compiled_in.push_back(t->isa);
-
-    const StartupChoice choice =
-        resolveStartupIsa(std::getenv("RSN_ISA"),
-                          std::getenv("RSN_NONLINEAR"), probe_,
-                          compiled_in);
-    // Once-guarded: the warning text covers RSN_ISA fallbacks, and the
-    // ctor itself runs once, but rsn_warn_once also keeps re-exec'd
-    // registries in tests from nagging per sweep lane if this ever
-    // becomes re-entrant.
-    if (!choice.warning.empty())
-        rsn_warn_once("%s", choice.warning.c_str());
-
-    for (const KernelTable *t : tables_)
-        if (t->isa == choice.isa)
-            active_ = t;
-    rsn_assert(active_ != nullptr, "startup ISA %s not in table list",
-               isaName(choice.isa));
-    source_ = choice.source;
-    detail::g_active.store(active_, std::memory_order_relaxed);
+        v.push_back(&portable::table);
+        v.push_back(&scalar::table);
+        return v;
+    }();
+    return runnable;
 }
 
-Registry &
-Registry::instance()
-{
-    static Registry r;
-    return r;
-}
+namespace {
 
 const KernelTable *
-Registry::find(std::string_view name) const
+find(std::string_view name, std::span<const KernelTable *const> runnable)
 {
-    for (const KernelTable *t : tables_)
+    for (const KernelTable *t : runnable)
         if (name == t->name)
             return t;
     return nullptr;
 }
 
+/** "avx512|avx2|portable|scalar". */
+std::string
+names(std::span<const KernelTable *const> runnable)
+{
+    std::string s;
+    for (const KernelTable *t : runnable)
+        s += std::string(s.empty() ? "" : "|") + t->name;
+    return s;
+}
+
+} // namespace
+
+EnvChoice
+envChoice(const char *value, std::span<const KernelTable *const> runnable)
+{
+    if (!value || !*value)
+        return {runnable.front(), {}};
+    if (const KernelTable *t = find(value, runnable))
+        return {t, {}};
+    return {runnable.front(),
+            "RSN_ISA=" + std::string(value) +
+                " is not a kernel table this CPU runs (runnable: " +
+                names(runnable) + "); using " + runnable.front()->name};
+}
+
 Status
-Registry::select(std::string_view name, const char *source)
+select(std::string_view name)
 {
-    const KernelTable *t = find(name);
-    if (!t) {
-        std::string known;
-        for (const KernelTable *have : tables_) {
-            if (!known.empty())
-                known += "|";
-            known += have->name;
-        }
+    const KernelTable *t = find(name, runnableTables());
+    if (!t)
         return Status::error(StatusCode::InvalidConfig,
-                             "unknown or not-compiled-in ISA '" +
-                                 std::string(name) + "' (have: " + known +
-                                 ")");
-    }
-    if (!probe_.supports(t->isa)) {
-        return Status::error(StatusCode::InvalidConfig,
-                             "ISA '" + std::string(name) +
-                                 "' is not executable on this CPU (" +
-                                 probe_.toString() + ")");
-    }
-    select(*t);
-    source_ = source;
+                             "'" + std::string(name) +
+                                 "' is not a kernel table this CPU runs "
+                                 "(runnable: " +
+                                 names(runnableTables()) + ")");
+    detail::g_active.store(t, std::memory_order_relaxed);
     return Status::success();
-}
-
-void
-Registry::select(const KernelTable &table)
-{
-    active_ = &table;
-    source_ = "override";
-    detail::g_active.store(active_, std::memory_order_relaxed);
-}
-
-bool
-Registry::selectable(Isa isa) const
-{
-    if (!probe_.supports(isa))
-        return false;
-    for (const KernelTable *t : tables_)
-        if (t->isa == isa)
-            return true;
-    return false;
 }
 
 namespace detail {
@@ -332,42 +117,34 @@ std::atomic<const KernelTable *> g_active{nullptr};
 const KernelTable &
 activeSlow()
 {
-    // Safe under concurrent first use: the Meyers singleton serializes
-    // the ctor, and every later caller sees the published pointer.
-    Registry::instance();  // ctor publishes g_active
+    // The static's initializer runs once even under concurrent first
+    // use; it publishes the RSN_ISA choice unless a table was selected
+    // already.
+    static const bool published = [] {
+        const EnvChoice c = envChoice(std::getenv("RSN_ISA"),
+                                      runnableTables());
+        if (!c.warning.empty())
+            rsn_warn("%s", c.warning.c_str());
+        const KernelTable *none = nullptr;
+        g_active.compare_exchange_strong(none, c.table,
+                                         std::memory_order_relaxed);
+        return true;
+    }();
+    (void)published;
     return *g_active.load(std::memory_order_relaxed);
 }
 
 } // namespace detail
 
-ScopedIsaOverride::ScopedIsaOverride(Isa isa)
-{
-    Registry &r = Registry::instance();
-    prev_ = &r.active();
-    prev_source_ = r.selectionSource();
-    const KernelTable *t = nullptr;
-    for (const KernelTable *have : r.tables())
-        if (have->isa == isa)
-            t = have;
-    rsn_assert(t != nullptr && r.probe().supports(isa),
-               "ScopedIsaOverride: %s is not selectable here",
-               isaName(isa));
-    r.select(*t);
-}
-
 ScopedIsaOverride::ScopedIsaOverride(const KernelTable &table)
+    : prev_(&active())
 {
-    Registry &r = Registry::instance();
-    prev_ = &r.active();
-    prev_source_ = r.selectionSource();
-    r.select(table);
+    detail::g_active.store(&table, std::memory_order_relaxed);
 }
 
 ScopedIsaOverride::~ScopedIsaOverride()
 {
-    Registry &r = Registry::instance();
-    r.select(*prev_);
-    r.source_ = prev_source_;
+    detail::g_active.store(prev_, std::memory_order_relaxed);
 }
 
 } // namespace rsn::kernel

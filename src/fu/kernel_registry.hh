@@ -1,38 +1,30 @@
 /**
  * @file
- * Runtime kernel dispatch: one binary for every microarch (ISSUE 7).
+ * Runtime kernel dispatch: one binary for every microarch.
  *
- * Until this PR the payload kernels — the blocked GEMM microkernel
- * (fu/gemm_kernel.hh) and the vectorized nonlinear layer — were
- * compile-time selected by the `RSN_SIMD` CMake option plus whatever
- * `-march` the build carried, so a production deployment needed one
- * build directory per microarchitecture and the default artifact paid
- * ~3x over AVX-512 for identical math. This module replaces that with
- * startup selection from a single fat binary:
+ * Every ISA variant of the payload kernels — the blocked GEMM
+ * microkernel (fu/gemm_kernel.hh), the vectorized nonlinear layer, the
+ * tile transposes and the dtype conversions — compiles as its **own
+ * translation unit** under per-TU `-march` flags
+ * (src/fu/kernels/kernels_<isa>.cc, wired in CMakeLists.txt), so the
+ * default build contains them all and no vector instruction leaks into
+ * baseline-ISA code. Each variant exports one **KernelTable** of plain
+ * function pointers.
  *
- *  - every ISA variant compiles as its **own translation unit** under
- *    per-TU `-march` flags (src/fu/kernels/kernels_<isa>.cc, wired in
- *    CMakeLists.txt), so the default build contains them all and no
- *    vector instruction leaks into baseline-ISA code;
- *  - each variant exports one **KernelTable** of plain function
- *    pointers covering every runtime-dispatched payload operation:
- *    GEMM accumulate, softmax / GELU / LayerNorm, and tile transpose;
- *  - the **Registry** probes cpuid at startup — including the xgetbv
- *    check that the OS actually saves ymm/zmm state — and activates
- *    the best table the CPU supports, overridable with
- *    `RSN_ISA=avx512|avx2|neon|portable|scalar` or programmatically
- *    (rsn-sim `--isa`, ScopedIsaOverride in tests and benches).
+ * runnableTables() lists the compiled-in tables this CPU runs, best
+ * first, the way ref::runnableVariants() lists the oracle's variants:
+ * built once from the compiler runtime's `__builtin_cpu_supports`,
+ * which already folds in the OS-state (XCR0) check that the CPU's
+ * ymm/zmm registers are saved. The front table is active by default;
+ * `RSN_ISA=avx512|avx2|neon|portable|scalar` picks another at first
+ * use (a value that names no runnable table warns once and keeps the
+ * front), and rsn-sim `--isa` / select() picks one strictly.
  *
  * The `scalar` table is the **exact reference path**: the pre-blocked
  * scalar GEMM loop (fu::gemmRefAccumulate) and the exact libm
  * nonlinear kernels (fu/nonlinear.hh). It is what the golden numeric
  * tier runs and what property tests compare every other table against;
- * it is never auto-selected by the probe. This retires the old
- * separate nonlinear mode switch (`setNonlinearMode` /
- * `ScopedNonlinearMode` / `RSN_NONLINEAR`): exact-vs-simd is now just
- * scalar-vs-any-other-table through the same registry. The deprecated
- * `RSN_NONLINEAR` alias has been removed after two majors — setting it
- * is now a hard startup error pointing at `RSN_ISA`.
+ * it is always last, so it is never active unless asked for.
  *
  * ## Dispatch cost
  *
@@ -40,8 +32,8 @@
  * microkernel-block / whole-tile granularity (an indirect call per
  * gemmAccumulate / per fused-operator segment), so dispatch overhead
  * is noise. `active()` is one pointer load plus a never-taken null
- * branch; probe/selection code is `[[gnu::cold]]` so it cannot starve
- * the LTO inline budget of the hot paths (the PR 6 lesson).
+ * branch; selection code is `[[gnu::cold]]` so it cannot starve the
+ * LTO inline budget of the hot paths.
  *
  * ## Numerics
  *
@@ -51,6 +43,13 @@
  * bit-identical across tables; GEMM and the nonlinear operators follow
  * the documented tolerance policy vs the scalar reference
  * (fu/gemm_kernel.hh, docs/datapath.md).
+ *
+ * ## Threading
+ *
+ * active() is safe for concurrent first use. Selection (select,
+ * ScopedIsaOverride) is **main-thread-only, with no sweep running**: a
+ * mid-sweep switch would hand different lanes different kernel tables
+ * and break the bit-identical --jobs guarantee.
  */
 
 #ifndef RSN_FU_KERNEL_REGISTRY_HH
@@ -59,10 +58,9 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/dtype.hh"
 #include "common/status.hh"
@@ -72,25 +70,6 @@ class GemmScratch;
 }
 
 namespace rsn::kernel {
-
-/** Kernel-table variants, worst to best. Which ones exist in a given
- *  binary depends on the target architecture (CMakeLists.txt); Scalar
- *  and Portable are always compiled in. */
-enum class Isa : std::uint8_t {
-    Scalar = 0,  ///< exact reference (scalar GEMM loop, libm nonlinear)
-    Portable,    ///< auto-vectorized baseline-ISA kernels
-    Neon,        ///< aarch64 NEON register kernels
-    Avx2,        ///< x86 AVX2+FMA register kernels
-    Avx512,      ///< x86 AVX-512F register kernels
-};
-inline constexpr std::size_t kNumIsas = 5;
-
-/** Stable lowercase name: "scalar", "portable", "neon", "avx2",
- *  "avx512" (the RSN_ISA / --isa vocabulary). */
-const char *isaName(Isa isa);
-
-/** Parse an ISA name; nullopt for anything not in the vocabulary. */
-std::optional<Isa> isaFromName(std::string_view name);
 
 /**
  * One ISA variant's dispatch table: plain function pointers, filled in
@@ -103,8 +82,9 @@ std::optional<Isa> isaFromName(std::string_view name);
  * bit-identical across every table, dst must not alias src.
  */
 struct KernelTable {
-    Isa isa;
-    const char *name;  ///< isaName(isa)
+    /** "avx512", "avx2", "neon", "portable" or "scalar": the RSN_ISA /
+     *  --isa vocabulary. */
+    const char *name;
     /** True only for the scalar table: results are the exact reference
      *  semantics (golden numeric tier, property-test baseline). */
     bool exact;
@@ -121,7 +101,7 @@ struct KernelTable {
     void (*transpose)(float *dst, const float *src, std::uint32_t rows,
                       std::uint32_t cols);
 
-    // --- typed-tile entries (ISSUE 10) -------------------------------
+    // --- typed-tile entries ------------------------------------------
     //
     // The conversion routines are the dtype boundary of the datapath
     // (DDR/LPDDR convert-on-load/store, MemC's upconvert-before-fused-
@@ -160,73 +140,39 @@ struct KernelTable {
 };
 
 /**
- * What the startup probe saw. On x86 this is CPUID feature bits plus
- * the xgetbv(0) OS-state check — a CPU can support AVX-512 while the
- * OS (or a VM) does not save zmm state, in which case executing an
- * AVX-512 instruction faults, so os_zmm gates cpu_avx512f. Plain data
- * so tests can fabricate probes (probe mocking).
+ * The tables compiled into this binary that this CPU runs, best first:
+ * avx512 (needs avx512f), avx2 (needs avx2 and fma), neon, portable,
+ * and the exact scalar table last. Built once.
  */
-struct CpuProbe {
-    bool cpu_avx = false;      ///< CPUID.1:ECX.AVX
-    bool cpu_fma = false;      ///< CPUID.1:ECX.FMA
-    bool cpu_avx2 = false;     ///< CPUID.7:EBX.AVX2
-    bool cpu_avx512f = false;  ///< CPUID.7:EBX.AVX512F
-    bool os_ymm = false;       ///< XCR0 xmm+ymm state enabled
-    bool os_zmm = false;       ///< XCR0 opmask+zmm state enabled
-    bool neon = false;         ///< aarch64 baseline
+std::span<const KernelTable *const> runnableTables();
 
-    /** Can this CPU/OS execute the given variant? (Scalar/Portable:
-     *  always.) Says nothing about what is compiled in. */
-    bool supports(Isa isa) const;
-
-    /** One-line summary for logs / RunReport, e.g.
-     *  "avx=1 fma=1 avx2=1 avx512f=1 os_ymm=1 os_zmm=1". */
-    std::string toString() const;
+/** What RSN_ISA selects: a table, plus why the value was ignored. */
+struct EnvChoice {
+    const KernelTable *table;
+    std::string warning;  ///< Empty when the value was used (or unset).
 };
-
-/** Probe the machine we are running on (cold; called once). */
-[[gnu::cold]] CpuProbe probeCpu();
 
 /**
- * Startup selection policy as a pure function, unit-testable without
- * the process-wide singleton: RSN_ISA selects by name, and any
- * unknown / not-compiled-in / unsupported-by-CPU request falls back to
- * the probed best with a warning. The retired RSN_NONLINEAR variable
- * (a PR 7 deprecation alias, two majors stale) is now a **hard
- * error**: if it is set at all, the process aborts with a message
- * pointing at RSN_ISA — a silent fallback would quietly change which
- * kernels a stale CI config runs. Pass null for unset variables.
- * @p compiled_in is the Isa set available in this binary, best first.
+ * The RSN_ISA rule as a pure function: @p value (null or empty when
+ * unset) selects the table of that name in @p runnable; a value that
+ * names none of them falls back to runnable.front() with a warning.
  */
-struct StartupChoice {
-    Isa isa;
-    const char *source;   ///< "probe" or "env:RSN_ISA"
-    std::string warning;  ///< empty, or why a request was ignored
-};
-StartupChoice resolveStartupIsa(const char *rsn_isa,
-                                const char *rsn_nonlinear,
-                                const CpuProbe &probe,
-                                const std::vector<Isa> &compiled_in);
-
-/** Best CPU-supported entry of @p compiled_in, never Scalar (the exact
- *  reference is opt-in only). Falls back to Portable. */
-Isa chooseBest(const CpuProbe &probe, const std::vector<Isa> &compiled_in);
+EnvChoice envChoice(const char *value,
+                    std::span<const KernelTable *const> runnable);
 
 namespace detail {
-/** Active-table pointer behind active(); set eagerly when the Registry
- *  first initializes, null only before that. Atomic so concurrent
- *  first use from sweep lanes is a clean race: every table is a
- *  constant-initialized const global, so a relaxed load of the pointer
- *  is enough — there is no table *content* to publish. */
+/** Active-table pointer behind active(); null only before first use.
+ *  Atomic so concurrent first use from sweep lanes is a clean race:
+ *  every table is a constant-initialized const global, so a relaxed
+ *  load of the pointer is enough. */
 extern std::atomic<const KernelTable *> g_active;
 [[gnu::cold]] const KernelTable &activeSlow();
 } // namespace detail
 
 /**
  * The active dispatch table — the hot accessor the MME / Mem FUs call
- * through. One pointer load; the null branch is taken at most once per
- * thread (first touch before any explicit Registry use). Safe to call
- * from any sweep lane.
+ * through. One pointer load; the null branch is taken once, at first
+ * use, where RSN_ISA is applied. Safe to call from any sweep lane.
  */
 inline const KernelTable &
 active()
@@ -239,84 +185,17 @@ active()
 }
 
 /**
- * Process-wide kernel selection.
- *
- * Threading contract (docs/datapath.md): `instance()` and `active()`
- * are safe for concurrent first use — the Meyers singleton serializes
- * construction and the g_active publish is atomic. Selection
- * (`select`, `ScopedIsaOverride`, the env overrides read at startup)
- * is **main-thread-only, with no sweep running**: a mid-sweep switch
- * would hand different lanes different kernel tables and break the
- * bit-identical --jobs guarantee. The sweep executor (lib/sweep.hh)
- * touches `instance()` before spawning lanes so workers never race
- * the startup probe.
+ * Select a runnable table by name (rsn-sim --isa). Strict, unlike
+ * RSN_ISA: a name that is not a runnable table returns InvalidConfig,
+ * naming the runnable ones, and leaves the selection unchanged.
  */
-class Registry
-{
-  public:
-    /** The singleton; first use probes cpuid and applies RSN_ISA
-     *  (a set RSN_NONLINEAR is a hard startup error). */
-    static Registry &instance();
+[[gnu::cold]] Status select(std::string_view name);
 
-    /** Currently selected table (same object active() dereferences). */
-    const KernelTable &active() const { return *active_; }
-
-    /** Compiled-in tables, best first (ends scalar). */
-    const std::vector<const KernelTable *> &tables() const
-    {
-        return tables_;
-    }
-
-    /** Compiled-in table by name; null for unknown or not compiled in. */
-    const KernelTable *find(std::string_view name) const;
-
-    /**
-     * Select by name (rsn-sim --isa). Strict, unlike the env fallback:
-     * an unknown name, a variant this binary does not contain, or one
-     * this CPU cannot execute returns InvalidConfig and leaves the
-     * selection unchanged. @p source becomes selectionSource() on
-     * success (the driver passes "cli:--isa").
-     */
-    [[gnu::cold]] Status select(std::string_view name,
-                                const char *source = "override");
-
-    /** Select a compiled-in table directly (ScopedIsaOverride). */
-    [[gnu::cold]] void select(const KernelTable &table);
-
-    /** True when @p isa is compiled in AND this CPU can execute it. */
-    bool selectable(Isa isa) const;
-
-    /** What the startup probe saw. */
-    const CpuProbe &probe() const { return probe_; }
-
-    /** How the active table was chosen: "probe", "env:RSN_ISA", or
-     *  "override". */
-    const char *selectionSource() const { return source_; }
-
-    Registry(const Registry &) = delete;
-    Registry &operator=(const Registry &) = delete;
-
-  private:
-    friend class ScopedIsaOverride;  // restores source_ on unwind
-
-    [[gnu::cold]] Registry();
-
-    std::vector<const KernelTable *> tables_;
-    CpuProbe probe_;
-    const KernelTable *active_ = nullptr;
-    const char *source_ = "probe";
-};
-
-/**
- * RAII selection pin for tests and benches: selects @p isa (which must
- * be selectable — compiled in and CPU-supported; guard with
- * Registry::selectable() when iterating variants on unknown hardware)
- * and restores the previous table and selection source on destruction.
- */
+/** RAII selection pin for tests and benches: activates @p table (take
+ *  it from runnableTables()) and restores the previous table. */
 class ScopedIsaOverride
 {
   public:
-    explicit ScopedIsaOverride(Isa isa);
     explicit ScopedIsaOverride(const KernelTable &table);
     ~ScopedIsaOverride();
     ScopedIsaOverride(const ScopedIsaOverride &) = delete;
@@ -324,7 +203,6 @@ class ScopedIsaOverride
 
   private:
     const KernelTable *prev_;
-    const char *prev_source_;
 };
 
 } // namespace rsn::kernel

@@ -1,8 +1,8 @@
 /**
  * @file
  * AVX2+FMA kernel table. Compiled with "-mavx2 -mfma" scoped to this
- * TU only (CMakeLists.txt); selectable whenever cpuid reports AVX2 and
- * FMA with ymm state OS-enabled.
+ * TU only (CMakeLists.txt); runnable whenever the CPU runs AVX2 and FMA,
+ * OS ymm state included.
  */
 
 #if !defined(__AVX2__) || !defined(__FMA__)
@@ -11,6 +11,5 @@
 
 #define RSN_KERNEL_VARIANT_AVX2 1
 #define RSN_KERNEL_NS avx2
-#define RSN_KERNEL_ISA_ENUM ::rsn::kernel::Isa::Avx2
 #define RSN_KERNEL_NAME_STR "avx2"
 #include "fu/kernels/kernel_impl.inc"

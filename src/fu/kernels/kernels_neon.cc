@@ -11,6 +11,5 @@
 
 #define RSN_KERNEL_VARIANT_NEON 1
 #define RSN_KERNEL_NS neon
-#define RSN_KERNEL_ISA_ENUM ::rsn::kernel::Isa::Neon
 #define RSN_KERNEL_NAME_STR "neon"
 #include "fu/kernels/kernel_impl.inc"

@@ -6,8 +6,8 @@
  * operators are the exact libm kernels (fu/nonlinear.hh — erf GELU,
  * libm exp softmax, double-accumulation LayerNorm), and transpose is
  * the naive scalar loop. Property tests compare every other table
- * against this one; the golden numeric tier runs it; the probe never
- * auto-selects it (RSN_ISA=scalar / --isa scalar opt in).
+ * against this one; the golden numeric tier runs it; it is never
+ * active by default (RSN_ISA=scalar / --isa scalar opt in).
  *
  * This TU replaces the retired NonlinearMode::Exact runtime switch:
  * "exact mode" is now simply this table being active.
@@ -134,7 +134,6 @@ transposeU16Impl(std::uint16_t *dst, const std::uint16_t *src,
 
 extern const KernelTable table;
 const KernelTable table = {
-    Isa::Scalar,
     "scalar",
     /*exact=*/true,
     &gemmAccumulateImpl,

@@ -74,10 +74,9 @@ SweepExecutor::forEach(std::size_t count, const Job &fn) const
     if (count == 0)
         return;
 
-    // Force registry construction (cpuid probe + env resolution) before
-    // any lane can touch it: selection is main-thread state, lanes only
-    // ever read the published table.
-    kernel::Registry::instance();
+    // Apply RSN_ISA before any lane runs: selection is main-thread
+    // state, lanes only ever read the published table.
+    kernel::active();
 
     const std::size_t lanes =
         std::min<std::size_t>(jobs_, count);

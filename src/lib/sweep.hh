@@ -36,11 +36,11 @@
  *
  * - Tiles never cross lanes: each lane's pool is thread-local and
  *   debug builds assert ownership on acquire/retire.
- * - Job callbacks must not touch process-wide selection (kernel
- *   Registry::select, ScopedIsaOverride, setenv, setLogLevel): those
- *   are main-thread-only, with no sweep running. The executor touches
- *   Registry::instance() before spawning so lanes never race the
- *   startup probe.
+ * - Job callbacks must not touch process-wide selection
+ *   (kernel::select, ScopedIsaOverride, setenv, setLogLevel): those
+ *   are main-thread-only, with no sweep running. The executor calls
+ *   kernel::active() before spawning so RSN_ISA is read on the
+ *   calling thread.
  * - Logging (rsn_warn / rsn_inform) is safe from lanes (mutex-backed).
  */
 

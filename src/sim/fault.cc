@@ -1,9 +1,11 @@
 #include "sim/fault.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
 
 #include "common/log.hh"
+#include "common/parse.hh"
 #include "sim/chunk.hh"
 #include "sim/engine.hh"
 
@@ -104,12 +106,14 @@ FaultSpec::toString() const
 {
     std::string s = "seed=" + std::to_string(seed);
     auto add = [&s](const char *k, double v) {
+        // Shortest text that parses back to v: parse(toString()) == *this.
+        char buf[32];
         if (v > 0)
-            s += std::string(",") + k + "=" + std::to_string(v);
+            s += std::string(",") + k + "=" +
+                 std::string(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
     };
     add("link_stall", link_stall_rate);
-    if (link_stall_rate > 0)
-        s += ",stall_max=" + formatTicks(link_stall_max);
+    s += ",stall_max=" + formatTicks(link_stall_max);
     add("link_drop", link_drop_rate);
     add("dram", dram_rate);
     add("flip", flip_rate);
@@ -165,40 +169,43 @@ FaultSpec::parse(const std::string &text, Status *status)
         std::size_t eq = kv.find('=');
         if (eq == std::string::npos)
             return fail("expected key=value, got '" + kv + "'");
-        std::string key = kv.substr(0, eq);
-        std::string val = kv.substr(eq + 1);
-        try {
-            if (key == "seed")
-                spec.seed = std::stoull(val);
-            else if (key == "link_stall")
-                spec.link_stall_rate = std::stod(val);
-            else if (key == "stall_max")
-                spec.link_stall_max = std::stoull(val);
-            else if (key == "link_drop")
-                spec.link_drop_rate = std::stod(val);
-            else if (key == "dram")
-                spec.dram_rate = std::stod(val);
-            else if (key == "flip")
-                spec.flip_rate = std::stod(val);
-            else if (key == "retries")
-                spec.max_retries =
-                    static_cast<std::uint32_t>(std::stoul(val));
-            else if (key == "backoff")
-                spec.backoff_base = std::stoull(val);
-            else if (key == "checksums")
-                spec.checksums = std::stoul(val) != 0;
-            else if (key == "window") {
-                std::size_t colon = val.find(':');
-                if (colon == std::string::npos)
-                    return fail("window wants begin:end");
-                spec.window_begin = std::stoull(val.substr(0, colon));
-                spec.window_end = std::stoull(val.substr(colon + 1));
-            } else {
-                return fail("unknown key '" + key + "'");
-            }
-        } catch (const std::exception &) {
-            return fail("unparsable value '" + val + "' for '" + key + "'");
+        const std::string key = kv.substr(0, eq);
+        const std::string val = kv.substr(eq + 1);
+        Status st;
+        if (key == "seed")
+            st = parseNumber(key, val, spec.seed);
+        else if (key == "link_stall")
+            st = parseNumber(key, val, spec.link_stall_rate);
+        else if (key == "stall_max")
+            st = parseNumber(key, val, spec.link_stall_max);
+        else if (key == "link_drop")
+            st = parseNumber(key, val, spec.link_drop_rate);
+        else if (key == "dram")
+            st = parseNumber(key, val, spec.dram_rate);
+        else if (key == "flip")
+            st = parseNumber(key, val, spec.flip_rate);
+        else if (key == "retries")
+            st = parseNumber(key, val, spec.max_retries);
+        else if (key == "backoff")
+            st = parseNumber(key, val, spec.backoff_base);
+        else if (key == "checksums") {
+            unsigned on = 0;
+            st = parseNumber(key, val, on, 0u, 1u);
+            spec.checksums = on != 0;
+        } else if (key == "window") {
+            const std::size_t colon = val.find(':');
+            if (colon == std::string::npos)
+                return fail("window wants begin:end");
+            st = parseNumber("window begin", val.substr(0, colon),
+                             spec.window_begin);
+            if (st.ok())
+                st = parseNumber("window end", val.substr(colon + 1),
+                                 spec.window_end);
+        } else {
+            return fail("unknown key '" + key + "'");
         }
+        if (!st.ok())
+            return fail(st.message);
     }
     if (Status v = spec.validate(); !v.ok())
         return fail(v.message);

@@ -141,8 +141,10 @@ struct FaultSpec {
      * Parse "key=value,key=value" (e.g. "seed=7,link_drop=0.01,dram=0.02")
      * or the preset name "chaos". Keys: seed, link_stall, stall_max,
      * link_drop, dram, flip, retries, backoff, window (begin:end),
-     * checksums. On error, *status holds InvalidConfig and the returned
-     * spec is default-initialized.
+     * checksums (0 or 1). Each value must be wholly a number of its
+     * field's type (common/parse.hh). On error, *status holds
+     * InvalidConfig and the returned spec is default-initialized.
+     * parse(toString()) reproduces any spec parse() accepted.
      */
     static FaultSpec parse(const std::string &text, Status *status);
 

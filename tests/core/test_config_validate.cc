@@ -76,51 +76,17 @@ TEST(ConfigValidate, RejectsNonPositiveOrNonFiniteDramRates)
     expectInvalid(cfg, "infinite LPDDR bandwidth", "lpddr.read_gbps");
 }
 
-TEST(ConfigValidate, RejectsBadAieParameters)
+TEST(ConfigValidate, RejectsBadAieMacRate)
 {
-    // grid / native_m = 0 divided by zero (SIGFPE); a zero rate cast an
-    // infinite cycle count to a Tick; a negative rate never finished.
-    const struct {
-        std::function<void(fu::AieModelParams &)> set;
-        const char *what;
-        const char *field;
-    } cases[] = {
-        {[](auto &p) { p.grid = 0; }, "zero grid", "aie.grid"},
-        {[](auto &p) { p.grid = -1; }, "negative grid", "aie.grid"},
-        {[](auto &p) { p.grid = 1025; }, "int-overflowing grid",
-         "aie.grid"},
-        {[](auto &p) { p.native_m = 0; }, "zero native_m",
-         "aie.native_m"},
-        {[](auto &p) { p.native_k = -1; }, "negative native_k",
-         "aie.native_k"},
-        {[](auto &p) { p.native_n = 0; }, "zero native_n",
-         "aie.native_n"},
-        {[](auto &p) { p.macs_per_cycle = 0; }, "zero MAC rate",
-         "aie.macs_per_cycle"},
-        {[](auto &p) { p.macs_per_cycle = -1; }, "negative MAC rate",
-         "aie.macs_per_cycle"},
-        {[](auto &p) { p.macs_per_cycle = kNaN; }, "NaN MAC rate",
-         "aie.macs_per_cycle"},
-        {[](auto &p) { p.drain_bytes_per_cycle = 0; }, "zero drain rate",
-         "aie.drain_bytes_per_cycle"},
-        {[](auto &p) { p.drain_bytes_per_cycle = kInf; },
-         "infinite drain rate", "aie.drain_bytes_per_cycle"},
-        {[](auto &p) { p.overhead_base = -1; }, "negative overhead",
-         "aie.overhead_base"},
-        {[](auto &p) { p.overhead_base = kNaN; }, "NaN overhead",
-         "aie.overhead_base"},
-    };
-    for (const auto &c : cases) {
+    // A zero rate cast an infinite cycle count to a Tick; a negative
+    // rate never finished.
+    for (double v : {0.0, -1.0, kNaN, kInf}) {
         auto cfg = good();
-        c.set(cfg.aie);
-        expectInvalid(cfg, c.what, c.field);
+        cfg.aie_macs_per_cycle = v;
+        expectInvalid(cfg, "bad MAC rate", "aie_macs_per_cycle");
     }
-
-    // The boundaries themselves are accepted.
     auto cfg = good();
-    cfg.aie.grid = 1;
-    cfg.aie.native_m = 1024;
-    cfg.aie.overhead_base = 0;
+    cfg.aie_macs_per_cycle = 1e-3;
     EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
 }
 
@@ -210,7 +176,6 @@ knobs()
                                              0.5,    1,    2,    10,
                                              1e3,    0,    -1,   kNaN,
                                              kInf};
-    const std::vector<double> ints = {-1, 0, 1, 2, 4, 8, 32, 64, 1024, 1025};
     const std::vector<double> rates = {-1,  0,   1e-300, 1e-3, 0.5,
                                        8,   1e3, kNaN,   kInf};
     const std::vector<double> depths = {0, 1, 2, 3, 6, 12, 64};
@@ -220,32 +185,16 @@ knobs()
             (c.*chan).*rate *= v;
         };
     };
-    auto aieInt = [](int fu::AieModelParams::*f) {
-        return [=](core::MachineConfig &c, double v) {
-            c.aie.*f = int(v);
-        };
-    };
-    auto aieReal = [](double fu::AieModelParams::*f) {
-        return [=](core::MachineConfig &c, double v) { c.aie.*f = v; };
-    };
     using C = core::MachineConfig;
     using D = mem::DramConfig;
-    using A = fu::AieModelParams;
     return {
         {"ddr.read_gbps", scale(&D::read_gbps, &C::ddr), rate_scales},
         {"ddr.write_gbps", scale(&D::write_gbps, &C::ddr), rate_scales},
         {"lpddr.read_gbps", scale(&D::read_gbps, &C::lpddr), rate_scales},
         {"lpddr.write_gbps", scale(&D::write_gbps, &C::lpddr),
          rate_scales},
-        {"aie.grid", aieInt(&A::grid), ints},
-        {"aie.native_m", aieInt(&A::native_m), ints},
-        {"aie.native_k", aieInt(&A::native_k), ints},
-        {"aie.native_n", aieInt(&A::native_n), ints},
-        {"aie.macs_per_cycle", aieReal(&A::macs_per_cycle), rates},
-        {"aie.drain_bytes_per_cycle", aieReal(&A::drain_bytes_per_cycle),
-         rates},
-        {"aie.overhead_base", aieReal(&A::overhead_base),
-         {-1, 0, 1, 350, 1e6, kNaN, kInf}},
+        {"aie_macs_per_cycle",
+         [](C &c, double v) { c.aie_macs_per_cycle = v; }, rates},
         {"uop_fifo_depth",
          [](C &c, double v) { c.uop_fifo_depth = std::size_t(v); }, depths},
         {"fetch_fifo_depth",
@@ -315,15 +264,11 @@ describe(const core::MachineConfig &cfg)
     char buf[512];
     std::snprintf(
         buf, sizeof buf,
-        "ddr %g/%g lpddr %g/%g aie grid=%d native=%dx%dx%d macs=%g "
-        "drain=%g overhead=%g fifo uop=%zu fetch=%zu layout=%d "
-        "functional=%d precision %s/%s/%s",
+        "ddr %g/%g lpddr %g/%g aie macs=%g fifo uop=%zu fetch=%zu "
+        "layout=%d functional=%d precision %s/%s/%s",
         cfg.ddr.read_gbps, cfg.ddr.write_gbps, cfg.lpddr.read_gbps,
-        cfg.lpddr.write_gbps, cfg.aie.grid, cfg.aie.native_m,
-        cfg.aie.native_k, cfg.aie.native_n, cfg.aie.macs_per_cycle,
-        cfg.aie.drain_bytes_per_cycle, cfg.aie.overhead_base,
-        cfg.uop_fifo_depth, cfg.fetch_fifo_depth,
-        int(cfg.offchip_layout), int(cfg.functional),
+        cfg.lpddr.write_gbps, cfg.aie_macs_per_cycle, cfg.uop_fifo_depth,
+        cfg.fetch_fifo_depth, int(cfg.offchip_layout), int(cfg.functional),
         dtypeName(cfg.precision.linear_weights),
         dtypeName(cfg.precision.linear_activations),
         dtypeName(cfg.precision.attention_activations));
@@ -360,7 +305,7 @@ TEST(ConfigValidate, AcceptedConfigsRunOrAreRejected)
                 expectRunsOrIsRejected(cfg, {}, describe(cfg), tally);
             }
 
-    for (int i = 0; i < 64; ++i) {
+    for (int i = 0; i < 96; ++i) {
         auto cfg = good();
         cfg.functional = rng() & 1;
         cfg.precision = {dtypes[rng() % 3], dtypes[rng() % 3],

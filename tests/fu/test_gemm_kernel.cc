@@ -3,14 +3,15 @@
  * Property tests for the blocked GEMM microkernel variants (ISSUE 4,
  * re-targeted at the runtime dispatch tables in ISSUE 7).
  *
- * The MME's functional math runs through whichever kernel table the
- * Registry selected — AVX-512, AVX2+FMA, NEON, or the portable
- * auto-vectorized variant, all compiled into this one binary
- * (fu/kernel_registry.hh). These tests iterate every table the CPU can
- * execute, pin it under ScopedIsaOverride so the call goes through the
- * production dispatch path (fu::gemmAccumulate -> kernel::active()),
- * and compare against the scalar reference kernel over randomized and
- * adversarial shapes.
+ * The MME's functional math runs through whichever kernel table is
+ * active — AVX-512, AVX2+FMA, NEON, or the portable auto-vectorized
+ * variant, all compiled into this one binary (fu/kernel_registry.hh).
+ * These tests iterate every table the CPU runs (scalar included: the
+ * reference trivially matches itself, and running it through the same
+ * harness checks the dispatch plumbing), pin it under ScopedIsaOverride
+ * so the call goes through the production dispatch path
+ * (fu::gemmAccumulate -> kernel::active()), and compare against the
+ * scalar reference kernel over randomized and adversarial shapes.
  *
  * Tolerance policy (documented in gemm_kernel.hh and docs/datapath.md):
  * the blocked kernels accumulate in registers and add the partial sum
@@ -39,19 +40,6 @@ using namespace rsn;
 /** The documented comparison tolerance for reassociated FP32 GEMM. */
 constexpr float kRtol = 1e-4f;
 constexpr float kAtol = 1e-4f;
-
-/** Every compiled-in table this CPU can execute (scalar included: the
- *  reference trivially matches itself, and running it through the same
- *  harness checks the dispatch plumbing). */
-std::vector<const kernel::KernelTable *>
-selectableTables()
-{
-    std::vector<const kernel::KernelTable *> out;
-    for (const auto *t : kernel::Registry::instance().tables())
-        if (kernel::Registry::instance().selectable(t->isa))
-            out.push_back(t);
-    return out;
-}
 
 std::vector<float>
 randomVec(std::size_t n, std::mt19937 &rng)
@@ -92,9 +80,9 @@ checkShape(std::uint32_t m, std::uint32_t k, std::uint32_t n,
     scratch.release();
 }
 
-TEST(GemmKernel, RegistryReportsKnownVariants)
+TEST(GemmKernel, RunnableTablesAreKnownVariants)
 {
-    auto tables = selectableTables();
+    auto tables = kernel::runnableTables();
     ASSERT_GE(tables.size(), 2u);  // portable + scalar at minimum
     for (const auto *t : tables) {
         const std::string name = t->name;
@@ -107,7 +95,7 @@ TEST(GemmKernel, RegistryReportsKnownVariants)
 
 TEST(GemmKernel, DatapathShapesMatchScalarReference)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         kernel::ScopedIsaOverride pin(*t);
         std::mt19937 rng(2024);
@@ -123,7 +111,7 @@ TEST(GemmKernel, DatapathShapesMatchScalarReference)
 
 TEST(GemmKernel, EdgeShapes)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         kernel::ScopedIsaOverride pin(*t);
         std::mt19937 rng(7);
@@ -151,7 +139,7 @@ TEST(GemmKernel, EdgeShapes)
 
 TEST(GemmKernel, RandomizedShapesIncludingBlockEdges)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         kernel::ScopedIsaOverride pin(*t);
         std::mt19937 rng(99);
@@ -197,7 +185,7 @@ TEST(GemmKernel, MatchesRefMathMatmul)
     // Independent cross-check against src/ref (different loop structure
     // than both kernels): C = A @ B with zero-initialized accumulator,
     // under every table.
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         kernel::ScopedIsaOverride pin(*t);
         fu::GemmScratch scratch;

@@ -1,20 +1,19 @@
 /**
  * @file
- * Unit tests for the runtime kernel dispatch registry (ISSUE 7):
- * name vocabulary, cpuid-probe gating with fabricated probes (probe
- * mocking — CpuProbe is plain data on purpose), the pure startup
- * selection policy resolveStartupIsa (RSN_ISA with lenient fallback on
- * bad values; the removed RSN_NONLINEAR alias hard-errors), the strict
- * Registry::select used by rsn-sim --isa (unknown-name rejection), and
- * the ScopedIsaOverride RAII contract. The per-kernel numerics live in
- * test_gemm_kernel.cc / test_nonlinear_simd.cc; the end-to-end golden
- * loop in tests/lib/test_golden_e2e.cc.
+ * Unit tests for the runtime kernel dispatch (fu/kernel_registry.hh):
+ * the runnable-table list (names, best-first order, exact scalar
+ * last), the pure RSN_ISA rule envChoice (lenient fallback on a value
+ * that names no runnable table), the strict select() used by rsn-sim
+ * --isa, and the ScopedIsaOverride RAII contract. The per-kernel
+ * numerics live in test_gemm_kernel.cc / test_nonlinear_simd.cc; the
+ * end-to-end golden loop in tests/lib/test_golden_e2e.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
-#include <stdexcept>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,268 +24,148 @@
 namespace {
 
 using namespace rsn;
-using kernel::CpuProbe;
-using kernel::Isa;
 
-/** An AVX-512 workstation with full OS state support. */
-CpuProbe
-fullAvx512Probe()
+// ------------------------------------------------- the runnable list --
+
+TEST(KernelRegistry, TableNamesAreTheIsaVocabulary)
 {
-    CpuProbe p;
-    p.cpu_avx = p.cpu_fma = p.cpu_avx2 = p.cpu_avx512f = true;
-    p.os_ymm = p.os_zmm = true;
-    return p;
-}
-
-/** The x86 fat binary's table set, best first (CMakeLists.txt). */
-std::vector<Isa>
-x86CompiledIn()
-{
-    return {Isa::Avx512, Isa::Avx2, Isa::Portable, Isa::Scalar};
-}
-
-// ---------------------------------------------------------- vocabulary --
-
-TEST(KernelRegistry, IsaNamesRoundTrip)
-{
-    for (Isa isa : {Isa::Scalar, Isa::Portable, Isa::Neon, Isa::Avx2,
-                    Isa::Avx512}) {
-        auto back = kernel::isaFromName(kernel::isaName(isa));
-        ASSERT_TRUE(back.has_value()) << kernel::isaName(isa);
-        EXPECT_EQ(*back, isa);
+    const std::set<std::string> vocabulary = {"avx512", "avx2", "neon",
+                                              "portable", "scalar"};
+    std::set<std::string> seen;
+    for (const kernel::KernelTable *t : kernel::runnableTables()) {
+        EXPECT_TRUE(vocabulary.count(t->name)) << t->name;
+        EXPECT_TRUE(seen.insert(t->name).second) << "duplicate " << t->name;
+        EXPECT_EQ(t->exact, std::string(t->name) == "scalar") << t->name;
     }
 }
 
-TEST(KernelRegistry, UnknownNamesAreRejected)
+TEST(KernelRegistry, RunnableListIsBestFirstWithScalarLast)
 {
-    EXPECT_FALSE(kernel::isaFromName("").has_value());
-    EXPECT_FALSE(kernel::isaFromName("mips").has_value());
-    EXPECT_FALSE(kernel::isaFromName("AVX512").has_value());  // lowercase only
-    EXPECT_FALSE(kernel::isaFromName("avx2-fma").has_value());  // old name
-    EXPECT_FALSE(kernel::isaFromName("exact").has_value());  // RSN_NONLINEAR
+    const auto runnable = kernel::runnableTables();
+    ASSERT_GE(runnable.size(), 2u);
+    EXPECT_STRNE(runnable.front()->name, "scalar")
+        << "the exact reference is never the default";
+    EXPECT_STREQ(runnable.back()->name, "scalar");
+    EXPECT_STREQ(runnable[runnable.size() - 2]->name, "portable");
+    const std::vector<std::string> rank = {"avx512", "avx2", "neon",
+                                           "portable", "scalar"};
+    const auto rankOf = [&rank](const char *name) {
+        return std::find(rank.begin(), rank.end(), name) - rank.begin();
+    };
+    for (std::size_t i = 1; i < runnable.size(); ++i)
+        EXPECT_LT(rankOf(runnable[i - 1]->name), rankOf(runnable[i]->name))
+            << runnable[i - 1]->name << " before " << runnable[i]->name;
 }
 
-// ------------------------------------------------------- probe gating --
-
-TEST(KernelRegistry, ScalarAndPortableNeedNoCpuFeatures)
+#if defined(__x86_64__) || defined(__i386__)
+TEST(KernelRegistry, X86TablesFollowTheCompilerRuntimesCpuCheck)
 {
-    CpuProbe none;  // nothing supported at all
-    EXPECT_TRUE(none.supports(Isa::Scalar));
-    EXPECT_TRUE(none.supports(Isa::Portable));
-    EXPECT_FALSE(none.supports(Isa::Neon));
-    EXPECT_FALSE(none.supports(Isa::Avx2));
-    EXPECT_FALSE(none.supports(Isa::Avx512));
+    std::set<std::string> names;
+    for (const kernel::KernelTable *t : kernel::runnableTables())
+        names.insert(t->name);
+    EXPECT_EQ(names.count("avx512") == 1,
+              bool(__builtin_cpu_supports("avx512f")));
+    EXPECT_EQ(names.count("avx2") == 1,
+              __builtin_cpu_supports("avx2") &&
+                  __builtin_cpu_supports("fma"));
+    EXPECT_EQ(names.count("neon"), 0u);
 }
+#endif
 
-TEST(KernelRegistry, Avx2NeedsFmaAndOsYmmState)
+// ----------------------------------------------------- the RSN_ISA rule --
+
+TEST(KernelRegistry, UnsetRsnIsaUsesTheFrontTable)
 {
-    CpuProbe p = fullAvx512Probe();
-    EXPECT_TRUE(p.supports(Isa::Avx2));
-    // A CPU with AVX2 but no FMA (or masked by the hypervisor) must not
-    // get the FMA-built kernels.
-    p.cpu_fma = false;
-    EXPECT_FALSE(p.supports(Isa::Avx2));
-    // OS not saving ymm state (XCR0): executing AVX faults even though
-    // CPUID advertises it.
-    p = fullAvx512Probe();
-    p.os_ymm = false;
-    EXPECT_FALSE(p.supports(Isa::Avx2));
-}
-
-TEST(KernelRegistry, Avx512NeedsOsZmmState)
-{
-    // The classic VM / old-kernel case: CPUID says AVX512F but XCR0
-    // lacks opmask/zmm state, so zmm instructions would #UD.
-    CpuProbe p = fullAvx512Probe();
-    EXPECT_TRUE(p.supports(Isa::Avx512));
-    p.os_zmm = false;
-    EXPECT_FALSE(p.supports(Isa::Avx512));
-    EXPECT_TRUE(p.supports(Isa::Avx2)) << "ymm state is still fine";
-}
-
-TEST(KernelRegistry, ProbeToStringNamesEveryGate)
-{
-    const std::string s = fullAvx512Probe().toString();
-    EXPECT_NE(s.find("avx512f=1"), std::string::npos) << s;
-    EXPECT_NE(s.find("os_zmm=1"), std::string::npos) << s;
-}
-
-// --------------------------------------------------------- chooseBest --
-
-TEST(KernelRegistry, ChooseBestPicksFirstSupportedTable)
-{
-    EXPECT_EQ(kernel::chooseBest(fullAvx512Probe(), x86CompiledIn()),
-              Isa::Avx512);
-    CpuProbe no_zmm = fullAvx512Probe();
-    no_zmm.os_zmm = false;
-    EXPECT_EQ(kernel::chooseBest(no_zmm, x86CompiledIn()), Isa::Avx2);
-    CpuProbe none;
-    EXPECT_EQ(kernel::chooseBest(none, x86CompiledIn()), Isa::Portable);
-}
-
-TEST(KernelRegistry, ChooseBestNeverPicksScalar)
-{
-    // Even when scalar is the only compiled-in entry besides portable,
-    // the exact reference is opt-in only.
-    CpuProbe none;
-    EXPECT_EQ(kernel::chooseBest(none, {Isa::Scalar, Isa::Portable}),
-              Isa::Portable);
-    EXPECT_EQ(kernel::chooseBest(none, {Isa::Scalar}), Isa::Portable);
-}
-
-// --------------------------------------------- startup policy (env) ----
-
-TEST(KernelRegistry, StartupDefaultsToProbe)
-{
-    auto c = kernel::resolveStartupIsa(nullptr, nullptr,
-                                       fullAvx512Probe(),
-                                       x86CompiledIn());
-    EXPECT_EQ(c.isa, Isa::Avx512);
-    EXPECT_STREQ(c.source, "probe");
-    EXPECT_TRUE(c.warning.empty()) << c.warning;
-}
-
-TEST(KernelRegistry, RsnIsaSelectsAnyCompiledInTable)
-{
-    for (Isa want : x86CompiledIn()) {
-        auto c = kernel::resolveStartupIsa(kernel::isaName(want), nullptr,
-                                           fullAvx512Probe(),
-                                           x86CompiledIn());
-        EXPECT_EQ(c.isa, want);
-        EXPECT_STREQ(c.source, "env:RSN_ISA");
+    const auto runnable = kernel::runnableTables();
+    for (const char *unset : {static_cast<const char *>(nullptr), ""}) {
+        const kernel::EnvChoice c = kernel::envChoice(unset, runnable);
+        EXPECT_EQ(c.table, runnable.front());
         EXPECT_TRUE(c.warning.empty()) << c.warning;
     }
 }
 
-TEST(KernelRegistry, UnknownRsnIsaFallsBackToProbeWithWarning)
+TEST(KernelRegistry, RsnIsaSelectsAnyRunnableTable)
 {
-    auto c = kernel::resolveStartupIsa("bogus", nullptr,
-                                       fullAvx512Probe(),
-                                       x86CompiledIn());
-    EXPECT_EQ(c.isa, Isa::Avx512);
-    EXPECT_STREQ(c.source, "probe");
-    EXPECT_NE(c.warning.find("bogus"), std::string::npos) << c.warning;
-}
-
-TEST(KernelRegistry, NotCompiledInRsnIsaFallsBackWithWarning)
-{
-    // neon is a real name but not in the x86 binary.
-    auto c = kernel::resolveStartupIsa("neon", nullptr,
-                                       fullAvx512Probe(),
-                                       x86CompiledIn());
-    EXPECT_EQ(c.isa, Isa::Avx512);
-    EXPECT_STREQ(c.source, "probe");
-    EXPECT_FALSE(c.warning.empty());
-}
-
-TEST(KernelRegistry, CpuUnsupportedRsnIsaFallsBackWithWarning)
-{
-    CpuProbe no_zmm = fullAvx512Probe();
-    no_zmm.os_zmm = false;
-    auto c = kernel::resolveStartupIsa("avx512", nullptr, no_zmm,
-                                       x86CompiledIn());
-    EXPECT_EQ(c.isa, Isa::Avx2) << "fall back to the probed best";
-    EXPECT_STREQ(c.source, "probe");
-    EXPECT_NE(c.warning.find("avx512"), std::string::npos) << c.warning;
-}
-
-TEST(KernelRegistry, RemovedRsnNonlinearIsAHardError)
-{
-    // The RSN_NONLINEAR deprecation alias is gone (two majors stale).
-    // Any non-empty value — even ones the alias used to accept, and even
-    // with a valid RSN_ISA alongside — is now a fatal config error whose
-    // message points the user at RSN_ISA. Refusing to run beats silently
-    // ignoring a variable that used to select kernel tables.
-    for (const char *stale : {"exact", "simd", "fast"}) {
-        try {
-            kernel::resolveStartupIsa(nullptr, stale, fullAvx512Probe(),
-                                      x86CompiledIn());
-            FAIL() << "RSN_NONLINEAR=" << stale << " did not hard-error";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find("RSN_ISA"),
-                      std::string::npos)
-                << e.what();
-        }
+    const auto runnable = kernel::runnableTables();
+    for (const kernel::KernelTable *t : runnable) {
+        const kernel::EnvChoice c = kernel::envChoice(t->name, runnable);
+        EXPECT_EQ(c.table, t) << t->name;
+        EXPECT_TRUE(c.warning.empty()) << c.warning;
     }
-    // RSN_ISA being set too does not excuse the stale variable.
-    EXPECT_THROW(kernel::resolveStartupIsa("portable", "exact",
-                                           fullAvx512Probe(),
-                                           x86CompiledIn()),
-                 std::runtime_error);
-    // An empty value is treated as unset, matching RSN_ISA's behavior.
-    auto c = kernel::resolveStartupIsa(nullptr, "", fullAvx512Probe(),
-                                       x86CompiledIn());
-    EXPECT_EQ(c.isa, Isa::Avx512);
-    EXPECT_STREQ(c.source, "probe");
 }
 
-// ------------------------------------------- the live Registry object --
-
-TEST(KernelRegistry, TablesEndWithScalarAndContainPortable)
+TEST(KernelRegistry, UnknownRsnIsaFallsBackToTheFrontWithWarning)
 {
-    auto &reg = kernel::Registry::instance();
-    ASSERT_GE(reg.tables().size(), 2u);
-    EXPECT_EQ(reg.tables().back()->isa, Isa::Scalar);
-    EXPECT_NE(reg.find("portable"), nullptr);
-    EXPECT_NE(reg.find("scalar"), nullptr);
-    EXPECT_EQ(reg.find("avx2-fma"), nullptr) << "old name must be gone";
-    // Scalar and Portable are selectable on any CPU.
-    EXPECT_TRUE(reg.selectable(Isa::Scalar));
-    EXPECT_TRUE(reg.selectable(Isa::Portable));
+    const auto runnable = kernel::runnableTables();
+    for (const char *bad : {"bogus", "AVX512", "avx2-fma", "exact"}) {
+        const kernel::EnvChoice c = kernel::envChoice(bad, runnable);
+        EXPECT_EQ(c.table, runnable.front()) << bad;
+        EXPECT_NE(c.warning.find(bad), std::string::npos) << c.warning;
+        EXPECT_NE(c.warning.find("scalar"), std::string::npos)
+            << "the warning names the runnable tables: " << c.warning;
+    }
 }
 
-TEST(KernelRegistry, StrictSelectRejectsUnknownNames)
+TEST(KernelRegistry, NotRunnableRsnIsaFallsBackWithWarning)
 {
-    auto &reg = kernel::Registry::instance();
-    const kernel::KernelTable &before = reg.active();
+    // A CPU that runs only the baseline tables: a vector table named in
+    // RSN_ISA is not runnable there, and the front (portable) is used.
+    const auto all = kernel::runnableTables();
+    const auto baseline = all.last(2);
+    ASSERT_STREQ(baseline.front()->name, "portable");
+    for (const char *want : {"avx512", "avx2", "neon"}) {
+        const kernel::EnvChoice c = kernel::envChoice(want, baseline);
+        EXPECT_EQ(c.table, baseline.front()) << want;
+        EXPECT_NE(c.warning.find(want), std::string::npos) << c.warning;
+        EXPECT_NE(c.warning.find("using portable"), std::string::npos)
+            << c.warning;
+    }
+}
+
+// ------------------------------------------- strict select and override --
+
+TEST(KernelRegistry, StrictSelectRejectsNamesThatAreNotRunnable)
+{
+    const kernel::KernelTable &before = kernel::active();
     for (const char *bad : {"", "mips", "AVX512", "avx2-fma"}) {
-        Status st = reg.select(bad, "cli:--isa");
+        Status st = kernel::select(bad);
         EXPECT_FALSE(st.ok()) << bad;
-        EXPECT_EQ(&reg.active(), &before)
+        EXPECT_EQ(st.code, StatusCode::InvalidConfig) << bad;
+        EXPECT_EQ(&kernel::active(), &before)
             << "failed select must leave the selection unchanged";
     }
-    // The error names the valid vocabulary so the CLI message is
+    // The error names the runnable tables so the CLI message is
     // actionable.
-    Status st = reg.select("mips");
-    EXPECT_NE(st.toString().find("portable"), std::string::npos)
+    Status st = kernel::select("mips");
+    EXPECT_NE(st.toString().find("portable|scalar"), std::string::npos)
         << st.toString();
 }
 
 TEST(KernelRegistry, StrictSelectByNameSwitchesTheActiveTable)
 {
-    auto &reg = kernel::Registry::instance();
-    const kernel::KernelTable &before = reg.active();
-    const std::string before_name = before.name;
-    const char *before_source = reg.selectionSource();
-
-    ASSERT_TRUE(reg.select("scalar", "cli:--isa").ok());
-    EXPECT_STREQ(reg.active().name, "scalar");
-    EXPECT_STREQ(reg.selectionSource(), "cli:--isa");
-    EXPECT_EQ(&kernel::active(), &reg.active())
-        << "hot accessor must track the registry";
+    const kernel::KernelTable &before = kernel::active();
+    ASSERT_TRUE(kernel::select("scalar").ok());
+    EXPECT_STREQ(kernel::active().name, "scalar");
 
     // Restore for the rest of the process.
-    ASSERT_TRUE(reg.select(before_name, before_source).ok());
-    EXPECT_EQ(&reg.active(), &before);
+    ASSERT_TRUE(kernel::select(before.name).ok());
+    EXPECT_EQ(&kernel::active(), &before);
 }
 
-TEST(KernelRegistry, ScopedOverrideRestoresTableAndSource)
+TEST(KernelRegistry, ScopedOverrideRestoresTheTable)
 {
-    auto &reg = kernel::Registry::instance();
-    const kernel::KernelTable &before = reg.active();
-    const std::string before_source = reg.selectionSource();
+    const auto runnable = kernel::runnableTables();
+    const kernel::KernelTable &before = kernel::active();
     {
-        kernel::ScopedIsaOverride pin(Isa::Scalar);
-        EXPECT_STREQ(reg.active().name, "scalar");
-        EXPECT_STREQ(reg.selectionSource(), "override");
+        kernel::ScopedIsaOverride pin(*runnable.back());
+        EXPECT_STREQ(kernel::active().name, "scalar");
         {
-            kernel::ScopedIsaOverride nested(Isa::Portable);
-            EXPECT_STREQ(reg.active().name, "portable");
+            kernel::ScopedIsaOverride nested(*runnable[runnable.size() - 2]);
+            EXPECT_STREQ(kernel::active().name, "portable");
         }
-        EXPECT_STREQ(reg.active().name, "scalar") << "nesting unwinds";
+        EXPECT_STREQ(kernel::active().name, "scalar") << "nesting unwinds";
     }
-    EXPECT_EQ(&reg.active(), &before);
-    EXPECT_EQ(reg.selectionSource(), before_source);
+    EXPECT_EQ(&kernel::active(), &before);
 }
 
 // ------------------------------------------- scalar table exactness ----
@@ -296,9 +175,8 @@ TEST(KernelRegistry, ScalarTableIsBitExactAgainstTheReferenceKernels)
     // The scalar table is not an approximation of the reference — it
     // IS the reference, routed through the table. Bit-exact, not
     // tolerance-compared.
-    const kernel::KernelTable *scalar =
-        kernel::Registry::instance().find("scalar");
-    ASSERT_NE(scalar, nullptr);
+    const kernel::KernelTable *scalar = kernel::runnableTables().back();
+    ASSERT_STREQ(scalar->name, "scalar");
     EXPECT_TRUE(scalar->exact);
 
     std::mt19937 rng(71);

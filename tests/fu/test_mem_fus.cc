@@ -259,7 +259,7 @@ TEST(MemCFu, SoftmaxAppliedOnRecv)
     // *plumbing* against ref_math at tight tolerance; the vectorized
     // tables' accuracy has its own property suite
     // (test_nonlinear_simd.cc).
-    kernel::ScopedIsaOverride exact(kernel::Isa::Scalar);
+    kernel::ScopedIsaOverride exact(*kernel::runnableTables().back());
     MemCRig r;
     isa::MemCUop recv;
     recv.rows = 2;
@@ -289,7 +289,7 @@ TEST(MemCFu, SoftmaxAppliedOnRecv)
 
 TEST(MemCFu, ResidualAddAndLayerNormWithParams)
 {
-    kernel::ScopedIsaOverride exact(kernel::Isa::Scalar);
+    kernel::ScopedIsaOverride exact(*kernel::runnableTables().back());
     MemCRig r;
     isa::MemCUop recv;
     recv.rows = 2;
@@ -330,7 +330,7 @@ TEST(MemCFu, ResidualAddAndLayerNormWithParams)
 
 TEST(MemCFu, GeluMatchesReference)
 {
-    kernel::ScopedIsaOverride exact(kernel::Isa::Scalar);
+    kernel::ScopedIsaOverride exact(*kernel::runnableTables().back());
     MemCRig r;
     isa::MemCUop recv;
     recv.rows = 3;
@@ -357,16 +357,11 @@ TEST(MemCFu, SimdKernelsRunPerGatherSegment)
 {
     // The vectorized dispatch must run over every adopted gather
     // segment exactly like the exact kernels do: assemble a tile from
-    // two chunks (two segments) and fuse softmax under the probed-best
-    // vectorized table, then compare against ref_math at the documented
-    // softmax tolerance (fu/kernel_registry.hh). chooseBest never
-    // returns scalar, so this really exercises an approximate kernel.
-    auto &reg = kernel::Registry::instance();
-    std::vector<kernel::Isa> compiled_in;
-    for (const auto *t : reg.tables())
-        compiled_in.push_back(t->isa);
-    kernel::ScopedIsaOverride simd(
-        kernel::chooseBest(reg.probe(), compiled_in));
+    // two chunks (two segments) and fuse softmax under the best
+    // runnable table, then compare against ref_math at the documented
+    // softmax tolerance (fu/kernel_registry.hh). The front table is
+    // never scalar, so this really exercises an approximate kernel.
+    kernel::ScopedIsaOverride simd(*kernel::runnableTables().front());
     MemCRig r;
     isa::MemCUop recv;
     recv.rows = 4;

@@ -40,18 +40,6 @@ constexpr float kSoftmaxTol = 1e-5f;
 constexpr float kGeluTol = 1e-3f;
 constexpr float kLayernormTol = 1e-4f;
 
-/** Every compiled-in table this CPU can execute, the exact scalar
- *  reference included (it must trivially agree with itself). */
-std::vector<const kernel::KernelTable *>
-selectableTables()
-{
-    std::vector<const kernel::KernelTable *> out;
-    for (const auto *t : kernel::Registry::instance().tables())
-        if (kernel::Registry::instance().selectable(t->isa))
-            out.push_back(t);
-    return out;
-}
-
 std::vector<float>
 randomVec(std::size_t n, std::mt19937 &rng, float scale = 4.0f)
 {
@@ -87,7 +75,7 @@ const std::pair<std::uint32_t, std::uint32_t> kEdgeShapes[] = {
 
 TEST(NonlinearKernels, EveryTableReportsAKnownVariant)
 {
-    auto tables = selectableTables();
+    auto tables = kernel::runnableTables();
     ASSERT_GE(tables.size(), 2u);  // portable + scalar at minimum
     for (const auto *t : tables) {
         const std::string name = t->name;
@@ -95,14 +83,13 @@ TEST(NonlinearKernels, EveryTableReportsAKnownVariant)
                     name == "avx512" || name == "neon" ||
                     name == "scalar")
             << name;
-        EXPECT_EQ(name, kernel::isaName(t->isa));
-        EXPECT_EQ(t->exact, t->isa == kernel::Isa::Scalar);
+        EXPECT_EQ(t->exact, name == "scalar");
     }
 }
 
 TEST(NonlinearKernels, SoftmaxMatchesExactOverRandomizedShapes)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         std::mt19937 rng(11);
         for (auto [rows, cols] : kEdgeShapes) {
             auto exact = randomVec(std::size_t(rows) * cols, rng);
@@ -125,7 +112,7 @@ TEST(NonlinearKernels, SoftmaxMatchesExactOverRandomizedShapes)
 TEST(NonlinearKernels, SoftmaxStableForLargeLogits)
 {
     // The polynomial exp clamps instead of overflowing/underflowing.
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         std::vector<float> tile = {500.f, 499.f, 0.f, -500.f};
         t->softmax_rows(tile.data(), 1, 4);
@@ -140,7 +127,7 @@ TEST(NonlinearKernels, SoftmaxStableForLargeLogits)
 
 TEST(NonlinearKernels, SoftmaxSingleColumnIsOne)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         std::vector<float> tile = {42.f, -3.f, 0.f};
         t->softmax_rows(tile.data(), 3, 1);
@@ -151,7 +138,7 @@ TEST(NonlinearKernels, SoftmaxSingleColumnIsOne)
 
 TEST(NonlinearKernels, GeluMatchesExactWithinFormulaTolerance)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         std::mt19937 rng(13);
         for (auto [rows, cols] : kEdgeShapes) {
             auto exact = randomVec(std::size_t(rows) * cols, rng, 6.0f);
@@ -168,7 +155,7 @@ TEST(NonlinearKernels, GeluSaturatesLikeTheExactKernel)
 {
     // Identity for large positive x, zero for large negative x — and
     // finite everywhere (the exp clamp must not produce inf).
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         std::vector<float> tile = {10.f,   -10.f,   50.f,
                                    -50.f,  1000.f,  -1000.f};
@@ -184,7 +171,7 @@ TEST(NonlinearKernels, GeluSaturatesLikeTheExactKernel)
 
 TEST(NonlinearKernels, LayernormMatchesExactOverRandomizedShapes)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         std::mt19937 rng(17);
         for (auto [rows, cols] : kEdgeShapes) {
             auto exact = randomVec(std::size_t(rows) * cols, rng, 7.0f);
@@ -202,7 +189,7 @@ TEST(NonlinearKernels, LayernormSurvivesLargeMeanRows)
     // The shifted two-pass form must not cancel catastrophically when
     // a row's common mean dwarfs its spread (the failure mode the
     // scalar single-pass variance had).
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         std::mt19937 rng(19);
         std::uniform_real_distribution<float> noise(-1.f, 1.f);
         for (float mean : {1e4f, 1e6f}) {
@@ -223,7 +210,7 @@ TEST(NonlinearKernels, LayernormSurvivesLargeMeanRows)
 
 TEST(NonlinearKernels, LayernormConstantRowIsZero)
 {
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         std::vector<float> tile(37, 2.5f);
         t->layernorm_rows(tile.data(), 1, 37);
@@ -237,7 +224,7 @@ TEST(NonlinearKernels, DegenerateShapesAreNoOps)
     // rows == 0 / cols == 0 must not touch (or read) anything — the
     // same guards the scalar kernels gained (ISSUE 5 regression) —
     // under every table.
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         t->softmax_rows(nullptr, 0, 16);
         t->softmax_rows(nullptr, 16, 0);
@@ -285,7 +272,7 @@ TEST(NonlinearKernels, TransposeIsBitIdenticalAcrossAllTables)
     for (auto [rows, cols] : shapes) {
         auto src = randomVec(std::size_t(rows) * cols, rng);
         auto want = naiveTranspose(src, rows, cols);
-        for (const auto *t : selectableTables()) {
+        for (const auto *t : kernel::runnableTables()) {
             SCOPED_TRACE(std::string(t->name) + " " +
                          std::to_string(rows) + "x" +
                          std::to_string(cols));
@@ -312,7 +299,7 @@ TEST(NonlinearKernels, ScaleShiftAndResidualAreTableIndependent)
 
     std::vector<float> want_ss, want_add;
     bool first = true;
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         kernel::ScopedIsaOverride pin(*t);
         auto got = base;
@@ -335,7 +322,7 @@ TEST(NonlinearKernels, SoftmaxCrossChecksAgainstRefMath)
 {
     // Independent reference (different loop structure than both fu
     // kernels): every table's softmax must land on ref_math too.
-    for (const auto *t : selectableTables()) {
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         auto m = ref::randomMatrix(16, 48, 41, 5.0f);
         auto tile = m.data;

@@ -4,11 +4,11 @@
 #
 #   tests/golden_stdout/check.sh BUILD_DIR NAME
 #
-# The host-dependent kernel-table report is filtered out: the
-# "  kernels   :" line and the "; kernels <isa> (<source>)" suffix of a
-# run report. Everything else must match byte for byte. The actual
-# output is left in BUILD_DIR/golden_stdout/NAME.out; to re-record a
-# case after an intended change, copy that file over the golden one.
+# The host-dependent kernel-table report, rsn-sim's "  kernels   :"
+# line, is filtered out. Everything else must match byte for byte. The
+# actual output is left in BUILD_DIR/golden_stdout/NAME.out; to
+# re-record a case after an intended change, copy that file over the
+# golden one.
 set -euo pipefail
 
 build=$1
@@ -25,8 +25,7 @@ mkdir -p "$build/golden_stdout"
 actual=$build/golden_stdout/$name.out
 rc=0
 "$build/${argv[0]}" "${argv[@]:1}" > "$actual.raw" || rc=$?
-sed -e '/^  kernels   : /d' -e 's/; kernels [a-z0-9]* ([^)]*)//' \
-    "$actual.raw" > "$actual"
+sed -e '/^  kernels   : /d' "$actual.raw" > "$actual"
 rm -f "$actual.raw"
 echo "exit: $rc" >> "$actual"
 

@@ -109,17 +109,13 @@ TEST(GoldenTrace, BertLargeEncoderTickCountIsPinned)
 
 TEST(GoldenTrace, FunctionalRunMeetsTheContractUnderEveryKernelTable)
 {
-    // The golden run under every table this binary compiled in and this
-    // CPU can execute, the exact scalar table included — the
-    // one-binary-all-ISAs contract. Simulated time must be
-    // bit-identical under each (a kernel table may never move a tick),
-    // and every tensor must meet the accuracy contract
+    // The golden run under every table this CPU runs, the exact scalar
+    // table included — the one-binary-all-ISAs contract. Simulated time
+    // must be bit-identical under each (a kernel table may never move a
+    // tick), and every tensor must meet the accuracy contract
     // (lib/runner.hh, docs/datapath.md).
-    auto &reg = kernel::Registry::instance();
     std::size_t tables_run = 0;
-    for (const auto *t : reg.tables()) {
-        if (!reg.selectable(t->isa))
-            continue;
+    for (const auto *t : kernel::runnableTables()) {
         SCOPED_TRACE(t->name);
         kernel::ScopedIsaOverride pin(*t);
         core::RsnMachine mach(

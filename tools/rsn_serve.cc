@@ -38,7 +38,9 @@
  *
  * Exit codes:
  *   0  every load point drained (all requests resolved)
- *   2  usage error
+ *   2  usage error (unknown flag, a missing value, a load that is not
+ *      a number > 0, or a numeric value that is not wholly an integer
+ *      of its field's type); the reason goes to stderr
  *   3  invalid configuration (machine config, fault spec, policy, trace)
  *
  * Examples:
@@ -49,11 +51,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/parse.hh"
 #include "core/machine.hh"
 #include "lib/sweep.hh"
 #include "serve/scheduler.hh"
@@ -64,7 +69,7 @@ struct Options {
     std::string loads = "20000";
     std::size_t requests = 64;
     std::uint64_t seed = 1;
-    long jobs = 1;
+    unsigned jobs = 1;  ///< 0 = all hardware threads.
     rsn::serve::ServePolicy policy;
     bool timing_only = false;
     std::string fault_spec;
@@ -73,12 +78,29 @@ struct Options {
     std::string trace_path;
 };
 
-void
-usage()
+/** Reject the command line with a named reason (exit 2). */
+[[noreturn]] void
+usage(const std::string &why)
 {
     std::fprintf(stderr,
-                 "see the header of tools/rsn_serve.cc for usage\n");
+                 "rsn-serve: %s (see the header of tools/rsn_serve.cc for "
+                 "usage)\n",
+                 why.c_str());
     std::exit(2);
+}
+
+/** @p text, whole, as a T in [lo, hi], or a usage error naming
+ *  @p flag (common/parse.hh). */
+template <typename T>
+T
+parseFlag(const std::string &flag, const std::string &text,
+          T lo = std::numeric_limits<T>::lowest(),
+          T hi = std::numeric_limits<T>::max())
+{
+    T v{};
+    if (rsn::Status st = rsn::parseNumber(flag, text, v, lo, hi); !st.ok())
+        usage(st.message);
+    return v;
 }
 
 Options
@@ -89,56 +111,57 @@ parse(int argc, char **argv)
         std::string a = argv[i];
         auto next = [&]() -> std::string {
             if (++i >= argc)
-                usage();
+                usage(a + " needs a value");
             return argv[i];
         };
-        auto nextU64 = [&]() {
-            return std::strtoull(next().c_str(), nullptr, 10);
+        // Parse the next value as the type of @p field.
+        auto num = [&](auto &field) {
+            field = parseFlag<std::remove_reference_t<decltype(field)>>(
+                a, next());
         };
         if (a == "--load")
             o.loads = next();
         else if (a == "--requests")
-            o.requests = nextU64();
+            num(o.requests);
         else if (a == "--seed")
-            o.seed = nextU64();
+            num(o.seed);
         else if (a == "--jobs")
-            o.jobs = std::strtol(next().c_str(), nullptr, 10);
+            num(o.jobs);
         else if (a == "--fleet")
-            o.policy.fleet = nextU64();
+            num(o.policy.fleet);
         else if (a == "--max-batch")
-            o.policy.max_batch = static_cast<std::uint32_t>(nextU64());
+            num(o.policy.max_batch);
         else if (a == "--linger")
-            o.policy.batch_linger = nextU64();
+            num(o.policy.batch_linger);
         else if (a == "--deadline")
-            o.policy.deadline = nextU64();
+            num(o.policy.deadline);
         else if (a == "--queue-cap")
-            o.policy.queue_capacity = nextU64();
+            num(o.policy.queue_capacity);
         else if (a == "--watermark")
-            o.policy.shed_wait_watermark = nextU64();
+            num(o.policy.shed_wait_watermark);
         else if (a == "--retries")
-            o.policy.max_retries = static_cast<std::uint32_t>(nextU64());
+            num(o.policy.max_retries);
         else if (a == "--backoff")
-            o.policy.backoff_base = nextU64();
+            num(o.policy.backoff_base);
         else if (a == "--jitter")
-            o.policy.retry_jitter = nextU64();
+            num(o.policy.retry_jitter);
         else if (a == "--breaker-threshold")
-            o.policy.breaker_threshold =
-                static_cast<std::uint32_t>(nextU64());
+            num(o.policy.breaker_threshold);
         else if (a == "--breaker-cooldown")
-            o.policy.breaker_cooldown = nextU64();
+            num(o.policy.breaker_cooldown);
         else if (a == "--budget")
-            o.policy.run_tick_budget = nextU64();
+            num(o.policy.run_tick_budget);
         else if (a == "--timing-only")
             o.timing_only = true;
         else if (a == "--fault-spec")
             o.fault_spec = next();
         else if (a == "--fault-seed") {
-            o.fault_seed = nextU64();
+            num(o.fault_seed);
             o.fault_seed_set = true;
         } else if (a == "--trace")
             o.trace_path = next();
         else
-            usage();
+            usage("unknown option " + a);
     }
     return o;
 }
@@ -205,10 +228,10 @@ runMain(const Options &o)
         std::size_t comma = o.loads.find(',', pos);
         if (comma == std::string::npos)
             comma = o.loads.size();
-        const double load =
-            std::atof(o.loads.substr(pos, comma - pos).c_str());
+        const std::string text = o.loads.substr(pos, comma - pos);
+        const double load = parseFlag<double>("--load", text);
         if (load <= 0)
-            usage();
+            usage("--load expects loads > 0, got '" + text + "'");
         serve::ServeSpec s = base;
         s.offered_load = load;
         specs.push_back(std::move(s));

@@ -43,7 +43,9 @@
  *   0  run completed (outputs verified when --functional)
  *   1  run completed but outputs mismatched the FP32 reference
  *   2  usage error (unknown flag / model / schedule / --isa name, a
- *      --batch/--seq/--layers value that is not an integer >= 1, or a
+ *      numeric value that is not wholly a number in its flag's range —
+ *      --batch/--seq/--layers take integers >= 1, --jobs and
+ *      --fault-seed integers >= 0, --bw-scale a number > 0 — or a
  *      single-run option combined with --sweep-batch); the reason goes
  *      to stderr
  *   3  invalid configuration (bad machine config or fault spec)
@@ -61,13 +63,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include <vector>
 
+#include "common/parse.hh"
 #include "core/machine.hh"
 #include "core/power.hh"
 #include "fu/kernel_registry.hh"
@@ -99,7 +102,7 @@ struct Options {
     std::uint64_t fault_seed = 0;
     bool fault_seed_set = false;
     std::string sweep_batch;
-    long jobs = 1;
+    unsigned jobs = 1;  ///< 0 = all hardware threads.
 };
 
 /** Reject the command line with a named reason (exit 2). */
@@ -113,20 +116,25 @@ usage(const std::string &why)
     std::exit(2);
 }
 
+/** @p text, whole, as a T in [lo, hi], or a usage error naming
+ *  @p flag (common/parse.hh). */
+template <typename T>
+T
+parseFlag(const std::string &flag, const std::string &text,
+          T lo = std::numeric_limits<T>::lowest(),
+          T hi = std::numeric_limits<T>::max())
+{
+    T v{};
+    if (rsn::Status st = rsn::parseNumber(flag, text, v, lo, hi); !st.ok())
+        usage(st.message);
+    return v;
+}
+
 /** @p text as an integer >= 1 that fits 32 bits, or a usage error. */
 std::uint32_t
 parseCount(const std::string &flag, const std::string &text)
 {
-    // Digits only: strtoull alone would accept "-3", " 7" and "12x".
-    // Out-of-range values saturate to ULLONG_MAX and fail the bound.
-    const bool digits = !text.empty() &&
-                        text.find_first_not_of("0123456789") ==
-                            std::string::npos;
-    const unsigned long long v =
-        digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
-    if (v < 1 || v > UINT32_MAX)
-        usage(flag + " expects an integer >= 1, got '" + text + "'");
-    return std::uint32_t(v);
+    return parseFlag<std::uint32_t>(flag, text, 1);
 }
 
 Options
@@ -152,9 +160,12 @@ parse(int argc, char **argv)
             o.schedule = next();
         else if (a == "--no-fuse-qkv")
             o.fuse_qkv = false;
-        else if (a == "--bw-scale")
-            o.bw_scale = std::atof(next().c_str());
-        else if (a == "--functional")
+        else if (a == "--bw-scale") {
+            const std::string text = next();
+            o.bw_scale = parseFlag<double>(a, text);
+            if (o.bw_scale <= 0)
+                usage(a + " expects a factor > 0, got '" + text + "'");
+        } else if (a == "--functional")
             o.functional = true;
         else if (a == "--isa")
             o.isa = next();
@@ -169,12 +180,12 @@ parse(int argc, char **argv)
         else if (a == "--fault-spec")
             o.fault_spec = next();
         else if (a == "--fault-seed") {
-            o.fault_seed = std::strtoull(next().c_str(), nullptr, 10);
+            o.fault_seed = parseFlag<std::uint64_t>(a, next());
             o.fault_seed_set = true;
         } else if (a == "--sweep-batch")
             o.sweep_batch = next();
         else if (a == "--jobs")
-            o.jobs = std::strtol(next().c_str(), nullptr, 10);
+            o.jobs = parseFlag<unsigned>(a, next());
         else
             usage("unknown option " + a);
     }
@@ -225,7 +236,7 @@ runMain(const Options &o)
     if (!o.isa.empty()) {
         // Strict, unlike the RSN_ISA env fallback: an artifact told to
         // run a specific kernel table must not silently run another.
-        Status st = kernel::Registry::instance().select(o.isa, "cli:--isa");
+        Status st = kernel::select(o.isa);
         if (!st.ok()) {
             std::fprintf(stderr, "--isa %s: %s\n", o.isa.c_str(),
                          st.toString().c_str());
@@ -375,10 +386,7 @@ runMain(const Options &o)
                 o.batch, o.seq, o.schedule.c_str());
     std::printf("  latency   : %.3f ms (%llu ticks @ 260 MHz)\n", r.ms,
                 (unsigned long long)r.ticks);
-    std::printf("  kernels   : %s via %s (probe: %s)\n",
-                checked.report.isa.c_str(),
-                checked.report.isa_source.c_str(),
-                checked.report.isa_probe.c_str());
+    std::printf("  kernels   : %s\n", kernel::active().name);
     std::printf("  compute   : %.2f achieved TFLOPS (peak %.2f)\n",
                 mach.achievedTflops(r), mach.peakTflops());
     std::printf("  DDR       : %.1f MB read, %.1f MB written (%.0f%% "

@@ -25,10 +25,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
+#include "common/dtype.hh"
 #include "fu/gemm_kernel.hh"
 #include "fu/kernel_registry.hh"
 #include "ref/ref_math.hh"
@@ -178,6 +182,76 @@ TEST(GemmKernel, ScratchReusesItsPanelsAcrossCalls)
         EXPECT_GE(grown, before);
     }
     scratch.release();
+}
+
+/** The bits of @p v, so -0/+0 and NaN payloads compare as stored. */
+std::vector<std::uint32_t>
+bits(const std::vector<float> &v)
+{
+    std::vector<std::uint32_t> b(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i)
+        b[i] = std::bit_cast<std::uint32_t>(v[i]);
+    return b;
+}
+
+TEST(GemmKernel, FmaTablesAreBitIdentical)
+{
+    // Every vector table gives each output element one FP32 chain: from
+    // +0, one product per k in ascending order, then a single add into
+    // acc. The FMA tables (avx512, avx2) round each step as a fused
+    // multiply-add, so their f32 bits agree. A product of two bf16
+    // values fits in FP32's 24-bit significand, so for the bf16 GEMM
+    // fused and unfused steps round alike, and every non-exact table
+    // agrees.
+    std::vector<const kernel::KernelTable *> fma, vector_tables;
+    for (const auto *t : kernel::runnableTables()) {
+        const std::string name = t->name;
+        if (!t->exact)
+            vector_tables.push_back(t);
+        if (name == "avx512" || name == "avx2")
+            fma.push_back(t);
+    }
+    std::vector<std::array<std::uint32_t, 3>> shapes = {
+        {1, 1, 1},   {1, 7, 33},    {9, 1, 17},    {5, 13, 1},
+        {32, 128, 128}, {64, 256, 128}, {37, 129, 61}, {16, 64, 100},
+    };
+    for (std::uint32_t m : {1u, 7u, 8u, 9u, 15u, 16u, 17u})
+        for (std::uint32_t n : {1u, 15u, 16u, 17u, 31u, 32u, 33u})
+            shapes.push_back({m, 19, n});
+
+    std::mt19937 rng(313);
+    for (const auto &[m, k, n] : shapes) {
+        SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "x" +
+                     std::to_string(n));
+        const auto lhs = randomVec(std::size_t(m) * k, rng);
+        const auto rhs = randomVec(std::size_t(k) * n, rng);
+        const auto acc0 = randomVec(std::size_t(m) * n, rng);
+        std::vector<std::uint16_t> lhs16(lhs.size()), rhs16(rhs.size());
+        for (std::size_t i = 0; i < lhs.size(); ++i)
+            lhs16[i] = f32ToBf16(lhs[i]);
+        for (std::size_t i = 0; i < rhs.size(); ++i)
+            rhs16[i] = f32ToBf16(rhs[i]);
+
+        const auto run = [&](const kernel::KernelTable *t, bool f32) {
+            fu::GemmScratch scratch;
+            auto acc = acc0;
+            if (f32)
+                t->gemm_accumulate(scratch, acc.data(), lhs.data(),
+                                   rhs.data(), m, k, n);
+            else
+                t->gemm_accumulate_bf16(scratch, acc.data(), lhs16.data(),
+                                        rhs16.data(), m, k, n);
+            scratch.release();
+            return bits(acc);
+        };
+        for (const bool f32 : {true, false}) {
+            const auto &group = f32 ? fma : vector_tables;
+            for (std::size_t i = 1; i < group.size(); ++i)
+                EXPECT_EQ(run(group[i], f32), run(group[0], f32))
+                    << (f32 ? "f32 " : "bf16 ") << group[i]->name
+                    << " vs " << group[0]->name;
+        }
+    }
 }
 
 TEST(GemmKernel, MatchesRefMathMatmul)

@@ -28,7 +28,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <tuple>
@@ -201,11 +200,14 @@ serialRandom(std::size_t n, std::uint32_t seed, float scale)
 
 TEST(RefMath, SeedingEqualsTheSerialXorshiftLoop)
 {
+    // Bit patterns, so -0/+0 and NaNs compare as stored.
     auto same = [](const std::vector<float> &got,
                    const std::vector<float> &want) {
-        return got.size() == want.size() &&
-               std::memcmp(got.data(), want.data(),
-                           want.size() * sizeof(float)) == 0;
+        return std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                          [](float a, float b) {
+                              return std::bit_cast<std::uint32_t>(a) ==
+                                     std::bit_cast<std::uint32_t>(b);
+                          });
     };
     // (rows, cols, scale): every length through several whole chain
     // splits, so each segment boundary (and the serial cut-over) is

@@ -11,8 +11,8 @@
  * policy").
  *
  * The scalar converters below are the single source of truth for every
- * kernel table: each per-ISA TU (src/fu/kernels/) inlines the same
- * bit-manipulation under its own -march flags, so conversion results
+ * kernel table: each table (src/fu/kernels/) inlines the same
+ * bit-manipulation under its own target ISA, so conversion results
  * are bit-identical across tables by construction — pure integer
  * rounding, no FP environment dependence.
  *

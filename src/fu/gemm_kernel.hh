@@ -3,14 +3,14 @@
  * FP32 GEMM entry points for the MME's functional path (acc += lhs @
  * rhs on row-major tiles), plus the packing scratch they share.
  *
- * The blocked, vectorized implementations live in the per-ISA kernel
- * TUs (src/fu/kernels/kernel_impl.inc) and are selected at runtime
- * through the kernel registry (fu/kernel_registry.hh): gemmAccumulate
- * below is a thin inline wrapper over the active KernelTable. The
- * classic three-piece structure — MR-interleaved LHS packing, a
- * register-blocked FMA microkernel per ISA (AVX-512 8x32, AVX2+FMA
- * 8x16, NEON 8x8, auto-vectorized portable 2x16), RHS packed only for
- * the ragged n%NR tail — is documented in the .inc.
+ * The blocked, vectorized implementation lives in
+ * src/fu/kernels/kernels_vector.cc and is selected at runtime through
+ * the kernel registry (fu/kernel_registry.hh): gemmAccumulate below is
+ * a thin inline wrapper over the active KernelTable. The classic
+ * three-piece structure — MR-interleaved LHS packing, an 8 x 2W
+ * register-blocked microkernel written once for a vector of W lanes
+ * (avx512 8x32, avx2 8x16, portable 8x8), RHS packed only for the
+ * ragged n%NR tail — is documented there.
  *
  * This TU keeps the **scalar reference kernel** (gemmRefAccumulate):
  * identical loop order to the pre-blocked MME, no reassociation. It is

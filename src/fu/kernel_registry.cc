@@ -7,31 +7,23 @@
 
 namespace rsn::kernel {
 
-// Per-variant tables, each defined in its own -march-scoped TU
-// (src/fu/kernels/). Which ones exist in this binary is decided by
-// CMakeLists.txt, which defines the matching RSN_KERNEL_HAVE_* macros
-// for this file only.
-namespace scalar {
+// The vector tables (src/fu/kernels/kernels_vector.cc; avx512 and avx2
+// exist on x86 only) and the exact scalar table (kernels_scalar.cc).
+#if defined(__x86_64__) || defined(__i386__)
+#define RSN_KERNEL_X86 1
+namespace avx512 {
 extern const KernelTable table;
 }
-namespace portable {
-extern const KernelTable table;
-}
-#ifdef RSN_KERNEL_HAVE_NEON
-namespace neon {
-extern const KernelTable table;
-}
-#endif
-#ifdef RSN_KERNEL_HAVE_AVX2
 namespace avx2 {
 extern const KernelTable table;
 }
 #endif
-#ifdef RSN_KERNEL_HAVE_AVX512
-namespace avx512 {
+namespace portable {
 extern const KernelTable table;
 }
-#endif
+namespace scalar {
+extern const KernelTable table;
+}
 
 std::span<const KernelTable *const>
 runnableTables()
@@ -39,19 +31,12 @@ runnableTables()
     // Best first, each cpuid probe run once.
     static const std::vector<const KernelTable *> runnable = [] {
         std::vector<const KernelTable *> v;
-#if defined(RSN_KERNEL_HAVE_AVX512) || defined(RSN_KERNEL_HAVE_AVX2)
+#ifdef RSN_KERNEL_X86
         __builtin_cpu_init();
-#endif
-#ifdef RSN_KERNEL_HAVE_AVX512
         if (__builtin_cpu_supports("avx512f"))
             v.push_back(&avx512::table);
-#endif
-#ifdef RSN_KERNEL_HAVE_AVX2
         if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma"))
             v.push_back(&avx2::table);
-#endif
-#ifdef RSN_KERNEL_HAVE_NEON
-        v.push_back(&neon::table);
 #endif
         v.push_back(&portable::table);
         v.push_back(&scalar::table);

@@ -2,21 +2,22 @@
  * @file
  * Runtime kernel dispatch: one binary for every microarch.
  *
- * Every ISA variant of the payload kernels — the blocked GEMM
- * microkernel (fu/gemm_kernel.hh), the vectorized nonlinear layer, the
- * tile transposes and the dtype conversions — compiles as its **own
- * translation unit** under per-TU `-march` flags
- * (src/fu/kernels/kernels_<isa>.cc, wired in CMakeLists.txt), so the
- * default build contains them all and no vector instruction leaks into
- * baseline-ISA code. Each variant exports one **KernelTable** of plain
- * function pointers.
+ * The payload kernels — the blocked GEMM microkernel
+ * (fu/gemm_kernel.hh), the vectorized nonlinear layer, the tile
+ * transposes and the dtype conversions — are written once, as templates
+ * on the vector width (src/fu/kernels/kernels_vector.cc), and compiled
+ * once per table under a function-level `[[gnu::target]]`: avx512
+ * (16 lanes) and avx2 (8 lanes) on x86, and portable (4 lanes) at the
+ * baseline ISA, which is NEON on aarch64. The default build contains
+ * them all, and no vector instruction leaks into baseline-ISA code.
+ * Each table is one **KernelTable** of plain function pointers.
  *
  * runnableTables() lists the compiled-in tables this CPU runs, best
  * first, the way ref::runnableVariants() lists the oracle's variants:
  * built once from the compiler runtime's `__builtin_cpu_supports`,
  * which already folds in the OS-state (XCR0) check that the CPU's
  * ymm/zmm registers are saved. The front table is active by default;
- * `RSN_ISA=avx512|avx2|neon|portable|scalar` picks another at first
+ * `RSN_ISA=avx512|avx2|portable|scalar` picks another at first
  * use (a value that names no runnable table warns once and keeps the
  * front), and rsn-sim `--isa` / select() picks one strictly.
  *
@@ -73,7 +74,7 @@ namespace rsn::kernel {
 
 /**
  * One ISA variant's dispatch table: plain function pointers, filled in
- * by that variant's translation unit (src/fu/kernels/). All entries
+ * by src/fu/kernels/kernels_vector.cc or kernels_scalar.cc. All entries
  * are always non-null. Contracts match the functions they replace:
  * gemm_accumulate is fu/gemm_kernel.hh's blocked product (tolerance
  * policy there), the row-wise operators follow fu/nonlinear.hh
@@ -82,8 +83,8 @@ namespace rsn::kernel {
  * bit-identical across every table, dst must not alias src.
  */
 struct KernelTable {
-    /** "avx512", "avx2", "neon", "portable" or "scalar": the RSN_ISA /
-     *  --isa vocabulary. */
+    /** "avx512", "avx2", "portable" or "scalar": the RSN_ISA / --isa
+     *  vocabulary. */
     const char *name;
     /** True only for the scalar table: results are the exact reference
      *  semantics (golden numeric tier, property-test baseline). */
@@ -141,8 +142,8 @@ struct KernelTable {
 
 /**
  * The tables compiled into this binary that this CPU runs, best first:
- * avx512 (needs avx512f), avx2 (needs avx2 and fma), neon, portable,
- * and the exact scalar table last. Built once.
+ * avx512 (x86, needs avx512f), avx2 (x86, needs avx2 and fma),
+ * portable, and the exact scalar table last. Built once.
  */
 std::span<const KernelTable *const> runnableTables();
 

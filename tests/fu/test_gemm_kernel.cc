@@ -4,8 +4,8 @@
  * re-targeted at the runtime dispatch tables in ISSUE 7).
  *
  * The MME's functional math runs through whichever kernel table is
- * active — AVX-512, AVX2+FMA, NEON, or the portable auto-vectorized
- * variant, all compiled into this one binary (fu/kernel_registry.hh).
+ * active — avx512, avx2 or portable, one kernel source compiled at 16,
+ * 8 and 4 lanes into this one binary (fu/kernel_registry.hh).
  * These tests iterate every table the CPU runs (scalar included: the
  * reference trivially matches itself, and running it through the same
  * harness checks the dispatch plumbing), pin it under ScopedIsaOverride
@@ -91,8 +91,7 @@ TEST(GemmKernel, RunnableTablesAreKnownVariants)
     for (const auto *t : tables) {
         const std::string name = t->name;
         EXPECT_TRUE(name == "portable" || name == "avx2" ||
-                    name == "avx512" || name == "neon" ||
-                    name == "scalar")
+                    name == "avx512" || name == "scalar")
             << name;
     }
 }
@@ -150,7 +149,7 @@ TEST(GemmKernel, RandomizedShapesIncludingBlockEdges)
         std::uniform_int_distribution<std::uint32_t> dim(1, 70);
         for (int i = 0; i < 30; ++i)
             checkShape(dim(rng), dim(rng), dim(rng), rng);
-        // Deliberate non-multiples of every block size in use (2/8
+        // Deliberate non-multiples of every block size in use (8
         // rows, 8/16/32 cols) plus exact multiples, same scratch
         // reused.
         for (std::uint32_t m : {1u, 7u, 8u, 9u, 15u, 16u, 17u})

@@ -29,8 +29,8 @@ using namespace rsn;
 
 TEST(KernelRegistry, TableNamesAreTheIsaVocabulary)
 {
-    const std::set<std::string> vocabulary = {"avx512", "avx2", "neon",
-                                              "portable", "scalar"};
+    const std::set<std::string> vocabulary = {"avx512", "avx2", "portable",
+                                              "scalar"};
     std::set<std::string> seen;
     for (const kernel::KernelTable *t : kernel::runnableTables()) {
         EXPECT_TRUE(vocabulary.count(t->name)) << t->name;
@@ -47,8 +47,8 @@ TEST(KernelRegistry, RunnableListIsBestFirstWithScalarLast)
         << "the exact reference is never the default";
     EXPECT_STREQ(runnable.back()->name, "scalar");
     EXPECT_STREQ(runnable[runnable.size() - 2]->name, "portable");
-    const std::vector<std::string> rank = {"avx512", "avx2", "neon",
-                                           "portable", "scalar"};
+    const std::vector<std::string> rank = {"avx512", "avx2", "portable",
+                                           "scalar"};
     const auto rankOf = [&rank](const char *name) {
         return std::find(rank.begin(), rank.end(), name) - rank.begin();
     };
@@ -68,7 +68,6 @@ TEST(KernelRegistry, X86TablesFollowTheCompilerRuntimesCpuCheck)
     EXPECT_EQ(names.count("avx2") == 1,
               __builtin_cpu_supports("avx2") &&
                   __builtin_cpu_supports("fma"));
-    EXPECT_EQ(names.count("neon"), 0u);
 }
 #endif
 
@@ -97,7 +96,7 @@ TEST(KernelRegistry, RsnIsaSelectsAnyRunnableTable)
 TEST(KernelRegistry, UnknownRsnIsaFallsBackToTheFrontWithWarning)
 {
     const auto runnable = kernel::runnableTables();
-    for (const char *bad : {"bogus", "AVX512", "avx2-fma", "exact"}) {
+    for (const char *bad : {"bogus", "AVX512", "avx2-fma", "exact", "neon"}) {
         const kernel::EnvChoice c = kernel::envChoice(bad, runnable);
         EXPECT_EQ(c.table, runnable.front()) << bad;
         EXPECT_NE(c.warning.find(bad), std::string::npos) << c.warning;
@@ -113,7 +112,7 @@ TEST(KernelRegistry, NotRunnableRsnIsaFallsBackWithWarning)
     const auto all = kernel::runnableTables();
     const auto baseline = all.last(2);
     ASSERT_STREQ(baseline.front()->name, "portable");
-    for (const char *want : {"avx512", "avx2", "neon"}) {
+    for (const char *want : {"avx512", "avx2"}) {
         const kernel::EnvChoice c = kernel::envChoice(want, baseline);
         EXPECT_EQ(c.table, baseline.front()) << want;
         EXPECT_NE(c.warning.find(want), std::string::npos) << c.warning;

@@ -5,8 +5,8 @@
  * the dispatch registry in ISSUE 7), mirroring the GEMM microkernel
  * suite (test_gemm_kernel.cc).
  *
- * One binary now carries every variant — AVX-512, AVX2+FMA, NEON, the
- * portable auto-vectorized form, and the exact scalar reference
+ * One binary carries every table: avx512, avx2 and portable (one kernel
+ * source at 16, 8 and 4 lanes), and the exact scalar reference
  * (fu/kernel_registry.hh). Each vectorized table is pinned against the
  * exact scalar kernels (fu/nonlinear.hh) over randomized shapes,
  * including single-element rows and widths that are not multiples of
@@ -65,7 +65,7 @@ expectClose(const std::vector<float> &got, const std::vector<float> &ref,
 }
 
 /** Shapes that hit every vector-width edge: 1-element rows, widths
- *  around 4/8/16 (NEON/AVX2/AVX-512 lanes), and non-multiples. */
+ *  around 4/8/16 (portable/avx2/avx512 lanes), and non-multiples. */
 const std::pair<std::uint32_t, std::uint32_t> kEdgeShapes[] = {
     {1, 1},  {1, 2},   {3, 1},   {2, 3},   {1, 4},   {2, 5},
     {1, 7},  {4, 8},   {3, 9},   {5, 15},  {2, 16},  {7, 17},
@@ -80,8 +80,7 @@ TEST(NonlinearKernels, EveryTableReportsAKnownVariant)
     for (const auto *t : tables) {
         const std::string name = t->name;
         EXPECT_TRUE(name == "portable" || name == "avx2" ||
-                    name == "avx512" || name == "neon" ||
-                    name == "scalar")
+                    name == "avx512" || name == "scalar")
             << name;
         EXPECT_EQ(t->exact, name == "scalar");
     }
@@ -262,11 +261,12 @@ TEST(NonlinearKernels, TransposeIsBitIdenticalAcrossAllTables)
     // same bits (MemB's weight-transpose feeds golden checksums, which
     // may never move with the ISA).
     std::mt19937 rng(37);
-    // Shapes around the 8x8 (AVX) / 4x4 (NEON) / 32x32 (portable)
-    // block sizes, plus ragged edges and degenerate vectors.
+    // Shapes around the 16x16 (avx512) / 8x8 (avx2) / 4x4 (portable)
+    // register blocks, plus ragged edges and degenerate vectors.
     const std::pair<std::uint32_t, std::uint32_t> shapes[] = {
         {1, 1},  {1, 9},  {9, 1},  {3, 5},   {4, 4},   {7, 8},
-        {8, 8},  {8, 9},  {9, 8},  {15, 17}, {16, 16}, {31, 33},
+        {8, 8},  {8, 9},  {9, 8},  {15, 17}, {16, 16}, {16, 17},
+        {17, 16}, {31, 33},
         {32, 32}, {33, 31}, {64, 48}, {40, 100},
     };
     for (auto [rows, cols] : shapes) {

@@ -10,15 +10,19 @@
 # are compared exactly: a path that was allocation-free in the snapshot
 # must stay allocation-free.
 #
-# A benchmark regresses when it falls below TOLERANCE x the committed
-# items/sec (default 0.70, i.e. >30% slower — wide enough for noisy CI
-# runners, tight enough to catch real hot-path regressions). Exits
-# nonzero on any regression; the CI job wiring is non-blocking
-# (continue-on-error), so this shows up as a visible red mark without
-# gating the merge.
+# Both records hold the median of five repetitions per series, with the
+# min and max of items/sec (tools/bench_json.sh). A benchmark regresses
+# when its current median falls below the committed median by more than
+# the noise band: the wider relative spread, (max - min) / median, of
+# the two records, and never less than 1 - TOLERANCE (default 0.70,
+# i.e. a 30% band — wide enough for noisy CI runners, tight enough to
+# catch real hot-path regressions). A baseline without min/max counts
+# as spread 0. Exits nonzero on any regression; the CI job wiring is
+# non-blocking (continue-on-error), so this shows up as a visible red
+# mark without gating the merge.
 #
 # Usage: tools/bench_check.sh [build-dir] [baseline-json]
-#   TOLERANCE=0.5 tools/bench_check.sh    # override the threshold
+#   TOLERANCE=0.9 tools/bench_check.sh    # a 10% band floor
 #   ALLOW_REMOVED=1 tools/bench_check.sh  # renamed/removed is expected
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,6 +59,17 @@ allow_removed = sys.argv[4] == "1"
 
 ALLOC_KEYS = ("allocs_per_event", "allocs_per_chunk", "allocs_per_tile")
 
+
+def spread(entry):
+    """(max - min) / median of a series' items/sec, 0 without a range."""
+    lo = entry.get("items_per_second_min")
+    hi = entry.get("items_per_second_max")
+    med = entry.get("items_per_second")
+    if lo is None or hi is None or not med:
+        return 0.0
+    return (hi - lo) / med
+
+
 rows = []
 problems = []
 added = []
@@ -77,7 +92,8 @@ for name in sorted(set(baseline) | set(current)):
     if base_ips is None:
         continue
     ratio = cur_ips / base_ips if base_ips else float("inf")
-    notes = []
+    band = max(1.0 - tolerance, spread(base), spread(cur))
+    notes = [f"band {band:.0%}"]
     # A snapshot taken on different hardware runs different kernel
     # tables: note the ISA flip instead of calling it a regression
     # (the ratio still prints, but apples-to-oranges is visible). Same
@@ -88,9 +104,10 @@ for name in sorted(set(baseline) | set(current)):
     if base.get("dtype", "f32") != (cur.get("dtype") or "f32"):
         notes.append(f"dtype {base.get('dtype', 'f32')}"
                      f"->{cur.get('dtype', 'f32')}")
-    if ratio < tolerance:
+    if ratio < 1.0 - band:
         notes.append("<< REGRESSED")
-        problems.append(f"{name} at {ratio:.2f}x baseline")
+        problems.append(f"{name} median at {ratio:.2f}x baseline "
+                        f"(band {band:.0%})")
     for key in ALLOC_KEYS:
         if base.get(key) == 0.0 and (cur.get(key) or 0.0) > 0.0:
             notes.append(f"<< {key}={cur[key]:.3g} (was 0)")
@@ -101,7 +118,7 @@ def num(v):
     return f"{v:12.3e}" if v is not None else f"{'—':>12}"
 
 w = max(len(r[0]) for r in rows) if rows else 10
-print(f"{'benchmark':<{w}}  {'baseline':>12}  {'current':>12}  "
+print(f"{'benchmark (medians)':<{w}}  {'baseline':>12}  {'current':>12}  "
       f"{'ratio':>6}")
 for name, base_ips, cur_ips, ratio, note in rows:
     r = f"{ratio:6.2f}" if ratio is not None else f"{'—':>6}"
@@ -126,6 +143,6 @@ if problems:
     for p in problems:
         print(f"  - {p}")
     sys.exit(1)
-print(f"\nOK: {compared} benchmark(s) within {tolerance:.2f}x of "
-      f"baseline, alloc-free paths still alloc-free")
+print(f"\nOK: {compared} benchmark median(s) within their noise band "
+      f"of baseline, alloc-free paths still alloc-free")
 EOF

@@ -3,6 +3,14 @@
 # benchmarks and emit a merged BENCH_sim.json summary for the
 # performance trajectory across PRs.
 #
+# Every google-benchmark series runs five repetitions; the record keeps
+# the median of each value, plus the min and max of items_per_second,
+# so a comparison can tell a change from the series' own noise
+# (tools/bench_check.sh). "context"."build_type" is the build type of
+# the google-benchmark library itself, as the library reports it; on a
+# host whose only copy is a debug build it reads "debug", which slows
+# the harness, not the code under test.
+#
 # The record also holds the end-to-end metrics of every perfbench
 # workload (checked, checked_bf16, sweep, serve): three runs each of
 # `python3 perfbench/run.py --workload W --seed 1 --seconds 10
@@ -36,12 +44,13 @@ RAW_FUNC="$(mktemp)"
 RAW_SERVE="$(mktemp)"
 RAW_PERF="$(mktemp)"
 trap 'rm -f "$RAW_MICRO" "$RAW_FUNC" "$RAW_SERVE" "$RAW_PERF"' EXIT
-"$BUILD/bench_micro_sim" --benchmark_format=json --benchmark_min_time=0.5 \
-    >"$RAW_MICRO" 2>/dev/null
-"$BUILD/bench_functional" --benchmark_format=json --benchmark_min_time=0.5 \
-    >"$RAW_FUNC" 2>/dev/null
-"$BUILD/bench_serving" --benchmark_format=json --benchmark_min_time=0.5 \
-    >"$RAW_SERVE" 2>/dev/null
+REPS=5
+for pair in "bench_micro_sim $RAW_MICRO" "bench_functional $RAW_FUNC" \
+            "bench_serving $RAW_SERVE"; do
+    read -r bin raw <<<"$pair"
+    "$BUILD/$bin" --benchmark_format=json --benchmark_min_time=0.5 \
+        --benchmark_repetitions="$REPS" >"$raw" 2>/dev/null
+done
 
 # One "<workload> <tree> <run.py JSON line>" per run; run.py builds
 # each tree's perfbench binary into that tree's .bench_build/ on first
@@ -79,44 +88,66 @@ out = {
         "num_cpus": ctx.get("num_cpus"),
         "mhz_per_cpu": ctx.get("mhz_per_cpu"),
         "build_type": ctx.get("library_build_type"),
+        "repetitions": max((b.get("repetitions", 1)
+                            for raw in raws for b in raw["benchmarks"]),
+                           default=1),
     },
     "events_per_second": {},
 }
+
+
+def median(vals):
+    vals = [v for v in vals if v is not None]
+    return statistics.median(vals) if vals else None
+
+
+# The repetitions of one series, in order: google-benchmark's own
+# aggregate rows (mean, median, stddev) are recomputed here instead.
+series = {}
 for raw in raws:
     for b in raw["benchmarks"]:
-        entry = {"items_per_second": b.get("items_per_second"),
-                 "cpu_time_ns": b.get("cpu_time")}
-        if b.get("time_unit") == "ms":
-            entry["cpu_time_ns"] = b.get("cpu_time", 0) * 1e6
-        # The benchmark's SetLabel is a space-separated token list. A
-        # bare token is the runtime-selected ISA table ("avx512",
-        # "scalar", ...) so the snapshot records which kernels produced
-        # each series; the sweep-executor series (BM_SweepThroughput)
-        # label their lane count as "jobs=N", the serving series their
-        # offered load as "load=N" (both recorded as integers so the
-        # scaling and goodput/latency curves are machine-readable), and
-        # the typed-datapath series (ISSUE 10) carry their precision
-        # policy as "dtype=bf16" alongside the ISA token.
-        label = b.get("label")
-        if label:
-            for tok in label.split():
-                if tok.startswith("jobs="):
-                    entry["jobs"] = int(tok[len("jobs="):])
-                elif tok.startswith("load="):
-                    entry["offered_load"] = int(tok[len("load="):])
-                elif tok.startswith("dtype="):
-                    entry["dtype"] = tok[len("dtype="):]
-                else:
-                    entry["isa"] = tok
-        # The *_ms counters are BM_CheckedTinyEncoder's per-phase host
-        # times, ms per checked run.
-        for counter in ("allocs_per_event", "allocs_per_chunk",
-                        "allocs_per_tile", "p99_ticks", "p50_ticks",
-                        "goodput_rps", "ticks", "build_ms", "compile_ms",
-                        "init_ms", "reference_ms", "run_ms", "verify_ms"):
-            if counter in b:
-                entry[counter] = b[counter]
-        out["events_per_second"][b["name"]] = entry
+        if b.get("run_type", "iteration") == "iteration":
+            series.setdefault(b.get("run_name", b["name"]), []).append(b)
+for name, reps in series.items():
+    b = reps[0]
+    ips = [r.get("items_per_second") for r in reps]
+    scale = 1e6 if b.get("time_unit") == "ms" else 1.0
+    entry = {"items_per_second": median(ips),
+             "cpu_time_ns": median(r.get("cpu_time", 0) * scale
+                                   for r in reps)}
+    if None not in ips:
+        entry["items_per_second_min"] = min(ips)
+        entry["items_per_second_max"] = max(ips)
+    entry["repetitions"] = len(reps)
+    # The benchmark's SetLabel is a space-separated token list. A
+    # bare token is the runtime-selected ISA table ("avx512",
+    # "scalar", ...) so the snapshot records which kernels produced
+    # each series; the sweep-executor series (BM_SweepThroughput)
+    # label their lane count as "jobs=N", the serving series their
+    # offered load as "load=N" (both recorded as integers so the
+    # scaling and goodput/latency curves are machine-readable), and
+    # the typed-datapath series (ISSUE 10) carry their precision
+    # policy as "dtype=bf16" alongside the ISA token.
+    label = b.get("label")
+    if label:
+        for tok in label.split():
+            if tok.startswith("jobs="):
+                entry["jobs"] = int(tok[len("jobs="):])
+            elif tok.startswith("load="):
+                entry["offered_load"] = int(tok[len("load="):])
+            elif tok.startswith("dtype="):
+                entry["dtype"] = tok[len("dtype="):]
+            else:
+                entry["isa"] = tok
+    # The *_ms counters are BM_CheckedTinyEncoder's per-phase host
+    # times, ms per checked run.
+    for counter in ("allocs_per_event", "allocs_per_chunk",
+                    "allocs_per_tile", "p99_ticks", "p50_ticks",
+                    "goodput_rps", "ticks", "build_ms", "compile_ms",
+                    "init_ms", "reference_ms", "run_ms", "verify_ms"):
+        if counter in b:
+            entry[counter] = median(r.get(counter) for r in reps)
+    out["events_per_second"][name] = entry
 
 
 def field(path, prefix, sep):

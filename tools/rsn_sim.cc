@@ -13,11 +13,12 @@
  *     --bw-scale F                    scale both DRAM channels by F
  *     --functional                    carry FP32 data and self-check
  *     --isa NAME                      payload kernel table: avx512,
- *                                     avx2, neon, portable, or scalar
- *                                     (the exact reference); default is
- *                                     the best this CPU supports, or
- *                                     $RSN_ISA. Affects payload math
- *                                     only, never tick counts.
+ *                                     avx2 (both x86), portable, or
+ *                                     scalar (the exact reference);
+ *                                     default is the best this CPU
+ *                                     supports, or $RSN_ISA. Affects
+ *                                     payload math only, never tick
+ *                                     counts.
  *     --trace FILE                    record every FU's exact kernel
  *                                     spans and write them as Chrome
  *                                     trace JSON (ticks are unchanged)

@@ -24,9 +24,11 @@
  *
  * ## Numerics
  *
- * Multiply-adds contract to FMAs where the target has them (GCC's
- * default -ffp-contract=fast), which is how the FMA tables get their
- * fused GEMM and polynomial steps. Each GEMM output element is one FP32
+ * Multiply-adds contract to FMAs where the target has them, which is
+ * how the FMA tables get their fused GEMM and polynomial steps; each
+ * fusable multiply-add sits inside one expression, so contraction
+ * within an expression (Clang's default) fuses the same ones as GCC's
+ * -ffp-contract=fast. Each GEMM output element is one FP32
  * chain from +0 over ascending k, added into acc once, so the avx512
  * and avx2 tables give identical bits, and the bf16 GEMM (exact
  * products) gives identical bits on every table
@@ -84,6 +86,7 @@ load(V &v, const float *p, std::size_t n)
     std::memcpy(&v, p, n * sizeof(float));
 }
 
+/** The first n lanes of v (all by default) to p. */
 template <class V>
 [[gnu::always_inline]] inline void
 store(float *p, const V &v, std::size_t n = kLanes<V>)

@@ -13,18 +13,12 @@ DecoderUnit::DecoderUnit(sim::Engine &eng, Config cfg)
 void
 DecoderUnit::attach(fu::Fu *f)
 {
-    rsn_assert(lookup(f->id()) == nullptr, "duplicate FU %s",
-               f->name().c_str());
-    fus_.push_back(f);
-}
-
-fu::Fu *
-DecoderUnit::lookup(FuId id) const
-{
-    for (auto *f : fus_)
-        if (f->id() == id)
-            return f;
-    return nullptr;
+    const FuId id = f->id();
+    rsn_assert(id.valid() && id.index < kMaxMaskBits,
+               "FU %s has no mask bit", f->name().c_str());
+    fu::Fu *&slot = fus_[static_cast<int>(id.type)][id.index];
+    rsn_assert(slot == nullptr, "duplicate FU %s", f->name().c_str());
+    slot = f;
 }
 
 void
@@ -82,6 +76,7 @@ DecoderUnit::typeLoop(FuType t)
 {
     PktChannel &ch = *pkt_ch_[static_cast<int>(t)];
     std::vector<Uop> &cache = uop_cache_[static_cast<int>(t)];
+    const auto &fus = fus_[static_cast<int>(t)];
     while (true) {
         const RsnPacket *p = co_await ch.recv();
         if (!p)
@@ -103,8 +98,7 @@ DecoderUnit::typeLoop(FuType t)
                 for (std::uint32_t i = 0; i < kMaxMaskBits; ++i) {
                     if (!(p->mask & (1u << i)))
                         continue;
-                    fu::Fu *f = lookup(
-                        FuId{t, static_cast<std::uint8_t>(i)});
+                    fu::Fu *f = fus[i];
                     rsn_assert(f, "packet targets missing %s%u",
                                fuTypeName(t), i);
                     co_await eng_.delay(cfg_.ticks_per_uop);
@@ -117,8 +111,7 @@ DecoderUnit::typeLoop(FuType t)
             for (std::uint32_t i = 0; i < kMaxMaskBits; ++i) {
                 if (!(p->mask & (1u << i)))
                     continue;
-                fu::Fu *f =
-                    lookup(FuId{t, static_cast<std::uint8_t>(i)});
+                fu::Fu *f = fus[i];
                 rsn_assert(f, "halt targets missing %s%u", fuTypeName(t),
                            i);
                 co_await f->uopQueue().send(Uop{HaltUop{}});

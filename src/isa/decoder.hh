@@ -88,12 +88,12 @@ class DecoderUnit
   private:
     sim::Task fetchLoop();
     sim::Task typeLoop(FuType t);
-    fu::Fu *lookup(FuId id) const;
 
     sim::Engine &eng_;
     Config cfg_;
     const RsnProgram *prog_ = nullptr;
-    std::vector<fu::Fu *> fus_;
+    /** Attached FUs by (type, index): the uOP sink of each mask bit. */
+    std::array<std::array<fu::Fu *, kMaxMaskBits>, kNumFuTypes> fus_{};
 
     /** nullptr packet = end-of-program sentinel. */
     using PktChannel = sim::Channel<const RsnPacket *>;

@@ -1,6 +1,8 @@
 #include "isa/packet.hh"
 
+#include <algorithm>
 #include <bit>
+#include <optional>
 
 #include "common/log.hh"
 
@@ -8,267 +10,213 @@ namespace rsn::isa {
 
 namespace {
 
-/** Little serializer used by the assembler. */
-class ByteWriter
+/** MeshMode names, in enumerator order. */
+constexpr const char *kMeshModes[] = {"par", "bcast", "dist"};
+
+/** The uOP kind each opcode's packets carry, in FuType order. */
+const Uop kKinds[] = {MmeUop{},  MemAUop{}, MemBUop{}, MemCUop{},
+                      MeshUop{}, MeshUop{}, DdrUop{},  LpddrUop{}};
+static_assert(std::size(kKinds) == kNumFuTypes);
+
+/** uOP kind names, in Uop alternative order. */
+constexpr const char *kKindNames[] = {"mme",  "ddr",  "lpddr", "mesh",
+                                      "memA", "memB", "memC",  "halt"};
+static_assert(std::size(kKindNames) == std::variant_size_v<Uop>);
+
+/** A field value's unsigned wire code. */
+template <class T>
+std::uint64_t
+code(const T &v)
 {
-  public:
-    explicit ByteWriter(std::vector<std::uint8_t> &out) : out_(out) {}
-
-    void u8(std::uint8_t v) { out_.push_back(v); }
-    void u16(std::uint16_t v) { u8(v & 0xff); u8(v >> 8); }
-    void
-    u32(std::uint32_t v)
-    {
-        u16(v & 0xffff);
-        u16(v >> 16);
-    }
-    void
-    u64(std::uint64_t v)
-    {
-        u32(v & 0xffffffff);
-        u32(v >> 32);
-    }
-    void fuId(FuId f) { u8((static_cast<int>(f.type) << 4) | f.index); }
-    void flag(bool b) { u8(b ? 1 : 0); }
-
-  private:
-    std::vector<std::uint8_t> &out_;
-};
-
-class ByteReader
-{
-  public:
-    ByteReader(const std::vector<std::uint8_t> &in, std::size_t &pos)
-        : in_(in), pos_(pos)
-    {}
-
-    std::uint8_t
-    u8()
-    {
-        rsn_assert(pos_ < in_.size(), "disassembler ran past end");
-        return in_[pos_++];
-    }
-    std::uint16_t
-    u16()
-    {
-        std::uint16_t lo = u8();
-        return lo | (std::uint16_t(u8()) << 8);
-    }
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t lo = u16();
-        return lo | (std::uint32_t(u16()) << 16);
-    }
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t lo = u32();
-        return lo | (std::uint64_t(u32()) << 32);
-    }
-    FuId
-    fuId()
-    {
-        std::uint8_t v = u8();
-        return FuId{static_cast<FuType>(v >> 4),
-                    static_cast<std::uint8_t>(v & 0xf)};
-    }
-    bool flag() { return u8() != 0; }
-
-  private:
-    const std::vector<std::uint8_t> &in_;
-    std::size_t &pos_;
-};
-
-void
-serializeUop(ByteWriter &w, const Uop &u)
-{
-    std::visit(
-        [&](const auto &v) {
-            using T = std::decay_t<decltype(v)>;
-            if constexpr (std::is_same_v<T, MmeUop>) {
-                w.u16(v.reps); w.u16(v.k_steps);
-                w.u16(v.tile_m); w.u16(v.tile_k); w.u16(v.tile_n);
-                w.u8((v.add_bias << 0) | (v.accum_k << 1));
-            } else if constexpr (std::is_same_v<T, DdrUop>) {
-                w.u32(static_cast<std::uint32_t>(v.addr));
-                w.u32(v.stride_offset);
-                w.u16(v.stride_count);
-                w.u8((v.load << 0) | (v.store << 1));
-                w.fuId(v.dest); w.fuId(v.src);
-                w.u32(v.rows); w.u32(v.cols); w.u32(v.pitch);
-            } else if constexpr (std::is_same_v<T, LpddrUop>) {
-                w.u32(static_cast<std::uint32_t>(v.addr));
-                w.u32(v.stride_offset);
-                w.u16(v.stride_count);
-                w.fuId(v.dest);
-                w.flag(v.load_bias);
-                w.u32(v.rows); w.u32(v.cols); w.u32(v.pitch);
-            } else if constexpr (std::is_same_v<T, MeshUop>) {
-                w.u32(v.repeats);
-                w.u8(static_cast<std::uint8_t>(v.mode));
-                w.u8(static_cast<std::uint8_t>(v.routes.size()));
-                for (const auto &r : v.routes) {
-                    w.fuId(r.src);
-                    w.fuId(r.dst);
-                }
-            } else if constexpr (std::is_same_v<T, MemAUop>) {
-                w.u16(v.rows); w.u16(v.cols);
-                w.u8(v.slices); w.fuId(v.src);
-                w.u8((v.load << 0) | (v.send << 1));
-            } else if constexpr (std::is_same_v<T, MemBUop>) {
-                w.u16(v.rows); w.u16(v.cols);
-                w.fuId(v.src);
-                w.u8((v.load << 0) | (v.send << 1) | (v.transpose << 2) |
-                     (v.load_bias << 3));
-            } else if constexpr (std::is_same_v<T, MemCUop>) {
-                w.u16(v.rows); w.u16(v.cols);
-                w.u16(v.recv_chunks); w.u16(v.send_chunks);
-                w.fuId(v.send_dest);
-                w.u16((v.recv << 0) | (v.store << 1) | (v.send_mme << 2) |
-                      (v.softmax << 3) | (v.gelu << 4) |
-                      (v.layernorm << 5) | (v.scale_shift << 6) |
-                      (v.add_residual << 7));
-            } else if constexpr (std::is_same_v<T, HaltUop>) {
-                w.u8(0xff);
-            }
-        },
-        u);
+    if constexpr (std::is_same_v<T, FuId>)
+        return std::uint64_t(v.type) << 4 | v.index;
+    else
+        return std::uint64_t(v);
 }
 
-Uop
-deserializeUop(ByteReader &r, FuType opcode)
+/** The value of T whose code is @p c; nullopt for an enum code past the
+ *  last enumerator. FuType codes run to NumTypes (kNoFu's type). */
+template <class T>
+std::optional<T>
+fromCode(std::uint64_t c)
 {
-    switch (opcode) {
-      case FuType::Mme: {
-        MmeUop v;
-        v.reps = r.u16(); v.k_steps = r.u16();
-        v.tile_m = r.u16(); v.tile_k = r.u16(); v.tile_n = r.u16();
-        std::uint8_t f = r.u8();
-        v.add_bias = f & 1; v.accum_k = f & 2;
-        return v;
-      }
-      case FuType::Ddr: {
-        DdrUop v;
-        v.addr = r.u32(); v.stride_offset = r.u32();
-        v.stride_count = r.u16();
-        std::uint8_t f = r.u8();
-        v.load = f & 1; v.store = f & 2;
-        v.dest = r.fuId(); v.src = r.fuId();
-        v.rows = r.u32(); v.cols = r.u32(); v.pitch = r.u32();
-        return v;
-      }
-      case FuType::Lpddr: {
-        LpddrUop v;
-        v.addr = r.u32(); v.stride_offset = r.u32();
-        v.stride_count = r.u16();
-        v.dest = r.fuId(); v.load_bias = r.flag();
-        v.rows = r.u32(); v.cols = r.u32(); v.pitch = r.u32();
-        return v;
-      }
-      case FuType::MeshA:
-      case FuType::MeshB: {
-        MeshUop v;
-        v.repeats = r.u32();
-        v.mode = static_cast<MeshMode>(r.u8());
-        std::uint8_t n = r.u8();
-        for (int i = 0; i < n; ++i) {
-            MeshRoute rt;
-            rt.src = r.fuId();
-            rt.dst = r.fuId();
-            v.routes.push_back(rt);
-        }
-        return v;
-      }
-      case FuType::MemA: {
-        MemAUop v;
-        v.rows = r.u16(); v.cols = r.u16();
-        v.slices = r.u8(); v.src = r.fuId();
-        std::uint8_t f = r.u8();
-        v.load = f & 1; v.send = f & 2;
-        return v;
-      }
-      case FuType::MemB: {
-        MemBUop v;
-        v.rows = r.u16(); v.cols = r.u16();
-        v.src = r.fuId();
-        std::uint8_t f = r.u8();
-        v.load = f & 1; v.send = f & 2; v.transpose = f & 4;
-        v.load_bias = f & 8;
-        return v;
-      }
-      case FuType::MemC: {
-        MemCUop v;
-        v.rows = r.u16(); v.cols = r.u16();
-        v.recv_chunks = r.u16(); v.send_chunks = r.u16();
-        v.send_dest = r.fuId();
-        std::uint16_t f = r.u16();
-        v.recv = f & 1; v.store = f & 2; v.send_mme = f & 4;
-        v.softmax = f & 8; v.gelu = f & 16; v.layernorm = f & 32;
-        v.scale_shift = f & 64; v.add_residual = f & 128;
-        return v;
-      }
-      default:
-        rsn_panic("cannot deserialize opcode %d", int(opcode));
+    if constexpr (std::is_same_v<T, FuId>) {
+        if (const auto type = fromCode<FuType>(c >> 4))
+            return FuId{*type, std::uint8_t(c & 15)};
+        return std::nullopt;
+    } else {
+        const std::uint64_t end =
+            std::is_same_v<T, FuType>     ? kNumFuTypes + 1
+            : std::is_same_v<T, MeshMode> ? std::size(kMeshModes)
+            : std::is_same_v<T, Dtype>    ? kNumDtypes
+                                          : ~0ull;
+        return c < end ? std::optional<T>(T(c)) : std::nullopt;
     }
+}
+
+template <class T>
+std::string
+render(const T &v)
+{
+    if constexpr (std::is_same_v<T, FuId>)
+        return v == kNoFu ? "none"
+                          : fuTypeName(v.type) + std::to_string(v.index);
+    else if constexpr (std::is_same_v<T, Dtype>)
+        return dtypeName(v);
+    else if constexpr (std::is_same_v<T, MeshMode>)
+        return fromCode<T>(code(v)) ? kMeshModes[int(v)] : "?";
+    else
+        return std::to_string(code(v));
+}
+
+/** Packs fields LSB-first into little-endian bytes; with no @c out it
+ *  only counts their bits. */
+struct Writer {
+    std::vector<std::uint8_t> *out;
+    std::uint64_t bits = 0;
+    template <class T>
+    void operator()(const char *, const T &v, unsigned n) { put(code(v), n); }
+    void pad(unsigned n) { put(0, n); }
+    void
+    put(std::uint64_t c, unsigned n)
+    {
+        if (!out)
+            bits += n;
+        for (unsigned i = 0; out && i < n; ++i, ++bits) {
+            if (bits % 8 == 0)
+                out->push_back(0);
+            out->back() |= (c >> i & 1) << bits % 8;
+        }
+    }
+};
+
+/** The Writer's inverse. Bits past the end of @c in read as zero; the
+ *  disassembler checks the cursor for truncation. */
+struct Reader {
+    const std::vector<std::uint8_t> &in;
+    std::uint64_t bits = 0;
+    const char *kind = "";  ///< The table being read.
+    std::string error = {};  ///< The first field read that names no value.
+    template <class T>
+    void
+    operator()(const char *name, T &v, unsigned n)
+    {
+        const std::uint64_t c = get(n);
+        if (auto x = fromCode<T>(c))
+            v = *x;
+        else if (error.empty())
+            error = std::string(kind) + " " + name + " code " +
+                    std::to_string(c) + " is out of range";
+    }
+    void
+    pad(unsigned n)
+    {
+        if (get(n) && error.empty())
+            error = kind + std::string(" reserved bits set");
+    }
+    std::uint64_t
+    get(unsigned n)
+    {
+        std::uint64_t c = 0;
+        for (unsigned i = 0; i < n; ++i, ++bits)
+            if (bits / 8 < in.size())
+                c |= std::uint64_t(in[bits / 8] >> bits % 8 & 1) << i;
+        return c;
+    }
+};
+
+/** Renders " name=value" for every field or, with @c misfits, only for
+ *  the fields whose value their width cannot carry. */
+struct Printer {
+    bool misfits;
+    std::string s = {};
+    template <class T>
+    void
+    operator()(const char *name, const T &v, unsigned n)
+    {
+        const bool fits = !(code(v) >> n) && fromCode<T>(code(v)) == v;
+        if (!misfits || !fits)
+            s += std::string(" ") + name + "=" + render(v) +
+                 (fits ? "" : " does not fit its " + std::to_string(n) +
+                                  "-bit field");
+    }
+    void pad(unsigned) {}
+};
+
+/** Walk @p io over the field table of @p u's kind. */
+template <class Io, class V>
+void
+walk(Io &io, V &u)
+{
+    std::visit([&io](auto &v) { std::decay_t<decltype(v)>::wire(io, v); }, u);
 }
 
 } // namespace
 
-std::uint32_t
-RsnPacket::headerWord() const
+Bytes
+uopWireBytes(const Uop &u)
 {
-    std::uint32_t w = 0;
-    w |= (static_cast<std::uint32_t>(opcode) & 0xf) << 28;
-    w |= std::uint32_t(mask) << 20;
-    w |= std::uint32_t(last ? 1 : 0) << 19;
-    w |= (std::uint32_t(mops.size()) & 0x7f) << 12;
-    w |= std::uint32_t(reuse) & 0xfff;
-    return w;
+    Writer w{nullptr};
+    walk(w, u);
+    return w.bits / 8;
 }
 
-RsnPacket
-RsnPacket::fromHeaderWord(std::uint32_t w)
+std::string
+uopToString(const Uop &u)
 {
-    RsnPacket p;
-    p.opcode = static_cast<FuType>((w >> 28) & 0xf);
-    p.mask = (w >> 20) & 0xff;
-    p.last = (w >> 19) & 1;
-    p.reuse = w & 0xfff;
-    p.mops.resize((w >> 12) & 0x7f);  // placeholder slots for window size
-    return p;
+    Printer p{false};
+    walk(p, u);
+    return kKindNames[u.index()] + p.s;
+}
+
+Uop
+uopKindFor(FuType t)
+{
+    return t < FuType::NumTypes ? kKinds[int(t)] : HaltUop{};
+}
+
+bool
+uopMatchesFuType(const Uop &u, FuType t)
+{
+    return u.index() == uopKindFor(t).index();
 }
 
 Bytes
 RsnPacket::wireBytes() const
 {
-    Bytes b = 4;
+    Writer w{nullptr};
+    header(w, *this);
     for (const auto &m : mops)
-        b += uopWireBytes(m);
-    return b;
+        walk(w, m);
+    return w.bits / 8;
 }
 
 bool
 RsnPacket::valid(std::string *why) const
 {
-    auto fail = [&](const char *msg) {
+    auto fail = [&](std::string msg) {
         if (why)
-            *why = msg;
+            *why = std::move(msg);
         return false;
     };
     if (opcode == FuType::NumTypes)
         return fail("invalid opcode");
     if (mask == 0)
         return fail("empty FU mask");
-    if (mops.size() > kMaxWindow)
-        return fail("window size exceeds 7-bit field");
-    if (reuse == 0 || reuse > kMaxReuse)
-        return fail("reuse outside [1, 4095]");
+    if (reuse == 0)
+        return fail("reuse is 0");
     if (!last && mops.empty())
         return fail("non-last packet with empty window");
+    Printer misfits{true};
+    header(misfits, *this);
+    if (!misfits.s.empty())
+        return fail("header" + misfits.s);
     for (const auto &m : mops) {
         if (!uopMatchesFuType(m, opcode))
             return fail("uOP kind does not match packet opcode");
+        walk(misfits, m);
+        if (!misfits.s.empty())
+            return fail(kKindNames[m.index()] + misfits.s);
     }
     return true;
 }
@@ -276,56 +224,31 @@ RsnPacket::valid(std::string *why) const
 void
 expandMopInto(const Uop &mop, std::vector<Uop> &out)
 {
-    if (const auto *d = std::get_if<DdrUop>(&mop)) {
-        for (std::uint32_t i = 0; i < d->stride_count; ++i) {
-            DdrUop u = *d;
-            u.addr = d->addr + std::uint64_t(i) * d->stride_offset;
-            u.stride_count = 1;
-            u.stride_offset = 0;
+    auto unroll = [&out](auto u) {
+        const auto m = u;
+        u.stride_count = 1;
+        u.stride_offset = 0;
+        for (std::uint32_t i = 0; i < m.stride_count; ++i) {
+            u.addr = m.addr + std::uint64_t(i) * m.stride_offset;
             out.emplace_back(u);
         }
-        return;
-    }
-    if (const auto *l = std::get_if<LpddrUop>(&mop)) {
-        for (std::uint32_t i = 0; i < l->stride_count; ++i) {
-            LpddrUop u = *l;
-            u.addr = l->addr + std::uint64_t(i) * l->stride_offset;
-            u.stride_count = 1;
-            u.stride_offset = 0;
-            out.emplace_back(u);
-        }
-        return;
-    }
-    out.push_back(mop);
-}
-
-std::vector<Uop>
-expandMop(const Uop &mop)
-{
-    std::vector<Uop> out;
-    expandMopInto(mop, out);
-    return out;
-}
-
-void
-RsnProgram::append(RsnPacket p)
-{
-    packets_.push_back(std::move(p));
+    };
+    if (const auto *d = std::get_if<DdrUop>(&mop))
+        unroll(*d);
+    else if (const auto *l = std::get_if<LpddrUop>(&mop))
+        unroll(*l);
+    else
+        out.push_back(mop);
 }
 
 void
 RsnProgram::appendHalts(const std::array<int, kNumFuTypes> &counts)
 {
-    for (int t = 0; t < kNumFuTypes; ++t) {
-        if (counts[t] <= 0)
-            continue;
-        RsnPacket p;
-        p.opcode = static_cast<FuType>(t);
-        p.mask = static_cast<std::uint8_t>((1u << counts[t]) - 1);
-        p.last = true;
-        p.reuse = 1;
-        packets_.push_back(std::move(p));
-    }
+    for (int t = 0; t < kNumFuTypes; ++t)
+        if (counts[t] > 0)
+            packets_.push_back({.opcode = FuType(t),
+                                .mask = std::uint8_t((1u << counts[t]) - 1),
+                                .last = true});
 }
 
 void
@@ -341,10 +264,8 @@ RsnProgram::validate() const
 std::uint64_t
 RsnProgram::packetCount(FuType t) const
 {
-    std::uint64_t n = 0;
-    for (const auto &p : packets_)
-        n += p.opcode == t;
-    return n;
+    return std::count_if(packets_.begin(), packets_.end(),
+                         [t](const RsnPacket &p) { return p.opcode == t; });
 }
 
 Bytes
@@ -374,13 +295,15 @@ RsnProgram::expandedUopBytes(FuType t) const
         if (p.opcode != t)
             continue;
         int fanout = std::popcount(p.mask);
-        Bytes per_pass = 0;
+        std::vector<Uop> uops;
         for (const auto &m : p.mops)
-            for (const auto &u : expandMop(m))
-                per_pass += uopWireBytes(u);
+            expandMopInto(m, uops);
+        Bytes per_pass = 0;
+        for (const auto &u : uops)
+            per_pass += uopWireBytes(u);
         b += per_pass * p.reuse * fanout;
         if (p.last)
-            b += HaltUop::wireBytes() * fanout;
+            b += uopWireBytes(HaltUop{}) * fanout;
     }
     return b;
 }
@@ -392,10 +315,10 @@ RsnProgram::uopCountFor(FuId fu) const
     for (const auto &p : packets_) {
         if (p.opcode != fu.type || !(p.mask & (1u << fu.index)))
             continue;
-        std::uint64_t per_pass = 0;
+        std::vector<Uop> uops;
         for (const auto &m : p.mops)
-            per_pass += expandMop(m).size();
-        n += per_pass * p.reuse;
+            expandMopInto(m, uops);
+        n += uops.size() * p.reuse;
         if (p.last)
             ++n;
     }
@@ -406,30 +329,41 @@ std::vector<std::uint8_t>
 assemble(const RsnProgram &prog)
 {
     std::vector<std::uint8_t> out;
-    ByteWriter w(out);
+    Writer w{&out};
     for (const auto &p : prog.packets()) {
-        w.u32(p.headerWord());
+        RsnPacket::header(w, p);
         for (const auto &m : p.mops)
-            serializeUop(w, m);
+            walk(w, m);
     }
     return out;
 }
 
-RsnProgram
-disassemble(const std::vector<std::uint8_t> &bytes)
+Status
+disassemble(const std::vector<std::uint8_t> &bytes, RsnProgram &out)
 {
     RsnProgram prog;
-    std::size_t pos = 0;
-    ByteReader r(bytes, pos);
-    while (pos < bytes.size()) {
-        RsnPacket p = RsnPacket::fromHeaderWord(r.u32());
-        std::size_t window = p.mops.size();
-        p.mops.clear();
-        for (std::size_t i = 0; i < window; ++i)
-            p.mops.push_back(deserializeUop(r, p.opcode));
+    Reader r{bytes};
+    while (r.bits < 8 * bytes.size()) {
+        const std::uint64_t at = r.bits / 8;
+        RsnPacket p;
+        r.kind = "header";
+        RsnPacket::header(r, p);
+        for (Uop &m : p.mops) {
+            m = uopKindFor(p.opcode);
+            r.kind = kKindNames[m.index()];
+            walk(r, m);
+        }
+        std::string why = r.bits > 8 * bytes.size() ? "truncated" : r.error;
+        if (!why.empty() || !p.valid(&why))
+            return Status::error(
+                StatusCode::InvalidConfig,
+                detail::formatv("packet %zu at byte %llu: %s", prog.size(),
+                                static_cast<unsigned long long>(at),
+                                why.c_str()));
         prog.append(std::move(p));
     }
-    return prog;
+    out = std::move(prog);
+    return Status::success();
 }
 
 } // namespace rsn::isa

@@ -19,58 +19,82 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/status.hh"
 #include "common/types.hh"
 #include "isa/uop.hh"
 
 namespace rsn::isa {
 
-/** Packet header field limits imposed by the 32-bit encoding. */
-inline constexpr std::uint32_t kMaxWindow = 127;   ///< 7 bits.
-inline constexpr std::uint32_t kMaxReuse = 4095;   ///< 12 bits.
-inline constexpr std::uint32_t kMaxMaskBits = 8;   ///< 8 FU instances.
+/** Packet header field widths of the 32-bit encoding. */
+inline constexpr unsigned kWindowBits = 7;
+inline constexpr unsigned kReuseBits = 12;
+inline constexpr std::uint32_t kMaxWindow = (1u << kWindowBits) - 1;
+inline constexpr std::uint32_t kMaxReuse = (1u << kReuseBits) - 1;
+inline constexpr std::uint32_t kMaxMaskBits = 8;  ///< 8 FU instances.
 
 /** One RSN instruction packet. */
 struct RsnPacket {
     FuType opcode = FuType::NumTypes;
-    std::uint8_t mask = 0;      ///< Bit i selects FU instance i.
-    bool last = false;          ///< Signals FU exit after this packet.
-    std::uint16_t reuse = 1;    ///< Times the mOP window replays.
-    std::vector<Uop> mops;      ///< The mOP window (size = "window size").
+    std::uint8_t mask = 0;       ///< Bit i selects FU instance i.
+    bool last = false;           ///< Signals FU exit after this packet.
+    std::uint16_t reuse = 1;     ///< Times the mOP window replays.
+    std::vector<Uop> mops = {};  ///< The mOP window ("window size").
 
-    /** Encoded 32-bit header: opcode:4 | mask:8 | last:1 | win:7 | reuse:12 */
-    std::uint32_t headerWord() const;
-
-    /** Decode header fields from a 32-bit word (payload not touched). */
-    static RsnPacket fromHeaderWord(std::uint32_t w);
+    /** The 32-bit header as a field table (see uop.hh). The window
+     *  field is the mOP count; decoding sizes @c mops from it. */
+    template <class Io, class P>
+    static void
+    header(Io &io, P &p)
+    {
+        std::size_t window = p.mops.size();
+        io("reuse", p.reuse, kReuseBits); io("window", window, kWindowBits);
+        io("last", p.last, 1); io("mask", p.mask, kMaxMaskBits);
+        io("opcode", p.opcode, 4);
+        if constexpr (!std::is_const_v<P>)  // decoding
+            p.mops.resize(window);
+    }
 
     /** Assembled size: 4-byte header + serialized mOPs. */
     Bytes wireBytes() const;
 
-    /** Check structural validity (field ranges, uOP/opcode agreement). */
+    /** Check structural validity: a real opcode, a non-empty mask,
+     *  reuse >= 1, a window unless last, uOP/opcode agreement, and every
+     *  header and mOP field fitting its wire width. */
     bool valid(std::string *why = nullptr) const;
 };
 
-/**
- * Expand one mOP into its uOP sequence (third-level decoding). Strided
- * DDR/LPDDR mOPs unroll into per-block uOPs; everything else passes
- * through unchanged.
- */
-std::vector<Uop> expandMop(const Uop &mop);
+/** Wire size of any uOP. */
+Bytes uopWireBytes(const Uop &u);
 
-/** Append @p mop's expansion to @p out (the allocation-free form the
- *  decoder's uOP cache fills; expandMop wraps it). */
+/** Every field of @p u by name, e.g. "memA rows=768 ... load=1". */
+std::string uopToString(const Uop &u);
+
+/** The (default-valued) uOP kind packets of opcode @p t carry; Mesh
+ *  uOPs serve both MeshA and MeshB, HaltUop stands for NumTypes. */
+Uop uopKindFor(FuType t);
+
+/** Whether packets of opcode @p t carry @p u's kind. A HaltUop rides in
+ *  no packet: the header's last bit stands for it. */
+bool uopMatchesFuType(const Uop &u, FuType t);
+
+/**
+ * Append @p mop's uOP sequence to @p out (third-level decoding; the
+ * decoder's uOP cache fills a reused buffer). Strided DDR/LPDDR mOPs
+ * unroll into per-block uOPs; everything else passes through unchanged.
+ */
 void expandMopInto(const Uop &mop, std::vector<Uop> &out);
 
 /** A full RSN program: the packet sequence plus measurement helpers. */
 class RsnProgram
 {
   public:
-    void append(RsnPacket p);
+    void append(RsnPacket p) { packets_.push_back(std::move(p)); }
     const std::vector<RsnPacket> &packets() const { return packets_; }
     std::size_t size() const { return packets_.size(); }
-    bool empty() const { return packets_.empty(); }
 
     /** Append `last` packets halting every FU instance in @p counts. */
     void appendHalts(const std::array<int, kNumFuTypes> &counts);
@@ -100,11 +124,19 @@ class RsnProgram
     std::vector<RsnPacket> packets_;
 };
 
-/** Serialize a program to bytes (assembler). */
+/** Serialize a program to bytes (assembler): per packet, the header
+ *  and then each mOP through their field tables. Every packet must be
+ *  valid(). */
 std::vector<std::uint8_t> assemble(const RsnProgram &prog);
 
-/** Parse bytes back into packets (disassembler). */
-RsnProgram disassemble(const std::vector<std::uint8_t> &bytes);
+/**
+ * Parse @p bytes back into packets (disassembler). Every decoded packet
+ * must be valid(), so an accepted program re-assembles to @p bytes. On
+ * failure @p out is unchanged and the InvalidConfig status names the
+ * packet, its byte offset and the reason (truncation, a code no value
+ * has, reserved bits set, or the valid() reason).
+ */
+Status disassemble(const std::vector<std::uint8_t> &bytes, RsnProgram &out);
 
 } // namespace rsn::isa
 

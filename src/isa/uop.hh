@@ -7,16 +7,23 @@
  * instructions stay off the critical path (Sec. 2.4). Each uOP launches a
  * single kernel execution on its FU.
  *
- * Every uOP type reports its wire size (the bytes a third-level decoder
- * consumes); Fig. 9's RSN-instruction-vs-uOP compression ratios are computed
- * from these sizes.
+ * Each uOP kind declares its wire layout once, in a static
+ * `wire(io, uop)` member: every field in wire order with its width in
+ * bits, flag bits and the 2-bit dtype tags included, and `io.pad(n)`
+ * for reserved bits, which must be zero. The bits pack LSB-first into
+ * little-endian bytes, so a 16-bit field on a byte boundary is a plain
+ * u16. An FuId field packs its index in the low nibble and its type in
+ * the high one. The assembler, the bounds-checked disassembler, the
+ * wire sizes (Fig. 9's compression ratios), the field-fit check of
+ * RsnPacket::valid() and uopToString() all walk these tables
+ * (src/isa/packet.cc); docs/datapath.md prints them as one table.
  */
 
 #ifndef RSN_ISA_UOP_HH
 #define RSN_ISA_UOP_HH
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -47,11 +54,16 @@ struct MmeUop {
     Dtype out_dtype = Dtype::F32;
 
     bool operator==(const MmeUop &) const = default;
-    // Wire size unchanged by the dtype tag: it packs into the 2 spare
-    // bits of the existing flag byte (both of the paper's encodings
-    // reserve them).
-    static constexpr Bytes wireBytes() { return 11; }
-    std::string toString() const;
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &u)
+    {
+        io("reps", u.reps, 16); io("k_steps", u.k_steps, 16);
+        io("tile_m", u.tile_m, 16); io("tile_k", u.tile_k, 16);
+        io("tile_n", u.tile_n, 16);
+        io("add_bias", u.add_bias, 1); io("accum_k", u.accum_k, 1);
+        io("out_dtype", u.out_dtype, 2); io.pad(4);
+    }
 };
 
 /**
@@ -80,10 +92,18 @@ struct DdrUop {
     Dtype dtype = Dtype::F32;
 
     bool operator==(const DdrUop &) const = default;
-    // Dtype packs into the spare bits of the load/store flag byte; the
-    // wire size is unchanged.
-    static constexpr Bytes wireBytes() { return 25; }
-    std::string toString() const;
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &u)
+    {
+        io("addr", u.addr, 32); io("stride_offset", u.stride_offset, 32);
+        io("stride_count", u.stride_count, 16);
+        io("load", u.load, 1); io("store", u.store, 1);
+        io("dtype", u.dtype, 2); io.pad(4);
+        io("dest", u.dest, 8); io("src", u.src, 8);
+        io("rows", u.rows, 32); io("cols", u.cols, 32);
+        io("pitch", u.pitch, 32);
+    }
 };
 
 /** LPDDR: "addr, stride size, stride offset, stride count, destFU,
@@ -102,9 +122,17 @@ struct LpddrUop {
     Dtype dtype = Dtype::F32;
 
     bool operator==(const LpddrUop &) const = default;
-    // Dtype packs into the spare bits of the load_bias flag byte.
-    static constexpr Bytes wireBytes() { return 24; }
-    std::string toString() const;
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &u)
+    {
+        io("addr", u.addr, 32); io("stride_offset", u.stride_offset, 32);
+        io("stride_count", u.stride_count, 16); io("dest", u.dest, 8);
+        io("load_bias", u.load_bias, 1); io("dtype", u.dtype, 2);
+        io.pad(5);
+        io("rows", u.rows, 32); io("cols", u.cols, 32);
+        io("pitch", u.pitch, 32);
+    }
 };
 
 /** One mesh route: move chunks from FU @c src to FU @c dst. */
@@ -135,8 +163,19 @@ struct MeshUop {
     std::vector<MeshRoute> routes;
 
     bool operator==(const MeshUop &) const = default;
-    Bytes wireBytes() const { return 6 + 2 * routes.size(); }
-    std::string toString() const;
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &u)
+    {
+        std::size_t routes = u.routes.size();
+        io("repeats", u.repeats, 32); io("mode", u.mode, 8);
+        io("routes", routes, 8);
+        if constexpr (!std::is_const_v<U>)  // decoding
+            u.routes.resize(routes);
+        for (auto &r : u.routes) {
+            io("src", r.src, 8); io("dst", r.dst, 8);
+        }
+    }
 };
 
 /**
@@ -156,8 +195,14 @@ struct MemAUop {
     bool send = false;
 
     bool operator==(const MemAUop &) const = default;
-    static constexpr Bytes wireBytes() { return 7; }
-    std::string toString() const;
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &u)
+    {
+        io("rows", u.rows, 16); io("cols", u.cols, 16);
+        io("slices", u.slices, 8); io("src", u.src, 8);
+        io("load", u.load, 1); io("send", u.send, 1); io.pad(6);
+    }
 };
 
 /**
@@ -175,15 +220,22 @@ struct MemBUop {
     bool load_bias = false;  ///< Also receive + forward a bias chunk.
 
     bool operator==(const MemBUop &) const = default;
-    static constexpr Bytes wireBytes() { return 6; }
-    std::string toString() const;
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &u)
+    {
+        io("rows", u.rows, 16); io("cols", u.cols, 16); io("src", u.src, 8);
+        io("load", u.load, 1); io("send", u.send, 1);
+        io("transpose", u.transpose, 1); io("load_bias", u.load_bias, 1);
+        io.pad(4);
+    }
 };
 
 /**
  * MemC: "matrix size from MME, matrix size to DDR, tile size from MME,
  * tile size to DDR, receive from MME, send to MME, softmax, gelu,
  * mean/variance/normalization". Plus residual add and LN scale&shift,
- * which this implementation hosts in MemC (see DESIGN.md deviations).
+ * which this implementation also hosts in MemC.
  *
  * Ping-pong buffered: a receive kernel fills one buffer while a
  * send/store kernel drains the other, enabling the paper's RCEV/SEND
@@ -210,31 +262,39 @@ struct MemCUop {
     Dtype out_dtype = Dtype::F32;
 
     bool operator==(const MemCUop &) const = default;
-    // Dtype packs into the spare bits of the flag bytes; wire size
-    // unchanged.
-    static constexpr Bytes wireBytes() { return 11; }
-    std::string toString() const;
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &u)
+    {
+        io("rows", u.rows, 16); io("cols", u.cols, 16);
+        io("recv_chunks", u.recv_chunks, 16);
+        io("send_chunks", u.send_chunks, 16);
+        io("send_dest", u.send_dest, 8);
+        io("recv", u.recv, 1); io("store", u.store, 1);
+        io("send_mme", u.send_mme, 1); io("softmax", u.softmax, 1);
+        io("gelu", u.gelu, 1); io("layernorm", u.layernorm, 1);
+        io("scale_shift", u.scale_shift, 1);
+        io("add_residual", u.add_residual, 1);
+        io("out_dtype", u.out_dtype, 2); io.pad(6);
+    }
 };
 
-/** Decoder-injected uOP that terminates an FU's kernel loop ("last"). */
+/** Decoder-injected uOP that terminates an FU's kernel loop ("last").
+ *  It counts one byte in the expanded uOP streams; assembled packets
+ *  carry it as their header's last bit instead. */
 struct HaltUop {
     bool operator==(const HaltUop &) const = default;
-    static constexpr Bytes wireBytes() { return 1; }
-    std::string toString() const { return "halt"; }
+    template <class Io, class U>
+    static void
+    wire(Io &io, U &)
+    {
+        io.pad(8);
+    }
 };
 
 /** A uOP for any FU type. */
 using Uop = std::variant<MmeUop, DdrUop, LpddrUop, MeshUop, MemAUop,
                          MemBUop, MemCUop, HaltUop>;
-
-/** Wire size of any uOP. */
-Bytes uopWireBytes(const Uop &u);
-
-/** Debug rendering of any uOP. */
-std::string uopToString(const Uop &u);
-
-/** FU type a uOP kind belongs to (Mesh uOPs fit both MeshA and MeshB). */
-bool uopMatchesFuType(const Uop &u, FuType t);
 
 } // namespace rsn::isa
 

@@ -88,6 +88,16 @@ onlyMemA(int n)
     return c;
 }
 
+TEST(Decoder, AttachKeepsOneFuPerMaskBit)
+{
+    DecoderRig rig;
+    rig.add(FuType::MemA, 0);
+    RecorderFu dup(rig.eng, {FuType::MemA, 0});
+    EXPECT_THROW(rig.dec.attach(&dup), std::logic_error);
+    RecorderFu wide(rig.eng, {FuType::MemA, std::uint8_t(kMaxMaskBits)});
+    EXPECT_THROW(rig.dec.attach(&wide), std::logic_error);
+}
+
 TEST(Decoder, DeliversUopsAndHalts)
 {
     DecoderRig rig;

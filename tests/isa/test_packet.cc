@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "isa/packet.hh"
 
 namespace {
@@ -25,17 +27,34 @@ samplePacket()
     return p;
 }
 
+/** @p p assembled alone, then disassembled. */
+RsnPacket
+roundTrip(const RsnPacket &p)
+{
+    RsnProgram prog, back;
+    prog.append(p);
+    const Status st = disassemble(assemble(prog), back);
+    EXPECT_TRUE(st.ok()) << st.toString();
+    return back.size() == 0 ? RsnPacket{} : back.packets()[0];
+}
+
 TEST(PacketHeader, EncodesAllFields)
 {
     RsnPacket p = samplePacket();
     p.last = true;
-    std::uint32_t w = p.headerWord();
-    RsnPacket q = RsnPacket::fromHeaderWord(w);
+    RsnProgram prog;
+    prog.append(p);
+    const auto bytes = assemble(prog);
+    // reuse:12 | window:7 | last:1 | mask:8 | opcode:4, LSB first.
+    const std::uint32_t w = bytes[0] | bytes[1] << 8 | bytes[2] << 16 |
+                            std::uint32_t(bytes[3]) << 24;
+    EXPECT_EQ(w, 1u << 28 | 0x5u << 20 | 1u << 19 | 1u << 12 | 12u);
+    RsnPacket q = roundTrip(p);
     EXPECT_EQ(q.opcode, p.opcode);
     EXPECT_EQ(q.mask, p.mask);
     EXPECT_EQ(q.last, p.last);
     EXPECT_EQ(q.reuse, p.reuse);
-    EXPECT_EQ(q.mops.size(), p.mops.size());  // window placeholder
+    EXPECT_EQ(q.mops, p.mops);
 }
 
 class HeaderRoundTrip
@@ -49,12 +68,13 @@ TEST_P(HeaderRoundTrip, AllFieldCombinations)
     p.opcode = static_cast<FuType>(opcode);
     p.mask = static_cast<std::uint8_t>(mask);
     p.reuse = static_cast<std::uint16_t>(reuse);
-    p.mops.resize(opcode % 7);
-    RsnPacket q = RsnPacket::fromHeaderWord(p.headerWord());
+    p.last = true;
+    p.mops.resize(opcode % 7, uopKindFor(p.opcode));
+    RsnPacket q = roundTrip(p);
     EXPECT_EQ(q.opcode, p.opcode);
     EXPECT_EQ(q.mask, p.mask);
     EXPECT_EQ(q.reuse, p.reuse);
-    EXPECT_EQ(q.mops.size(), p.mops.size());
+    EXPECT_EQ(q.mops, p.mops);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -86,6 +106,16 @@ TEST(PacketValidation, RejectsBadFields)
     bad = p;
     bad.opcode = FuType::Mme;  // MemA uop under MME opcode
     EXPECT_FALSE(bad.valid(&why));
+
+    bad = p;
+    bad.reuse = kMaxReuse + 1;
+    EXPECT_FALSE(bad.valid(&why));
+    EXPECT_EQ(why, "header reuse=4096 does not fit its 12-bit field");
+
+    bad = p;
+    bad.mops.resize(kMaxWindow + 1, p.mops[0]);
+    EXPECT_FALSE(bad.valid(&why));
+    EXPECT_EQ(why, "header window=128 does not fit its 7-bit field");
 }
 
 TEST(ExpandMop, StridedDdrUnrollsPerBlock)
@@ -99,7 +129,8 @@ TEST(ExpandMop, StridedDdrUnrollsPerBlock)
     u.rows = 8;
     u.cols = 8;
     u.pitch = 8;
-    auto uops = expandMop(Uop{u});
+    std::vector<Uop> uops;
+    expandMopInto(u, uops);
     ASSERT_EQ(uops.size(), 4u);
     for (int i = 0; i < 4; ++i) {
         const auto &d = std::get<DdrUop>(uops[i]);
@@ -113,7 +144,8 @@ TEST(ExpandMop, NonStridedPassesThrough)
 {
     MmeUop u;
     u.reps = 4;
-    auto uops = expandMop(Uop{u});
+    std::vector<Uop> uops;
+    expandMopInto(u, uops);
     ASSERT_EQ(uops.size(), 1u);
     EXPECT_EQ(std::get<MmeUop>(uops[0]).reps, 4u);
 }
@@ -136,9 +168,8 @@ TEST(Program, CountsBytesAndPackets)
     EXPECT_EQ(prog.packetCount(FuType::MemA), 2u);
     EXPECT_EQ(prog.packetCount(FuType::Ddr), 1u);
     EXPECT_EQ(prog.instructionBytes(FuType::MemA),
-              2 * (4 + MemAUop::wireBytes()));
-    EXPECT_EQ(prog.totalBytes(),
-              2 * (4 + MemAUop::wireBytes()) + 4 + DdrUop::wireBytes());
+              2 * (4 + 7u));
+    EXPECT_EQ(prog.totalBytes(), 2 * (4 + 7u) + 4 + 25u);
 }
 
 TEST(Program, ExpandedUopBytesAccountReuseAndMask)
@@ -147,7 +178,7 @@ TEST(Program, ExpandedUopBytesAccountReuseAndMask)
     RsnPacket p = samplePacket();  // mask 0x5 (2 FUs), reuse 12, 1 mop
     prog.append(p);
     EXPECT_EQ(prog.expandedUopBytes(FuType::MemA),
-              12u * 2u * MemAUop::wireBytes());
+              12u * 2u * 7u);
 }
 
 TEST(Program, UopCountForSelectsInstance)
@@ -188,6 +219,7 @@ TEST(Assembler, RoundTripsEveryUopKind)
     m.tile_k = 128;
     m.tile_n = 1024;
     m.add_bias = true;
+    m.out_dtype = Dtype::Bf16;
     mme.mops.emplace_back(m);
     prog.append(mme);
 
@@ -214,6 +246,7 @@ TEST(Assembler, RoundTripsEveryUopKind)
     d.rows = 768;
     d.cols = 128;
     d.pitch = 1024;
+    d.dtype = Dtype::F16;
     ddr.mops.emplace_back(d);
     prog.append(ddr);
 
@@ -227,6 +260,7 @@ TEST(Assembler, RoundTripsEveryUopKind)
     l.rows = 2;
     l.cols = 1024;
     l.pitch = 1024;
+    l.dtype = Dtype::I8;
     lp.mops.emplace_back(l);
     prog.append(lp);
 
@@ -255,12 +289,15 @@ TEST(Assembler, RoundTripsEveryUopKind)
     c.store = true;
     c.softmax = true;
     c.scale_shift = true;
+    c.out_dtype = Dtype::Bf16;
     mc.mops.emplace_back(c);
     prog.append(mc);
 
     auto bytes = assemble(prog);
     EXPECT_EQ(bytes.size(), prog.totalBytes());
-    RsnProgram back = disassemble(bytes);
+    RsnProgram back;
+    const Status st = disassemble(bytes, back);
+    ASSERT_TRUE(st.ok()) << st.toString();
     ASSERT_EQ(back.size(), prog.size());
     for (std::size_t i = 0; i < prog.size(); ++i) {
         EXPECT_EQ(back.packets()[i].opcode, prog.packets()[i].opcode);
@@ -271,46 +308,153 @@ TEST(Assembler, RoundTripsEveryUopKind)
         for (std::size_t j = 0; j < prog.packets()[i].mops.size(); ++j)
             EXPECT_EQ(back.packets()[i].mops[j],
                       prog.packets()[i].mops[j])
-                << "packet " << i << " mop " << j;
+                << "packet " << i << " mop " << j << ": "
+                << uopToString(back.packets()[i].mops[j]) << " vs "
+                << uopToString(prog.packets()[i].mops[j]);
     }
+    EXPECT_EQ(assemble(back), bytes);
 }
 
-TEST(Uop, WireBytesMatchSerializer)
+TEST(Assembler, F32DtypeTagsEncodeAsZeroBits)
 {
-    // Serialize one of each and compare against the declared size.
-    auto sizeOf = [](Uop u, FuType t) {
-        RsnProgram p;
-        RsnPacket pkt;
-        pkt.opcode = t;
-        pkt.mask = 1;
-        pkt.mops.push_back(std::move(u));
-        p.append(pkt);
-        return assemble(p).size() - 4;
-    };
-    EXPECT_EQ(sizeOf(MmeUop{}, FuType::Mme), MmeUop::wireBytes());
-    EXPECT_EQ(sizeOf(DdrUop{}, FuType::Ddr), DdrUop::wireBytes());
-    EXPECT_EQ(sizeOf(LpddrUop{}, FuType::Lpddr), LpddrUop::wireBytes());
-    EXPECT_EQ(sizeOf(MemAUop{}, FuType::MemA), MemAUop::wireBytes());
-    EXPECT_EQ(sizeOf(MemBUop{}, FuType::MemB), MemBUop::wireBytes());
-    EXPECT_EQ(sizeOf(MemCUop{}, FuType::MemC), MemCUop::wireBytes());
+    // The dtype tags sit in flag-byte bits the paper's encodings leave
+    // spare and F32 is code 0, so an all-F32 program's bytes (and
+    // Fig. 9's counts) do not depend on the tags; a typed uOP sets
+    // exactly those bits.
+    RsnPacket p;
+    p.opcode = FuType::Mme;
+    p.mask = 1;
+    MmeUop m;
+    m.add_bias = true;
+    p.mops = {m};
+    RsnProgram f32;
+    f32.append(p);
+    std::get<MmeUop>(p.mops[0]).out_dtype = Dtype::Bf16;
+    RsnProgram bf16;
+    bf16.append(p);
+    const auto a = assemble(f32), b = assemble(bf16);
+    ASSERT_EQ(a.size(), 4u + 11u);
+    EXPECT_EQ(a.back(), 0x3);  // add_bias | accum_k
+    EXPECT_EQ(b.back(), 0x3 | 1 << 2);
+    EXPECT_TRUE(std::equal(a.begin(), a.end() - 1, b.begin()));
+}
+
+TEST(Uop, WireBytesArePinned)
+{
+    // The sizes Fig. 9's compression ratios count.
+    EXPECT_EQ(uopWireBytes(MmeUop{}), 11u);
+    EXPECT_EQ(uopWireBytes(DdrUop{}), 25u);
+    EXPECT_EQ(uopWireBytes(LpddrUop{}), 24u);
+    EXPECT_EQ(uopWireBytes(MemAUop{}), 7u);
+    EXPECT_EQ(uopWireBytes(MemBUop{}), 6u);
+    EXPECT_EQ(uopWireBytes(MemCUop{}), 11u);
+    EXPECT_EQ(uopWireBytes(HaltUop{}), 1u);
     MeshUop mu;
+    EXPECT_EQ(uopWireBytes(mu), 6u);
     mu.routes.resize(6);
-    EXPECT_EQ(sizeOf(mu, FuType::MeshA), mu.wireBytes());
+    EXPECT_EQ(uopWireBytes(mu), 6u + 2 * 6);
 }
 
-TEST(Uop, ToStringIsNonEmptyForAllKinds)
+TEST(Uop, ToStringNamesEveryField)
 {
-    EXPECT_FALSE(uopToString(Uop{MmeUop{}}).empty());
-    EXPECT_FALSE(uopToString(Uop{DdrUop{}}).empty());
-    EXPECT_FALSE(uopToString(Uop{LpddrUop{}}).empty());
+    MemAUop a;
+    a.rows = 768;
+    a.src = kDdr;
+    a.send = true;
+    EXPECT_EQ(uopToString(a),
+              "memA rows=768 cols=0 slices=1 src=DDR0 load=0 send=1");
     MeshUop mu;
     mu.routes.push_back({{FuType::MemA, 0}, {FuType::Mme, 0}});
-    EXPECT_NE(uopToString(Uop{mu}).find("MemA0->MME0"),
+    EXPECT_EQ(uopToString(mu),
+              "mesh repeats=1 mode=par routes=1 src=MemA0 dst=MME0");
+    DdrUop d;
+    d.dtype = Dtype::Bf16;
+    EXPECT_NE(uopToString(d).find(" dtype=bf16 dest=none"),
               std::string::npos);
-    EXPECT_FALSE(uopToString(Uop{MemAUop{}}).empty());
-    EXPECT_FALSE(uopToString(Uop{MemBUop{}}).empty());
-    EXPECT_FALSE(uopToString(Uop{MemCUop{}}).empty());
     EXPECT_EQ(uopToString(Uop{HaltUop{}}), "halt");
+}
+
+TEST(PacketValidation, RejectsValuesWiderThanTheirField)
+{
+    // The DDR address field is 32 bits: an address above 4 GiB must be
+    // refused, not truncated on the wire.
+    RsnPacket p;
+    p.opcode = FuType::Ddr;
+    p.mask = 1;
+    DdrUop d;
+    d.addr = 0x108c51000ull;
+    p.mops.emplace_back(d);
+    std::string why;
+    EXPECT_FALSE(p.valid(&why));
+    EXPECT_EQ(why, "ddr addr=4442099712 does not fit its 32-bit field");
+
+    d.addr = 0xffffffffull;
+    p.mops = {d};
+    EXPECT_TRUE(p.valid(&why)) << why;
+
+    MemAUop a;  // an FU index past the 4-bit nibble
+    a.src = {FuType::MemC, 16};
+    p.opcode = FuType::MemA;
+    p.mops = {a};
+    EXPECT_FALSE(p.valid(&why));
+    EXPECT_EQ(why, "memA src=MemC16 does not fit its 8-bit field");
+
+    MeshUop mu;  // a route count past the 8-bit field
+    mu.routes.resize(256);
+    p.opcode = FuType::MeshA;
+    p.mops = {mu};
+    EXPECT_FALSE(p.valid(&why));
+    EXPECT_EQ(why, "mesh routes=256 does not fit its 8-bit field");
+}
+
+TEST(Disassembler, RejectsMalformedBytesByName)
+{
+    RsnProgram prog;
+    prog.append(samplePacket());
+    const std::vector<std::uint8_t> bytes = assemble(prog);
+    ASSERT_EQ(bytes.size(), 4u + 7u);
+    auto reason = [](std::vector<std::uint8_t> b) {
+        RsnProgram out;
+        const Status st = disassemble(b, out);
+        EXPECT_EQ(out.size(), 0u) << "a rejection leaves the output alone";
+        return st.ok() ? std::string("accepted") : st.message;
+    };
+    EXPECT_EQ(reason({bytes.begin(), bytes.begin() + 3}),
+              "packet 0 at byte 0: truncated");
+    EXPECT_EQ(reason({bytes.begin(), bytes.end() - 1}),
+              "packet 0 at byte 0: truncated");
+    auto b = bytes;
+    b[4 + 6] |= 0x80;  // a reserved flag bit
+    EXPECT_EQ(reason(b), "packet 0 at byte 0: memA reserved bits set");
+    b = bytes;
+    b[4 + 5] = 0x90;  // FU type code 9 in the src nibble
+    EXPECT_EQ(reason(b), "packet 0 at byte 0: memA src code 144 is out "
+                         "of range");
+    b = bytes;
+    b[3] = 0x80 | (b[3] & 0xf);  // opcode code 8: NumTypes
+    EXPECT_EQ(reason(b), "packet 0 at byte 0: invalid opcode");
+    b[3] |= 0x10;  // opcode code 9
+    EXPECT_EQ(reason(b), "packet 0 at byte 0: header opcode code 9 is out "
+                         "of range");
+    b = bytes;
+    b[2] &= 0x0f;  // mask 0
+    b[3] &= 0xf0;
+    EXPECT_EQ(reason(b), "packet 0 at byte 0: empty FU mask");
+
+    RsnPacket mesh;  // repeats:32 | mode:8 | routes:8 | (src, dst)...
+    mesh.opcode = FuType::MeshB;
+    mesh.mask = 1;
+    MeshUop mu;
+    mu.routes.push_back({{FuType::MemB, 0}, {FuType::Mme, 1}});
+    mesh.mops = {mu};
+    RsnProgram two;
+    two.append(samplePacket());
+    two.append(mesh);
+    b = assemble(two);
+    ASSERT_EQ(b.size(), 4u + 7u + 4u + 8u);
+    b[11 + 4 + 4] = 3;  // one past Distribute
+    EXPECT_EQ(reason(b), "packet 1 at byte 11: mesh mode code 3 is out of "
+                         "range");
 }
 
 TEST(Uop, MatchesFuType)
@@ -320,9 +464,9 @@ TEST(Uop, MatchesFuType)
     EXPECT_TRUE(uopMatchesFuType(Uop{MeshUop{}}, FuType::MeshA));
     EXPECT_TRUE(uopMatchesFuType(Uop{MeshUop{}}, FuType::MeshB));
     EXPECT_FALSE(uopMatchesFuType(Uop{MeshUop{}}, FuType::Ddr));
-    for (int t = 0; t < kNumFuTypes; ++t)
-        EXPECT_TRUE(uopMatchesFuType(Uop{HaltUop{}},
-                                     static_cast<FuType>(t)));
+    for (int t = 0; t < kNumFuTypes; ++t)  // "last" stands for a halt
+        EXPECT_FALSE(uopMatchesFuType(Uop{HaltUop{}},
+                                      static_cast<FuType>(t)));
 }
 
 } // namespace

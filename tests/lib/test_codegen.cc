@@ -212,6 +212,30 @@ TEST(Codegen, RejectsLayerNormOnPartialWidthTiles)
     EXPECT_THROW((void)compileModel(mach, mod, opts), std::logic_error);
 }
 
+TEST(Codegen, AddressesPastTheWireFieldAreRejected)
+{
+    // The DDR address field is 32 bits. Sixteen BERT-Large layers under
+    // the bw schedule place tensors past 4 GiB; pack()'s validate()
+    // refuses them instead of truncating the address on the wire. The
+    // opt schedule keeps fewer intermediates and still fits (its top
+    // DDR address at 16 layers is 0xa8c51000).
+    core::RsnMachine mach(core::MachineConfig::vck190());
+    try {
+        (void)compileModel(mach, bertLargeEncoder(6, 512, true, 16),
+                           ScheduleOptions::bwOptimized());
+        ADD_FAILURE() << "compiled";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "ddr addr=4295258112 does not fit its 32-bit field"),
+                  std::string::npos)
+            << e.what();
+    }
+    core::RsnMachine fits(core::MachineConfig::vck190());
+    EXPECT_NO_THROW((void)compileModel(
+        fits, bertLargeEncoder(6, 512, true, 16),
+        ScheduleOptions::optimized()));
+}
+
 /** 64-bit FNV-1a over @p bytes. */
 std::uint64_t
 fnv1a(const std::vector<std::uint8_t> &bytes)
@@ -232,9 +256,10 @@ TEST(Codegen, ProgramBytesArePinned)
     // prove that a codegen rewrite emits the same programs; these bytes
     // do. The hashes were recorded by running this test against the
     // build before the lane wiring was derived from the core/config.hh
-    // FU-count constants (it used literal 3s and 6s). The assembler
-    // encodes no dtype tags, so f32 and bf16 hash alike; the golden bf16
-    // ticks pin the precision stamping.
+    // FU-count constants (it used literal 3s and 6s). The wire carries
+    // the uOP dtype tags, so each bf16 row must differ from its f32
+    // row. Every program must also disassemble back to itself, uOP by
+    // uOP.
     struct Case {
         const char *model;
         const char *schedule;
@@ -243,35 +268,35 @@ TEST(Codegen, ProgramBytesArePinned)
     };
     const Case cases[] = {
         {"bert", "opt", false, 0x7c1e6108e3f42909ull},
-        {"bert", "opt", true, 0x7c1e6108e3f42909ull},
+        {"bert", "opt", true, 0xecbf2c907e2ab10dull},
         {"bert", "bw", false, 0x5ac13d06ebb01975ull},
-        {"bert", "bw", true, 0x5ac13d06ebb01975ull},
+        {"bert", "bw", true, 0x600bbf26d6b65ee3ull},
         {"bert", "noopt", false, 0x416b50bb4ff27477ull},
-        {"bert", "noopt", true, 0x416b50bb4ff27477ull},
+        {"bert", "noopt", true, 0x6ffa39523b8a4bfbull},
         {"vit", "opt", false, 0x5ae1087419a61357ull},
-        {"vit", "opt", true, 0x5ae1087419a61357ull},
+        {"vit", "opt", true, 0xc638bf2fac274930ull},
         {"vit", "bw", false, 0x2489bb51fe84d02dull},
-        {"vit", "bw", true, 0x2489bb51fe84d02dull},
+        {"vit", "bw", true, 0x6be30c016167255dull},
         {"vit", "noopt", false, 0x3267ce6f593d47d4ull},
-        {"vit", "noopt", true, 0x3267ce6f593d47d4ull},
+        {"vit", "noopt", true, 0x358a06912d627aeeull},
         {"ncf", "opt", false, 0xe68985a04f768788ull},
-        {"ncf", "opt", true, 0xe68985a04f768788ull},
+        {"ncf", "opt", true, 0xf0d8c999c0d49a3dull},
         {"ncf", "bw", false, 0x91908332c0262785ull},
-        {"ncf", "bw", true, 0x91908332c0262785ull},
+        {"ncf", "bw", true, 0xb31271b0ada4e8caull},
         {"ncf", "noopt", false, 0x90da682da04f2784ull},
-        {"ncf", "noopt", true, 0x90da682da04f2784ull},
+        {"ncf", "noopt", true, 0xe5a6c0d2b019c030ull},
         {"mlp", "opt", false, 0x5bdb9f0f00da602full},
-        {"mlp", "opt", true, 0x5bdb9f0f00da602full},
+        {"mlp", "opt", true, 0xd77c82178419ebb2ull},
         {"mlp", "bw", false, 0xac1d78fcbc828e32ull},
-        {"mlp", "bw", true, 0xac1d78fcbc828e32ull},
+        {"mlp", "bw", true, 0x6b8897a0a6fb0219ull},
         {"mlp", "noopt", false, 0x68f757994b38b7a8ull},
-        {"mlp", "noopt", true, 0x68f757994b38b7a8ull},
+        {"mlp", "noopt", true, 0x81e4d983f7d7b43cull},
         {"tiny", "opt", false, 0x68ac35495433c84bull},
-        {"tiny", "opt", true, 0x68ac35495433c84bull},
+        {"tiny", "opt", true, 0x8ad8a4856759425ull},
         {"tiny", "bw", false, 0x5922c761f7e4b73ull},
-        {"tiny", "bw", true, 0x5922c761f7e4b73ull},
+        {"tiny", "bw", true, 0xda4e149a2993b847ull},
         {"tiny", "noopt", false, 0x19e4cc7b111be5efull},
-        {"tiny", "noopt", true, 0x19e4cc7b111be5efull},
+        {"tiny", "noopt", true, 0xeabe14056d93c403ull},
     };
     auto makeModel = [](const std::string &name) {
         constexpr std::uint32_t kBatch = 6;
@@ -293,6 +318,7 @@ TEST(Codegen, ProgramBytesArePinned)
         return ScheduleOptions::optimized();
     };
     std::string table;
+    std::uint64_t f32_hash = 0;
     for (const Case &c : cases) {
         auto cfg = core::MachineConfig::vck190();
         if (c.bf16)
@@ -300,9 +326,33 @@ TEST(Codegen, ProgramBytesArePinned)
         core::RsnMachine mach(cfg);
         const auto compiled = compileModel(mach, makeModel(c.model),
                                            makeSchedule(c.schedule));
-        const std::uint64_t h = fnv1a(isa::assemble(compiled.program));
-        EXPECT_EQ(h, c.hash) << c.model << " " << c.schedule
-                             << (c.bf16 ? " bf16" : " f32");
+        const std::string what = std::string(c.model) + " " + c.schedule +
+                                 (c.bf16 ? " bf16" : " f32");
+        const auto bytes = isa::assemble(compiled.program);
+        const std::uint64_t h = fnv1a(bytes);
+        EXPECT_EQ(h, c.hash) << what;
+        if (!c.bf16)
+            f32_hash = c.hash;  // each f32 row precedes its bf16 row
+        else
+            EXPECT_NE(c.hash, f32_hash) << what << " hashes like f32";
+        isa::RsnProgram back;
+        const Status st = isa::disassemble(bytes, back);
+        ASSERT_TRUE(st.ok()) << what << ": " << st.toString();
+        const auto &want = compiled.program.packets();
+        ASSERT_EQ(back.size(), want.size()) << what;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            const isa::RsnPacket &p = back.packets()[i];
+            ASSERT_TRUE(p.opcode == want[i].opcode &&
+                        p.mask == want[i].mask && p.last == want[i].last &&
+                        p.reuse == want[i].reuse &&
+                        p.mops.size() == want[i].mops.size())
+                << what << " packet " << i;
+            for (std::size_t j = 0; j < p.mops.size(); ++j)
+                ASSERT_EQ(p.mops[j], want[i].mops[j])
+                    << what << " packet " << i << " mOP " << j << ": "
+                    << isa::uopToString(p.mops[j]) << " vs "
+                    << isa::uopToString(want[i].mops[j]);
+        }
         char row[128];
         std::snprintf(row, sizeof row,
                       "        {\"%s\", \"%s\", %s, 0x%llxull},\n",

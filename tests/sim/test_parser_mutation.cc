@@ -6,11 +6,14 @@
  * and sim::FaultSpec::parse (--fault-spec). Each mutated input must be
  * either accepted with a value that round-trips or rejected with a
  * named reason; nothing may crash or throw. Integer acceptance is also
- * checked against an independent digit-by-digit oracle.
+ * checked against an independent digit-by-digit oracle. The binary
+ * parser, isa::disassemble, gets the same treatment on assembled
+ * programs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <charconv>
 #include <climits>
 #include <cmath>
@@ -24,6 +27,10 @@
 #include <vector>
 
 #include "common/parse.hh"
+#include "core/machine.hh"
+#include "isa/packet.hh"
+#include "lib/codegen.hh"
+#include "lib/model.hh"
 #include "sim/fault.hh"
 
 namespace {
@@ -262,6 +269,129 @@ TEST(ParserMutation, KnownDefectsStayFixed)
                             "seed=-1", "dram= 0.5"}) {
         sim::FaultSpec::parse(bad, &st);
         EXPECT_FALSE(st.ok()) << bad;
+    }
+}
+
+/** The assembled tiny-encoder program (batch 2) under @p policy. */
+std::vector<std::uint8_t>
+tinyProgramBytes(core::PrecisionPolicy policy)
+{
+    auto cfg = core::MachineConfig::vck190();
+    cfg.precision = policy;
+    core::RsnMachine mach(cfg);
+    return isa::assemble(
+        lib::compileModel(mach, lib::tinyEncoder(2, 32, 64, 4, 128, true),
+                          lib::ScheduleOptions::optimized())
+            .program);
+}
+
+/** One random byte edit of @p b: overwrite, insert, delete, or
+ *  truncate. */
+void
+mutateBytes(std::vector<std::uint8_t> &b, std::mt19937 &rng)
+{
+    const auto pick = [&rng](std::size_t n) { return rng() % n; };
+    const auto byte = static_cast<std::uint8_t>(rng());
+    switch (pick(4)) {
+      case 0:
+        if (!b.empty())
+            b[pick(b.size())] = byte;
+        break;
+      case 1:
+        b.insert(b.begin() + pick(b.size() + 1), byte);
+        break;
+      case 2:
+        if (!b.empty())
+            b.erase(b.begin() + pick(b.size()));
+        break;
+      default:
+        b.resize(pick(b.size() + 1));
+        break;
+    }
+}
+
+/** Whether every enum in @p p names an enumerator: an oracle apart from
+ *  the codec's own range checks. */
+bool
+enumsInRange(const isa::RsnPacket &p)
+{
+    const auto fu = [](FuId f) { return int(f.type) <= kNumFuTypes; };
+    bool ok = p.opcode < FuType::NumTypes;
+    for (const isa::Uop &u : p.mops)
+        std::visit(
+            [&](const auto &m) {
+                if constexpr (requires { m.src; })
+                    ok = ok && fu(m.src);
+                if constexpr (requires { m.dest; })
+                    ok = ok && fu(m.dest);
+                if constexpr (requires { m.send_dest; })
+                    ok = ok && fu(m.send_dest);
+                if constexpr (requires { m.mode; }) {
+                    ok = ok && m.mode <= isa::MeshMode::Distribute;
+                    for (const isa::MeshRoute &r : m.routes)
+                        ok = ok && fu(r.src) && fu(r.dst);
+                }
+            },
+            u);
+    return ok;
+}
+
+TEST(ParserMutation, PacketsDecodeToValidProgramsOrAreRejected)
+{
+    // A decoded program must pass valid(), hold only enum values that
+    // name an enumerator, and re-assemble to the very bytes it came
+    // from.
+    const Dtype b16 = Dtype::Bf16;
+    for (const core::PrecisionPolicy policy :
+         {core::PrecisionPolicy{}, core::PrecisionPolicy{b16, b16, b16}}) {
+        const std::vector<std::uint8_t> seed = tinyProgramBytes(policy);
+        std::mt19937 rng(4 + int(policy.linear_weights));
+        int accepted = 0, rejected = 0;
+        for (int i = 0; i < 2000; ++i) {
+            std::vector<std::uint8_t> bytes = seed;
+            for (int edits = 1 + int(rng() % 3); edits > 0; --edits)
+                mutateBytes(bytes, rng);
+            SCOPED_TRACE("mutant " + std::to_string(i));
+            isa::RsnProgram back;
+            Status st;
+            ASSERT_NO_THROW(st = isa::disassemble(bytes, back));
+            if (!st.ok()) {
+                EXPECT_EQ(st.code, StatusCode::InvalidConfig);
+                EXPECT_EQ(st.message.rfind("packet ", 0), 0u) << st.message;
+                EXPECT_EQ(back.size(), 0u);
+                ++rejected;
+                continue;
+            }
+            ++accepted;
+            std::string why;
+            for (const isa::RsnPacket &p : back.packets()) {
+                ASSERT_TRUE(p.valid(&why)) << why;
+                ASSERT_TRUE(enumsInRange(p));
+            }
+            const std::vector<std::uint8_t> again = isa::assemble(back);
+            if (again == bytes)
+                continue;
+            // Name the packet holding the first byte that moved.
+            const std::size_t diff =
+                std::mismatch(again.begin(), again.end(), bytes.begin(),
+                              bytes.end())
+                    .first -
+                again.begin();
+            std::size_t k = 0;
+            for (Bytes end = back.packets()[0].wireBytes();
+                 end <= diff && k + 1 < back.size();)
+                end += back.packets()[++k].wireBytes();
+            std::string mops;
+            for (const isa::Uop &u : back.packets()[k].mops)
+                mops += "\n  " + isa::uopToString(u);
+            FAIL() << "byte " << diff << " re-assembles differently, in "
+                   << "packet " << k << ":" << mops;
+        }
+        std::printf("%s packets: %d accepted, %d rejected\n",
+                    policy.linear_weights == b16 ? "bf16" : "f32", accepted,
+                    rejected);
+        EXPECT_GE(accepted, 100);
+        EXPECT_GE(rejected, 1000);
     }
 }
 

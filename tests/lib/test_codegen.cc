@@ -259,7 +259,9 @@ TEST(Codegen, ProgramBytesArePinned)
     // FU-count constants (it used literal 3s and 6s). The wire carries
     // the uOP dtype tags, so each bf16 row must differ from its f32
     // row. Every program must also disassemble back to itself, uOP by
-    // uOP.
+    // uOP. The batch-1 rows ("bert1": 16 heads, "tiny1": 2 heads) reach
+    // what batch 6 cannot: lanes left with one head fewer than their
+    // siblings, and the sequential pass's idle scratchpads.
     struct Case {
         const char *model;
         const char *schedule;
@@ -297,6 +299,12 @@ TEST(Codegen, ProgramBytesArePinned)
         {"tiny", "bw", true, 0xda4e149a2993b847ull},
         {"tiny", "noopt", false, 0x19e4cc7b111be5efull},
         {"tiny", "noopt", true, 0xeabe14056d93c403ull},
+        {"bert1", "opt", false, 0x25f4c6dbe8d328f1ull},
+        {"bert1", "bw", false, 0xee36e02fdae0b80aull},
+        {"bert1", "noopt", false, 0x2ff507f1a7a39bebull},
+        {"tiny1", "opt", false, 0xc4015a1c7181daa0ull},
+        {"tiny1", "bw", false, 0x3141e98a53a8a3full},
+        {"tiny1", "noopt", false, 0x3e7bfe95d3c75e23ull},
     };
     auto makeModel = [](const std::string &name) {
         constexpr std::uint32_t kBatch = 6;
@@ -308,6 +316,10 @@ TEST(Codegen, ProgramBytesArePinned)
             return ncf(kBatch);
         if (name == "mlp")
             return mlp(kBatch);
+        if (name == "bert1")
+            return bertLargeEncoder(1, 512, true, 1);
+        if (name == "tiny1")
+            return tinyEncoder(1, 32, 64, 2, 128, true);
         return tinyEncoder(kBatch, 32, 64, 4, 128, true);
     };
     auto makeSchedule = [](const std::string &name) {

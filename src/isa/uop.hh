@@ -17,6 +17,12 @@
  * wire sizes (Fig. 9's compression ratios), the field-fit check of
  * RsnPacket::valid() and uopToString() all walk these tables
  * (src/isa/packet.cc); docs/datapath.md prints them as one table.
+ *
+ * The tile sizes and chunk counts are 32-bit members even where their
+ * wire field is 16 bits, so the code generator stores them as computed
+ * and the wire table alone bounds them: RsnPacket::valid() rejects a
+ * value its field cannot carry (a 65536-row attention tile's `tile_m`)
+ * instead of the program carrying a truncated one.
  */
 
 #ifndef RSN_ISA_UOP_HH
@@ -38,14 +44,15 @@ namespace rsn::isa {
  *
  * One uOP directs the computation of @c reps output slabs; each slab
  * accumulates @c k_steps pairs of (LHS, RHS) chunks. Sizes are the
- * *per-chunk* dimensions seen by this MME (after mesh slicing).
+ * *per-chunk* dimensions seen by this MME (after mesh slicing). The
+ * five counts are 32-bit in memory and 16-bit on the wire.
  */
 struct MmeUop {
-    std::uint16_t reps = 1;       ///< Output slabs to produce.
-    std::uint16_t k_steps = 1;    ///< Accumulation chunks per slab.
-    std::uint16_t tile_m = 0;     ///< Rows per LHS chunk / output slab.
-    std::uint16_t tile_k = 0;     ///< Depth per chunk pair.
-    std::uint16_t tile_n = 0;     ///< Cols per RHS chunk / output slab.
+    std::uint32_t reps = 1;       ///< Output slabs to produce.
+    std::uint32_t k_steps = 1;    ///< Accumulation chunks per slab.
+    std::uint32_t tile_m = 0;     ///< Rows per LHS chunk / output slab.
+    std::uint32_t tile_k = 0;     ///< Depth per chunk pair.
+    std::uint32_t tile_n = 0;     ///< Cols per RHS chunk / output slab.
     bool add_bias = false;        ///< Consume a bias chunk first, add it.
     bool accum_k = true;          ///< Accumulate along k before emitting.
     /** Element type of the emitted output slabs. The accumulator is
@@ -184,11 +191,12 @@ struct MeshUop {
  * Holds one LHS tile in a ping-pong buffer pair. When both load and send
  * are set, the two run in parallel on opposite buffers (Fig. 7b).
  * Sending slices the buffered tile into @c slices row-slices, one per
- * destination MME.
+ * destination MME. @c rows and @c cols are 32-bit in memory and
+ * 16-bit on the wire.
  */
 struct MemAUop {
-    std::uint16_t rows = 0;
-    std::uint16_t cols = 0;
+    std::uint32_t rows = 0;
+    std::uint32_t cols = 0;
     std::uint8_t slices = 1;
     FuId src = kNoFu;       ///< Producer of loaded data (DDR).
     bool load = false;
@@ -208,11 +216,12 @@ struct MemAUop {
 /**
  * MemB: "matrix size, tile size, load data, send to MME, transpose input,
  * load bias". Holds one RHS tile; optionally transposes (attention K^T)
- * and forwards a bias vector ahead of the tile.
+ * and forwards a bias vector ahead of the tile. @c rows and @c cols are
+ * 32-bit in memory and 16-bit on the wire.
  */
 struct MemBUop {
-    std::uint16_t rows = 0;
-    std::uint16_t cols = 0;
+    std::uint32_t rows = 0;
+    std::uint32_t cols = 0;
     FuId src = kNoFu;
     bool load = false;
     bool send = false;
@@ -239,13 +248,14 @@ struct MemBUop {
  *
  * Ping-pong buffered: a receive kernel fills one buffer while a
  * send/store kernel drains the other, enabling the paper's RCEV/SEND
- * overlap around Softmax (Fig. 11).
+ * overlap around Softmax (Fig. 11). The four sizes and counts are
+ * 32-bit in memory and 16-bit on the wire.
  */
 struct MemCUop {
-    std::uint16_t rows = 0;      ///< Buffered tile rows.
-    std::uint16_t cols = 0;      ///< Buffered tile cols.
-    std::uint16_t recv_chunks = 1;  ///< Chunks to receive from MME.
-    std::uint16_t send_chunks = 1;  ///< Chunks to emit when sending.
+    std::uint32_t rows = 0;      ///< Buffered tile rows.
+    std::uint32_t cols = 0;      ///< Buffered tile cols.
+    std::uint32_t recv_chunks = 1;  ///< Chunks to receive from MME.
+    std::uint32_t send_chunks = 1;  ///< Chunks to emit when sending.
     bool recv = false;           ///< Receive tile from the partner MME.
     bool store = false;          ///< Emit tile toward the DDR FU.
     bool send_mme = false;       ///< Emit tile toward a mesh (next MM).
@@ -295,6 +305,10 @@ struct HaltUop {
 /** A uOP for any FU type. */
 using Uop = std::variant<MmeUop, DdrUop, LpddrUop, MeshUop, MemAUop,
                          MemBUop, MemCUop, HaltUop>;
+
+// The widest kinds are DdrUop and LpddrUop; the 32-bit in-memory sizes
+// of the scratchpad and MME kinds must not grow the variant.
+static_assert(sizeof(Uop) <= 48, "a uOP kind outgrew the Uop variant");
 
 } // namespace rsn::isa
 

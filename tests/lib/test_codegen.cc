@@ -236,6 +236,34 @@ TEST(Codegen, AddressesPastTheWireFieldAreRejected)
         ScheduleOptions::optimized()));
 }
 
+TEST(Codegen, SizesPastTheirWireFieldAreRejected)
+{
+    // uOP tile sizes are 32-bit in memory and 16-bit on the wire. A
+    // 65536-token sequence makes every attention tile 65536 rows tall;
+    // validate() names the field instead of the program carrying
+    // tile_m = 0.
+    core::RsnMachine mach(core::MachineConfig::vck190());
+    try {
+        (void)compileModel(mach, bertLargeEncoder(1, 65536, true, 1),
+                           ScheduleOptions::optimized());
+        ADD_FAILURE() << "compiled";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "mme tile_m=65536 does not fit its 16-bit field"),
+                  std::string::npos)
+            << e.what();
+    }
+    core::RsnMachine fits(core::MachineConfig::vck190());
+    const auto c = compileModel(fits, bertLargeEncoder(1, 32768, true, 1),
+                                ScheduleOptions::optimized());
+    bool saw_tall_tile = false;
+    for (const auto &p : c.program.packets())
+        for (const auto &m : p.mops)
+            if (const auto *u = std::get_if<isa::MmeUop>(&m))
+                saw_tall_tile |= u->tile_m == 32768;
+    EXPECT_TRUE(saw_tall_tile);
+}
+
 /** 64-bit FNV-1a over @p bytes. */
 std::uint64_t
 fnv1a(const std::vector<std::uint8_t> &bytes)

@@ -2,22 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
+#include <initializer_list>
 #include <map>
+#include <utility>
 
 #include "common/log.hh"
 #include "fu/mem_fus.hh"
 
 namespace rsn::lib {
-
-namespace {
-
-std::uint32_t
-ceilDiv(std::uint32_t a, std::uint32_t b)
-{
-    return (a + b - 1) / b;
-}
-
-} // namespace
 
 const TensorInfo &
 CompiledModel::tensor(const std::string &name) const
@@ -37,22 +30,38 @@ CompiledModel::hasTensor(const std::string &name) const
     return false;
 }
 
-ProgramBuilder::ProgramBuilder(core::RsnMachine &machine,
-                               ScheduleOptions opts)
-    : mach_(machine), opts_(opts)
-{
-    rsn_assert(opts.store_split >= 1, "store_split must be >= 1");
-}
-
-void
-ProgramBuilder::emit(FuType op, std::uint8_t mask, isa::Uop u)
-{
-    rsn_assert(mask != 0, "empty mask");
-    rsn_assert(isa::uopMatchesFuType(u, op), "uop/op mismatch");
-    entries_.push_back(Entry{op, mask, std::move(u)});
-}
-
 namespace {
+
+constexpr std::uint32_t kMmes = core::kNumMme;
+constexpr std::uint8_t kAllMmes = (1u << kMmes) - 1;
+/** Pipelined attention runs PV on MME l + kPv (core/config.hh). */
+constexpr std::uint32_t kPv = kMmes / 2;
+/** Scratchpad s serves attention lanes s, s + kSpads, ... */
+constexpr std::uint32_t kSpads = core::kNumMemA;  // == kNumMemB
+
+std::uint32_t
+ceilDiv(std::uint32_t a, std::uint32_t b)
+{
+    return (a + b - 1) / b;
+}
+
+/**
+ * The DDR uOP (LPDDR for U = isa::LpddrUop) that moves the @p rows x
+ * @p cols block of @p t whose first element is (@p row0, @p col0); the
+ * tensor's placement gives its address and row pitch. @p fu is the
+ * on-chip end of the transfer: a load's destination, which
+ * queueDdrStore() turns into a store's source.
+ */
+template <class U = isa::DdrUop>
+U
+block(const TensorInfo &t, std::uint64_t row0, std::uint64_t col0,
+      std::uint32_t rows, std::uint32_t cols, FuId fu,
+      Dtype dtype = Dtype::F32)
+{
+    return {.addr = t.addr + (row0 * t.cols + col0) * sizeof(float),
+            .dest = fu, .rows = rows, .cols = cols, .pitch = t.cols,
+            .dtype = dtype};
+}
 
 /** Byte span a DDR block uOP touches (bounding range). */
 std::pair<Addr, Addr>
@@ -70,7 +79,212 @@ spansOverlap(std::pair<Addr, Addr> a, std::pair<Addr, Addr> b)
     return a.first < b.second && b.first < a.second;
 }
 
-} // namespace
+/** @{ A ping-pong scratchpad's load+drain uOP: the load-side uOP with
+ *  the drain side's output flags. */
+template <class U>
+U
+loadAndDrain(U u, const U &drain)
+{
+    u.send = drain.send;
+    return u;
+}
+
+isa::MemCUop
+loadAndDrain(isa::MemCUop u, const isa::MemCUop &drain)
+{
+    u.store = drain.store;
+    u.send_mme = drain.send_mme;
+    u.send_dest = drain.send_dest;
+    return u;
+}
+/** @} */
+
+/**
+ * How an attention block's heads spread over its lanes. Head h runs on
+ * lane h % lanes. Lane l's first matmul runs on MME l, fed through the
+ * meshes by MemA and MemB l % kSpads; a pipelined lane runs its second
+ * matmul on MME l + kPv, fed the probabilities by MemC l and V by MemB
+ * l. Both attention generators take their lane masks, head blocks and
+ * mesh routes from here.
+ */
+struct LanePlan {
+    const AttentionBlock &a;
+    std::uint32_t lanes;
+    Dtype act;  ///< Q/K/V, score and context tiles' dtype.
+
+    /** Heads lane @p l runs (0 past the last lane). */
+    std::uint32_t
+    heads(std::uint32_t l) const
+    {
+        return l < lanes ? a.heads / lanes + (l < a.heads % lanes) : 0;
+    }
+
+    /** Lane masks grouped by the number of heads their lanes run. */
+    std::map<std::uint32_t, std::uint8_t>
+    groups() const
+    {
+        std::map<std::uint32_t, std::uint8_t> g;
+        for (std::uint32_t l = 0; l < lanes; ++l)
+            g[heads(l)] |= std::uint8_t(1u << l);
+        return g;
+    }
+
+    /** Head @p h's seq x dhead block of @p t, whose heads sit side by
+     *  side from column @p col_off, moving to or from @p fu. */
+    isa::DdrUop
+    head(const TensorInfo &t, std::uint32_t col_off, std::uint32_t h,
+         FuId fu) const
+    {
+        return block(t, std::uint64_t(h / a.heads_per_batch) * a.seq,
+                     col_off + std::uint64_t(h % a.heads_per_batch) *
+                                   a.dhead,
+                     a.seq, a.dhead, fu, act);
+    }
+
+    /** The MeshA and MeshB routes of lanes [0, @p upto), grouped by
+     *  source scratchpad. */
+    std::pair<isa::MeshUop, isa::MeshUop>
+    meshes(std::uint32_t upto, std::uint32_t repeats, bool pipelined) const
+    {
+        isa::MeshUop ma{.repeats = repeats, .mode = isa::MeshMode::Parallel,
+                        .routes = {}};
+        isa::MeshUop mb = ma;
+        for (std::uint32_t s = 0; s < kSpads; ++s) {
+            for (std::uint32_t l = s; l < upto; l += kSpads) {
+                ma.routes.push_back({memA(s), mme(l)});  // Q / probs
+                mb.routes.push_back({memB(s), mme(l)});  // K^T / V
+                if (pipelined) {
+                    ma.routes.push_back({memC(l), mme(kPv + l)});  // probs
+                    mb.routes.push_back({memB(l), mme(kPv + l)});  // V
+                }
+            }
+        }
+        return {ma, mb};
+    }
+};
+
+class ProgramBuilder
+{
+  public:
+    ProgramBuilder(core::RsnMachine &machine, ScheduleOptions opts)
+        : mach_(machine), opts_(opts)
+    {
+        rsn_assert(opts.store_split >= 1, "store_split must be >= 1");
+    }
+
+    CompiledModel compile(const Model &model);
+
+  private:
+    struct Entry {
+        FuType op;
+        std::uint8_t mask;
+        isa::Uop uop;
+    };
+
+    /** A uOP sequence destined for the FU instances in @c mask. */
+    struct UopStream {
+        std::uint8_t mask;
+        std::vector<isa::Uop> uops;
+    };
+
+    /** @{ Raw-stream emission. */
+    void emit(FuType op, std::uint8_t mask, isa::Uop u);
+    void emitDdrLoad(isa::DdrUop u, std::uint32_t drain);
+    void queueDdrStore(isa::DdrUop u);
+    void drainStores(std::size_t n);
+    void flushStores() { drainStores(pending_stores_.size()); }
+    /** @} */
+
+    /** @{ Tensor table. */
+    TensorInfo declareTensor(const std::string &name, std::uint32_t rows,
+                             std::uint32_t cols, bool weight);
+    TensorInfo tensor(const std::string &name) const;
+    /** @} */
+
+    /** @{ Per-segment generators. */
+    void genLinear(const LinearLayer &l);
+    void genAttention(const AttentionBlock &a);
+    void genAttentionPipelined(const LanePlan &p);
+    void genAttentionSequential(const LanePlan &p);
+    /** @} */
+
+    /**
+     * The prolog / steady / epilog uOP stream of a ping-pong scratchpad
+     * processing @p chunks chunks: with double buffering [load]
+     * [load+drain] x (chunks - 1) [drain]; without it, [load][drain] per
+     * chunk. Chunk c loads with loads[c % loads.size()] (MemB's K^T / V
+     * alternation).
+     */
+    template <class U>
+    UopStream
+    pingPong(std::uint8_t mask, std::initializer_list<U> loads,
+             const U &drain, std::uint64_t chunks) const
+    {
+        UopStream s{mask, {}};
+        auto load = [&](std::uint64_t c) {
+            return loads.begin()[c % loads.size()];
+        };
+        if (opts_.double_buffer && chunks > 1) {
+            s.uops.push_back(load(0));
+            for (std::uint64_t c = 1; c < chunks; ++c)
+                s.uops.push_back(loadAndDrain(load(c), drain));
+            s.uops.push_back(drain);
+        } else {
+            for (std::uint64_t c = 0; c < chunks; ++c) {
+                s.uops.push_back(load(c));
+                s.uops.push_back(drain);
+            }
+        }
+        return s;
+    }
+
+    /**
+     * Emit several same-FU-type streams round-robin in blocks that stay
+     * below the per-FU uOP FIFO depth: delivering one group's whole
+     * stream before the next would fill the first group's queues, stall
+     * the shared second-level decoder, and starve the sibling FUs — the
+     * deadlock scenario of Sec. 3.3.
+     */
+    void emitInterleaved(FuType op, std::vector<UopStream> streams);
+
+    /** Emit the attention meshes: one Parallel uOP per mesh covers every
+     *  lane; the lanes with an extra head get one more pass. */
+    void emitMeshes(const LanePlan &p, bool pipelined);
+
+    /** Pack the raw stream into packets with window/reuse compression. */
+    isa::RsnProgram pack() const;
+
+    /** Mark the start of a segment's entries. */
+    void beginSegment() { segment_start_ = entries_.size(); }
+
+    /**
+     * Reorder the just-generated segment so control and data-movement
+     * entries interleave in bounded per-type blocks. Fetching a long run
+     * of one FU type's packets while another type's data supplier has no
+     * instructions yet is exactly the fetch-stall deadlock of Sec. 3.3;
+     * interleaving in program order keeps every type's FIFO fed. Within
+     * one FU type the entry order is preserved.
+     */
+    void endSegment();
+
+    core::RsnMachine &mach_;
+    ScheduleOptions opts_;
+    std::vector<Entry> entries_;
+    std::deque<isa::DdrUop> pending_stores_;
+    /** Store pieces held back until their producing tile has computed. */
+    std::size_t store_lag_ = 0;
+    std::vector<TensorInfo> tensors_;
+    std::uint64_t mm_flops_ = 0;
+    std::size_t segment_start_ = 0;
+};
+
+void
+ProgramBuilder::emit(FuType op, std::uint8_t mask, isa::Uop u)
+{
+    rsn_assert(mask != 0, "empty mask");
+    rsn_assert(isa::uopMatchesFuType(u, op), "uop/op mismatch");
+    entries_.push_back(Entry{op, mask, std::move(u)});
+}
 
 void
 ProgramBuilder::emitDdrLoad(isa::DdrUop u, std::uint32_t drain)
@@ -86,23 +300,16 @@ ProgramBuilder::emitDdrLoad(isa::DdrUop u, std::uint32_t drain)
     for (std::size_t i = 0; i < pending_stores_.size(); ++i)
         if (spansOverlap(load_span, blockSpan(pending_stores_[i])))
             drain_to = i + 1;
-    for (std::size_t i = 0; i < drain_to; ++i) {
-        emit(FuType::Ddr, 1, pending_stores_.front());
-        pending_stores_.pop_front();
-    }
+    drainStores(drain_to);
     emit(FuType::Ddr, 1, u);
-    if (!opts_.interleave_load_store)
-        return;
     // Drain queued store pieces into this load's gap (Sec. 4.4) — but
     // keep `store_lag_` pieces pending: a tile's results only exist once
     // its compute finishes, one tile behind the load front. Draining too
     // eagerly would block the in-order DDR FU on data that is not ready
     // yet and serialize the pipeline.
-    for (std::uint32_t i = 0;
-         i < drain && pending_stores_.size() > store_lag_; ++i) {
-        emit(FuType::Ddr, 1, pending_stores_.front());
-        pending_stores_.pop_front();
-    }
+    if (opts_.interleave_load_store && pending_stores_.size() > store_lag_)
+        drainStores(std::min<std::size_t>(
+            drain, pending_stores_.size() - store_lag_));
 }
 
 void
@@ -110,17 +317,18 @@ ProgramBuilder::queueDdrStore(isa::DdrUop u)
 {
     u.load = false;
     u.store = true;
-    if (opts_.interleave_load_store) {
+    u.src = std::exchange(u.dest, kNoFu);  // the block's on-chip end
+    if (opts_.interleave_load_store)
         pending_stores_.push_back(std::move(u));
-    } else {
+    else
         emit(FuType::Ddr, 1, std::move(u));
-    }
 }
 
+/** Emit the oldest @p n queued store pieces. */
 void
-ProgramBuilder::flushStores()
+ProgramBuilder::drainStores(std::size_t n)
 {
-    while (!pending_stores_.empty()) {
+    for (; n > 0; --n) {
         emit(FuType::Ddr, 1, pending_stores_.front());
         pending_stores_.pop_front();
     }
@@ -157,53 +365,11 @@ ProgramBuilder::tensor(const std::string &name) const
     rsn_fatal("tensor '%s' used before declaration", name.c_str());
 }
 
-std::vector<isa::Uop>
-ProgramBuilder::buildPingPong(
-    const std::function<isa::Uop(std::uint64_t)> &load_uop,
-    const std::function<isa::Uop(std::uint64_t)> &both_uop,
-    isa::Uop send_uop, std::uint64_t chunks) const
-{
-    std::vector<isa::Uop> out;
-    if (chunks == 0)
-        return out;
-    if (opts_.double_buffer && chunks > 1) {
-        out.push_back(load_uop(0));
-        for (std::uint64_t i = 1; i < chunks; ++i)
-            out.push_back(both_uop(i));
-        out.push_back(send_uop);
-    } else {
-        for (std::uint64_t i = 0; i < chunks; ++i) {
-            out.push_back(load_uop(i));
-            out.push_back(send_uop);
-        }
-    }
-    return out;
-}
-
-ProgramBuilder::UopStream
-ProgramBuilder::pingPongStream(std::uint8_t mask, isa::Uop first,
-                               isa::Uop both, isa::Uop second,
-                               std::uint64_t chunks) const
-{
-    return UopStream{
-        mask, buildPingPong([&](std::uint64_t) { return first; },
-                            [&](std::uint64_t) { return both; },
-                            std::move(second), chunks)};
-}
-
 void
-ProgramBuilder::emitInterleaved(FuType op, std::vector<UopStream> streams,
-                                std::size_t block)
+ProgramBuilder::emitInterleaved(FuType op, std::vector<UopStream> streams)
 {
-    // Auto block size: stay below the per-FU uOP FIFO so one stream's
-    // block never wedges the shared second-level decoder.
-    if (block == 0)
-        block = std::max<std::size_t>(
-            1, std::min<std::size_t>(4,
-                                     mach_.config().uop_fifo_depth - 1));
-    rsn_assert(block < std::max<std::size_t>(
-                   2, mach_.config().uop_fifo_depth),
-               "interleave block must fit the uOP FIFO");
+    const std::size_t block = std::max<std::size_t>(
+        1, std::min<std::size_t>(4, mach_.config().uop_fifo_depth - 1));
     std::vector<std::size_t> pos(streams.size(), 0);
     bool more = true;
     while (more) {
@@ -221,9 +387,16 @@ ProgramBuilder::emitInterleaved(FuType op, std::vector<UopStream> streams,
 }
 
 void
-ProgramBuilder::beginSegment()
+ProgramBuilder::emitMeshes(const LanePlan &p, bool pipelined)
 {
-    segment_start_ = entries_.size();
+    auto emit_pair = [&](std::uint32_t upto, std::uint32_t repeats) {
+        auto [ma, mb] = p.meshes(upto, repeats, pipelined);
+        emit(FuType::MeshA, 1, std::move(ma));
+        emit(FuType::MeshB, 1, std::move(mb));
+    };
+    emit_pair(p.lanes, p.a.heads / p.lanes);
+    if (p.a.heads % p.lanes > 0)
+        emit_pair(p.a.heads % p.lanes, 1);
 }
 
 void
@@ -282,13 +455,11 @@ ProgramBuilder::endSegment()
 void
 ProgramBuilder::genLinear(const LinearLayer &l)
 {
-    const auto &cfg = mach_.config();
-    const int n_mme = core::kNumMme;
     // Precision policy (core/config.hh): weights and activations may be
     // typed; bias and LN gamma/beta always load as FP32. Host tensors
     // stay FP32 truth — the DDR/LPDDR FUs convert at the boundary.
-    const Dtype act = cfg.precision.linear_activations;
-    const Dtype wgt = cfg.precision.linear_weights;
+    const Dtype act = mach_.config().precision.linear_activations;
+    const Dtype wgt = mach_.config().precision.linear_weights;
 
     const TensorInfo in_t = tensor(l.in_src.empty() ? "input" : l.in_src);
     rsn_assert(in_t.rows >= l.m && in_t.cols == l.k,
@@ -299,220 +470,115 @@ ProgramBuilder::genLinear(const LinearLayer &l)
         b_t = declareTensor("b." + l.name, 1, l.n, true);
     if (l.layernorm)
         ln_t = declareTensor("ln." + l.name, 2, l.n, true);
-    if (l.residual)
+    if (l.residual) {
         res_t = tensor(l.residual_src);
+        rsn_assert(res_t.rows >= l.m && res_t.cols == l.n,
+                   "linear '%s': residual shape mismatch", l.name.c_str());
+    }
     const TensorInfo out_t = declareTensor(l.out_name, l.m, l.n, false);
 
     const std::uint32_t TM = std::min(opts_.out_tile_m, l.m);
     const std::uint32_t TN = std::min(opts_.out_tile_n, l.n);
     const std::uint32_t KS = std::min(opts_.k_step, l.k);
-    rsn_assert(TM >= std::uint32_t(n_mme),
-               "linear '%s': m too small for the M-split", l.name.c_str());
+    rsn_assert(TM >= kMmes, "linear '%s': m too small for the M-split",
+               l.name.c_str());
     if (l.layernorm)
         rsn_assert(TN == l.n, "LayerNorm needs full-width output tiles");
 
-    const std::uint32_t m_tiles = ceilDiv(l.m, TM);
-    const std::uint32_t n_tiles = ceilDiv(l.n, TN);
     const std::uint32_t k_steps = ceilDiv(l.k, KS);
-    const std::uint32_t tiles = m_tiles * n_tiles;
-
+    const std::uint32_t tiles = ceilDiv(l.m, TM) * ceilDiv(l.n, TN);
     mm_flops_ += 2ull * l.m * l.k * l.n;
 
     // --- Control plane for the on-chip FUs (few compressed packets). ---
-    isa::MmeUop mu;
-    mu.reps = tiles;
-    mu.k_steps = k_steps;
-    mu.tile_m = TM;
-    mu.tile_k = KS;
-    mu.tile_n = TN;
-    mu.add_bias = l.bias;
-    mu.accum_k = true;
-    mu.out_dtype = act;
-    emit(FuType::Mme, std::uint8_t((1u << n_mme) - 1), mu);
+    emit(FuType::Mme, kAllMmes,
+         isa::MmeUop{.reps = tiles, .k_steps = k_steps, .tile_m = TM,
+                     .tile_k = KS, .tile_n = TN, .add_bias = l.bias,
+                     .out_dtype = act});
 
     const std::uint64_t lhs_chunks = std::uint64_t(tiles) * k_steps;
-    isa::MemAUop al;
-    al.rows = TM;
-    al.cols = KS;
-    al.slices = static_cast<std::uint8_t>(n_mme);
-    al.src = kDdr;
-    al.load = true;
-    isa::MemAUop ab = al;
-    ab.send = true;
-    isa::MemAUop as;
-    as.rows = TM;
-    as.cols = KS;
-    as.slices = al.slices;
-    as.send = true;
     emitInterleaved(
         FuType::MemA,
-        {UopStream{0x1, buildPingPong([&](std::uint64_t) {
-                                          return isa::Uop{al};
-                                      },
-                                      [&](std::uint64_t) {
-                                          return isa::Uop{ab};
-                                      },
-                                      isa::Uop{as}, lhs_chunks)}});
-
+        {pingPong(1,
+                  {isa::MemAUop{.rows = TM, .cols = KS, .slices = kMmes,
+                                .src = kDdr, .load = true}},
+                  {.rows = TM, .cols = KS, .slices = kMmes, .send = true},
+                  lhs_chunks)});
     const std::uint64_t rhs_chunks =
         std::uint64_t(tiles) * (k_steps + (l.bias ? 1 : 0));
-    isa::MemBUop bl;
-    bl.rows = KS;
-    bl.cols = TN;
-    bl.src = kLpddr;
-    bl.load = true;
-    isa::MemBUop bb = bl;
-    bb.send = true;
-    isa::MemBUop bs;
-    bs.rows = KS;
-    bs.cols = TN;
-    bs.send = true;
     emitInterleaved(
         FuType::MemB,
-        {UopStream{0x1, buildPingPong([&](std::uint64_t) {
-                                          return isa::Uop{bl};
-                                      },
-                                      [&](std::uint64_t) {
-                                          return isa::Uop{bb};
-                                      },
-                                      isa::Uop{bs}, rhs_chunks)}});
+        {pingPong(1,
+                  {isa::MemBUop{.rows = KS, .cols = TN, .src = kLpddr,
+                                .load = true}},
+                  {.rows = KS, .cols = TN, .send = true}, rhs_chunks)});
+    emitInterleaved(
+        FuType::MemC,
+        {pingPong(kAllMmes,
+                  {isa::MemCUop{.rows = TM / kMmes, .cols = TN,
+                                .send_chunks = opts_.store_split,
+                                .recv = true, .gelu = l.gelu,
+                                .layernorm = l.layernorm,
+                                .scale_shift = l.layernorm,
+                                .add_residual = l.residual,
+                                .out_dtype = act}},
+                  {.rows = TM / kMmes, .cols = TN,
+                   .send_chunks = opts_.store_split, .store = true,
+                   .out_dtype = act},
+                  tiles)});
 
-    isa::MeshUop ma;
-    ma.repeats = static_cast<std::uint32_t>(lhs_chunks);
-    ma.mode = isa::MeshMode::Distribute;
-    for (int i = 0; i < n_mme; ++i)
+    isa::MeshUop ma{.repeats = static_cast<std::uint32_t>(lhs_chunks),
+                    .mode = isa::MeshMode::Distribute, .routes = {}};
+    isa::MeshUop mb{.repeats = static_cast<std::uint32_t>(rhs_chunks),
+                    .mode = isa::MeshMode::Broadcast, .routes = {}};
+    for (std::uint32_t i = 0; i < kMmes; ++i) {
         ma.routes.push_back({memA(0), mme(i)});
-    emit(FuType::MeshA, 0x1, ma);
-
-    isa::MeshUop mb;
-    mb.repeats = static_cast<std::uint32_t>(rhs_chunks);
-    mb.mode = isa::MeshMode::Broadcast;
-    for (int i = 0; i < n_mme; ++i)
         mb.routes.push_back({memB(0), mme(i)});
-    emit(FuType::MeshB, 0x1, mb);
-
-    isa::MemCUop cr;
-    cr.rows = TM / n_mme;
-    cr.cols = TN;
-    cr.recv_chunks = 1;
-    cr.send_chunks = static_cast<std::uint16_t>(opts_.store_split);
-    cr.recv = true;
-    cr.gelu = l.gelu;
-    cr.layernorm = l.layernorm;
-    cr.scale_shift = l.layernorm;
-    cr.add_residual = l.residual;
-    cr.out_dtype = act;
-    isa::MemCUop cb = cr;
-    cb.store = true;
-    isa::MemCUop cs = cb;
-    cs.recv = false;
-    cs.gelu = false;
-    cs.layernorm = false;
-    cs.scale_shift = false;
-    cs.add_residual = false;
-    emitInterleaved(FuType::MemC,
-                    {pingPongStream(std::uint8_t((1u << n_mme) - 1), cr,
-                                    cb, cs, tiles)});
+    }
+    emit(FuType::MeshA, 1, ma);
+    emit(FuType::MeshB, 1, mb);
 
     // --- Off-chip movement: the fine-grained DDR/LPDDR order. ---
-    const std::uint32_t pieces_per_tile = n_mme * opts_.store_split;
-    const std::uint32_t loads_per_tile =
-        k_steps + (l.residual ? n_mme : 0);
-    const std::uint32_t drain =
-        std::max<std::uint32_t>(1, ceilDiv(pieces_per_tile,
-                                           loads_per_tile));
+    const std::uint32_t pieces_per_tile = kMmes * opts_.store_split;
+    const std::uint32_t loads_per_tile = k_steps + (l.residual ? kMmes : 0);
+    const std::uint32_t drain = std::max<std::uint32_t>(
+        1, ceilDiv(pieces_per_tile, loads_per_tile));
     store_lag_ = pieces_per_tile;
+    // Bias and LN gamma/beta rows: FP32 vectors on the LPDDR channel.
+    auto load_params = [&](const TensorInfo &t, std::uint32_t n0,
+                           std::uint32_t tn, FuId fu) {
+        auto u = block<isa::LpddrUop>(t, 0, n0, t.rows, tn, fu);
+        u.load_bias = true;
+        emit(FuType::Lpddr, 1, u);
+    };
 
-    for (std::uint32_t nt = 0; nt < n_tiles; ++nt) {
-        const std::uint32_t n0 = nt * TN;
+    for (std::uint32_t n0 = 0; n0 < l.n; n0 += TN) {
         const std::uint32_t tn = std::min(TN, l.n - n0);
-        for (std::uint32_t mt = 0; mt < m_tiles; ++mt) {
-            const std::uint32_t m0 = mt * TM;
+        for (std::uint32_t m0 = 0; m0 < l.m; m0 += TM) {
             const std::uint32_t tm = std::min(TM, l.m - m0);
-
-            if (l.bias) {
-                isa::LpddrUop lb;
-                lb.addr = b_t.addr + Addr(n0) * sizeof(float);
-                lb.rows = 1;
-                lb.cols = tn;
-                lb.pitch = l.n;
-                lb.dest = memB(0);
-                lb.load_bias = true;
-                emit(FuType::Lpddr, 0x1, lb);
-            }
-            for (std::uint32_t ks = 0; ks < k_steps; ++ks) {
-                const std::uint32_t k0 = ks * KS;
+            if (l.bias)
+                load_params(b_t, n0, tn, memB(0));
+            for (std::uint32_t k0 = 0; k0 < l.k; k0 += KS) {
                 const std::uint32_t kk = std::min(KS, l.k - k0);
-
-                isa::LpddrUop lw;
-                lw.addr = w_t.addr +
-                          (Addr(k0) * l.n + n0) * sizeof(float);
-                lw.rows = kk;
-                lw.cols = tn;
-                lw.pitch = l.n;
-                lw.dest = memB(0);
-                lw.dtype = wgt;
-                emit(FuType::Lpddr, 0x1, lw);
-
-                isa::DdrUop dl;
-                dl.addr = in_t.addr +
-                          (Addr(m0) * l.k + k0) * sizeof(float);
-                dl.rows = tm;
-                dl.cols = kk;
-                dl.pitch = l.k;
-                dl.dest = memA(0);
-                dl.dtype = act;
-                emitDdrLoad(dl, drain);
+                emit(FuType::Lpddr, 1,
+                     block<isa::LpddrUop>(w_t, k0, n0, kk, tn, memB(0),
+                                          wgt));
+                emitDdrLoad(block(in_t, m0, k0, tm, kk, memA(0), act),
+                            drain);
             }
-
-            auto slices = fu::sliceRows(tm, n_mme);
-            if (l.residual) {
-                for (int i = 0; i < n_mme; ++i) {
-                    isa::DdrUop dr;
-                    dr.addr = res_t.addr +
-                              (Addr(m0 + slices[i].first) * l.n + n0) *
-                                  sizeof(float);
-                    dr.rows = slices[i].second;
-                    dr.cols = tn;
-                    dr.pitch = l.n;
-                    dr.dest = memC(i);
-                    dr.dtype = act;
-                    emitDdrLoad(dr, drain);
-                }
-            }
-            if (l.layernorm) {
-                for (int i = 0; i < n_mme; ++i) {
-                    isa::LpddrUop lp;
-                    lp.addr = ln_t.addr + Addr(n0) * sizeof(float);
-                    lp.rows = 2;
-                    lp.cols = tn;
-                    lp.pitch = l.n;
-                    lp.dest = memC(i);
-                    lp.load_bias = true;
-                    emit(FuType::Lpddr, 0x1, lp);
-                }
-            }
-
-            for (int i = 0; i < n_mme; ++i) {
-                auto pieces =
-                    fu::sliceRows(slices[i].second, opts_.store_split);
-                for (const auto &[poff, prows] : pieces) {
-                    isa::DdrUop ds;
-                    ds.addr =
-                        out_t.addr +
-                        (Addr(m0 + slices[i].first + poff) * l.n + n0) *
-                            sizeof(float);
-                    ds.rows = prows;
-                    ds.cols = tn;
-                    ds.pitch = l.n;
-                    ds.src = memC(i);
-                    // Stores take their byte count from the arriving
-                    // chunk; the tag is stamped for stride-merge
-                    // uniformity and tracing.
-                    ds.dtype = act;
-                    queueDdrStore(ds);
-                }
-            }
+            const auto slices = fu::sliceRows(tm, kMmes);
+            for (std::uint32_t i = 0; l.residual && i < kMmes; ++i)
+                emitDdrLoad(block(res_t, m0 + slices[i].first, n0,
+                                  slices[i].second, tn, memC(i), act),
+                            drain);
+            for (std::uint32_t i = 0; l.layernorm && i < kMmes; ++i)
+                load_params(ln_t, n0, tn, memC(i));
+            // Stores take their byte count from the arriving chunk; the
+            // dtype is stamped for stride-merge uniformity and tracing.
+            for (std::uint32_t i = 0; i < kMmes; ++i)
+                for (const auto &[off, rows] :
+                     fu::sliceRows(slices[i].second, opts_.store_split))
+                    queueDdrStore(block(out_t, m0 + slices[i].first + off,
+                                        n0, rows, tn, memC(i), act));
         }
     }
 }
@@ -523,438 +589,159 @@ void
 ProgramBuilder::genAttention(const AttentionBlock &a)
 {
     mm_flops_ += 4ull * a.heads * a.seq * a.dhead * a.seq;
+    const Dtype act = mach_.config().precision.attention_activations;
     if (opts_.pipeline_attention)
-        genAttentionPipelined(a);
+        genAttentionPipelined({a, std::min(kPv, a.heads), act});
     else
-        genAttentionSequential(a);
+        genAttentionSequential({a, std::min(kMmes, a.heads), act});
 }
-
-namespace {
-
-/** Heads handled by lane l when @p heads round-robin over @p lanes. */
-std::uint32_t
-laneCount(std::uint32_t heads, std::uint32_t lanes, std::uint32_t l)
-{
-    if (l >= lanes)
-        return 0;
-    return heads / lanes + (l < heads % lanes ? 1 : 0);
-}
-
-/** Lane masks grouped by identical head counts. */
-std::map<std::uint32_t, std::uint8_t>
-lanesByCount(std::uint32_t heads, std::uint32_t lanes)
-{
-    std::map<std::uint32_t, std::uint8_t> groups;
-    for (std::uint32_t l = 0; l < lanes; ++l) {
-        std::uint32_t c = laneCount(heads, lanes, l);
-        if (c > 0)
-            groups[c] |= std::uint8_t(1u << l);
-    }
-    return groups;
-}
-
-} // namespace
 
 void
-ProgramBuilder::genAttentionPipelined(const AttentionBlock &a)
+ProgramBuilder::genAttentionPipelined(const LanePlan &p)
 {
+    const AttentionBlock &a = p.a;
     const std::uint32_t S = a.seq;
     const std::uint32_t D = a.dhead;
-    const std::uint32_t H = a.heads;
-    // Lane l runs QK^T on MME l and PV on MME l + pv, each feeding its
-    // partner MemC; one lane per MemA/MemB pair (core/config.hh).
-    const std::uint32_t pv = core::kNumMme / 2;
-    const std::uint32_t lanes = std::min<std::uint32_t>(pv, H);
-    const std::uint32_t batch = H / a.heads_per_batch;
-
     const TensorInfo q_t = tensor(a.q_src);
     const TensorInfo k_t = tensor(a.k_src);
     const TensorInfo v_t = tensor(a.v_src);
-    const TensorInfo out_t = declareTensor(
-        a.out_name, batch * S, a.heads_per_batch * D, false);
-    // Q/K/V, score and context tiles all carry the attention
-    // activation dtype; softmax itself runs in FP32 inside MemC.
-    const Dtype act = mach_.config().precision.attention_activations;
+    const TensorInfo out_t =
+        declareTensor(a.out_name, a.heads / a.heads_per_batch * S,
+                      a.heads_per_batch * D, false);
 
-    // MME and MemC control, per group of lanes with equal head counts.
-    // Streams for one FU type are emitted interleaved so no sibling FU
-    // starves behind a full uOP FIFO (Sec. 3.3).
-    std::vector<UopStream> mema_streams, memb_streams, memc_streams;
-    for (const auto &[count, mask] : lanesByCount(H, lanes)) {
-        isa::MmeUop m1;
-        m1.reps = static_cast<std::uint16_t>(count);
-        m1.k_steps = 1;
-        m1.tile_m = S;
-        m1.tile_k = D;
-        m1.tile_n = S;
-        m1.out_dtype = act;
-        emit(FuType::Mme, mask, m1);
-
-        isa::MmeUop m2;
-        m2.reps = static_cast<std::uint16_t>(count);
-        m2.k_steps = 1;
-        m2.tile_m = S;
-        m2.tile_k = S;
-        m2.tile_n = D;
-        m2.out_dtype = act;
-        emit(FuType::Mme, std::uint8_t(mask << pv), m2);
-
+    // Control per group of lanes with equal head counts. Streams for one
+    // FU type are emitted interleaved so no sibling FU starves behind a
+    // full uOP FIFO (Sec. 3.3).
+    std::vector<UopStream> mema, memb, memc;
+    for (const auto &[count, mask] : p.groups()) {
+        const auto pv_mask = std::uint8_t(mask << kPv);
+        emit(FuType::Mme, mask,
+             isa::MmeUop{.reps = count, .tile_m = S, .tile_k = D,
+                         .tile_n = S, .out_dtype = p.act});
+        emit(FuType::Mme, pv_mask,
+             isa::MmeUop{.reps = count, .tile_m = S, .tile_k = S,
+                         .tile_n = D, .out_dtype = p.act});
         // MemA: one Q tile per head.
-        isa::MemAUop al;
-        al.rows = S;
-        al.cols = D;
-        al.slices = 1;
-        al.src = kDdr;
-        al.load = true;
-        isa::MemAUop ab = al;
-        ab.send = true;
-        isa::MemAUop as;
-        as.rows = S;
-        as.cols = D;
-        as.slices = 1;
-        as.send = true;
-        mema_streams.push_back(pingPongStream(mask, al, ab, as, count));
-
-        // MemB: K (transposed) then V per head -> alternating pattern.
-        isa::MemBUop kload;
-        kload.rows = S;
-        kload.cols = D;
-        kload.src = kDdr;
-        kload.load = true;
-        kload.transpose = true;
-        isa::MemBUop vload = kload;
-        vload.transpose = false;
-        isa::MemBUop send_only;
-        send_only.rows = S;
-        send_only.cols = D;
-        send_only.send = true;
-        auto kv_load = [&](std::uint64_t c) -> isa::Uop {
-            return c % 2 == 0 ? kload : vload;
-        };
-        auto kv_both = [&](std::uint64_t c) -> isa::Uop {
-            isa::MemBUop u = (c % 2 == 0) ? kload : vload;
-            u.send = true;
-            return u;
-        };
-        memb_streams.push_back(UopStream{
-            mask, buildPingPong(kv_load, kv_both, isa::Uop{send_only},
-                                2ull * count)});
-
-        // MemC lane-0 group: softmax and re-injection into MeshA.
-        isa::MemCUop c1r;
-        c1r.rows = S;
-        c1r.cols = S;
-        c1r.recv_chunks = 1;
-        c1r.send_chunks = 1;
-        c1r.recv = true;
-        c1r.softmax = true;
-        c1r.out_dtype = act;
-        isa::MemCUop c1b = c1r;
-        c1b.send_mme = true;
-        c1b.send_dest = kMeshA;
-        isa::MemCUop c1s = c1b;
-        c1s.recv = false;
-        c1s.softmax = false;
-        memc_streams.push_back(pingPongStream(mask, c1r, c1b, c1s,
-                                              count));
-
-        // MemC PV group: context tiles draining to DDR.
-        isa::MemCUop c2r;
-        c2r.rows = S;
-        c2r.cols = D;
-        c2r.recv_chunks = 1;
-        c2r.send_chunks = 1;
-        c2r.recv = true;
-        c2r.out_dtype = act;
-        isa::MemCUop c2b = c2r;
-        c2b.store = true;
-        isa::MemCUop c2s = c2b;
-        c2s.recv = false;
-        memc_streams.push_back(pingPongStream(std::uint8_t(mask << pv),
-                                              c2r, c2b, c2s, count));
+        mema.push_back(pingPong(
+            mask,
+            {isa::MemAUop{.rows = S, .cols = D, .src = kDdr, .load = true}},
+            {.rows = S, .cols = D, .send = true}, count));
+        // MemB: K (transposed) then V per head.
+        memb.push_back(pingPong(
+            mask,
+            {isa::MemBUop{.rows = S, .cols = D, .src = kDdr, .load = true,
+                          .transpose = true},
+             isa::MemBUop{.rows = S, .cols = D, .src = kDdr, .load = true}},
+            {.rows = S, .cols = D, .send = true}, 2ull * count));
+        // MemC of the QK^T MMEs: softmax, re-injected through MeshA.
+        memc.push_back(pingPong(
+            mask,
+            {isa::MemCUop{.rows = S, .cols = S, .recv = true,
+                          .softmax = true, .out_dtype = p.act}},
+            {.rows = S, .cols = S, .send_mme = true, .send_dest = kMeshA,
+             .out_dtype = p.act},
+            count));
+        // MemC of the PV MMEs: context tiles draining to DDR.
+        memc.push_back(pingPong(
+            pv_mask,
+            {isa::MemCUop{.rows = S, .cols = D, .recv = true,
+                          .out_dtype = p.act}},
+            {.rows = S, .cols = D, .store = true, .out_dtype = p.act},
+            count));
     }
-    emitInterleaved(FuType::MemA, std::move(mema_streams));
-    emitInterleaved(FuType::MemB, std::move(memb_streams));
-    emitInterleaved(FuType::MemC, std::move(memc_streams));
-
-    // Meshes: one Parallel uop with per-lane route cycles; lanes with an
-    // extra head get one more pass.
-    const std::uint32_t base = H / lanes;
-    const std::uint32_t rem = H % lanes;
-    auto emit_mesh = [&](std::uint32_t upto_lane, std::uint32_t repeats) {
-        isa::MeshUop ma;
-        ma.repeats = repeats;
-        ma.mode = isa::MeshMode::Parallel;
-        isa::MeshUop mb = ma;
-        for (std::uint32_t l = 0; l < upto_lane; ++l) {
-            ma.routes.push_back({memA(l), mme(l)});           // Q
-            ma.routes.push_back({memC(l), mme(pv + l)});      // probs
-            mb.routes.push_back({memB(l), mme(l)});           // K^T
-            mb.routes.push_back({memB(l), mme(pv + l)});      // V
-        }
-        emit(FuType::MeshA, 0x1, ma);
-        emit(FuType::MeshB, 0x1, mb);
-    };
-    if (base > 0)
-        emit_mesh(lanes, base);
-    if (rem > 0)
-        emit_mesh(rem, 1);
+    emitInterleaved(FuType::MemA, std::move(mema));
+    emitInterleaved(FuType::MemB, std::move(memb));
+    emitInterleaved(FuType::MemC, std::move(memc));
+    emitMeshes(p, true);
 
     // Off-chip movement per head, in head order. Context stores lag the
     // load front by a pipeline depth of two heads per lane.
-    store_lag_ = 2 * lanes;
-    for (std::uint32_t h = 0; h < H; ++h) {
-        const std::uint32_t lane = h % lanes;
-        const std::uint32_t b = h / a.heads_per_batch;
-        const std::uint32_t j = h % a.heads_per_batch;
-
-        auto head_block = [&](const TensorInfo &t, std::uint32_t col_off) {
-            return t.addr +
-                   (Addr(b) * S * t.cols + col_off + Addr(j) * D) *
-                       sizeof(float);
-        };
-
-        isa::DdrUop q;
-        q.addr = head_block(q_t, a.q_col_off);
-        q.rows = S;
-        q.cols = D;
-        q.pitch = q_t.cols;
-        q.dest = memA(lane);
-        q.dtype = act;
-        emitDdrLoad(q, 1);
-
-        isa::DdrUop kk;
-        kk.addr = head_block(k_t, a.k_col_off);
-        kk.rows = S;
-        kk.cols = D;
-        kk.pitch = k_t.cols;
-        kk.dest = memB(lane);
-        kk.dtype = act;
-        emitDdrLoad(kk, 1);
-
-        isa::DdrUop v;
-        v.addr = head_block(v_t, a.v_col_off);
-        v.rows = S;
-        v.cols = D;
-        v.pitch = v_t.cols;
-        v.dest = memB(lane);
-        v.dtype = act;
-        emitDdrLoad(v, 1);
-
-        isa::DdrUop ctx;
-        ctx.addr = out_t.addr +
-                   (Addr(b) * S * out_t.cols + Addr(j) * D) *
-                       sizeof(float);
-        ctx.rows = S;
-        ctx.cols = D;
-        ctx.pitch = out_t.cols;
-        ctx.src = memC(pv + lane);
-        ctx.dtype = act;
-        queueDdrStore(ctx);
+    store_lag_ = 2 * p.lanes;
+    for (std::uint32_t h = 0; h < a.heads; ++h) {
+        const std::uint32_t lane = h % p.lanes;
+        emitDdrLoad(p.head(q_t, a.q_col_off, h, memA(lane)), 1);
+        emitDdrLoad(p.head(k_t, a.k_col_off, h, memB(lane)), 1);
+        emitDdrLoad(p.head(v_t, a.v_col_off, h, memB(lane)), 1);
+        queueDdrStore(p.head(out_t, 0, h, memC(kPv + lane)));
     }
 }
 
 void
-ProgramBuilder::genAttentionSequential(const AttentionBlock &a)
+ProgramBuilder::genAttentionSequential(const LanePlan &p)
 {
+    const AttentionBlock &a = p.a;
     const std::uint32_t S = a.seq;
     const std::uint32_t D = a.dhead;
-    const std::uint32_t H = a.heads;
-    const std::uint32_t lanes = std::min<std::uint32_t>(core::kNumMme, H);
-    const std::uint32_t batch = H / a.heads_per_batch;
-    const std::uint32_t n_mem = core::kNumMemA;  // == kNumMemB
     const std::uint32_t score_split = 4;
-
-    const TensorInfo &q_t = tensor(a.q_src);
-    const TensorInfo &k_t = tensor(a.k_src);
-    const TensorInfo &v_t = tensor(a.v_src);
+    const TensorInfo q_t = tensor(a.q_src);
+    const TensorInfo k_t = tensor(a.k_src);
+    const TensorInfo v_t = tensor(a.v_src);
     const TensorInfo sc_t =
-        declareTensor("scores." + a.name, H * S, S, false);
-    const TensorInfo out_t = declareTensor(
-        a.out_name, batch * S, a.heads_per_batch * D, false);
-    const Dtype act = mach_.config().precision.attention_activations;
+        declareTensor("scores." + a.name, a.heads * S, S, false);
+    const TensorInfo out_t =
+        declareTensor(a.out_name, a.heads / a.heads_per_batch * S,
+                      a.heads_per_batch * D, false);
 
-    auto head_block = [&](const TensorInfo &t, std::uint32_t col_off,
-                          std::uint32_t h) {
-        const std::uint32_t b = h / a.heads_per_batch;
-        const std::uint32_t j = h % a.heads_per_batch;
-        return t.addr +
-               (Addr(b) * S * t.cols + col_off + Addr(j) * D) *
-                   sizeof(float);
-    };
-
-    // Mesh routes shared by both passes: MemA_i feeds MME_i and
-    // MME_{i+n_mem} alternately; same for MemB.
-    auto emit_meshes = [&](std::uint32_t upto_lane,
-                           std::uint32_t repeats) {
-        isa::MeshUop ma;
-        ma.repeats = repeats;
-        ma.mode = isa::MeshMode::Parallel;
-        isa::MeshUop mb = ma;
-        for (std::uint32_t l = 0; l < upto_lane; ++l) {
-            ma.routes.push_back({memA(l % n_mem), mme(l)});
-            mb.routes.push_back({memB(l % n_mem), mme(l)});
+    // Pass 1: scores = Q K^T, softmax, spilled to DDR. Pass 2: ctx = P V.
+    auto gen_pass = [&](bool first) {
+        const std::uint32_t k_dim = first ? D : S;  // MemA tile cols
+        const std::uint32_t n_dim = first ? S : D;  // MemC tile cols
+        const std::uint32_t split = first ? score_split : 1;
+        std::vector<UopStream> mema, memb, memc;
+        for (const auto &[count, mask] : p.groups()) {
+            emit(FuType::Mme, mask,
+                 isa::MmeUop{.reps = count, .tile_m = S, .tile_k = k_dim,
+                             .tile_n = n_dim, .out_dtype = p.act});
+            memc.push_back(pingPong(
+                mask,
+                {isa::MemCUop{.rows = S, .cols = n_dim,
+                              .send_chunks = split, .recv = true,
+                              .softmax = first, .out_dtype = p.act}},
+                {.rows = S, .cols = n_dim, .send_chunks = split,
+                 .store = true, .out_dtype = p.act},
+                count));
         }
-        // Reorder so routes sharing a source are adjacent in lane order.
-        std::stable_sort(ma.routes.begin(), ma.routes.end(),
-                         [](const isa::MeshRoute &x,
-                            const isa::MeshRoute &y) {
-                             return x.src.index < y.src.index;
-                         });
-        std::stable_sort(mb.routes.begin(), mb.routes.end(),
-                         [](const isa::MeshRoute &x,
-                            const isa::MeshRoute &y) {
-                             return x.src.index < y.src.index;
-                         });
-        emit(FuType::MeshA, 0x1, ma);
-        emit(FuType::MeshB, 0x1, mb);
-    };
-
-    auto gen_pass = [&](bool first_pass) {
-        std::vector<UopStream> mema_streams, memb_streams, memc_streams;
-        // MME control.
-        for (const auto &[count, mask] : lanesByCount(H, lanes)) {
-            isa::MmeUop mm;
-            mm.reps = static_cast<std::uint16_t>(count);
-            mm.k_steps = 1;
-            mm.tile_m = S;
-            mm.tile_k = first_pass ? D : S;
-            mm.tile_n = first_pass ? S : D;
-            mm.out_dtype = act;
-            emit(FuType::Mme, mask, mm);
-        }
-        // MemA/MemB: chunk counts per scratchpad instance (a scratchpad
-        // serves lanes l and l+n_mem).
-        for (std::uint32_t i = 0; i < n_mem; ++i) {
-            std::uint32_t cnt = laneCount(H, lanes, i) +
-                                (lanes > n_mem
-                                     ? laneCount(H, lanes, i + n_mem)
-                                     : 0);
+        // MemA/MemB chunk counts per scratchpad; an idle one gets none.
+        // MemA's send-only uOP keeps src = kDdr.
+        for (std::uint32_t s = 0; s < kSpads; ++s) {
+            const std::uint32_t cnt = p.heads(s) + p.heads(s + kSpads);
             if (cnt == 0)
                 continue;
-            isa::MemAUop al;
-            al.rows = S;
-            al.cols = first_pass ? D : S;
-            al.slices = 1;
-            al.src = kDdr;
-            al.load = true;
-            isa::MemAUop ab = al;
-            ab.send = true;
-            isa::MemAUop as = al;
-            as.load = false;
-            as.send = true;
-            mema_streams.push_back(pingPongStream(
-                std::uint8_t(1u << i), al, ab, as, cnt));
-
-            isa::MemBUop bl;
-            bl.rows = S;
-            bl.cols = D;
-            bl.src = kDdr;
-            bl.load = true;
-            bl.transpose = first_pass;
-            isa::MemBUop bb = bl;
-            bb.send = true;
-            isa::MemBUop bs;
-            bs.rows = S;
-            bs.cols = D;
-            bs.send = true;
-            memb_streams.push_back(pingPongStream(
-                std::uint8_t(1u << i), bl, bb, bs, cnt));
+            const auto mask = std::uint8_t(1u << s);
+            mema.push_back(pingPong(
+                mask,
+                {isa::MemAUop{.rows = S, .cols = k_dim, .src = kDdr,
+                              .load = true}},
+                {.rows = S, .cols = k_dim, .src = kDdr, .send = true},
+                cnt));
+            memb.push_back(pingPong(
+                mask,
+                {isa::MemBUop{.rows = S, .cols = D, .src = kDdr,
+                              .load = true, .transpose = first}},
+                {.rows = S, .cols = D, .send = true}, cnt));
         }
-        // MemC: per lane.
-        for (const auto &[count, mask] : lanesByCount(H, lanes)) {
-            isa::MemCUop cr;
-            cr.rows = S;
-            cr.cols = first_pass ? S : D;
-            cr.recv_chunks = 1;
-            cr.send_chunks = static_cast<std::uint16_t>(
-                first_pass ? score_split : 1);
-            cr.recv = true;
-            cr.softmax = first_pass;
-            cr.out_dtype = act;
-            isa::MemCUop cb = cr;
-            cb.store = true;
-            isa::MemCUop cs = cb;
-            cs.recv = false;
-            cs.softmax = false;
-            memc_streams.push_back(pingPongStream(mask, cr, cb, cs,
-                                                  count));
-        }
-        emitInterleaved(FuType::MemA, std::move(mema_streams));
-        emitInterleaved(FuType::MemB, std::move(memb_streams));
-        emitInterleaved(FuType::MemC, std::move(memc_streams));
-        const std::uint32_t base = H / lanes;
-        const std::uint32_t rem = H % lanes;
-        if (base > 0)
-            emit_meshes(lanes, base);
-        if (rem > 0)
-            emit_meshes(rem, 1);
+        emitInterleaved(FuType::MemA, std::move(mema));
+        emitInterleaved(FuType::MemB, std::move(memb));
+        emitInterleaved(FuType::MemC, std::move(memc));
+        emitMeshes(p, false);
 
         // DDR traffic in head order.
-        store_lag_ = lanes * (first_pass ? score_split : 1);
-        for (std::uint32_t h = 0; h < H; ++h) {
-            const std::uint32_t lane = h % lanes;
-            if (first_pass) {
-                isa::DdrUop q;
-                q.addr = head_block(q_t, a.q_col_off, h);
-                q.rows = S;
-                q.cols = D;
-                q.pitch = q_t.cols;
-                q.dest = memA(lane % n_mem);
-                q.dtype = act;
-                emitDdrLoad(q, 2);
-
-                isa::DdrUop kk;
-                kk.addr = head_block(k_t, a.k_col_off, h);
-                kk.rows = S;
-                kk.cols = D;
-                kk.pitch = k_t.cols;
-                kk.dest = memB(lane % n_mem);
-                kk.dtype = act;
-                emitDdrLoad(kk, 2);
-
-                auto pieces = fu::sliceRows(S, score_split);
-                for (const auto &[poff, prows] : pieces) {
-                    isa::DdrUop ds;
-                    ds.addr = sc_t.addr +
-                              (Addr(h) * S + poff) * S * sizeof(float);
-                    ds.rows = prows;
-                    ds.cols = S;
-                    ds.pitch = S;
-                    ds.src = memC(lane);
-                    ds.dtype = act;
-                    queueDdrStore(ds);
-                }
+        store_lag_ = p.lanes * split;
+        for (std::uint32_t h = 0; h < a.heads; ++h) {
+            const std::uint32_t lane = h % p.lanes;
+            const FuId lhs = memA(lane % kSpads);
+            const FuId rhs = memB(lane % kSpads);
+            const std::uint64_t score_row = std::uint64_t(h) * S;
+            if (first) {
+                emitDdrLoad(p.head(q_t, a.q_col_off, h, lhs), 2);
+                emitDdrLoad(p.head(k_t, a.k_col_off, h, rhs), 2);
+                for (const auto &[off, rows] : fu::sliceRows(S, split))
+                    queueDdrStore(block(sc_t, score_row + off, 0, rows, S,
+                                        memC(lane), p.act));
             } else {
-                isa::DdrUop sc;
-                sc.addr = sc_t.addr + Addr(h) * S * S * sizeof(float);
-                sc.rows = S;
-                sc.cols = S;
-                sc.pitch = S;
-                sc.dest = memA(lane % n_mem);
-                sc.dtype = act;
-                emitDdrLoad(sc, 1);
-
-                isa::DdrUop v;
-                v.addr = head_block(v_t, a.v_col_off, h);
-                v.rows = S;
-                v.cols = D;
-                v.pitch = v_t.cols;
-                v.dest = memB(lane % n_mem);
-                v.dtype = act;
-                emitDdrLoad(v, 1);
-
-                isa::DdrUop ctx;
-                ctx.addr = out_t.addr +
-                           (Addr(h / a.heads_per_batch) * S * out_t.cols +
-                            Addr(h % a.heads_per_batch) * D) *
-                               sizeof(float);
-                ctx.rows = S;
-                ctx.cols = D;
-                ctx.pitch = out_t.cols;
-                ctx.src = memC(lane);
-                ctx.dtype = act;
-                queueDdrStore(ctx);
+                emitDdrLoad(block(sc_t, score_row, 0, S, S, lhs, p.act), 1);
+                emitDdrLoad(p.head(v_t, a.v_col_off, h, rhs), 1);
+                queueDdrStore(p.head(out_t, 0, h, memC(lane)));
             }
         }
     };
@@ -970,8 +757,6 @@ ProgramBuilder::genAttentionSequential(const AttentionBlock &a)
 }
 
 // ---------------------------------------------------------------- Pack --
-
-namespace {
 
 /**
  * Merge runs of consecutive single-block DDR/LPDDR uOPs whose addresses
@@ -1012,8 +797,6 @@ tryMergeStride(isa::Uop &acc_uop, const isa::Uop &next)
     return true;
 }
 
-} // namespace
-
 isa::RsnProgram
 ProgramBuilder::pack() const
 {
@@ -1032,16 +815,15 @@ ProgramBuilder::pack() const
         }
         merged.push_back(e);
     }
-    const auto &entries_ref = merged;
 
     isa::RsnProgram prog;
-    const std::size_t n = entries_ref.size();
+    const std::size_t n = merged.size();
     std::size_t i = 0;
 
     auto same = [&](std::size_t x, std::size_t y) {
-        return entries_ref[x].op == entries_ref[y].op &&
-               entries_ref[x].mask == entries_ref[y].mask &&
-               entries_ref[x].uop == entries_ref[y].uop;
+        return merged[x].op == merged[y].op &&
+               merged[x].mask == merged[y].mask &&
+               merged[x].uop == merged[y].uop;
     };
 
     while (i < n) {
@@ -1052,8 +834,8 @@ ProgramBuilder::pack() const
         for (std::size_t p = 1; p <= max_p; ++p) {
             bool uniform = true;
             for (std::size_t j = 0; j < p && uniform; ++j)
-                uniform = entries_ref[i + j].op == entries_ref[i].op &&
-                          entries_ref[i + j].mask == entries_ref[i].mask;
+                uniform = merged[i + j].op == merged[i].op &&
+                          merged[i + j].mask == merged[i].mask;
             if (!uniform)
                 break;
             std::size_t r = 1;
@@ -1072,23 +854,23 @@ ProgramBuilder::pack() const
         }
 
         isa::RsnPacket pkt;
-        pkt.opcode = entries_ref[i].op;
-        pkt.mask = entries_ref[i].mask;
+        pkt.opcode = merged[i].op;
+        pkt.mask = merged[i].mask;
         if (best_r >= 2) {
             pkt.reuse = static_cast<std::uint16_t>(best_r);
             for (std::size_t j = 0; j < best_p; ++j)
-                pkt.mops.push_back(entries_ref[i + j].uop);
+                pkt.mops.push_back(merged[i + j].uop);
             i += best_p * best_r;
         } else {
             // Non-repeating run: batch consecutive same-op/mask uops.
             pkt.reuse = 1;
-            while (i < n && entries_ref[i].op == pkt.opcode &&
-                   entries_ref[i].mask == pkt.mask &&
+            while (i < n && merged[i].op == pkt.opcode &&
+                   merged[i].mask == pkt.mask &&
                    pkt.mops.size() < isa::kMaxWindow) {
                 // Stop if a compressible repetition starts here.
                 if (!pkt.mops.empty() && i + 1 < n && same(i, i + 1))
                     break;
-                pkt.mops.push_back(entries_ref[i].uop);
+                pkt.mops.push_back(merged[i].uop);
                 ++i;
             }
         }
@@ -1112,7 +894,6 @@ ProgramBuilder::pack() const
 CompiledModel
 ProgramBuilder::compile(const Model &model)
 {
-    rsn_assert(entries_.empty(), "ProgramBuilder::compile is single-use");
     declareTensor("input", model.input_rows, model.input_cols, false);
 
     for (const auto &seg : model.segments) {
@@ -1136,12 +917,13 @@ ProgramBuilder::compile(const Model &model)
     return out;
 }
 
+} // namespace
+
 CompiledModel
 compileModel(core::RsnMachine &machine, const Model &model,
              ScheduleOptions opts)
 {
-    ProgramBuilder b(machine, opts);
-    return b.compile(model);
+    return ProgramBuilder(machine, opts).compile(model);
 }
 
 } // namespace rsn::lib

@@ -15,6 +15,13 @@
  *  - AttentionBlock (sequential): two passes with the score matrices
  *    spilled to DDR (the type-A baseline).
  *
+ * Every generator is written with three helpers (docs/datapath.md, "Code
+ * generation"): a ping-pong stream builder that expands a scratchpad's
+ * load-side and drain-side uOPs into the prolog / steady / epilog
+ * pattern, a block builder that places every DDR and LPDDR uOP from its
+ * tensor and (row, col) corner, and one attention lane plan (lanes,
+ * lane masks by head count, head blocks, mesh routes).
+ *
  * DDR load/store interleaving is explicit: store pieces are queued and
  * drained into the load gaps of the next output tile (Sec. 4.4, Fig. 12).
  * Finally, the raw uOP stream is packed into RSN packets using
@@ -25,8 +32,6 @@
 #define RSN_LIB_CODEGEN_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,107 +61,11 @@ struct CompiledModel {
     bool hasTensor(const std::string &name) const;
 };
 
-class ProgramBuilder
-{
-  public:
-    ProgramBuilder(core::RsnMachine &machine, ScheduleOptions opts);
-
-    /**
-     * Allocate the model's tensors in the machine's host memory and
-     * generate its RSN program.
-     */
-    CompiledModel compile(const Model &model);
-
-    const ScheduleOptions &options() const { return opts_; }
-
-  private:
-    struct Entry {
-        FuType op;
-        std::uint8_t mask;
-        isa::Uop uop;
-    };
-
-    /** @{ Raw-stream emission. */
-    void emit(FuType op, std::uint8_t mask, isa::Uop u);
-    void emitDdrLoad(isa::DdrUop u, std::uint32_t drain);
-    void queueDdrStore(isa::DdrUop u);
-    void flushStores();
-    /** @} */
-
-    /** @{ Tensor table. */
-    TensorInfo declareTensor(const std::string &name, std::uint32_t rows,
-                             std::uint32_t cols, bool weight);
-    TensorInfo tensor(const std::string &name) const;
-    /** @} */
-
-    /** @{ Per-segment generators. */
-    void genLinear(const LinearLayer &l);
-    void genAttention(const AttentionBlock &a);
-    void genAttentionPipelined(const AttentionBlock &a);
-    void genAttentionSequential(const AttentionBlock &a);
-    /** @} */
-
-    /** A uOP sequence destined for the FU instances in @c mask. */
-    struct UopStream {
-        std::uint8_t mask;
-        std::vector<isa::Uop> uops;
-    };
-
-    /**
-     * Build the prolog / steady / epilog uOP pattern for a ping-pong
-     * scratchpad processing @p chunks chunks: with double buffering this
-     * is [load(0)] [loadSend(j)]x(chunks-1) [send]; without it,
-     * alternating [load(j)][send] pairs. @p load_uop may vary by chunk
-     * index (e.g. MemB's K-transpose / V alternation).
-     */
-    std::vector<isa::Uop>
-    buildPingPong(const std::function<isa::Uop(std::uint64_t)> &load_uop,
-                  const std::function<isa::Uop(std::uint64_t)> &both_uop,
-                  isa::Uop send_uop, std::uint64_t chunks) const;
-
-    /** Convenience: a ping-pong pattern with chunk-independent uOPs. */
-    UopStream pingPongStream(std::uint8_t mask, isa::Uop first,
-                             isa::Uop both, isa::Uop second,
-                             std::uint64_t chunks) const;
-
-    /**
-     * Emit several same-FU-type streams round-robin in blocks of at most
-     * @p block uOPs. Blocks must stay below the per-FU uOP FIFO depth:
-     * delivering one group's whole stream before the next would fill the
-     * first group's queues, stall the shared second-level decoder, and
-     * starve the sibling FUs — the deadlock scenario of Sec. 3.3.
-     */
-    void emitInterleaved(FuType op, std::vector<UopStream> streams,
-                         std::size_t block = 0);  // 0 = auto from FIFO
-
-    /** Pack the raw stream into packets with window/reuse compression. */
-    isa::RsnProgram pack() const;
-
-    /** Mark the start of a segment's entries. */
-    void beginSegment();
-
-    /**
-     * Reorder the just-generated segment so control and data-movement
-     * entries interleave in bounded per-type blocks. Fetching a long run
-     * of one FU type's packets while another type's data supplier has no
-     * instructions yet is exactly the fetch-stall deadlock of Sec. 3.3;
-     * interleaving in program order keeps every type's FIFO fed. Within
-     * one FU type the entry order is preserved.
-     */
-    void endSegment();
-
-    core::RsnMachine &mach_;
-    ScheduleOptions opts_;
-    std::vector<Entry> entries_;
-    std::deque<isa::DdrUop> pending_stores_;
-    /** Store pieces held back until their producing tile has computed. */
-    std::size_t store_lag_ = 0;
-    std::vector<TensorInfo> tensors_;
-    std::uint64_t mm_flops_ = 0;
-    std::size_t segment_start_ = 0;
-};
-
-/** Convenience: compile @p model onto @p machine with @p opts. */
+/**
+ * Allocate @p model's tensors in @p machine's host memory and generate
+ * its RSN program under @p opts. Throws if a uOP value does not fit its
+ * wire field (RsnPacket::valid()).
+ */
 CompiledModel compileModel(core::RsnMachine &machine, const Model &model,
                            ScheduleOptions opts);
 

@@ -166,15 +166,6 @@ TEST(Codegen, AttentionPipelinedAvoidsScoresTensor)
     EXPECT_TRUE(seq.hasTensor("scores.L0.attention"));
 }
 
-TEST(Codegen, CompileIsSingleUse)
-{
-    core::RsnMachine mach(core::MachineConfig::vck190());
-    ProgramBuilder b(mach, ScheduleOptions::optimized());
-    auto m = linModel(96, 64, 48);
-    (void)b.compile(m);
-    EXPECT_THROW((void)b.compile(m), std::logic_error);
-}
-
 TEST(Codegen, InstructionBytesScaleSubLinearlyWithWork)
 {
     // Quadrupling the batch must not quadruple instruction bytes:

@@ -148,14 +148,28 @@ constexpr float kRoundMagic = 12582912.0f;
 constexpr float kGelu0 = 1.5957691216057308f;
 constexpr float kGelu1 = 0.07135481627613502f;
 
+/**
+ * vexp's clamp bounds, built once per kernel call, outside its loops.
+ * GCC lowers `x > c ? x : c` against a constant c to a compare and a
+ * blend, but against a value it cannot see to one max (min for `<`),
+ * with the same result. The empty asm with a memory operand hides the
+ * values on every target.
+ */
+template <class V>
+struct ExpBounds {
+    V lo = V{} + kExpLo;
+    V hi = V{} + kExpHi;
+    [[gnu::always_inline]] ExpBounds() { asm("" : "+m"(lo), "+m"(hi)); }
+};
+
 /** x = exp(x), relative error ~2e-7 over the clamped domain. */
 template <class V>
 [[gnu::always_inline]] inline void
-vexp(V &x)
+vexp(V &x, const ExpBounds<V> &b)
 {
     using VI = typename Vec<kLanes<V>>::I;
-    x = x > kExpLo ? x : kExpLo;
-    x = x < kExpHi ? x : kExpHi;
+    x = x > b.lo ? x : b.lo;
+    x = x < b.hi ? x : b.hi;
     // The barrier keeps x * log2(e) rounded on its own, not fused into
     // the rounding add, so n is round-to-nearest of the rounded product.
     const V z = __builtin_assoc_barrier(x * kLog2e);
@@ -176,10 +190,10 @@ vexp(V &x)
 /** x = x * sigmoid(2t) for the tanh-GELU argument t. */
 template <class V>
 [[gnu::always_inline]] inline void
-vgelu(V &x)
+vgelu(V &x, const ExpBounds<V> &b)
 {
     V e = x * ((x * x) * kGelu1 + kGelu0);
-    vexp(e);
+    vexp(e, b);
     x = x * (e / (e + 1.0f));
 }
 
@@ -346,6 +360,7 @@ template <class V>
 softmaxRowsBody(float *tile, std::uint32_t rows, std::uint32_t cols)
 {
     constexpr std::uint32_t W = kLanes<V>;
+    const ExpBounds<V> bounds;
     for (std::uint32_t r = 0; r < rows && cols > 0; ++r) {
         float *row = tile + std::size_t(r) * cols;
         // Pass 1: row max.
@@ -367,7 +382,7 @@ softmaxRowsBody(float *tile, std::uint32_t rows, std::uint32_t cols)
         for (i = 0; i + W <= cols; i += W) {
             load(e, row + i);
             e -= mx;
-            vexp(e);
+            vexp(e, bounds);
             store(row + i, e);
             vs += e;
         }
@@ -375,7 +390,7 @@ softmaxRowsBody(float *tile, std::uint32_t rows, std::uint32_t cols)
         if (i < cols) {
             load(e, row + i, cols - i);
             e -= mx;
-            vexp(e);
+            vexp(e, bounds);
             store(row + i, e, cols - i);
             for (; i < cols; ++i)
                 sum += row[i];
@@ -396,16 +411,17 @@ template <class V>
 geluInplaceBody(float *tile, std::size_t n)
 {
     constexpr std::size_t W = kLanes<V>;
+    const ExpBounds<V> bounds;
     std::size_t i = 0;
     V x;
     for (; i + W <= n; i += W) {
         load(x, tile + i);
-        vgelu(x);
+        vgelu(x, bounds);
         store(tile + i, x);
     }
     if (i < n) {
         load(x, tile + i, n - i);
-        vgelu(x);
+        vgelu(x, bounds);
         store(tile + i, x, n - i);
     }
 }

@@ -14,7 +14,14 @@ fi
 
 total=0
 for f in "$@"; do
-    code=$(g++ -x c++ -fpreprocessed -dD -E -P "$f")
+    if [ ! -r "$f" ]; then
+        echo "$0: cannot read $f" >&2
+        exit 1
+    fi
+    # -fpreprocessed reads a stringizing '#' that starts a macro
+    # continuation line as a bad directive and exits 1; it still prints
+    # the rest of the file, so its status and diagnostics are ignored.
+    code=$(g++ -x c++ -fpreprocessed -dD -E -P "$f" 2>/dev/null || true)
     # grep -c prints 0 but exits 1 on a file with no code lines.
     n=$(grep -cv '^\s*$' <<< "$code" || true)
     printf '%6d %s\n' "$n" "$f"

@@ -17,8 +17,11 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -30,6 +33,34 @@
 #include "lib/runner.hh"
 #include "lib/sweep.hh"
 #include "mem/hostmem.hh"
+
+// Global allocation counter for BM_TimingOnlyBertLarge's allocs_per_uop.
+// Timing-only runs acquire no (aligned) pool tiles, so the plain
+// overloads see all of their allocations.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}
+
+void *
+operator new(std::size_t n)
+{
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace {
 
@@ -210,6 +241,44 @@ BM_TimingOnlyTinyEncoder(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimingOnlyTinyEncoder)->Unit(benchmark::kMillisecond);
+
+/**
+ * Paper scale, timing-only: the first BERT-Large encoder layer at B=6,
+ * S=512 (5947426 ticks) on a reused SweepLane machine, compiled outside
+ * the timed region. events_per_s is the engine's host rate at paper
+ * scale (ROADMAP item 7); allocs_per_uop counts the run's heap
+ * allocations per issued uOP.
+ */
+void
+BM_TimingOnlyBertLarge(benchmark::State &state)
+{
+    const auto model = rsn::lib::bertLargeEncoder(6, 512, true, 1);
+    const auto cfg =
+        rsn::core::MachineConfig::vck190(/*functional=*/false);
+    rsn::lib::SweepLane lane(0);
+    std::uint64_t events = 0, uops = 0, allocs = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto &mach = lane.machine(cfg);
+        auto compiled = rsn::lib::compileModel(
+            mach, model, rsn::lib::ScheduleOptions::optimized());
+        state.ResumeTiming();
+        const std::uint64_t before = g_allocs.load();
+        const auto rep = mach.runChecked(compiled.program);
+        allocs += g_allocs.load() - before;
+        if (!rep.ok() || rep.result.ticks != 5947426)
+            state.SkipWithError("BERT-Large did not run 5947426 ticks");
+        events += mach.engine().eventsProcessed();
+        uops += mach.decoder().uopsIssued();
+    }
+    if (lane.machinesBuilt() > 1)
+        state.SkipWithError("lane rebuilt a reusable machine");
+    state.SetItemsProcessed(state.iterations());
+    state.counters["events_per_s"] =
+        benchmark::Counter(double(events), benchmark::Counter::kIsRate);
+    state.counters["allocs_per_uop"] = uops ? double(allocs) / uops : 0;
+}
+BENCHMARK(BM_TimingOnlyBertLarge)->Unit(benchmark::kMillisecond);
 
 /**
  * Sweep-executor throughput at Arg(0) lanes: one item == one complete

@@ -59,7 +59,7 @@ void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);
-    throw std::runtime_error("fatal: " + msg);
+    throw FatalError("fatal: " + msg);
 }
 
 void

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 
 namespace rsn {
@@ -26,6 +27,17 @@ namespace rsn {
  *  main thread before spawning a sweep). */
 int logLevel();
 void setLogLevel(int level);
+
+/**
+ * What rsn_fatal throws, after it has written "fatal: <reason>" to
+ * stderr: a driver that catches it exits without printing the reason
+ * again.
+ */
+class FatalError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 namespace detail {
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);

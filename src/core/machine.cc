@@ -102,13 +102,15 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
       lpddr_chan_(std::make_unique<mem::DramChannel>(eng_, cfg.lpddr)),
       topo_(buildRsnXnnTopology())
 {
-    // Warm the thread-local tile pool before anything can hold tiles
-    // on this thread. Ordering matters at thread exit: thread_local/
-    // static destruction is reverse order of construction, so touching
-    // the pool here guarantees it outlives every machine-holding object
-    // constructed later on this thread (e.g. a lib::SweepLane's cached
-    // machine) — their destructors retire tiles into a still-live pool.
+    // Warm the thread-local tile and coroutine-frame pools before
+    // anything can hold tiles or frames on this thread. Ordering
+    // matters at thread exit: thread_local/static destruction is
+    // reverse order of construction, so touching the pools here
+    // guarantees they outlive every machine-holding object constructed
+    // later on this thread (e.g. a lib::SweepLane's cached machine) —
+    // their destructors retire tiles and frames into live pools.
     sim::TilePool::instance();
+    sim::warmFramePool();
     eng_.setEventsPerTickBudget(kWatchdogEventsPerTick);
     buildFus();
     buildStreams();
@@ -224,7 +226,9 @@ RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
     rsn_assert(!ran_, "RsnMachine::runChecked needs a fresh or reset() "
                       "machine");
     ran_ = true;
-    prog.validate();
+    // compileModel hands over validated programs; check only the rest.
+    if (!prog.validated())
+        prog.check();
 
     RunReport rep;
     for (auto &f : fus_)

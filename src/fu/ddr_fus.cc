@@ -2,6 +2,7 @@
 
 #include "common/log.hh"
 #include "fu/kernel_registry.hh"
+#include "isa/packet.hh"
 
 namespace rsn::fu {
 
@@ -47,14 +48,18 @@ DdrFu::DdrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
 }
 
 sim::Task
-DdrFu::runKernel(const isa::Uop &uop)
+DdrFu::runKernel(isa::UopRef uop)
 {
-    const auto &u = std::get<isa::DdrUop>(uop);
+    const auto &u = std::get<isa::DdrUop>(*uop.mop);
     rsn_assert(u.load != u.store,
                "DDR uOP must be exactly one of load/store");
 
-    for (std::uint32_t i = 0; i < u.stride_count; ++i) {
-        Addr addr = u.addr + std::uint64_t(i) * u.stride_offset;
+    // One block as issued by the decoder, or every block of a whole
+    // strided uOP; chunk tags count from the first block run here.
+    const auto [first, end] = uop.blocks(u.stride_count);
+    for (std::uint32_t b = first; b < end; ++b) {
+        const Addr addr = isa::blockAddr(u, b);
+        const std::uint32_t i = b - first;
         if (u.load) {
             mem::DramRequest req{mem::Dir::Read,
                                  Bytes(u.rows) * u.cols *
@@ -116,11 +121,13 @@ LpddrFu::LpddrFu(sim::Engine &eng, FuId id, mem::DramChannel &chan,
 }
 
 sim::Task
-LpddrFu::runKernel(const isa::Uop &uop)
+LpddrFu::runKernel(isa::UopRef uop)
 {
-    const auto &u = std::get<isa::LpddrUop>(uop);
-    for (std::uint32_t i = 0; i < u.stride_count; ++i) {
-        Addr addr = u.addr + std::uint64_t(i) * u.stride_offset;
+    const auto &u = std::get<isa::LpddrUop>(*uop.mop);
+    const auto [first, end] = uop.blocks(u.stride_count);
+    for (std::uint32_t b = first; b < end; ++b) {
+        const Addr addr = isa::blockAddr(u, b);
+        const std::uint32_t i = b - first;
         rsn_assert(!u.load_bias || u.dtype == Dtype::F32,
                    "bias / LN-parameter loads must stay FP32");
         mem::DramRequest req{mem::Dir::Read,

@@ -28,7 +28,7 @@ class DdrFu : public Fu
     mem::DramChannel &channel() { return chan_; }
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    sim::Task runKernel(isa::UopRef uop) override;
 
   private:
     mem::DramChannel &chan_;
@@ -46,7 +46,7 @@ class LpddrFu : public Fu
     mem::DramChannel &channel() { return chan_; }
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    sim::Task runKernel(isa::UopRef uop) override;
 
   private:
     mem::DramChannel &chan_;

@@ -34,26 +34,41 @@ Fu::reset()
     resetKernelState();
 }
 
+sim::Stream *
+Fu::port(const PortTable &t, FuId id)
+{
+    return id.valid() && id.index < kMaxPorts
+               ? t[static_cast<int>(id.type)][id.index]
+               : nullptr;
+}
+
 void
 Fu::addInput(FuId from, sim::Stream *s)
 {
+    rsn_assert(from.valid() && from.index < kMaxPorts,
+               "%s input from %s has no port slot", name_.c_str(),
+               from.toString().c_str());
     rsn_assert(!hasInput(from), "duplicate input port");
     inputs_.emplace_back(from, s);
+    in_ports_[static_cast<int>(from.type)][from.index] = s;
 }
 
 void
 Fu::addOutput(FuId to, sim::Stream *s)
 {
+    rsn_assert(to.valid() && to.index < kMaxPorts,
+               "%s output to %s has no port slot", name_.c_str(),
+               to.toString().c_str());
     rsn_assert(!hasOutput(to), "duplicate output port");
     outputs_.emplace_back(to, s);
+    out_ports_[static_cast<int>(to.type)][to.index] = s;
 }
 
 sim::Stream &
 Fu::in(FuId from)
 {
-    for (auto &[id, s] : inputs_)
-        if (id == from)
-            return *s;
+    if (sim::Stream *s = port(in_ports_, from)) [[likely]]
+        return *s;
     rsn_panic("%s has no input port from %s", name_.c_str(),
               from.toString().c_str());
 }
@@ -61,29 +76,10 @@ Fu::in(FuId from)
 sim::Stream &
 Fu::out(FuId to)
 {
-    for (auto &[id, s] : outputs_)
-        if (id == to)
-            return *s;
+    if (sim::Stream *s = port(out_ports_, to)) [[likely]]
+        return *s;
     rsn_panic("%s has no output port to %s", name_.c_str(),
               to.toString().c_str());
-}
-
-bool
-Fu::hasInput(FuId from) const
-{
-    for (auto &[id, s] : inputs_)
-        if (id == from)
-            return true;
-    return false;
-}
-
-bool
-Fu::hasOutput(FuId to) const
-{
-    for (auto &[id, s] : outputs_)
-        if (id == to)
-            return true;
-    return false;
 }
 
 void
@@ -128,8 +124,8 @@ sim::Task
 Fu::mainLoop()
 {
     while (true) {
-        isa::Uop u = co_await uop_q_.recv();
-        if (std::holds_alternative<isa::HaltUop>(u))
+        const isa::UopRef u = co_await uop_q_.recv();
+        if (std::holds_alternative<isa::HaltUop>(*u.mop))
             break;
         in_kernel_ = true;
         const Tick t0 = eng_.now();
@@ -138,7 +134,7 @@ Fu::mainLoop()
         stats_.busy_ticks += t1 - t0;
         ++stats_.uops;
         if (record_spans_) [[unlikely]]
-            spans_.push_back({std::uint8_t(u.index()), t0, t1});
+            spans_.push_back({std::uint8_t(u.mop->index()), t0, t1});
         in_kernel_ = false;
     }
     halted_ = true;

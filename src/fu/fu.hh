@@ -7,11 +7,18 @@
  * (streams), and customized modules that transform and hold state. Each FU
  * maintains its own uOP sequence, executes one kernel at a time, fetches
  * the next uOP when a kernel completes, and stalls when none is available.
+ *
+ * The queue carries isa::UopRef: a reference into the running program
+ * plus, for a strided DDR/LPDDR mOP, the block to run, which the FU
+ * forms itself (docs/datapath.md, "uOP issue path"). Ports are looked
+ * up by the (type, index) of the FU at their other end in a fixed
+ * table, so neither issuing a uOP nor finding a port allocates.
  */
 
 #ifndef RSN_FU_FU_HH
 #define RSN_FU_FU_HH
 
+#include <array>
 #include <memory>
 #include <string>
 #include <utility>
@@ -66,8 +73,10 @@ class Fu
     const std::string &name() const { return name_; }
     sim::Engine &engine() { return eng_; }
 
-    /** The uOP queue the instruction decoder pushes into. */
-    sim::Channel<isa::Uop> &uopQueue() { return uop_q_; }
+    /** The uOP queue the instruction decoder pushes into. Each entry
+     *  refers to a uOP that must stay alive until the kernel it starts
+     *  has finished (the decoder's program outlives the run). */
+    sim::Channel<isa::UopRef> &uopQueue() { return uop_q_; }
 
     /** Spawn the kernel main loop. Call once per run, before Engine::run. */
     void start();
@@ -100,16 +109,8 @@ class Fu
     void addOutput(FuId to, sim::Stream *s);
     sim::Stream &in(FuId from);
     sim::Stream &out(FuId to);
-    bool hasInput(FuId from) const;
-    bool hasOutput(FuId to) const;
-    const std::vector<std::pair<FuId, sim::Stream *>> &inputs() const
-    {
-        return inputs_;
-    }
-    const std::vector<std::pair<FuId, sim::Stream *>> &outputs() const
-    {
-        return outputs_;
-    }
+    bool hasInput(FuId from) const { return port(in_ports_, from); }
+    bool hasOutput(FuId to) const { return port(out_ports_, to); }
     /** @} */
 
     /** Human-readable blocked/stall state for deadlock reports. */
@@ -123,8 +124,9 @@ class Fu
     void setFaultInjector(sim::FaultInjector *fi);
 
   protected:
-    /** Execute one kernel; implemented per FU type. */
-    virtual sim::Task runKernel(const isa::Uop &uop) = 0;
+    /** Execute one kernel for the uOP @p u refers to; implemented per
+     *  FU type. */
+    virtual sim::Task runKernel(isa::UopRef u) = 0;
 
     /** Subclass hook for reset(): drop state kernels carry across uOPs. */
     virtual void resetKernelState() {}
@@ -143,13 +145,24 @@ class Fu
     sim::Engine &eng_;
 
   private:
+    /** Ports by (type, index) of the FU at their other end, like the
+     *  decoder's FU table; no FU type has more than kMaxPorts
+     *  instances. */
+    static constexpr std::size_t kMaxPorts = 8;
+    using PortTable =
+        std::array<std::array<sim::Stream *, kMaxPorts>, kNumFuTypes>;
+    static sim::Stream *port(const PortTable &t, FuId id);
+
     sim::Task mainLoop();
 
     FuId id_;
     std::string name_;
-    sim::Channel<isa::Uop> uop_q_;
+    sim::Channel<isa::UopRef> uop_q_;
+    /** In wiring order, for stateString(). */
     std::vector<std::pair<FuId, sim::Stream *>> inputs_;
     std::vector<std::pair<FuId, sim::Stream *>> outputs_;
+    PortTable in_ports_{};
+    PortTable out_ports_{};
     sim::Task loop_;
     FuStats stats_;
     std::vector<KernelSpan> spans_;

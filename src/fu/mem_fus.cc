@@ -8,24 +8,12 @@
 
 namespace rsn::fu {
 
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-sliceRows(std::uint32_t total, std::uint32_t slices)
+RowSlices::RowSlices(std::uint32_t total, std::uint32_t slices)
 {
     rsn_assert(slices > 0 && total > 0, "bad row slicing");
-    // Fewer rows than requested slices: fall back to one row per slice.
-    // Codegen applies the same clamp, so producer and consumer agree on
-    // the piece count.
-    slices = std::min(slices, total);
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
-    std::uint32_t base = total / slices;
-    std::uint32_t rem = total % slices;
-    std::uint32_t off = 0;
-    for (std::uint32_t i = 0; i < slices; ++i) {
-        std::uint32_t ext = base + (i < rem ? 1 : 0);
-        out.emplace_back(off, ext);
-        off += ext;
-    }
-    return out;
+    count_ = std::min(slices, total);
+    base_ = total / count_;
+    rem_ = total % count_;
 }
 
 namespace {
@@ -198,9 +186,9 @@ MemAFu::sendPart(const isa::MemAUop &u, TileBuffer &buf)
 }
 
 sim::Task
-MemAFu::runKernel(const isa::Uop &uop)
+MemAFu::runKernel(isa::UopRef uop)
 {
-    const auto &u = std::get<isa::MemAUop>(uop);
+    const auto &u = std::get<isa::MemAUop>(*uop.mop);
     return buffers_.run(
         u.load, u.send,
         [this, &u](TileBuffer &b) { return loadPart(u, b); },
@@ -270,9 +258,9 @@ MemBFu::sendPart(const isa::MemBUop &u, TileBuffer &buf)
 }
 
 sim::Task
-MemBFu::runKernel(const isa::Uop &uop)
+MemBFu::runKernel(isa::UopRef uop)
 {
-    const auto &u = std::get<isa::MemBUop>(uop);
+    const auto &u = std::get<isa::MemBUop>(*uop.mop);
     return buffers_.run(
         u.load, u.send,
         [this, &u](TileBuffer &b) { return loadPart(u, b); },
@@ -480,9 +468,9 @@ MemCFu::sendPart(const isa::MemCUop &u, TileBuffer &buf)
 }
 
 sim::Task
-MemCFu::runKernel(const isa::Uop &uop)
+MemCFu::runKernel(isa::UopRef uop)
 {
-    const auto &u = std::get<isa::MemCUop>(uop);
+    const auto &u = std::get<isa::MemCUop>(*uop.mop);
     return buffers_.run(
         u.recv, u.store || u.send_mme,
         [this, &u](TileBuffer &b) { return recvPart(u, b); },

@@ -23,7 +23,8 @@
 #ifndef RSN_FU_MEM_FUS_HH
 #define RSN_FU_MEM_FUS_HH
 
-#include <vector>
+#include <algorithm>
+#include <utility>
 
 #include "fu/fu.hh"
 
@@ -73,7 +74,7 @@ class MemAFu : public Fu
            std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    sim::Task runKernel(isa::UopRef uop) override;
     void resetKernelState() override;
 
   private:
@@ -92,7 +93,7 @@ class MemBFu : public Fu
            std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    sim::Task runKernel(isa::UopRef uop) override;
     void resetKernelState() override;
 
   private:
@@ -117,7 +118,7 @@ class MemCFu : public Fu
            double flops_per_tick, std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    sim::Task runKernel(isa::UopRef uop) override;
     void resetKernelState() override;
 
   private:
@@ -130,10 +131,53 @@ class MemCFu : public Fu
     PingPong buffers_;
 };
 
-/** Split @p total rows into @p slices near-equal extents (first gets
- *  the remainder); returns (offset, extent) pairs. */
-std::vector<std::pair<std::uint32_t, std::uint32_t>>
-sliceRows(std::uint32_t total, std::uint32_t slices);
+/**
+ * @p total rows split into near-equal row slices, the first ones one
+ * row longer when the split is uneven: an indexable, iterable range of
+ * (offset, extent) pairs, computed on access (nothing is stored). Fewer
+ * rows than requested slices fall back to one row per slice; codegen
+ * applies the same clamp, so producer and consumer agree on the piece
+ * count.
+ */
+class RowSlices
+{
+  public:
+    using Slice = std::pair<std::uint32_t, std::uint32_t>;
+
+    RowSlices(std::uint32_t total, std::uint32_t slices);
+
+    std::uint32_t size() const { return count_; }
+    Slice
+    operator[](std::uint32_t i) const
+    {
+        return {i * base_ + std::min(i, rem_), base_ + (i < rem_ ? 1 : 0)};
+    }
+
+    struct Iterator {
+        const RowSlices *s;
+        std::uint32_t i;
+        Slice operator*() const { return (*s)[i]; }
+        Iterator &
+        operator++()
+        {
+            ++i;
+            return *this;
+        }
+        bool operator==(const Iterator &) const = default;
+    };
+    Iterator begin() const { return {this, 0}; }
+    Iterator end() const { return {this, count_}; }
+
+  private:
+    std::uint32_t count_, base_, rem_;
+};
+
+/** Split @p total rows into @p slices row slices (see RowSlices). */
+inline RowSlices
+sliceRows(std::uint32_t total, std::uint32_t slices)
+{
+    return {total, slices};
+}
 
 } // namespace rsn::fu
 

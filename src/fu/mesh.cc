@@ -1,5 +1,7 @@
 #include "fu/mesh.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace rsn::fu {
@@ -31,16 +33,17 @@ MeshFu::broadcastKernel(const isa::MeshUop &u)
 }
 
 sim::Task
-MeshFu::routeKernel(std::vector<isa::MeshRoute> cycle,
-                    std::uint32_t repeats)
+MeshFu::routeKernel(const isa::MeshUop &u, FuId src)
 {
     // One lane per source: consecutive chunks from that source rotate
-    // through the lane's destinations in listed order (e.g. K to MME_l,
-    // then V to MME_{3+l}).
-    sim::Stream &src = in(cycle.front().src);
-    for (std::uint32_t rep = 0; rep < repeats; ++rep) {
-        for (const auto &r : cycle) {
-            sim::Chunk c = co_await src.recv();
+    // through its routes' destinations in listed order (e.g. K to
+    // MME_l, then V to MME_{3+l}).
+    sim::Stream &in_s = in(src);
+    for (std::uint32_t rep = 0; rep < u.repeats; ++rep) {
+        for (const auto &r : u.routes) {
+            if (r.src != src)
+                continue;
+            sim::Chunk c = co_await in_s.recv();
             countIn(c);
             countOut(c);
             co_await out(r.dst).send(std::move(c));
@@ -64,9 +67,9 @@ MeshFu::distributeKernel(const isa::MeshUop &u)
 }
 
 sim::Task
-MeshFu::runKernel(const isa::Uop &uop)
+MeshFu::runKernel(isa::UopRef uop)
 {
-    const auto &u = std::get<isa::MeshUop>(uop);
+    const auto &u = std::get<isa::MeshUop>(*uop.mop);
     rsn_assert(!u.routes.empty(), "mesh uOP with no routes");
     switch (u.mode) {
       case isa::MeshMode::Broadcast:
@@ -76,28 +79,17 @@ MeshFu::runKernel(const isa::Uop &uop)
         co_await distributeKernel(u);
         break;
       case isa::MeshMode::Parallel: {
-        // Group routes by source, preserving order: lanes with distinct
-        // sources run concurrently; routes sharing a source form one
-        // lane's destination cycle.
-        std::vector<std::vector<isa::MeshRoute>> lanes_routes;
-        for (const auto &r : u.routes) {
-            bool found = false;
-            for (auto &lane : lanes_routes) {
-                if (lane.front().src == r.src) {
-                    lane.push_back(r);
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
-                lanes_routes.push_back({r});
-        }
-        std::vector<sim::Task> lanes;
-        lanes.reserve(lanes_routes.size());
-        for (auto &lr : lanes_routes)
-            lanes.push_back(routeKernel(std::move(lr), u.repeats));
-        for (auto &t : lanes)
+        // One lane per distinct source, in order of first appearance:
+        // lanes with distinct sources run concurrently; routes sharing
+        // a source form one lane's destination cycle.
+        for (auto r = u.routes.begin(); r != u.routes.end(); ++r)
+            if (std::none_of(u.routes.begin(), r, [&](const auto &e) {
+                    return e.src == r->src;
+                }))
+                lanes_.push_back(routeKernel(u, r->src));
+        for (auto &t : lanes_)
             co_await t;
+        lanes_.clear();
         break;
       }
     }

@@ -13,6 +13,8 @@
 #ifndef RSN_FU_MESH_HH
 #define RSN_FU_MESH_HH
 
+#include <vector>
+
 #include "fu/fu.hh"
 
 namespace rsn::fu {
@@ -24,13 +26,16 @@ class MeshFu : public Fu
            std::size_t uop_depth = kDefaultUopDepth);
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    sim::Task runKernel(isa::UopRef uop) override;
 
   private:
     sim::Task broadcastKernel(const isa::MeshUop &u);
     sim::Task distributeKernel(const isa::MeshUop &u);
-    sim::Task routeKernel(std::vector<isa::MeshRoute> cycle,
-                          std::uint32_t repeats);
+    sim::Task routeKernel(const isa::MeshUop &u, FuId src);
+
+    /** A Parallel kernel's lanes, cleared when it ends; the storage is
+     *  reused by the next one. */
+    std::vector<sim::Task> lanes_;
 };
 
 } // namespace rsn::fu

@@ -82,9 +82,9 @@ MmeFu::MmeFu(sim::Engine &eng, FuId id, AieModel model, FuId lhs_src,
 }
 
 sim::Task
-MmeFu::runKernel(const isa::Uop &uop)
+MmeFu::runKernel(isa::UopRef uop)
 {
-    const auto &u = std::get<isa::MmeUop>(uop);
+    const auto &u = std::get<isa::MmeUop>(*uop.mop);
     sim::Stream &lhs_in = in(lhs_src_);
     sim::Stream &rhs_in = in(rhs_src_);
     sim::Stream &out_s = out(out_dst_);

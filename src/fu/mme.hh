@@ -27,7 +27,7 @@ class MmeFu : public Fu
     const AieModel &model() const { return model_; }
 
   protected:
-    sim::Task runKernel(const isa::Uop &uop) override;
+    sim::Task runKernel(isa::UopRef uop) override;
     void resetKernelState() override;
 
   private:

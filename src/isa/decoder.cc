@@ -47,7 +47,6 @@ DecoderUnit::reset()
         type_tasks_[t] = {};
         pkt_ch_[t].reset();
         type_done_[t] = false;
-        uop_cache_[t].clear();
     }
     packets_fetched_ = 0;
     uops_issued_ = 0;
@@ -59,11 +58,13 @@ DecoderUnit::reset()
 sim::Task
 DecoderUnit::fetchLoop()
 {
-    for (const RsnPacket &p : prog_->packets()) {
+    const std::vector<RsnPacket> &packets = prog_->packets();
+    for (std::size_t i = 0; i < packets.size(); ++i) {
         co_await eng_.delay(cfg_.ticks_per_packet);
         ++packets_fetched_;
-        bytes_fetched_ += p.wireBytes();
-        co_await pkt_ch_[static_cast<int>(p.opcode)]->send(&p);
+        bytes_fetched_ += prog_->wireBytes(i);
+        co_await pkt_ch_[static_cast<int>(packets[i].opcode)]->send(
+            &packets[i]);
     }
     // End-of-program sentinels.
     for (int t = 0; t < kNumFuTypes; ++t)
@@ -75,35 +76,33 @@ sim::Task
 DecoderUnit::typeLoop(FuType t)
 {
     PktChannel &ch = *pkt_ch_[static_cast<int>(t)];
-    std::vector<Uop> &cache = uop_cache_[static_cast<int>(t)];
     const auto &fus = fus_[static_cast<int>(t)];
     while (true) {
         const RsnPacket *p = co_await ch.recv();
         if (!p)
             break;
-        // Expand the packet's mOP window once into the per-type uOP
-        // cache; the `reuse` replay passes (Fig. 8) then issue straight
-        // from it. The buffer is recycled across packets, so the
-        // expansion itself only allocates while a window grows beyond
-        // anything seen before. Issue order matches the expand-per-pass
-        // code exactly, so simulated timing is unchanged.
-        cache.clear();
+        // The window's uOPs are its mOPs' blocks in order; the `reuse`
+        // replay passes (Fig. 8) issue the same blocks again, each by
+        // reference into the packet, so issuing copies no uOP.
+        std::uint64_t window = 0;
         for (const Uop &mop : p->mops)
-            expandMopInto(mop, cache);
-        uop_expansions_ += cache.size();
+            window += mopBlocks(mop);
+        uop_expansions_ += window;
+        uop_cache_replays_ += window * (p->reuse - 1);
         for (std::uint32_t pass = 0; pass < p->reuse; ++pass) {
-            if (pass > 0)
-                uop_cache_replays_ += cache.size();
-            for (const Uop &u : cache) {
-                for (std::uint32_t i = 0; i < kMaxMaskBits; ++i) {
-                    if (!(p->mask & (1u << i)))
-                        continue;
-                    fu::Fu *f = fus[i];
-                    rsn_assert(f, "packet targets missing %s%u",
-                               fuTypeName(t), i);
-                    co_await eng_.delay(cfg_.ticks_per_uop);
-                    co_await f->uopQueue().send(u);
-                    ++uops_issued_;
+            for (const Uop &mop : p->mops) {
+                const std::uint32_t blocks = mopBlocks(mop);
+                for (std::uint32_t b = 0; b < blocks; ++b) {
+                    for (std::uint32_t i = 0; i < kMaxMaskBits; ++i) {
+                        if (!(p->mask & (1u << i)))
+                            continue;
+                        fu::Fu *f = fus[i];
+                        rsn_assert(f, "packet targets missing %s%u",
+                                   fuTypeName(t), i);
+                        co_await eng_.delay(cfg_.ticks_per_uop);
+                        co_await f->uopQueue().send(UopRef{&mop, b});
+                        ++uops_issued_;
+                    }
                 }
             }
         }
@@ -114,7 +113,7 @@ DecoderUnit::typeLoop(FuType t)
                 fu::Fu *f = fus[i];
                 rsn_assert(f, "halt targets missing %s%u", fuTypeName(t),
                            i);
-                co_await f->uopQueue().send(Uop{HaltUop{}});
+                co_await f->uopQueue().send(UopRef{&kHaltUop});
                 ++uops_issued_;
             }
         }

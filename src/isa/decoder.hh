@@ -9,14 +9,14 @@
  * are too shallow (depth 6 is reported deadlock-free).
  *
  * Level 2 (per FU type): replays each packet's mOP window `reuse` times and
- * expands mOPs into uOPs (strided DDR/LPDDR mOPs unroll per block). Each
- * second-level decoder owns a per-mOP-window **uOP cache**: a packet's
- * window is expanded exactly once into a reusable buffer, and the
- * `reuse` replay passes issue straight from the cache instead of
- * re-expanding every pass (the buffer is recycled across packets, so
- * steady-state decoding allocates nothing). Issue order and per-uOP
- * decode delays are identical to the uncached path — the cache is a
- * host-side optimization with no simulated-timing footprint.
+ * expands mOPs into uOPs (strided DDR/LPDDR mOPs unroll per block). A uOP
+ * is issued by reference: the FU queue carries an isa::UopRef naming the
+ * mOP inside the program's packet and the block, and the FU forms that
+ * block's address itself. So issuing copies no Uop and allocates
+ * nothing, and the program must outlive the run (start()). Issue order
+ * and per-uOP decode delays are those of expanding every block into its
+ * own uOP; the uopExpansions/uopCacheReplays counts still split the
+ * issued blocks into each window's first pass and its replays.
  *
  * Level 3 (per FU): the bounded uOP queue inside each Fu.
  */
@@ -76,8 +76,8 @@ class DecoderUnit
     Bytes instructionBytesFetched() const { return bytes_fetched_; }
     /** @} */
 
-    /** @{ uOP cache stats: window expansions performed vs. expansions
-     *  the replay passes reused from the cache. */
+    /** @{ Window blocks issued by each packet's first pass vs. by its
+     *  replay passes. */
     std::uint64_t uopExpansions() const { return uop_expansions_; }
     std::uint64_t uopCacheReplays() const { return uop_cache_replays_; }
     /** @} */
@@ -102,10 +102,6 @@ class DecoderUnit
     std::array<bool, kNumFuTypes> type_done_{};
     sim::Task fetch_task_;
     bool fetch_done_ = false;
-
-    /** Per-type uOP cache: the current packet's expanded mOP window.
-     *  Cleared (capacity kept) per packet, replayed per pass. */
-    std::array<std::vector<Uop>, kNumFuTypes> uop_cache_;
 
     std::uint64_t packets_fetched_ = 0;
     std::uint64_t uops_issued_ = 0;

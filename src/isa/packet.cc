@@ -169,6 +169,8 @@ uopToString(const Uop &u)
     return kKindNames[u.index()] + p.s;
 }
 
+const Uop kHaltUop = HaltUop{};
+
 Uop
 uopKindFor(FuType t)
 {
@@ -221,15 +223,25 @@ RsnPacket::valid(std::string *why) const
     return true;
 }
 
+std::uint32_t
+mopBlocks(const Uop &mop)
+{
+    if (const auto *d = std::get_if<DdrUop>(&mop))
+        return d->stride_count;
+    if (const auto *l = std::get_if<LpddrUop>(&mop))
+        return l->stride_count;
+    return 1;
+}
+
 void
 expandMopInto(const Uop &mop, std::vector<Uop> &out)
 {
-    auto unroll = [&out](auto u) {
-        const auto m = u;
+    auto unroll = [&out](const auto &m) {
+        auto u = m;
         u.stride_count = 1;
         u.stride_offset = 0;
         for (std::uint32_t i = 0; i < m.stride_count; ++i) {
-            u.addr = m.addr + std::uint64_t(i) * m.stride_offset;
+            u.addr = blockAddr(m, i);
             out.emplace_back(u);
         }
     };
@@ -241,24 +253,81 @@ expandMopInto(const Uop &mop, std::vector<Uop> &out)
         out.push_back(mop);
 }
 
+namespace {
+
+template <typename T>
+bool
+mergeStrideInto(T &acc, const T &next)
+{
+    // Geometry and flow must match exactly (only addr may differ).
+    T a = acc, b = next;
+    a.addr = b.addr = 0;
+    a.stride_count = b.stride_count = 1;
+    a.stride_offset = b.stride_offset = 0;
+    if (!(a == b))
+        return false;
+    if (acc.stride_count == 1) {
+        if (next.addr <= acc.addr || next.addr - acc.addr > 0xffffffffull)
+            return false;
+        acc.stride_offset = static_cast<std::uint32_t>(next.addr - acc.addr);
+        acc.stride_count = 2;
+        return true;
+    }
+    if (next.addr != blockAddr(acc, acc.stride_count) ||
+        acc.stride_count >= 0xfff0)
+        return false;
+    ++acc.stride_count;
+    return true;
+}
+
+} // namespace
+
+bool
+mergeStride(DdrUop &acc, const DdrUop &next)
+{
+    return mergeStrideInto(acc, next);
+}
+
+bool
+mergeStride(LpddrUop &acc, const LpddrUop &next)
+{
+    return mergeStrideInto(acc, next);
+}
+
+void
+RsnProgram::append(RsnPacket p)
+{
+    wire_bytes_.push_back(p.wireBytes());
+    packets_.push_back(std::move(p));
+    validated_ = false;
+}
+
 void
 RsnProgram::appendHalts(const std::array<int, kNumFuTypes> &counts)
 {
     for (int t = 0; t < kNumFuTypes; ++t)
         if (counts[t] > 0)
-            packets_.push_back({.opcode = FuType(t),
-                                .mask = std::uint8_t((1u << counts[t]) - 1),
-                                .last = true});
+            append({.opcode = FuType(t),
+                    .mask = std::uint8_t((1u << counts[t]) - 1),
+                    .last = true});
 }
 
 void
-RsnProgram::validate() const
+RsnProgram::check() const
 {
     for (std::size_t i = 0; i < packets_.size(); ++i) {
         std::string why;
         if (!packets_[i].valid(&why))
             rsn_fatal("packet %zu invalid: %s", i, why.c_str());
     }
+}
+
+void
+RsnProgram::validate()
+{
+    if (!validated_)
+        check();
+    validated_ = true;
 }
 
 std::uint64_t
@@ -272,9 +341,9 @@ Bytes
 RsnProgram::instructionBytes(FuType t) const
 {
     Bytes b = 0;
-    for (const auto &p : packets_)
-        if (p.opcode == t)
-            b += p.wireBytes();
+    for (std::size_t i = 0; i < packets_.size(); ++i)
+        if (packets_[i].opcode == t)
+            b += wire_bytes_[i];
     return b;
 }
 
@@ -282,8 +351,8 @@ Bytes
 RsnProgram::totalBytes() const
 {
     Bytes b = 0;
-    for (const auto &p : packets_)
-        b += p.wireBytes();
+    for (Bytes w : wire_bytes_)
+        b += w;
     return b;
 }
 
@@ -295,12 +364,10 @@ RsnProgram::expandedUopBytes(FuType t) const
         if (p.opcode != t)
             continue;
         int fanout = std::popcount(p.mask);
-        std::vector<Uop> uops;
-        for (const auto &m : p.mops)
-            expandMopInto(m, uops);
+        // Every block of a strided mOP has the mOP's own wire layout.
         Bytes per_pass = 0;
-        for (const auto &u : uops)
-            per_pass += uopWireBytes(u);
+        for (const auto &m : p.mops)
+            per_pass += mopBlocks(m) * uopWireBytes(m);
         b += per_pass * p.reuse * fanout;
         if (p.last)
             b += uopWireBytes(HaltUop{}) * fanout;
@@ -315,10 +382,10 @@ RsnProgram::uopCountFor(FuId fu) const
     for (const auto &p : packets_) {
         if (p.opcode != fu.type || !(p.mask & (1u << fu.index)))
             continue;
-        std::vector<Uop> uops;
+        std::uint64_t window = 0;
         for (const auto &m : p.mops)
-            expandMopInto(m, uops);
-        n += uops.size() * p.reuse;
+            window += mopBlocks(m);
+        n += window * p.reuse;
         if (p.last)
             ++n;
     }

@@ -81,26 +81,61 @@ Uop uopKindFor(FuType t);
  *  no packet: the header's last bit stands for it. */
 bool uopMatchesFuType(const Uop &u, FuType t);
 
+/** Address of block @p b of a strided DDR/LPDDR mOP @p m. */
+template <class T>
+Addr
+blockAddr(const T &m, std::uint32_t b)
+{
+    return m.addr + std::uint64_t(b) * m.stride_offset;
+}
+
+/** How many uOPs @p mop expands into: a strided DDR/LPDDR mOP's
+ *  stride_count, 1 for every other kind. */
+std::uint32_t mopBlocks(const Uop &mop);
+
 /**
- * Append @p mop's uOP sequence to @p out (third-level decoding; the
- * decoder's uOP cache fills a reused buffer). Strided DDR/LPDDR mOPs
- * unroll into per-block uOPs; everything else passes through unchanged.
+ * Append @p mop's uOP sequence to @p out (third-level decoding).
+ * Strided DDR/LPDDR mOPs unroll into mopBlocks() single-block uOPs at
+ * blockAddr(); everything else passes through unchanged. The decoder
+ * issues the same blocks by reference (UopRef) instead.
  */
 void expandMopInto(const Uop &mop, std::vector<Uop> &out);
+
+/**
+ * Stride merging, expansion's inverse: fold the single-block uOP
+ * @p next into @p acc when it is @p acc's next block, so expanding the
+ * merged mOP gives back both. Rejected (false, @p acc unchanged) when
+ * the two differ in anything but the address, when a two-block run
+ * would step backwards or by more than the 32-bit stride_offset holds,
+ * or when @p next is not the block after @p acc's last one or @p acc's
+ * count is full.
+ */
+bool mergeStride(DdrUop &acc, const DdrUop &next);
+bool mergeStride(LpddrUop &acc, const LpddrUop &next);
 
 /** A full RSN program: the packet sequence plus measurement helpers. */
 class RsnProgram
 {
   public:
-    void append(RsnPacket p) { packets_.push_back(std::move(p)); }
+    /** Append @p p, keeping its wire size; the program is no longer
+     *  validated(). */
+    void append(RsnPacket p);
     const std::vector<RsnPacket> &packets() const { return packets_; }
     std::size_t size() const { return packets_.size(); }
+
+    /** Assembled size of packet @p i, kept since it was appended. */
+    Bytes wireBytes(std::size_t i) const { return wire_bytes_[i]; }
 
     /** Append `last` packets halting every FU instance in @p counts. */
     void appendHalts(const std::array<int, kNumFuTypes> &counts);
 
-    /** Validate every packet; fatal on the first invalid one. */
-    void validate() const;
+    /** Fatal on the first invalid packet. */
+    void check() const;
+
+    /** check() once: success is recorded until the next append, so
+     *  validating an unchanged program again does nothing. */
+    void validate();
+    bool validated() const { return validated_; }
 
     /** Number of packets targeting @p t. */
     std::uint64_t packetCount(FuType t) const;
@@ -122,6 +157,8 @@ class RsnProgram
 
   private:
     std::vector<RsnPacket> packets_;
+    std::vector<Bytes> wire_bytes_;  ///< Parallel to packets_.
+    bool validated_ = false;
 };
 
 /** Serialize a program to bytes (assembler): per packet, the header

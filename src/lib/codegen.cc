@@ -758,59 +758,27 @@ ProgramBuilder::genAttentionSequential(const LanePlan &p)
 
 // ---------------------------------------------------------------- Pack --
 
-/**
- * Merge runs of consecutive single-block DDR/LPDDR uOPs whose addresses
- * advance by a constant delta into one strided mOP — the second-level
- * decoder unrolls them back (Sec. 3.3's "stride size and stride count"
- * customization). This is where the off-chip FUs get their (modest)
- * Fig. 9 compression.
- */
-template <typename T>
-bool
-tryMergeStride(isa::Uop &acc_uop, const isa::Uop &next)
-{
-    auto *acc = std::get_if<T>(&acc_uop);
-    const auto *nxt = std::get_if<T>(&next);
-    if (!acc || !nxt || nxt->stride_count != 1)
-        return false;
-    // Geometry and flow must match exactly (only addr may differ).
-    T a = *acc, b = *nxt;
-    a.addr = b.addr = 0;
-    a.stride_count = b.stride_count = 1;
-    a.stride_offset = b.stride_offset = 0;
-    if (!(a == b))
-        return false;
-    if (acc->stride_count == 1) {
-        if (nxt->addr <= acc->addr ||
-            nxt->addr - acc->addr > 0xffffffffull)
-            return false;
-        acc->stride_offset =
-            static_cast<std::uint32_t>(nxt->addr - acc->addr);
-        acc->stride_count = 2;
-        return true;
-    }
-    Addr expected = acc->addr +
-                    Addr(acc->stride_count) * acc->stride_offset;
-    if (nxt->addr != expected || acc->stride_count >= 0xfff0)
-        return false;
-    ++acc->stride_count;
-    return true;
-}
-
 isa::RsnProgram
 ProgramBuilder::pack() const
 {
-    // Stride-merge pre-pass over the raw stream.
+    // Stride-merge pre-pass over the raw stream: runs of single-block
+    // DDR/LPDDR uOPs whose addresses advance by a constant delta become
+    // one strided mOP, which the second-level decoder unrolls back
+    // (Sec. 3.3's "stride size and stride count" customization). This
+    // is where the off-chip FUs get their (modest) Fig. 9 compression.
     std::vector<Entry> merged;
     merged.reserve(entries_.size());
     for (const Entry &e : entries_) {
         if (!merged.empty() && merged.back().op == e.op &&
             merged.back().mask == e.mask) {
+            isa::Uop &acc = merged.back().uop;
             if (e.op == FuType::Ddr &&
-                tryMergeStride<isa::DdrUop>(merged.back().uop, e.uop))
+                isa::mergeStride(std::get<isa::DdrUop>(acc),
+                                 std::get<isa::DdrUop>(e.uop)))
                 continue;
             if (e.op == FuType::Lpddr &&
-                tryMergeStride<isa::LpddrUop>(merged.back().uop, e.uop))
+                isa::mergeStride(std::get<isa::LpddrUop>(acc),
+                                 std::get<isa::LpddrUop>(e.uop)))
                 continue;
         }
         merged.push_back(e);

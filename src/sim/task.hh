@@ -19,18 +19,48 @@
  * engine's event queue. When engine-timed resumption *is* wanted, pass
  * handle() to Engine::resumeAt/resumeNow directly — the engine stores raw
  * coroutine handles in POD event slots, so no wrapper lambda is needed.
+ *
+ * Frame storage: every FU kernel, DRAM access and ping-pong half is a
+ * coroutine, so a run creates several frames per uOP. Both promise types
+ * take their frames from a thread-local recycling pool (free lists per
+ * 64-byte size class; larger frames go to ::operator new), so a warm
+ * machine runs without heap traffic for frames. A frame may be freed on
+ * another thread than the one that allocated it: it joins that thread's
+ * free lists. The pool lives until its thread exits; RsnMachine's
+ * constructor touches it (warmFramePool) so it outlives any
+ * thread_local object that holds a machine, and a frame freed after
+ * the pool is gone goes straight back to ::operator delete. Under
+ * AddressSanitizer the pool passes every frame through to ::operator
+ * new / delete, so a use-after-free of a frame is still reported
+ * (docs/datapath.md, "Coroutine frames").
  */
 
 #ifndef RSN_SIM_TASK_HH
 #define RSN_SIM_TASK_HH
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
 
 namespace rsn::sim {
 
 namespace detail {
+
+/** @{ Coroutine frame storage from this thread's pool (file comment). */
+void *allocateFrame(std::size_t bytes);
+void deallocateFrame(void *frame, std::size_t bytes) noexcept;
+/** @} */
+
+/** Base of both promise types: routes their frames through the pool. */
+struct PooledFrame {
+    static void *operator new(std::size_t n) { return allocateFrame(n); }
+    static void
+    operator delete(void *p, std::size_t n) noexcept
+    {
+        deallocateFrame(p, n);
+    }
+};
 
 /** Final awaiter that transfers control back to an awaiting parent. */
 template <typename Promise>
@@ -49,11 +79,18 @@ struct FinalAwaiter {
 
 } // namespace detail
 
+/**
+ * Create this thread's frame pool if it does not exist yet. Objects
+ * constructed after it on the same thread are destroyed before it at
+ * thread exit, so their frames return to a live pool.
+ */
+void warmFramePool();
+
 /** Eagerly-started coroutine returning nothing. See file comment. */
 class [[nodiscard]] Task
 {
   public:
-    struct promise_type {
+    struct promise_type : detail::PooledFrame {
         std::coroutine_handle<> continuation;
 
         Task get_return_object()
@@ -126,7 +163,7 @@ template <typename T>
 class [[nodiscard]] ValueTask
 {
   public:
-    struct promise_type {
+    struct promise_type : detail::PooledFrame {
         std::coroutine_handle<> continuation;
         T value{};
 

@@ -48,7 +48,9 @@ class FuHarness
         return *streams_.back();
     }
 
-    /** Push uOPs followed by a halt; returns the driver task. */
+    /** Push uOPs followed by a halt; returns the driver task, whose
+     *  frame holds the uOPs the FU's queue refers to, so it must live
+     *  until the FU has halted. */
     sim::Task
     program(fu::Fu &fu, std::vector<isa::Uop> uops)
     {
@@ -79,8 +81,8 @@ class FuHarness
     sim::Task
     feed(fu::Fu &fu, std::vector<isa::Uop> uops)
     {
-        for (auto &u : uops)
-            co_await fu.uopQueue().send(std::move(u));
+        for (const auto &u : uops)
+            co_await fu.uopQueue().send(isa::UopRef{&u});
     }
 
     std::vector<std::unique_ptr<sim::Stream>> streams_;

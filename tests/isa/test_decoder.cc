@@ -21,13 +21,16 @@ class RecorderFu : public fu::Fu
     {
     }
 
+    /** Every issued uOP, as the single-block uOP its reference names. */
     std::vector<Uop> seen;
 
   protected:
     sim::Task
-    runKernel(const Uop &u) override
+    runKernel(UopRef u) override
     {
-        seen.push_back(u);
+        std::vector<Uop> blocks;
+        expandMopInto(*u.mop, blocks);
+        seen.push_back(blocks.at(u.block));
         if (per_kernel_)
             co_await eng_.delay(per_kernel_);
     }
@@ -245,7 +248,7 @@ TEST(Decoder, FetchStallDeadlockScenario)
 
       protected:
         sim::Task
-        runKernel(const Uop &) override
+        runKernel(UopRef) override
         {
             (void)co_await s_.recv();  // never satisfied by MemA alone
         }
@@ -268,7 +271,7 @@ TEST(Decoder, FetchStallDeadlockScenario)
 
       protected:
         sim::Task
-        runKernel(const Uop &) override
+        runKernel(UopRef) override
         {
             co_await s_.send(sim::makeChunk(1, 1));
         }

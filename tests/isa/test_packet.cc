@@ -150,6 +150,106 @@ TEST(ExpandMop, NonStridedPassesThrough)
     EXPECT_EQ(std::get<MmeUop>(uops[0]).reps, 4u);
 }
 
+/** A single-block 8x8 DDR load at @p addr. */
+DdrUop
+ddrBlock(Addr addr)
+{
+    DdrUop u;
+    u.load = true;
+    u.dest = {FuType::MemA, 0};
+    u.addr = addr;
+    u.rows = u.cols = u.pitch = 8;
+    return u;
+}
+
+TEST(MergeStride, RejectsGeometryMismatch)
+{
+    DdrUop acc = ddrBlock(0x1000);
+    DdrUop next = ddrBlock(0x1100);
+    next.rows = 4;
+    EXPECT_FALSE(mergeStride(acc, next));
+    next = ddrBlock(0x1100);
+    next.dtype = Dtype::Bf16;
+    EXPECT_FALSE(mergeStride(acc, next));
+    EXPECT_EQ(acc, ddrBlock(0x1000));  // unchanged
+}
+
+TEST(MergeStride, RejectsBackwardOrTooWideStep)
+{
+    DdrUop acc = ddrBlock(0x1000);
+    EXPECT_FALSE(mergeStride(acc, ddrBlock(0x1000)));
+    EXPECT_FALSE(mergeStride(acc, ddrBlock(0x0f00)));
+    EXPECT_FALSE(mergeStride(acc, ddrBlock(0x1000 + (Addr(1) << 32))));
+    EXPECT_EQ(acc, ddrBlock(0x1000));
+    // The widest step stride_offset holds still merges.
+    EXPECT_TRUE(mergeStride(acc, ddrBlock(0x1000 + 0xffffffffull)));
+    EXPECT_EQ(acc.stride_count, 2u);
+    EXPECT_EQ(acc.stride_offset, 0xffffffffu);
+}
+
+TEST(MergeStride, RejectsNonContiguousBlockOrFullCount)
+{
+    DdrUop acc = ddrBlock(0x1000);
+    ASSERT_TRUE(mergeStride(acc, ddrBlock(0x1100)));
+    const DdrUop two = acc;
+    EXPECT_FALSE(mergeStride(acc, ddrBlock(0x1300)));  // skips a block
+    EXPECT_FALSE(mergeStride(acc, ddrBlock(0x1180)));
+    EXPECT_EQ(acc, two);
+    EXPECT_TRUE(mergeStride(acc, ddrBlock(0x1200)));
+    EXPECT_EQ(acc.stride_count, 3u);
+
+    DdrUop full = ddrBlock(0x1000);
+    full.stride_offset = 0x100;
+    full.stride_count = 0xfff0;
+    EXPECT_FALSE(
+        mergeStride(full, ddrBlock(blockAddr(full, full.stride_count))));
+    EXPECT_EQ(full.stride_count, 0xfff0u);
+}
+
+TEST(MergeStride, ExpandingAMergedRunGivesBackTheUops)
+{
+    std::vector<Uop> ddr, lpddr;
+    for (Addr i = 0; i < 5; ++i) {
+        ddr.emplace_back(ddrBlock(0x4000 + i * 0x240));
+        LpddrUop l;
+        l.addr = 0x80 + i * 0x1000;
+        l.dest = {FuType::MemB, 1};
+        l.rows = 16;
+        l.cols = l.pitch = 64;
+        l.dtype = Dtype::Bf16;
+        lpddr.emplace_back(l);
+    }
+    auto roundTrip = [](const std::vector<Uop> &run, auto kind) {
+        using T = decltype(kind);
+        T acc = std::get<T>(run.front());
+        for (std::size_t i = 1; i < run.size(); ++i)
+            EXPECT_TRUE(mergeStride(acc, std::get<T>(run[i])));
+        EXPECT_EQ(mopBlocks(acc), run.size());
+        std::vector<Uop> out;
+        expandMopInto(acc, out);
+        return out;
+    };
+    EXPECT_EQ(roundTrip(ddr, DdrUop{}), ddr);
+    EXPECT_EQ(roundTrip(lpddr, LpddrUop{}), lpddr);
+}
+
+TEST(Program, ValidateIsRecordedUntilTheNextAppend)
+{
+    RsnProgram prog;
+    prog.append(samplePacket());
+    EXPECT_FALSE(prog.validated());
+    prog.validate();
+    EXPECT_TRUE(prog.validated());
+    RsnProgram copy = prog;
+    EXPECT_TRUE(copy.validated());
+    prog.append(samplePacket());
+    EXPECT_FALSE(prog.validated());
+    std::array<int, kNumFuTypes> counts{};
+    counts[static_cast<int>(FuType::MemA)] = 1;
+    copy.appendHalts(counts);
+    EXPECT_FALSE(copy.validated());
+}
+
 TEST(Program, CountsBytesAndPackets)
 {
     RsnProgram prog;
@@ -170,6 +270,10 @@ TEST(Program, CountsBytesAndPackets)
     EXPECT_EQ(prog.instructionBytes(FuType::MemA),
               2 * (4 + 7u));
     EXPECT_EQ(prog.totalBytes(), 2 * (4 + 7u) + 4 + 25u);
+    // Each packet's wire size is kept from append, unvalidated.
+    for (std::size_t i = 0; i < prog.size(); ++i)
+        EXPECT_EQ(prog.wireBytes(i), prog.packets()[i].wireBytes());
+    EXPECT_EQ(prog.wireBytes(2), 4 + 25u);
 }
 
 TEST(Program, ExpandedUopBytesAccountReuseAndMask)

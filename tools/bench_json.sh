@@ -140,11 +140,14 @@ for name, reps in series.items():
             else:
                 entry["isa"] = tok
     # The *_ms counters are BM_CheckedTinyEncoder's per-phase host
-    # times, ms per checked run.
+    # times, ms per checked run; events_per_s and allocs_per_uop are
+    # BM_TimingOnlyBertLarge's paper-scale engine rate and run-phase
+    # heap allocations per issued uOP.
     for counter in ("allocs_per_event", "allocs_per_chunk",
                     "allocs_per_tile", "p99_ticks", "p50_ticks",
                     "goodput_rps", "ticks", "build_ms", "compile_ms",
-                    "init_ms", "reference_ms", "run_ms", "verify_ms"):
+                    "init_ms", "reference_ms", "run_ms", "verify_ms",
+                    "events_per_s", "allocs_per_uop"):
         if counter in b:
             entry[counter] = median(r.get(counter) for r in reps)
     out["events_per_second"][name] = entry

@@ -58,6 +58,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/parse.hh"
 #include "core/machine.hh"
 #include "lib/sweep.hh"
@@ -262,6 +263,8 @@ main(int argc, char **argv)
     Options o = parse(argc, argv);
     try {
         return runMain(o);
+    } catch (const rsn::FatalError &) {
+        return 3;  // rsn_fatal already reported it on stderr
     } catch (const std::runtime_error &e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 3;

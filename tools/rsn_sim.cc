@@ -71,6 +71,7 @@
 
 #include <vector>
 
+#include "common/log.hh"
 #include "common/parse.hh"
 #include "core/machine.hh"
 #include "core/power.hh"
@@ -220,8 +221,10 @@ main(int argc, char **argv)
     Options o = parse(argc, argv);
     try {
         return runMain(o);
+    } catch (const rsn::FatalError &) {
+        // rsn_fatal: a user/config error, already reported on stderr.
+        return exitCode(rsn::StatusCode::InvalidConfig);
     } catch (const std::runtime_error &e) {
-        // rsn_fatal: a user/config error the driver can classify.
         std::fprintf(stderr, "%s\n", e.what());
         return exitCode(rsn::StatusCode::InvalidConfig);
     }

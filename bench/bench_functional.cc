@@ -17,11 +17,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -33,34 +30,7 @@
 #include "lib/runner.hh"
 #include "lib/sweep.hh"
 #include "mem/hostmem.hh"
-
-// Global allocation counter for BM_TimingOnlyBertLarge's allocs_per_uop.
-// Timing-only runs acquire no (aligned) pool tiles, so the plain
-// overloads see all of their allocations.
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void *
-operator new(std::size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
+#include "tests/alloc_count.hh"
 
 namespace {
 

@@ -226,9 +226,7 @@ RsnMachine::runChecked(const isa::RsnProgram &prog, Tick max_ticks)
     rsn_assert(!ran_, "RsnMachine::runChecked needs a fresh or reset() "
                       "machine");
     ran_ = true;
-    // compileModel hands over validated programs; check only the rest.
-    if (!prog.validated())
-        prog.check();
+    prog.validate();
 
     RunReport rep;
     for (auto &f : fus_)

@@ -54,58 +54,47 @@ DdrFu::runKernel(isa::UopRef uop)
     rsn_assert(u.load != u.store,
                "DDR uOP must be exactly one of load/store");
 
-    // One block as issued by the decoder, or every block of a whole
-    // strided uOP; chunk tags count from the first block run here.
-    const auto [first, end] = uop.blocks(u.stride_count);
-    for (std::uint32_t b = first; b < end; ++b) {
-        const Addr addr = isa::blockAddr(u, b);
-        const std::uint32_t i = b - first;
-        if (u.load) {
-            mem::DramRequest req{mem::Dir::Read,
-                                 Bytes(u.rows) * u.cols *
-                                     dtypeBytes(u.dtype),
-                                 mem::blockBursts(u.rows, u.cols, u.pitch,
-                                                  layout_)};
-            co_await chan_.access(req);
-            sim::Chunk c;
-            if (host_.functional()) {
-                // F32 loads go straight into a pooled tile (strided
-                // memcpy fast path); typed loads convert at the DRAM
-                // boundary (see loadTypedBlock).
-                c = sim::makeTileChunk(
-                    u.rows, u.cols,
-                    loadTypedBlock(host_, addr, u.pitch, u.rows, u.cols,
-                                   u.dtype),
-                    i);
-            } else {
-                c = sim::makeChunk(u.rows, u.cols, i, u.dtype);
-            }
-            stampEgress(c);
-            countOut(c);
-            co_await out(u.dest).send(std::move(c));
+    const Addr addr = isa::blockAddr(u, uop.block);
+    if (u.load) {
+        mem::DramRequest req{mem::Dir::Read,
+                             Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
+                             mem::blockBursts(u.rows, u.cols, u.pitch,
+                                              layout_)};
+        co_await chan_.access(req);
+        sim::Chunk c;
+        if (host_.functional()) {
+            // F32 loads go straight into a pooled tile (strided memcpy
+            // fast path); typed loads convert at the DRAM boundary (see
+            // loadTypedBlock).
+            c = sim::makeTileChunk(u.rows, u.cols,
+                                   loadTypedBlock(host_, addr, u.pitch,
+                                                  u.rows, u.cols, u.dtype));
         } else {
-            sim::Chunk c = co_await in(u.src).recv();
-            countIn(c);
-            mem::DramRequest req{mem::Dir::Write, c.bytes(),
-                                 mem::blockBursts(c.rows, c.cols, u.pitch,
-                                                  layout_)};
-            co_await chan_.access(req);
-            if (c.hasData()) {
-                if (c.dtype == Dtype::F32) {
-                    host_.writeBlock(addr, u.pitch, c.rows, c.cols,
-                                     c.data.data(), c.elems());
-                } else {
-                    // Host truth stays FP32: upconvert through a
-                    // scratch pool tile before the write-back. DRAM
-                    // traffic above is the typed byte count.
-                    auto f32 =
-                        sim::TilePool::instance().acquire(c.elems());
-                    kernel::active().convert_rows_to_f32(
-                        f32.mutableData(), c.data.raw(), c.dtype,
-                        c.elems());
-                    host_.writeBlock(addr, u.pitch, c.rows, c.cols,
-                                     f32.data(), c.elems());
-                }
+            c = sim::makeChunk(u.rows, u.cols, 0, u.dtype);
+        }
+        stampEgress(c);
+        countOut(c);
+        co_await out(u.dest).send(std::move(c));
+    } else {
+        sim::Chunk c = co_await in(u.src).recv();
+        countIn(c);
+        mem::DramRequest req{mem::Dir::Write, c.bytes(),
+                             mem::blockBursts(c.rows, c.cols, u.pitch,
+                                              layout_)};
+        co_await chan_.access(req);
+        if (c.hasData()) {
+            if (c.dtype == Dtype::F32) {
+                host_.writeBlock(addr, u.pitch, c.rows, c.cols,
+                                 c.data.data(), c.elems());
+            } else {
+                // Host truth stays FP32: upconvert through a scratch
+                // pool tile before the write-back. DRAM traffic above
+                // is the typed byte count.
+                auto f32 = sim::TilePool::instance().acquire(c.elems());
+                kernel::active().convert_rows_to_f32(
+                    f32.mutableData(), c.data.raw(), c.dtype, c.elems());
+                host_.writeBlock(addr, u.pitch, c.rows, c.cols,
+                                 f32.data(), c.elems());
             }
         }
     }
@@ -124,31 +113,25 @@ sim::Task
 LpddrFu::runKernel(isa::UopRef uop)
 {
     const auto &u = std::get<isa::LpddrUop>(*uop.mop);
-    const auto [first, end] = uop.blocks(u.stride_count);
-    for (std::uint32_t b = first; b < end; ++b) {
-        const Addr addr = isa::blockAddr(u, b);
-        const std::uint32_t i = b - first;
-        rsn_assert(!u.load_bias || u.dtype == Dtype::F32,
-                   "bias / LN-parameter loads must stay FP32");
-        mem::DramRequest req{mem::Dir::Read,
-                             Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
-                             mem::blockBursts(u.rows, u.cols, u.pitch,
-                                              layout_)};
-        co_await chan_.access(req);
-        sim::Chunk c;
-        if (host_.functional()) {
-            c = sim::makeTileChunk(
-                u.rows, u.cols,
-                loadTypedBlock(host_, addr, u.pitch, u.rows, u.cols,
-                               u.dtype),
-                i);
-        } else {
-            c = sim::makeChunk(u.rows, u.cols, i, u.dtype);
-        }
-        stampEgress(c);
-        countOut(c);
-        co_await out(u.dest).send(std::move(c));
+    rsn_assert(!u.load_bias || u.dtype == Dtype::F32,
+               "bias / LN-parameter loads must stay FP32");
+    mem::DramRequest req{mem::Dir::Read,
+                         Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
+                         mem::blockBursts(u.rows, u.cols, u.pitch, layout_)};
+    co_await chan_.access(req);
+    sim::Chunk c;
+    if (host_.functional()) {
+        c = sim::makeTileChunk(u.rows, u.cols,
+                               loadTypedBlock(host_,
+                                              isa::blockAddr(u, uop.block),
+                                              u.pitch, u.rows, u.cols,
+                                              u.dtype));
+    } else {
+        c = sim::makeChunk(u.rows, u.cols, 0, u.dtype);
     }
+    stampEgress(c);
+    countOut(c);
+    co_await out(u.dest).send(std::move(c));
 }
 
 } // namespace rsn::fu

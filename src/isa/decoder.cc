@@ -58,13 +58,11 @@ DecoderUnit::reset()
 sim::Task
 DecoderUnit::fetchLoop()
 {
-    const std::vector<RsnPacket> &packets = prog_->packets();
-    for (std::size_t i = 0; i < packets.size(); ++i) {
+    for (const RsnPacket &p : prog_->packets()) {
         co_await eng_.delay(cfg_.ticks_per_packet);
         ++packets_fetched_;
-        bytes_fetched_ += prog_->wireBytes(i);
-        co_await pkt_ch_[static_cast<int>(packets[i].opcode)]->send(
-            &packets[i]);
+        bytes_fetched_ += p.wireBytes();
+        co_await pkt_ch_[static_cast<int>(p.opcode)]->send(&p);
     }
     // End-of-program sentinels.
     for (int t = 0; t < kNumFuTypes; ++t)

@@ -295,39 +295,23 @@ mergeStride(LpddrUop &acc, const LpddrUop &next)
 }
 
 void
-RsnProgram::append(RsnPacket p)
-{
-    wire_bytes_.push_back(p.wireBytes());
-    packets_.push_back(std::move(p));
-    validated_ = false;
-}
-
-void
 RsnProgram::appendHalts(const std::array<int, kNumFuTypes> &counts)
 {
     for (int t = 0; t < kNumFuTypes; ++t)
         if (counts[t] > 0)
-            append({.opcode = FuType(t),
-                    .mask = std::uint8_t((1u << counts[t]) - 1),
-                    .last = true});
+            packets_.push_back({.opcode = FuType(t),
+                                .mask = std::uint8_t((1u << counts[t]) - 1),
+                                .last = true});
 }
 
 void
-RsnProgram::check() const
+RsnProgram::validate() const
 {
     for (std::size_t i = 0; i < packets_.size(); ++i) {
         std::string why;
         if (!packets_[i].valid(&why))
             rsn_fatal("packet %zu invalid: %s", i, why.c_str());
     }
-}
-
-void
-RsnProgram::validate()
-{
-    if (!validated_)
-        check();
-    validated_ = true;
 }
 
 std::uint64_t
@@ -341,9 +325,9 @@ Bytes
 RsnProgram::instructionBytes(FuType t) const
 {
     Bytes b = 0;
-    for (std::size_t i = 0; i < packets_.size(); ++i)
-        if (packets_[i].opcode == t)
-            b += wire_bytes_[i];
+    for (const auto &p : packets_)
+        if (p.opcode == t)
+            b += p.wireBytes();
     return b;
 }
 
@@ -351,8 +335,8 @@ Bytes
 RsnProgram::totalBytes() const
 {
     Bytes b = 0;
-    for (Bytes w : wire_bytes_)
-        b += w;
+    for (const auto &p : packets_)
+        b += p.wireBytes();
     return b;
 }
 

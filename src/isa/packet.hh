@@ -117,25 +117,15 @@ bool mergeStride(LpddrUop &acc, const LpddrUop &next);
 class RsnProgram
 {
   public:
-    /** Append @p p, keeping its wire size; the program is no longer
-     *  validated(). */
-    void append(RsnPacket p);
+    void append(RsnPacket p) { packets_.push_back(std::move(p)); }
     const std::vector<RsnPacket> &packets() const { return packets_; }
     std::size_t size() const { return packets_.size(); }
-
-    /** Assembled size of packet @p i, kept since it was appended. */
-    Bytes wireBytes(std::size_t i) const { return wire_bytes_[i]; }
 
     /** Append `last` packets halting every FU instance in @p counts. */
     void appendHalts(const std::array<int, kNumFuTypes> &counts);
 
-    /** Fatal on the first invalid packet. */
-    void check() const;
-
-    /** check() once: success is recorded until the next append, so
-     *  validating an unchanged program again does nothing. */
-    void validate();
-    bool validated() const { return validated_; }
+    /** Validate every packet; fatal on the first invalid one. */
+    void validate() const;
 
     /** Number of packets targeting @p t. */
     std::uint64_t packetCount(FuType t) const;
@@ -157,8 +147,6 @@ class RsnProgram
 
   private:
     std::vector<RsnPacket> packets_;
-    std::vector<Bytes> wire_bytes_;  ///< Parallel to packets_.
-    bool validated_ = false;
 };
 
 /** Serialize a program to bytes (assembler): per packet, the header

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <type_traits>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -317,25 +316,13 @@ extern const Uop kHaltUop;
 /**
  * One issued uOP, as the FU queues carry it: a reference to an mOP in
  * the running program's packets (the program outlives the run) and the
- * block of a strided DDR/LPDDR mOP it stands for. The FU forms that
- * block's address itself (isa::blockAddr), so issue copies no Uop.
- * kAllBlocks runs every block of the mOP in one kernel, as when a test
- * feeds a whole strided uOP straight to an FU.
+ * block of a strided DDR/LPDDR mOP it stands for (0 for every other
+ * kind). The FU forms that block's address itself (isa::blockAddr), so
+ * issue copies no Uop.
  */
 struct UopRef {
-    static constexpr std::uint32_t kAllBlocks = ~0u;
-
     const Uop *mop = nullptr;
-    std::uint32_t block = kAllBlocks;
-
-    /** The blocks [first, end) this issue covers of a @p count-block
-     *  mOP. */
-    std::pair<std::uint32_t, std::uint32_t>
-    blocks(std::uint32_t count) const
-    {
-        return block == kAllBlocks ? std::pair{0u, count}
-                                   : std::pair{block, block + 1};
-    }
+    std::uint32_t block = 0;
 };
 static_assert(std::is_trivially_copyable_v<UopRef>);
 

@@ -10,96 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_count.hh"
 #include "core/machine.hh"
 #include "lib/codegen.hh"
 #include "lib/model.hh"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void *
-operator new(std::size_t n, std::align_val_t al)
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (posix_memalign(&p, std::size_t(al), n ? n : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t n, std::align_val_t al)
-{
-    return operator new(n, al);
-}
-
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 namespace {
 
@@ -123,11 +37,15 @@ secondRun(std::uint32_t layers)
         EXPECT_TRUE(mach.runChecked(warm.program).ok());
     }
     mach.reset();
+    const std::uint64_t at_compile =
+        g_allocs.load(std::memory_order_relaxed);
     const auto compiled =
         lib::compileModel(mach, model, lib::ScheduleOptions::optimized());
-    const std::uint64_t before = g_news.load(std::memory_order_relaxed);
+    const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+    // Compiling allocates, so a counter that saw nothing is not live.
+    EXPECT_GT(before, at_compile);
     const auto rep = mach.runChecked(compiled.program);
-    const std::uint64_t after = g_news.load(std::memory_order_relaxed);
+    const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
     EXPECT_TRUE(rep.ok()) << rep.toString();
     return {after - before, mach.decoder().uopsIssued()};
 }

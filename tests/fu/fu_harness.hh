@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "fu/fu.hh"
+#include "isa/packet.hh"
 #include "isa/uop.hh"
 #include "sim/engine.hh"
 #include "sim/stream.hh"
@@ -78,11 +79,14 @@ class FuHarness
     bool run(Tick max = kTickMax) { return eng.run(max); }
 
   private:
+    /** Issue each uOP as the decoder does: a strided DDR/LPDDR uOP
+     *  one block at a time. */
     sim::Task
     feed(fu::Fu &fu, std::vector<isa::Uop> uops)
     {
         for (const auto &u : uops)
-            co_await fu.uopQueue().send(isa::UopRef{&u});
+            for (std::uint32_t b = 0; b < isa::mopBlocks(u); ++b)
+                co_await fu.uopQueue().send(isa::UopRef{&u, b});
     }
 
     std::vector<std::unique_ptr<sim::Stream>> streams_;

@@ -89,7 +89,9 @@ TEST(DdrFu, StridedUopTouchesMultipleBlocks)
     r.fu.start();
     ASSERT_TRUE(r.h.run());
     ASSERT_EQ(got.size(), 4u);
-    EXPECT_FLOAT_EQ(got[3].at(0, 0), 192.f);  // row 12 start
+    for (std::size_t b = 0; b < got.size(); ++b)
+        EXPECT_FLOAT_EQ(got[b].at(0, 0), 64.f * b);  // row 4b start
+    EXPECT_FLOAT_EQ(got[3].at(3, 15), 255.f);
 }
 
 TEST(DdrFu, LoadAndStoreInOneUopPanics)

@@ -12,102 +12,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_count.hh"
 #include "common/dtype.hh"
 #include "fu/mem_fus.hh"
 #include "fu_harness.hh"
 #include "sim/tile_pool.hh"
-
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-} // namespace
-
-void *
-operator new(std::size_t n)
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t n)
-{
-    return operator new(n);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-// Aligned-allocation overloads: TilePool allocates its buffers with
-// ::operator new(size, std::align_val_t{64}) (cache-line-aligned
-// tiles), which does NOT route through the plain overload above — it
-// must be intercepted separately or pooled-buffer traffic becomes
-// invisible to the counter and the alloc-free pins go blind.
-void *
-operator new(std::size_t n, std::align_val_t al)
-{
-    g_news.fetch_add(1, std::memory_order_relaxed);
-    void *p = nullptr;
-    if (posix_memalign(&p, std::size_t(al), n ? n : 1) != 0)
-        throw std::bad_alloc();
-    return p;
-}
-
-void *
-operator new[](std::size_t n, std::align_val_t al)
-{
-    return operator new(n, al);
-}
-
-void
-operator delete(void *p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t, std::align_val_t) noexcept
-{
-    operator delete(p, std::align_val_t{1});
-}
-
-void
-operator delete[](void *p, std::align_val_t al) noexcept
-{
-    operator delete(p, al);
-}
-
-void
-operator delete[](void *p, std::size_t, std::align_val_t al) noexcept
-{
-    operator delete(p, al);
-}
 
 namespace {
 
@@ -117,7 +26,7 @@ using rsn::test::FuHarness;
 std::uint64_t
 news()
 {
-    return g_news.load(std::memory_order_relaxed);
+    return g_allocs.load(std::memory_order_relaxed);
 }
 
 /** Acquire-fill-publish one rows x cols tile into @p s (the DDR FU's

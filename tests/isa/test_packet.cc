@@ -233,23 +233,6 @@ TEST(MergeStride, ExpandingAMergedRunGivesBackTheUops)
     EXPECT_EQ(roundTrip(lpddr, LpddrUop{}), lpddr);
 }
 
-TEST(Program, ValidateIsRecordedUntilTheNextAppend)
-{
-    RsnProgram prog;
-    prog.append(samplePacket());
-    EXPECT_FALSE(prog.validated());
-    prog.validate();
-    EXPECT_TRUE(prog.validated());
-    RsnProgram copy = prog;
-    EXPECT_TRUE(copy.validated());
-    prog.append(samplePacket());
-    EXPECT_FALSE(prog.validated());
-    std::array<int, kNumFuTypes> counts{};
-    counts[static_cast<int>(FuType::MemA)] = 1;
-    copy.appendHalts(counts);
-    EXPECT_FALSE(copy.validated());
-}
-
 TEST(Program, CountsBytesAndPackets)
 {
     RsnProgram prog;
@@ -270,10 +253,6 @@ TEST(Program, CountsBytesAndPackets)
     EXPECT_EQ(prog.instructionBytes(FuType::MemA),
               2 * (4 + 7u));
     EXPECT_EQ(prog.totalBytes(), 2 * (4 + 7u) + 4 + 25u);
-    // Each packet's wire size is kept from append, unvalidated.
-    for (std::size_t i = 0; i < prog.size(); ++i)
-        EXPECT_EQ(prog.wireBytes(i), prog.packets()[i].wireBytes());
-    EXPECT_EQ(prog.wireBytes(2), 4 + 25u);
 }
 
 TEST(Program, ExpandedUopBytesAccountReuseAndMask)

@@ -56,8 +56,7 @@ TEST(Codegen, ProgramValidatesAndEndsWithHalts)
     core::RsnMachine mach(core::MachineConfig::vck190());
     auto c = compileModel(mach, linModel(96, 64, 48),
                           ScheduleOptions::optimized());
-    EXPECT_TRUE(c.program.validated());
-    c.program.check();
+    c.program.validate();
     // Every FU type present in the machine gets a halt.
     int halts = 0;
     for (const auto &p : c.program.packets())

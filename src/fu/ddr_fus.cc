@@ -60,7 +60,7 @@ DdrFu::runKernel(isa::UopRef uop)
                              Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
                              mem::blockBursts(u.rows, u.cols, u.pitch,
                                               layout_)};
-        co_await chan_.access(req);
+        co_await eng_.delayUntil(chan_.access(req));
         sim::Chunk c;
         if (host_.functional()) {
             // F32 loads go straight into a pooled tile (strided memcpy
@@ -81,7 +81,7 @@ DdrFu::runKernel(isa::UopRef uop)
         mem::DramRequest req{mem::Dir::Write, c.bytes(),
                              mem::blockBursts(c.rows, c.cols, u.pitch,
                                               layout_)};
-        co_await chan_.access(req);
+        co_await eng_.delayUntil(chan_.access(req));
         if (c.hasData()) {
             if (c.dtype == Dtype::F32) {
                 host_.writeBlock(addr, u.pitch, c.rows, c.cols,
@@ -118,7 +118,7 @@ LpddrFu::runKernel(isa::UopRef uop)
     mem::DramRequest req{mem::Dir::Read,
                          Bytes(u.rows) * u.cols * dtypeBytes(u.dtype),
                          mem::blockBursts(u.rows, u.cols, u.pitch, layout_)};
-    co_await chan_.access(req);
+    co_await eng_.delayUntil(chan_.access(req));
     sim::Chunk c;
     if (host_.functional()) {
         c = sim::makeTileChunk(u.rows, u.cols,

@@ -32,8 +32,8 @@ DramChannel::attachFaultInjector(sim::FaultInjector *fi)
     fault_site_ = fi ? fi->registerSite("dram " + cfg_.name) : 0;
 }
 
-sim::Task
-DramChannel::access(DramRequest req)
+Tick
+DramChannel::access(const DramRequest &req)
 {
     Tick start = std::max(eng_.now(), busy_until_);
     Tick dur = serviceTicks(req);
@@ -56,7 +56,7 @@ DramChannel::access(DramRequest req)
         bytes_read_ += req.bytes;
     else
         bytes_written_ += req.bytes;
-    co_await eng_.delayUntil(busy_until_);
+    return busy_until_;
 }
 
 double

@@ -25,7 +25,6 @@
 
 #include "common/types.hh"
 #include "sim/engine.hh"
-#include "sim/task.hh"
 
 namespace rsn::sim {
 class FaultInjector;
@@ -61,8 +60,9 @@ struct DramConfig {
 };
 
 /**
- * A single serialized DRAM channel. Coroutines co_await access() and resume
- * when their request completes service.
+ * A single serialized DRAM channel. access() books a request on the channel
+ * and returns the tick its service completes; a kernel suspends until then
+ * with `co_await eng.delayUntil(chan.access(req))`.
  */
 class DramChannel
 {
@@ -75,8 +75,11 @@ class DramChannel
     /** Service time in ticks for @p req (excluding queueing). */
     Tick serviceTicks(const DramRequest &req) const;
 
-    /** Perform @p req, blocking until service completes. */
-    sim::Task access(DramRequest req);
+    /**
+     * Queue @p req behind earlier requests and return the tick its
+     * service completes (always after now()).
+     */
+    Tick access(const DramRequest &req);
 
     /**
      * Arm transaction-fault injection (docs/robustness.md). Transient

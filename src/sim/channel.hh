@@ -1,19 +1,22 @@
 /**
  * @file
- * Bounded latency-insensitive channel connecting coroutines.
+ * Bounded latency-insensitive FIFO joining one writer coroutine to one
+ * reader coroutine.
  *
- * A Channel<T> is a FIFO of fixed capacity. Senders block (suspend) while the
- * channel is full; receivers block while it is empty. This is the data-plane
- * primitive of the RSN abstraction: "communication is latency-insensitive,
- * meaning that the correctness of execution does not depend on timing, and
- * the FUs are stallable" (paper Sec. 3.1).
+ * A Channel<T> holds at most `capacity` items. The sender suspends while
+ * the channel is full; the receiver suspends while it is empty. This is
+ * the control-plane primitive of the RSN abstraction: "communication is
+ * latency-insensitive, meaning that the correctness of execution does
+ * not depend on timing, and the FUs are stallable" (paper Sec. 3.1).
  *
- * Wakeups use a reservation discipline: when a send makes an item available,
- * exactly one waiting receiver is woken and that item is reserved for it, so
- * a later receiver arriving before the wakeup fires cannot steal it (and
- * symmetrically for freed slots and waiting senders). This keeps the channel
- * strictly FIFO and deterministic. Wakeups enqueue the waiter's coroutine
- * handle directly on the engine's now-queue (Engine::resumeNow) — no
+ * One writer, one reader: every channel in the datapath — the fetch
+ * unit's packet FIFO into each type decoder, and each type decoder's
+ * uOP queue into an FU — has exactly one producer and one consumer
+ * (paper Fig. 8). So the channel parks at most one sender and one
+ * receiver, and a second concurrent one trips rsn_assert. No
+ * reservations are needed: a wakeup hands the freed slot or the new
+ * item to the only party that can take it. Wakeups enqueue the parked
+ * coroutine handle on the engine's now-queue (Engine::resumeNow) — no
  * lambda trampoline, no allocation.
  */
 
@@ -48,167 +51,84 @@ class Channel
 
     /** @{ Silent-deadlock detection (Engine::drainedClean): a drained
      *  engine must leave no coroutine parked on this channel. */
-    bool
-    waitQuiet() const
-    {
-        return send_waiters_.empty() && recv_waiters_.empty();
-    }
+    bool waitQuiet() const { return !sender_ && !receiver_; }
     [[gnu::cold]] std::string
     describeBlocked() const
     {
         std::string s = "channel " + name_ + ":";
-        if (!send_waiters_.empty())
-            s += " " + std::to_string(send_waiters_.size()) +
-                 " parked sender(s)";
-        if (!recv_waiters_.empty())
-            s += " " + std::to_string(recv_waiters_.size()) +
-                 " parked receiver(s)";
+        if (sender_)
+            s += " 1 parked sender(s)";
+        if (receiver_)
+            s += " 1 parked receiver(s)";
         return s;
     }
     /** @} */
 
-    const std::string &name() const { return name_; }
     std::size_t capacity() const { return cap_; }
     std::size_t size() const { return q_.size(); }
     bool empty() const { return q_.empty(); }
 
-    /** Number of items ever pushed (stats). */
-    std::uint64_t totalPushed() const { return total_pushed_; }
+    /** True if the writer / reader is currently parked. */
+    bool hasBlockedSender() const { return bool(sender_); }
+    bool hasBlockedReceiver() const { return bool(receiver_); }
 
-    /** True if a coroutine is currently blocked sending / receiving. */
-    bool hasBlockedSender() const { return !send_waiters_.empty(); }
-    bool hasBlockedReceiver() const { return !recv_waiters_.empty(); }
-
-    /** Awaitable: suspend until the item can be enqueued, then enqueue. */
+    /** Awaitable: suspend until a slot is free, then enqueue @p v. */
     auto send(T v) { return SendAwaiter{*this, std::move(v)}; }
 
     /** Awaitable: suspend until an item is available, then dequeue it. */
     auto recv() { return RecvAwaiter{*this}; }
 
-    /**
-     * Non-blocking push; only legal when no senders are waiting (used by
-     * non-coroutine producers such as test drivers).
-     *
-     * @return false if the channel was full.
-     */
-    bool
-    tryPush(T v)
-    {
-        rsn_assert(send_waiters_.empty(),
-                   "tryPush would bypass blocked senders");
-        if (q_.size() >= cap_)
-            return false;
-        pushNow(std::move(v));
-        return true;
-    }
-
-    /** Non-blocking pop; only legal when no receivers are waiting. */
-    bool
-    tryPop(T &out)
-    {
-        rsn_assert(recv_waiters_.empty(),
-                   "tryPop would bypass blocked receivers");
-        if (available() == 0)
-            return false;
-        out = popNow();
-        return true;
-    }
-
   private:
-    friend struct SendAwaiterFriend;
-
-    /** Items present and not reserved for an already-woken receiver. */
-    std::size_t available() const { return q_.size() - reserved_pops_; }
-    /** Free slots not reserved for an already-woken sender. */
-    std::size_t
-    freeSlots() const
-    {
-        return cap_ - q_.size() - reserved_pushes_;
-    }
-
+    /** Park @p h in @p slot; the slot must be free (one party per side). */
     void
-    pushNow(T v)
+    park(std::coroutine_handle<> &slot, std::coroutine_handle<> h,
+         const char *side)
     {
-        q_.push_back(std::move(v));
-        ++total_pushed_;
-        rsn_assert(q_.size() <= cap_, "channel overflow");
-        wakeOneReceiver();
+        rsn_assert(!slot, "channel %s has a second concurrent %s",
+                   name_.c_str(), side);
+        slot = h;
     }
 
-    T
-    popNow()
-    {
-        rsn_assert(!q_.empty(), "channel underflow");
-        T v = std::move(q_.front());
-        q_.pop_front();
-        wakeOneSender();
-        return v;
-    }
-
+    /** Resume the party parked in @p slot, if any. */
     void
-    wakeOneReceiver()
+    wake(std::coroutine_handle<> &slot)
     {
-        if (recv_waiters_.empty())
-            return;
-        auto h = recv_waiters_.pop_front();
-        ++reserved_pops_;
-        eng_.resumeNow(h);
-    }
-
-    void
-    wakeOneSender()
-    {
-        if (send_waiters_.empty())
-            return;
-        auto h = send_waiters_.pop_front();
-        ++reserved_pushes_;
-        eng_.resumeNow(h);
+        if (slot)
+            eng_.resumeNow(std::exchange(slot, {}));
     }
 
     struct SendAwaiter {
         Channel &ch;
         T v;
-        bool was_suspended = false;
 
-        bool await_ready() const
-        {
-            return ch.send_waiters_.empty() && ch.freeSlots() > 0;
-        }
+        bool await_ready() const { return ch.q_.size() < ch.cap_; }
         void await_suspend(std::coroutine_handle<> h)
         {
-            was_suspended = true;
-            ch.send_waiters_.push_back(h);
+            ch.park(ch.sender_, h, "sender");
         }
         void await_resume()
         {
-            if (was_suspended) {
-                rsn_assert(ch.reserved_pushes_ > 0, "push wakeup imbalance");
-                --ch.reserved_pushes_;
-            }
-            ch.pushNow(std::move(v));
+            rsn_assert(ch.q_.size() < ch.cap_, "channel overflow");
+            ch.q_.push_back(std::move(v));
+            ch.wake(ch.receiver_);
         }
     };
 
     struct RecvAwaiter {
         Channel &ch;
-        bool was_suspended = false;
 
-        bool await_ready() const
-        {
-            return ch.recv_waiters_.empty() && ch.available() > 0;
-        }
+        bool await_ready() const { return !ch.q_.empty(); }
         void await_suspend(std::coroutine_handle<> h)
         {
-            was_suspended = true;
-            ch.recv_waiters_.push_back(h);
+            ch.park(ch.receiver_, h, "receiver");
         }
         T await_resume()
         {
-            if (was_suspended) {
-                rsn_assert(ch.reserved_pops_ > 0, "pop wakeup imbalance");
-                --ch.reserved_pops_;
-            }
-            return ch.popNow();
+            rsn_assert(!ch.q_.empty(), "channel underflow");
+            T v = std::move(ch.q_.front());
+            ch.q_.drop_front();
+            ch.wake(ch.sender_);
+            return v;
         }
     };
 
@@ -216,11 +136,8 @@ class Channel
     std::size_t cap_;
     std::string name_;
     Ring<T> q_;
-    Ring<std::coroutine_handle<>> send_waiters_;
-    Ring<std::coroutine_handle<>> recv_waiters_;
-    std::size_t reserved_pops_ = 0;
-    std::size_t reserved_pushes_ = 0;
-    std::uint64_t total_pushed_ = 0;
+    std::coroutine_handle<> sender_;    ///< Parked writer, if any.
+    std::coroutine_handle<> receiver_;  ///< Parked reader, if any.
 };
 
 } // namespace rsn::sim

@@ -55,7 +55,7 @@ TEST(Dram, BurstsAddOverhead)
 Task
 doAccess(DramChannel &ch, DramRequest req, Tick &done_at, Engine &e)
 {
-    co_await ch.access(req);
+    co_await e.delayUntil(ch.access(req));
     done_at = e.now();
 }
 

@@ -30,7 +30,7 @@ using rsn::sim::Task;
 Task
 doAccess(DramChannel &ch, DramRequest req, Tick &done_at, Engine &e)
 {
-    co_await ch.access(req);
+    co_await e.delayUntil(ch.access(req));
     done_at = e.now();
 }
 

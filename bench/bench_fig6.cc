@@ -27,9 +27,9 @@ namespace {
  */
 struct Fig6Rsn {
     sim::Engine eng;
-    sim::Stream s12{eng, 4 * 4.0, 2, "FU1->FU2"};
-    sim::Stream s13{eng, 4 * 4.0, 2, "FU1->FU3"};
-    sim::Stream s23{eng, 4 * 4.0, 2, "FU2->FU3"};
+    sim::Stream s12{eng, 4 * 4, 2, "FU1->FU2"};
+    sim::Stream s13{eng, 4 * 4, 2, "FU1->FU3"};
+    sim::Stream s23{eng, 4 * 4, 2, "FU2->FU3"};
 
     /** (dest FU, count) pairs: FU1's uOP sequence. */
     using Route = std::pair<int, std::uint32_t>;

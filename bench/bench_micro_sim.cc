@@ -210,7 +210,7 @@ BM_StreamChunkTransfer(benchmark::State &state)
     std::uint64_t chunks = 0;
     for (auto _ : state) {
         Engine e;
-        Stream s(e, 64.0, 4, "bench");
+        Stream s(e, 64, 4, "bench");
         long bytes = 0;
         Task snd = streamSender(s, state.range(0));
         Task rcv = streamReceiver(s, state.range(0), bytes);
@@ -254,7 +254,7 @@ BM_StreamPooledPayloadTransfer(benchmark::State &state)
     std::uint64_t chunks = 0;
     for (auto _ : state) {
         Engine e;
-        Stream s(e, 64.0, 4, "bench-pooled");
+        Stream s(e, 64, 4, "bench-pooled");
         double sum = 0;
         Task snd = pooledStreamSender(s, state.range(0));
         Task rcv = pooledStreamReceiver(s, state.range(0), sum);
@@ -315,7 +315,7 @@ BM_MemStagingTransfer(benchmark::State &state)
     std::uint64_t tiles = 0;
     for (auto _ : state) {
         Engine e;
-        Stream s(e, 256.0, 4, "bench-staging");
+        Stream s(e, 256, 4, "bench-staging");
         double sum = 0;
         Task snd = stagedSliceSender(s, state.range(0));
         Task rcv = stagedAssemblingReceiver(s, state.range(0), sum);

@@ -46,19 +46,19 @@ static_assert(kNumMemA == kNumMme / 2 && kNumMemB == kNumMme / 2,
 
 // Link widths in bytes per PL tick (260 MHz: 1 GB/s = ~3.85 B/tick).
 /// DDR FU -> MemA/MemB/MemC (~33 GB/s).
-inline constexpr double kDdrToMemWidth = 127;
+inline constexpr Bytes kDdrToMemWidth = 127;
 /// LPDDR FU -> MemB/MemC.
-inline constexpr double kLpddrToMemWidth = 127;
+inline constexpr Bytes kLpddrToMemWidth = 127;
 /// MemA/MemB/MemC -> mesh (~100 GB/s).
-inline constexpr double kMemToMeshWidth = 385;
+inline constexpr Bytes kMemToMeshWidth = 385;
 /// MeshA -> each MME (~73 GB/s).
-inline constexpr double kMeshAToMmeWidth = 280;
+inline constexpr Bytes kMeshAToMmeWidth = 280;
 /// MeshB -> each MME (~50 GB/s).
-inline constexpr double kMeshBToMmeWidth = 192;
+inline constexpr Bytes kMeshBToMmeWidth = 192;
 /// MME -> partner MemC (~100 GB/s).
-inline constexpr double kMmeToMemCWidth = 385;
+inline constexpr Bytes kMmeToMemCWidth = 385;
 /// MemC -> DDR FU store path.
-inline constexpr double kMemCToDdrWidth = 127;
+inline constexpr Bytes kMemCToDdrWidth = 127;
 
 // Per-FU-type scratchpad capacities (Fig. 16), for reporting.
 /// Per-MME AIE-local storage.
@@ -74,7 +74,7 @@ inline constexpr double kMemCFlopsPerTick = 277;
 
 inline constexpr std::size_t kStreamDepth = 2;  ///< Chunks per stream FIFO.
 
-/** Second-level decoder costs (isa::DecoderUnit::Config). */
+/** Decoder costs (isa::DecoderUnit): per fetched packet, per issued uOP. */
 inline constexpr Tick kDecoderTicksPerPacket = 4;
 inline constexpr Tick kDecoderTicksPerUop = 2;
 

@@ -114,10 +114,8 @@ RsnMachine::RsnMachine(const MachineConfig &cfg)
     eng_.setEventsPerTickBudget(kWatchdogEventsPerTick);
     buildFus();
     buildStreams();
-    decoder_ = std::make_unique<isa::DecoderUnit>(
-        eng_, isa::DecoderUnit::Config{cfg.fetch_fifo_depth,
-                                       kDecoderTicksPerPacket,
-                                       kDecoderTicksPerUop});
+    decoder_ =
+        std::make_unique<isa::DecoderUnit>(eng_, cfg.fetch_fifo_depth);
     for (auto &f : fus_)
         decoder_->attach(f.get());
     if (cfg_.fault.enabled()) {
@@ -162,7 +160,6 @@ RsnMachine::buildStreams()
     for (const auto &e : topo_.edges()) {
         streams_.push_back(std::make_unique<sim::Stream>(
             eng_, e.bytes_per_tick, e.depth, e.name()));
-        stream_edges_.push_back(e);
         sim::Stream *s = streams_.back().get();
         fu(e.src)->addOutput(e.dst, s);
         fu(e.dst)->addInput(e.src, s);
@@ -176,15 +173,6 @@ RsnMachine::fu(FuId id)
         if (f->id() == id)
             return f.get();
     rsn_panic("unknown FU %s", id.toString().c_str());
-}
-
-sim::Stream *
-RsnMachine::stream(FuId src, FuId dst)
-{
-    for (std::size_t i = 0; i < streams_.size(); ++i)
-        if (stream_edges_[i].src == src && stream_edges_[i].dst == dst)
-            return streams_[i].get();
-    return nullptr;
 }
 
 void

@@ -79,11 +79,6 @@ class RsnMachine
     {
         return fus_;
     }
-    sim::Stream *stream(FuId src, FuId dst);
-    const std::vector<std::unique_ptr<sim::Stream>> &streams() const
-    {
-        return streams_;
-    }
 
     /** Default run length: generous, but finite even for chaos runs. */
     static constexpr Tick kDefaultMaxTicks = Tick(200) * 1000 * 1000 * 1000;
@@ -150,8 +145,6 @@ class RsnMachine
     net::Topology topo_;
     std::vector<std::unique_ptr<fu::Fu>> fus_;
     std::vector<std::unique_ptr<sim::Stream>> streams_;
-    /** Parallel to streams_: the edge each stream realizes. */
-    std::vector<net::Edge> stream_edges_;
     std::unique_ptr<isa::DecoderUnit> decoder_;
     bool ran_ = false;
     bool ran_completed_ = false;

@@ -1,13 +1,17 @@
 #include "isa/decoder.hh"
 
 #include "common/log.hh"
+#include "core/config.hh"
 
 namespace rsn::isa {
 
-DecoderUnit::DecoderUnit(sim::Engine &eng, Config cfg)
-    : eng_(eng), cfg_(cfg)
+DecoderUnit::DecoderUnit(sim::Engine &eng, std::size_t fetch_fifo_depth)
+    : eng_(eng)
 {
-    rsn_assert(cfg.fetch_fifo_depth > 0, "bad fetch FIFO depth");
+    for (int t = 0; t < kNumFuTypes; ++t)
+        pkt_ch_[t] = std::make_unique<PktChannel>(
+            eng_, fetch_fifo_depth,
+            std::string(fuTypeName(static_cast<FuType>(t))) + ".pktq");
 }
 
 void
@@ -26,12 +30,8 @@ DecoderUnit::start(const RsnProgram &prog)
 {
     rsn_assert(prog_ == nullptr, "decoder started twice");
     prog_ = &prog;
-    for (int t = 0; t < kNumFuTypes; ++t) {
-        pkt_ch_[t] = std::make_unique<PktChannel>(
-            eng_, cfg_.fetch_fifo_depth,
-            std::string(fuTypeName(static_cast<FuType>(t))) + ".pktq");
+    for (int t = 0; t < kNumFuTypes; ++t)
         type_tasks_[t] = typeLoop(static_cast<FuType>(t));
-    }
     fetch_task_ = fetchLoop();
 }
 
@@ -45,21 +45,18 @@ DecoderUnit::reset()
     fetch_done_ = false;
     for (int t = 0; t < kNumFuTypes; ++t) {
         type_tasks_[t] = {};
-        pkt_ch_[t].reset();
         type_done_[t] = false;
     }
     packets_fetched_ = 0;
     uops_issued_ = 0;
     bytes_fetched_ = 0;
-    uop_expansions_ = 0;
-    uop_cache_replays_ = 0;
 }
 
 sim::Task
 DecoderUnit::fetchLoop()
 {
     for (const RsnPacket &p : prog_->packets()) {
-        co_await eng_.delay(cfg_.ticks_per_packet);
+        co_await eng_.delay(core::kDecoderTicksPerPacket);
         ++packets_fetched_;
         bytes_fetched_ += p.wireBytes();
         co_await pkt_ch_[static_cast<int>(p.opcode)]->send(&p);
@@ -82,11 +79,6 @@ DecoderUnit::typeLoop(FuType t)
         // The window's uOPs are its mOPs' blocks in order; the `reuse`
         // replay passes (Fig. 8) issue the same blocks again, each by
         // reference into the packet, so issuing copies no uOP.
-        std::uint64_t window = 0;
-        for (const Uop &mop : p->mops)
-            window += mopBlocks(mop);
-        uop_expansions_ += window;
-        uop_cache_replays_ += window * (p->reuse - 1);
         for (std::uint32_t pass = 0; pass < p->reuse; ++pass) {
             for (const Uop &mop : p->mops) {
                 const std::uint32_t blocks = mopBlocks(mop);
@@ -97,7 +89,7 @@ DecoderUnit::typeLoop(FuType t)
                         fu::Fu *f = fus[i];
                         rsn_assert(f, "packet targets missing %s%u",
                                    fuTypeName(t), i);
-                        co_await eng_.delay(cfg_.ticks_per_uop);
+                        co_await eng_.delay(core::kDecoderTicksPerUop);
                         co_await f->uopQueue().send(UopRef{&mop, b});
                         ++uops_issued_;
                     }
@@ -137,7 +129,7 @@ DecoderUnit::stateString() const
     if (!fetch_done_)
         s += "fetch unit stalled; ";
     for (int t = 0; t < kNumFuTypes; ++t) {
-        if (!type_done_[t] && pkt_ch_[t]) {
+        if (!type_done_[t]) {
             s += std::string(fuTypeName(static_cast<FuType>(t))) +
                  " decoder pending (fifo=" +
                  std::to_string(pkt_ch_[t]->size()) + "); ";

@@ -15,8 +15,11 @@
  * block's address itself. So issuing copies no Uop and allocates
  * nothing, and the program must outlive the run (start()). Issue order
  * and per-uOP decode delays are those of expanding every block into its
- * own uOP; the uopExpansions/uopCacheReplays counts still split the
- * issued blocks into each window's first pass and its replays.
+ * own uOP.
+ *
+ * The fetch FIFOs between levels 1 and 2 are fixed hardware: they are
+ * built once with the decoder and survive reset(). Decode costs are
+ * core::kDecoderTicksPerPacket / kDecoderTicksPerUop.
  *
  * Level 3 (per FU): the bounded uOP queue inside each Fu.
  */
@@ -39,16 +42,9 @@ namespace rsn::isa {
 class DecoderUnit
 {
   public:
-    struct Config {
-        /** Packet FIFO depth between fetch and each type decoder. */
-        std::size_t fetch_fifo_depth = 6;
-        /** Decode cost per packet header at the fetch unit. */
-        Tick ticks_per_packet = 4;
-        /** Decode cost per issued uOP at a second-level decoder. */
-        Tick ticks_per_uop = 2;
-    };
-
-    DecoderUnit(sim::Engine &eng, Config cfg);
+    /** @param fetch_fifo_depth packet FIFO depth between fetch and each
+     *  type decoder. */
+    DecoderUnit(sim::Engine &eng, std::size_t fetch_fifo_depth);
 
     /** Register an FU instance as a uOP sink. Call before start(). */
     void attach(fu::Fu *f);
@@ -76,12 +72,6 @@ class DecoderUnit
     Bytes instructionBytesFetched() const { return bytes_fetched_; }
     /** @} */
 
-    /** @{ Window blocks issued by each packet's first pass vs. by its
-     *  replay passes. */
-    std::uint64_t uopExpansions() const { return uop_expansions_; }
-    std::uint64_t uopCacheReplays() const { return uop_cache_replays_; }
-    /** @} */
-
     /** Describe stalled decoder stages (deadlock diagnostics). */
     std::string stateString() const;
 
@@ -90,7 +80,6 @@ class DecoderUnit
     sim::Task typeLoop(FuType t);
 
     sim::Engine &eng_;
-    Config cfg_;
     const RsnProgram *prog_ = nullptr;
     /** Attached FUs by (type, index): the uOP sink of each mask bit. */
     std::array<std::array<fu::Fu *, kMaxMaskBits>, kNumFuTypes> fus_{};
@@ -106,8 +95,6 @@ class DecoderUnit
     std::uint64_t packets_fetched_ = 0;
     std::uint64_t uops_issued_ = 0;
     Bytes bytes_fetched_ = 0;
-    std::uint64_t uop_expansions_ = 0;
-    std::uint64_t uop_cache_replays_ = 0;
 };
 
 } // namespace rsn::isa

@@ -41,28 +41,11 @@ HostMemory::find(Addr addr)
         static_cast<const HostMemory *>(this)->find(addr));
 }
 
-bool
-HostMemory::contains(Addr addr) const
-{
-    return find(addr) != nullptr;
-}
-
 std::string
 HostMemory::regionName(Addr addr) const
 {
     const Region *r = find(addr);
     return r ? r->name : "";
-}
-
-std::vector<float>
-HostMemory::readBlock(Addr addr, std::uint64_t pitch_elems,
-                      std::uint32_t rows, std::uint32_t cols) const
-{
-    if (!functional_)
-        return {};
-    std::vector<float> out(std::uint64_t(rows) * cols);
-    readBlockInto(addr, pitch_elems, rows, cols, out.data());
-    return out;
 }
 
 void
@@ -94,14 +77,6 @@ HostMemory::readBlockInto(Addr addr, std::uint64_t pitch_elems,
         std::memcpy(dst + std::uint64_t(i) * cols,
                     src + std::uint64_t(i) * pitch_elems,
                     std::uint64_t(cols) * sizeof(float));
-}
-
-void
-HostMemory::writeBlock(Addr addr, std::uint64_t pitch_elems,
-                       std::uint32_t rows, std::uint32_t cols,
-                       const std::vector<float> &data)
-{
-    writeBlock(addr, pitch_elems, rows, cols, data.data(), data.size());
 }
 
 void

@@ -50,25 +50,14 @@ class HostMemory
         next_ = kBase;
     }
 
-    /** Whether @p addr falls inside an allocated region. */
-    bool contains(Addr addr) const;
-
     /** Name of the region containing @p addr ("" if none). */
     std::string regionName(Addr addr) const;
 
     /**
-     * Read a row-major 2-D block: @p rows rows of @p cols floats, where
-     * consecutive rows are @p pitch_elems apart, starting at @p addr.
-     * Returns an empty vector in timing-only mode.
-     */
-    std::vector<float> readBlock(Addr addr, std::uint64_t pitch_elems,
-                                 std::uint32_t rows,
-                                 std::uint32_t cols) const;
-
-    /**
-     * Read a block straight into caller-owned storage of rows*cols
-     * floats (e.g. a pooled tile) — the allocation-free load path used
-     * by the DDR/LPDDR FUs.
+     * Read a row-major 2-D block — @p rows rows of @p cols floats, where
+     * consecutive rows are @p pitch_elems apart, starting at @p addr —
+     * into caller-owned storage of rows*cols floats (e.g. a pooled
+     * tile): the allocation-free load path of the DDR/LPDDR FUs.
      *
      * **Fast-path contract:** the whole window must lie inside one
      * region — bounds are asserted once against the furthest element,
@@ -81,14 +70,10 @@ class HostMemory
                        std::uint32_t rows, std::uint32_t cols,
                        float *dst) const;
 
-    /** Write a row-major 2-D block (no-op in timing-only mode). */
-    void writeBlock(Addr addr, std::uint64_t pitch_elems,
-                    std::uint32_t rows, std::uint32_t cols,
-                    const std::vector<float> &data);
-
-    /** Write a block from caller-owned storage of at least @p n floats.
-     *  Same fast-path contract as readBlockInto (per-row memcpy,
-     *  single block copy when `pitch_elems == cols`). */
+    /** Write a row-major 2-D block from caller-owned storage of at
+     *  least @p n floats (no-op in timing-only mode). Same fast-path
+     *  contract as readBlockInto (per-row memcpy, single block copy
+     *  when `pitch_elems == cols`). */
     void writeBlock(Addr addr, std::uint64_t pitch_elems,
                     std::uint32_t rows, std::uint32_t cols,
                     const float *data, std::size_t n);

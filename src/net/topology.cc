@@ -29,42 +29,16 @@ Topology::hasNode(FuId id) const
 bool
 Topology::hasEdge(FuId src, FuId dst) const
 {
-    return findEdge(src, dst) != nullptr;
-}
-
-const Edge *
-Topology::findEdge(FuId src, FuId dst) const
-{
     for (const auto &e : edges_)
         if (e.src == src && e.dst == dst)
-            return &e;
-    return nullptr;
+            return true;
+    return false;
 }
 
-std::vector<const Edge *>
-Topology::inEdges(FuId id) const
-{
-    std::vector<const Edge *> out;
-    for (const auto &e : edges_)
-        if (e.dst == id)
-            out.push_back(&e);
-    return out;
-}
-
-std::vector<const Edge *>
-Topology::outEdges(FuId id) const
-{
-    std::vector<const Edge *> out;
-    for (const auto &e : edges_)
-        if (e.src == id)
-            out.push_back(&e);
-    return out;
-}
-
-double
+Bytes
 Topology::aggregateBandwidth(FuId id) const
 {
-    double bw = 0;
+    Bytes bw = 0;
     for (const auto &e : edges_) {
         if (e.src == id)
             bw += e.bytes_per_tick;
@@ -86,7 +60,7 @@ Topology::validate() const
                       e.name().c_str());
         if (e.src == e.dst)
             rsn_fatal("self-loop on %s", e.src.toString().c_str());
-        if (e.bytes_per_tick <= 0)
+        if (e.bytes_per_tick == 0)
             rsn_fatal("edge %s has non-positive width", e.name().c_str());
     }
     for (std::size_t i = 0; i < edges_.size(); ++i)
@@ -94,20 +68,6 @@ Topology::validate() const
             if (edges_[i].src == edges_[j].src &&
                 edges_[i].dst == edges_[j].dst)
                 rsn_fatal("duplicate edge %s", edges_[i].name().c_str());
-}
-
-bool
-Topology::pathConnected(const Path &p, std::string *why) const
-{
-    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
-        if (!hasEdge(p[i], p[i + 1])) {
-            if (why)
-                *why = "no edge " + p[i].toString() + "->" +
-                       p[i + 1].toString();
-            return false;
-        }
-    }
-    return true;
 }
 
 std::string
@@ -119,7 +79,7 @@ Topology::toDot(const std::string &graph_name) const
     for (const auto &e : edges_) {
         s += "  \"" + e.src.toString() + "\" -> \"" + e.dst.toString() +
              "\" [label=\"" +
-             detail::formatv("%.0fB/t", e.bytes_per_tick) + "\"];\n";
+             std::to_string(e.bytes_per_tick) + "B/t\"];\n";
     }
     s += "}\n";
     return s;

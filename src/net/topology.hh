@@ -6,14 +6,13 @@
  * FUs" (Sec. 3.1). The topology is decided at datapath-generation time
  * (Sec. 4.2: the "union" datapath over all model segments); programs then
  * trigger paths through it. This module owns the graph description, its
- * validation, path checking, and DOT export; the machine instantiates one
- * sim::Stream per edge.
+ * validation, and DOT export; the machine instantiates one sim::Stream
+ * per edge.
  */
 
 #ifndef RSN_NET_TOPOLOGY_HH
 #define RSN_NET_TOPOLOGY_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -25,7 +24,7 @@ namespace rsn::net {
 struct Edge {
     FuId src;
     FuId dst;
-    double bytes_per_tick = 0;  ///< Link width.
+    Bytes bytes_per_tick = 0;  ///< Link width.
     std::size_t depth = 2;      ///< FIFO depth in chunks.
 
     std::string name() const
@@ -33,9 +32,6 @@ struct Edge {
         return src.toString() + "->" + dst.toString();
     }
 };
-
-/** A triggered path: an ordered FU chain that must be edge-connected. */
-using Path = std::vector<FuId>;
 
 class Topology
 {
@@ -48,23 +44,15 @@ class Topology
 
     bool hasNode(FuId id) const;
     bool hasEdge(FuId src, FuId dst) const;
-    const Edge *findEdge(FuId src, FuId dst) const;
-
-    /** Edges entering / leaving a node. */
-    std::vector<const Edge *> inEdges(FuId id) const;
-    std::vector<const Edge *> outEdges(FuId id) const;
 
     /** Aggregate bandwidth (in + out) of a node in bytes/tick. */
-    double aggregateBandwidth(FuId id) const;
+    Bytes aggregateBandwidth(FuId id) const;
 
     /**
      * Structural validation: edges reference existing nodes, no duplicate
      * edges, no self-loops. Fatal on violation.
      */
     void validate() const;
-
-    /** True when consecutive path hops are all connected by edges. */
-    bool pathConnected(const Path &p, std::string *why = nullptr) const;
 
     /** Graphviz DOT rendering of the network. */
     std::string toDot(const std::string &graph_name = "rsn") const;

@@ -4,9 +4,10 @@
  *
  * This is an edge of the RSN network (paper Sec. 3.1). On top of Channel
  * semantics (FIFO, back-pressure) it models *link occupancy*: a chunk of B
- * bytes occupies the link for ceil(B / width) ticks, and transfers serialize
- * on the link. A full downstream FIFO back-pressures the link: the transfer
- * does not start until a slot is reserved.
+ * bytes occupies the link for ceil(B / width) ticks, with an integer
+ * width in bytes per tick, and transfers serialize on the link. A full
+ * downstream FIFO back-pressures the link: the transfer does not start
+ * until a slot is reserved.
  *
  * ## Coroutine-free data plane
  *
@@ -18,14 +19,12 @@
  * tick. Completions deliver in link order, wake the receiver and the
  * sender through the engine's now-queue, and admit the next pending
  * sender synchronously when a FIFO slot frees. Slot admission is strictly
- * FIFO over send/post/trySend arrival order, which preserves the
- * reservation discipline the old coroutine implementation enforced with
- * waiter queues. `co_await send(c)` still resumes the sender at delivery
- * time, so FU kernel overlap semantics are unchanged.
+ * FIFO over send/post arrival order, so several senders on one stream
+ * are admitted in the order they arrived. `co_await send(c)` resumes the
+ * sender at delivery time, so FU kernel overlap semantics hold.
  *
- * Producers that must not suspend have two entry points: `trySend()`
- * (succeeds only when a slot is free right now) and `post()`
- * (unconditionally enqueues, like a detached send). `flush()` awaits the
+ * A producer that must not suspend uses `post()` (unconditionally
+ * enqueues, like a detached send) and then `flush()`, which awaits the
  * send side draining — the mesh FU uses post+flush to overlap one
  * broadcast chunk across all destination links.
  *
@@ -44,7 +43,6 @@
 #define RSN_SIM_STREAM_HH
 
 #include <bit>
-#include <cmath>
 #include <coroutine>
 #include <string>
 
@@ -65,23 +63,16 @@ class Stream
      * @param depth_chunks FIFO capacity in chunks
      * @param name stream name for diagnostics
      */
-    Stream(Engine &eng, double bytes_per_tick, std::size_t depth_chunks,
+    Stream(Engine &eng, Bytes bytes_per_tick, std::size_t depth_chunks,
            std::string name)
-        : eng_(eng), bytes_per_tick_(bytes_per_tick), cap_(depth_chunks),
+        : eng_(eng), bpt_(bytes_per_tick), cap_(depth_chunks),
           name_(std::move(name))
     {
         rsn_assert(bytes_per_tick > 0, "stream width must be positive");
         rsn_assert(depth_chunks > 0, "stream depth must be positive");
-        // Every configured link width is a whole byte count; keep an
-        // integer copy so transferTicks is exact ceil-division (the
-        // double formula mis-rounds once bytes exceed 2^53). Power-of-two
-        // widths additionally get a shift instead of a divide.
-        if (bytes_per_tick == std::floor(bytes_per_tick) &&
-            bytes_per_tick < 9.0e18) {
-            bpt_int_ = static_cast<Bytes>(bytes_per_tick);
-            if ((bpt_int_ & (bpt_int_ - 1)) == 0)
-                bpt_shift_ = std::countr_zero(bpt_int_);
-        }
+        // Power-of-two widths get a shift instead of a divide.
+        if (std::has_single_bit(bpt_))
+            bpt_shift_ = std::countr_zero(bpt_);
         eng_.registerWaitable(this);
     }
 
@@ -155,15 +146,8 @@ class Stream
     Tick
     transferTicks(Bytes b) const
     {
-        if (bpt_int_ > 0) {
-            Tick t = bpt_shift_ >= 0
-                         ? (b + bpt_int_ - 1) >> bpt_shift_
-                         : (b + bpt_int_ - 1) / bpt_int_;
-            return t ? t : 1;
-        }
-        // Fractional link width: fall back to double ceil.
-        auto t = static_cast<Tick>(
-            std::ceil(static_cast<double>(b) / bytes_per_tick_));
+        Tick t = bpt_shift_ >= 0 ? (b + bpt_ - 1) >> bpt_shift_
+                                 : (b + bpt_ - 1) / bpt_;
         return t ? t : 1;
     }
 
@@ -173,22 +157,6 @@ class Stream
      * coroutine resumes at delivery time.
      */
     auto send(Chunk c) { return SendAwaiter{*this, std::move(c)}; }
-
-    /**
-     * Non-suspending send for producers that cannot block: succeeds only
-     * when no sender is queued ahead and a FIFO slot is free right now.
-     * The transfer then proceeds exactly as for send().
-     *
-     * @return false if the chunk was not accepted.
-     */
-    bool
-    trySend(Chunk c)
-    {
-        if (!pending_.empty() || claimed() >= cap_)
-            return false;
-        admit(std::move(c), {});
-        return true;
-    }
 
     /**
      * Detached send: unconditionally enqueue (never suspends, never
@@ -240,7 +208,7 @@ class Stream
     /** One send operation: payload, waiting sender, completion tick. */
     struct Xfer {
         Chunk c;
-        std::coroutine_handle<> waiter;  ///< Null for post()/trySend().
+        std::coroutine_handle<> waiter;  ///< Null for post().
         Tick end = 0;                    ///< Valid once admitted.
     };
 
@@ -424,8 +392,7 @@ class Stream
     };
 
     Engine &eng_;
-    double bytes_per_tick_;
-    Bytes bpt_int_ = 0;   ///< Integer link width (0 if fractional).
+    Bytes bpt_;           ///< Link width in bytes per tick.
     int bpt_shift_ = -1;  ///< log2(width) when a power of two, else -1.
     std::size_t cap_;
     std::string name_;

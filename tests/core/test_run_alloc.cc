@@ -1,11 +1,12 @@
 /**
  * @file
  * Counting-allocator pin of the timing-only run path: once a machine
- * is warm, a run allocates the same number of times whatever the
- * program's length. The uOP issue path (decoder, FU queues, kernels,
- * DRAM accesses, ping-pong halves) must not allocate per uOP: uOPs go
- * out by reference and coroutine frames come from the frame pool
- * (sim/task.hh).
+ * is warm, a run does not allocate at all, whatever the program's
+ * length. The uOP issue path (decoder, FU queues, kernels, DRAM
+ * accesses, ping-pong halves) must not allocate per uOP — uOPs go out
+ * by reference and coroutine frames come from the frame pool
+ * (sim/task.hh) — and the decoder's FIFOs are built once with the
+ * machine.
  */
 
 #include <gtest/gtest.h>
@@ -66,6 +67,9 @@ TEST(RunAlloc, WarmTimingOnlyRunAllocationsDoNotGrowWithUops)
     EXPECT_EQ(one.allocs, two.allocs)
         << one.uops << " uOPs allocated " << one.allocs << " times, "
         << two.uops << " uOPs " << two.allocs << " times";
+    // The decoder's FIFOs are built once with the machine, so a warm
+    // run allocates nothing at all.
+    EXPECT_EQ(one.allocs, 0u);
 }
 
 } // namespace

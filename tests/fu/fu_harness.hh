@@ -27,7 +27,7 @@ class FuHarness
 
     /** Create a stream and register it as @p fu's input from @p from. */
     sim::Stream &
-    input(fu::Fu &fu, FuId from, double width = 256.0,
+    input(fu::Fu &fu, FuId from, Bytes width = 256,
           std::size_t depth = 2)
     {
         streams_.push_back(std::make_unique<sim::Stream>(
@@ -39,7 +39,7 @@ class FuHarness
 
     /** Create a stream and register it as @p fu's output toward @p to. */
     sim::Stream &
-    output(fu::Fu &fu, FuId to, double width = 256.0,
+    output(fu::Fu &fu, FuId to, Bytes width = 256,
            std::size_t depth = 2)
     {
         streams_.push_back(std::make_unique<sim::Stream>(

@@ -60,7 +60,8 @@ TEST(DdrFu, StoreWritesChunkToHostMemory)
         in, {sim::makeDataChunk(2, 8, iotaData(2, 8, 2.0f))});
     r.fu.start();
     ASSERT_TRUE(r.h.run());
-    auto back = r.host.readBlock(base + 8 * 4, 8, 2, 8);
+    std::vector<float> back(2 * 8);
+    r.host.readBlockInto(base + 8 * 4, 8, 2, 8, back.data());
     EXPECT_FLOAT_EQ(back[0], 0.f);
     EXPECT_FLOAT_EQ(back[15], 30.f);
     EXPECT_EQ(r.chan.bytesWritten(), 2u * 8 * 4);
@@ -71,7 +72,7 @@ TEST(DdrFu, StridedUopTouchesMultipleBlocks)
     DdrRig r;
     Addr base = r.host.alloc(256, "t");  // 16x16
     r.host.fillRegion(base, iotaData(16, 16));
-    sim::Stream &out = r.h.output(r.fu, memA(0), 256.0, 8);
+    sim::Stream &out = r.h.output(r.fu, memA(0), 256, 8);
 
     // stride_count = 4 blocks of 4x16, advancing 4 rows each.
     isa::DdrUop u;
@@ -116,7 +117,7 @@ TEST(DdrFu, UopOrderDeterminesChannelOrder)
     Addr in_base = r.host.alloc(64, "in");
     Addr out_base = r.host.alloc(64, "out");
     r.host.fillRegion(in_base, iotaData(8, 8));
-    sim::Stream &out = r.h.output(r.fu, memA(0), 256.0, 8);
+    sim::Stream &out = r.h.output(r.fu, memA(0), 256, 8);
     sim::Stream &in = r.h.input(r.fu, memC(0));
 
     isa::DdrUop ld;

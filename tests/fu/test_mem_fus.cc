@@ -69,7 +69,7 @@ TEST(MemAFu, LoadThenSendSlicesTile)
     FuHarness h;
     fu::MemAFu fu(h.eng, {FuType::MemA, 0}, kMeshA);
     sim::Stream &in = h.input(fu, kDdr);
-    sim::Stream &out = h.output(fu, kMeshA, 256.0, 8);
+    sim::Stream &out = h.output(fu, kMeshA, 256, 8);
 
     isa::MemAUop load;
     load.rows = 12;
@@ -102,7 +102,7 @@ TEST(MemAFu, PingPongKeepsPreviousTileWhileLoading)
     FuHarness h;
     fu::MemAFu fu(h.eng, {FuType::MemA, 0}, kMeshA);
     sim::Stream &in = h.input(fu, kDdr);
-    sim::Stream &out = h.output(fu, kMeshA, 256.0, 8);
+    sim::Stream &out = h.output(fu, kMeshA, 256, 8);
 
     isa::MemAUop load;
     load.rows = 2;

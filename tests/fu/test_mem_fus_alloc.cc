@@ -79,10 +79,10 @@ TEST(MemStagingAlloc, LoadSliceSendRecvFuseStoreIsAllocationFree)
     fu::MemAFu ma(h.eng, {FuType::MemA, 0}, kMeshA);
     fu::MemCFu mc(h.eng, {FuType::MemC, 0}, /*mme_src=*/kMeshA,
                   /*ddr=*/kDdr, 277.0);
-    sim::Stream &feed = h.input(ma, kDdr, 4096.0, 4);
-    sim::Stream &link = h.output(ma, kMeshA, 256.0, 4);
+    sim::Stream &feed = h.input(ma, kDdr, 4096, 4);
+    sim::Stream &link = h.output(ma, kMeshA, 256, 4);
     mc.addInput(kMeshA, &link);
-    sim::Stream &store = h.output(mc, kDdr, 256.0, 4);
+    sim::Stream &store = h.output(mc, kDdr, 256, 4);
 
     isa::MemAUop a_load;
     a_load.rows = kRows;
@@ -157,8 +157,8 @@ TEST(MemStagingAlloc, MemBLoadAdoptsAndSendAliasesWithoutPoolTraffic)
     constexpr int kTiles = 8;
     FuHarness h;
     fu::MemBFu mb(h.eng, {FuType::MemB, 0}, kMeshB);
-    sim::Stream &feed = h.input(mb, kLpddr, 1024.0, 2);
-    sim::Stream &out = h.output(mb, kMeshB, 1024.0, 2);
+    sim::Stream &feed = h.input(mb, kLpddr, 1024, 2);
+    sim::Stream &out = h.output(mb, kMeshB, 1024, 2);
 
     std::vector<isa::Uop> uops;
     for (int i = 0; i < kTiles; ++i) {
@@ -209,8 +209,8 @@ TEST(MemStagingAlloc, MultiChunkGatherAssemblyIsZeroCopyAndAllocFree)
     FuHarness h;
     fu::MemCFu mc(h.eng, {FuType::MemC, 0}, /*mme_src=*/kMeshA,
                   /*ddr=*/kDdr, 277.0);
-    sim::Stream &feed = h.input(mc, kMeshA, 4096.0, 8);
-    sim::Stream &store = h.output(mc, kDdr, 4096.0, 8);
+    sim::Stream &feed = h.input(mc, kMeshA, 4096, 8);
+    sim::Stream &store = h.output(mc, kDdr, 4096, 8);
 
     isa::MemCUop recv;
     recv.recv = true;
@@ -284,10 +284,10 @@ TEST(MemStagingAlloc, TypedLoadSliceFuseStorePipelineIsAllocFreeWarm)
     fu::MemAFu ma(h.eng, {FuType::MemA, 0}, kMeshA);
     fu::MemCFu mc(h.eng, {FuType::MemC, 0}, /*mme_src=*/kMeshA,
                   /*ddr=*/kDdr, 277.0);
-    sim::Stream &feed = h.input(ma, kDdr, 4096.0, 4);
-    sim::Stream &link = h.output(ma, kMeshA, 256.0, 4);
+    sim::Stream &feed = h.input(ma, kDdr, 4096, 4);
+    sim::Stream &link = h.output(ma, kMeshA, 256, 4);
     mc.addInput(kMeshA, &link);
-    sim::Stream &store = h.output(mc, kDdr, 256.0, 4);
+    sim::Stream &store = h.output(mc, kDdr, 256, 4);
 
     isa::MemAUop a_load;
     a_load.rows = kRows;
@@ -384,8 +384,8 @@ TEST(MemStagingAlloc, MemCSingleChunkAdoptionIsZeroCopyEndToEnd)
     FuHarness h;
     fu::MemCFu mc(h.eng, {FuType::MemC, 0}, /*mme_src=*/kMeshA,
                   /*ddr=*/kDdr, 277.0);
-    sim::Stream &feed = h.input(mc, kMeshA, 1024.0, 2);
-    sim::Stream &store = h.output(mc, kDdr, 1024.0, 2);
+    sim::Stream &feed = h.input(mc, kMeshA, 1024, 2);
+    sim::Stream &store = h.output(mc, kDdr, 1024, 2);
 
     isa::MemCUop recv;
     recv.recv = true;

@@ -119,10 +119,10 @@ TEST(MeshFu, DistributeDealsRoundRobin)
 TEST(MeshFu, ParallelIndependentRoutesOverlap)
 {
     MeshRig r;
-    sim::Stream &in0 = r.h.input(r.mesh, memA(0), 64.0);
-    sim::Stream &in1 = r.h.input(r.mesh, memA(1), 64.0);
-    sim::Stream &out0 = r.h.output(r.mesh, mme(0), 64.0);
-    sim::Stream &out1 = r.h.output(r.mesh, mme(1), 64.0);
+    sim::Stream &in0 = r.h.input(r.mesh, memA(0), 64);
+    sim::Stream &in1 = r.h.input(r.mesh, memA(1), 64);
+    sim::Stream &out0 = r.h.output(r.mesh, mme(0), 64);
+    sim::Stream &out1 = r.h.output(r.mesh, mme(1), 64);
 
     isa::MeshUop u;
     u.repeats = 4;

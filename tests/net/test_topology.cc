@@ -14,20 +14,20 @@ TEST(Topology, NodeAndEdgeLookup)
     Topology t;
     t.addNode(kDdr);
     t.addNode(kMeshA);
-    t.addEdge({kDdr, kMeshA, 128.0, 2});
+    t.addEdge({kDdr, kMeshA, 128, 2});
     EXPECT_TRUE(t.hasNode(kDdr));
     EXPECT_FALSE(t.hasNode(mme(0)));
     EXPECT_TRUE(t.hasEdge(kDdr, kMeshA));
     EXPECT_FALSE(t.hasEdge(kMeshA, kDdr));  // directed
-    ASSERT_NE(t.findEdge(kDdr, kMeshA), nullptr);
-    EXPECT_DOUBLE_EQ(t.findEdge(kDdr, kMeshA)->bytes_per_tick, 128.0);
+    ASSERT_EQ(t.edges().size(), 1u);
+    EXPECT_EQ(t.edges()[0].bytes_per_tick, 128u);
 }
 
 TEST(Topology, ValidateCatchesDanglingEdge)
 {
     Topology t;
     t.addNode(kDdr);
-    t.addEdge({kDdr, kMeshA, 128.0, 2});  // MeshA not a node
+    t.addEdge({kDdr, kMeshA, 128, 2});  // MeshA not a node
     EXPECT_THROW(t.validate(), std::runtime_error);
 }
 
@@ -36,14 +36,14 @@ TEST(Topology, ValidateCatchesSelfLoopAndDuplicates)
     Topology t;
     t.addNode(kDdr);
     t.addNode(kMeshA);
-    t.addEdge({kDdr, kDdr, 128.0, 2});
+    t.addEdge({kDdr, kDdr, 128, 2});
     EXPECT_THROW(t.validate(), std::runtime_error);
 
     Topology t2;
     t2.addNode(kDdr);
     t2.addNode(kMeshA);
-    t2.addEdge({kDdr, kMeshA, 128.0, 2});
-    t2.addEdge({kDdr, kMeshA, 64.0, 2});
+    t2.addEdge({kDdr, kMeshA, 128, 2});
+    t2.addEdge({kDdr, kMeshA, 64, 2});
     EXPECT_THROW(t2.validate(), std::runtime_error);
 }
 
@@ -53,25 +53,13 @@ TEST(Topology, InOutEdgesAndAggregateBandwidth)
     t.addNode(kDdr);
     t.addNode(kMeshA);
     t.addNode(mme(0));
-    t.addEdge({kDdr, kMeshA, 100.0, 2});
-    t.addEdge({kMeshA, mme(0), 50.0, 2});
-    EXPECT_EQ(t.inEdges(kMeshA).size(), 1u);
-    EXPECT_EQ(t.outEdges(kMeshA).size(), 1u);
-    EXPECT_DOUBLE_EQ(t.aggregateBandwidth(kMeshA), 150.0);
-}
-
-TEST(Topology, PathConnectivity)
-{
-    Topology t;
-    t.addNode(kDdr);
-    t.addNode(kMeshA);
-    t.addNode(mme(0));
-    t.addEdge({kDdr, kMeshA, 100.0, 2});
-    t.addEdge({kMeshA, mme(0), 50.0, 2});
-    std::string why;
-    EXPECT_TRUE(t.pathConnected({kDdr, kMeshA, mme(0)}, &why));
-    EXPECT_FALSE(t.pathConnected({kDdr, mme(0)}, &why));
-    EXPECT_FALSE(why.empty());
+    t.addEdge({kDdr, kMeshA, 100, 2});
+    t.addEdge({kMeshA, mme(0), 50, 2});
+    EXPECT_TRUE(t.hasEdge(kDdr, kMeshA));    // MeshA's one in-edge
+    EXPECT_TRUE(t.hasEdge(kMeshA, mme(0)));  // and its one out-edge
+    EXPECT_FALSE(t.hasEdge(kDdr, mme(0)));
+    EXPECT_EQ(t.aggregateBandwidth(kMeshA), 150u);
+    EXPECT_EQ(t.aggregateBandwidth(kDdr), 100u);
 }
 
 TEST(Topology, DotExportNamesEveryNode)
@@ -79,7 +67,7 @@ TEST(Topology, DotExportNamesEveryNode)
     Topology t;
     t.addNode(kDdr);
     t.addNode(kMeshA);
-    t.addEdge({kDdr, kMeshA, 100.0, 2});
+    t.addEdge({kDdr, kMeshA, 100, 2});
     std::string dot = t.toDot("g");
     EXPECT_NE(dot.find("digraph g"), std::string::npos);
     EXPECT_NE(dot.find("\"DDR\""), std::string::npos);
@@ -116,18 +104,18 @@ TEST(RsnXnnTopology, MatchesPaperFigure10Structure)
     t.validate();  // must not throw
 
     // The attention pipeline path is connected end to end.
-    std::string why;
-    EXPECT_TRUE(t.pathConnected({kDdr,
-                                 {FuType::MemA, 0},
-                                 {FuType::MeshA, 0},
-                                 mme(0),
-                                 {FuType::MemC, 0},
-                                 {FuType::MeshA, 0},
-                                 mme(3),
-                                 {FuType::MemC, 3},
-                                 kDdr},
-                                &why))
-        << why;
+    const std::vector<FuId> path = {kDdr,
+                                    {FuType::MemA, 0},
+                                    {FuType::MeshA, 0},
+                                    mme(0),
+                                    {FuType::MemC, 0},
+                                    {FuType::MeshA, 0},
+                                    mme(3),
+                                    {FuType::MemC, 3},
+                                    kDdr};
+    for (std::size_t i = 0; i + 1 < path.size(); ++i)
+        EXPECT_TRUE(t.hasEdge(path[i], path[i + 1]))
+            << path[i].toString() << "->" << path[i + 1].toString();
 }
 
 TEST(RsnXnnTopology, MeshesHaveNoMemoryOrCompute)

@@ -49,7 +49,7 @@ TEST(FaultStream, CertainUnitStallDelaysDeliveryByExactlyOneTick)
     spec.link_stall_max = 1;  // stall length is always 1 tick
     Engine e;
     FaultInjector fi(spec, e);
-    Stream s(e, 64.0, 4, "s");
+    Stream s(e, 64, 4, "s");
     s.attachFaultInjector(&fi);
     std::vector<Chunk> got;
     // 32x32 floats = 4096 B = 64 ticks at 64 B/tick, +1 injected stall.
@@ -70,7 +70,7 @@ TEST(FaultStream, ZeroRatesLeaveTimingUntouched)
     spec.checksums = true;
     Engine e;
     FaultInjector fi(spec, e);
-    Stream s(e, 64.0, 8, "s");
+    Stream s(e, 64, 8, "s");
     s.attachFaultInjector(&fi);
     std::vector<Chunk> got;
     Task snd = sendChunks(s, 4, 32, 32);
@@ -87,7 +87,7 @@ TEST(FaultStream, DeadLinkLosesChunkParksSenderAndDiagnoses)
     spec.max_retries = 2;
     Engine e;
     FaultInjector fi(spec, e);
-    Stream s(e, 64.0, 4, "dead");
+    Stream s(e, 64, 4, "dead");
     s.attachFaultInjector(&fi);
     std::vector<Chunk> got;
     Task snd = sendChunks(s, 1, 8, 8);
@@ -124,7 +124,7 @@ TEST(FaultStream, RecoveredRetriesDeliverEverythingInOrder)
     spec.backoff_base = 2;
     Engine e;
     FaultInjector fi(spec, e);
-    Stream s(e, 64.0, 2, "retry");
+    Stream s(e, 64, 2, "retry");
     s.attachFaultInjector(&fi);
     std::vector<Chunk> got;
     Task snd = sendChunks(s, 16, 8, 8);
@@ -151,7 +151,7 @@ TEST(FaultStream, SameSeedReproducesTheFinalTickExactly)
         spec.max_retries = 30;
         Engine e;
         FaultInjector fi(spec, e);
-        Stream s(e, 64.0, 2, "repro");
+        Stream s(e, 64, 2, "repro");
         s.attachFaultInjector(&fi);
         std::vector<Chunk> got;
         Task snd = sendChunks(s, 32, 16, 16);

@@ -35,7 +35,7 @@ recvChunks(Stream &s, int n, std::vector<Chunk> &out)
 TEST(Stream, TransferTicksRoundsUpAndIsAtLeastOne)
 {
     Engine e;
-    Stream s(e, 64.0, 4, "s");
+    Stream s(e, 64, 4, "s");
     EXPECT_EQ(s.transferTicks(1), 1u);
     EXPECT_EQ(s.transferTicks(64), 1u);
     EXPECT_EQ(s.transferTicks(65), 2u);
@@ -45,7 +45,7 @@ TEST(Stream, TransferTicksRoundsUpAndIsAtLeastOne)
 TEST(Stream, SingleTransferTakesLinkTime)
 {
     Engine e;
-    Stream s(e, 64.0, 4, "s");
+    Stream s(e, 64, 4, "s");
     std::vector<Chunk> got;
     // 32x32 floats = 4096 B = 64 ticks at 64 B/tick.
     Task snd = sendChunks(s, 1, 32, 32);
@@ -62,7 +62,7 @@ TEST(Stream, SingleTransferTakesLinkTime)
 TEST(Stream, BackToBackTransfersSerializeOnTheLink)
 {
     Engine e;
-    Stream s(e, 64.0, 8, "s");
+    Stream s(e, 64, 8, "s");
     std::vector<Chunk> got;
     Task snd = sendChunks(s, 4, 32, 32);  // 4 x 64 ticks
     Task rcv = recvChunks(s, 4, got);
@@ -79,7 +79,7 @@ TEST(Stream, FullFifoBackPressuresTheLink)
     // Depth-1 FIFO and a consumer that only pops at tick 1000: the second
     // transfer cannot even start until the first is drained.
     Engine e;
-    Stream s(e, 4096.0, 1, "s");
+    Stream s(e, 4096, 1, "s");
     auto consumer = [](Engine &eng, Stream &st, std::vector<Tick> &at)
         -> Task {
         co_await eng.delay(1000);
@@ -103,7 +103,7 @@ TEST(Stream, LinkBandwidthBoundsThroughput)
 {
     // 100 chunks of 1 KiB over a 16 B/tick link: >= 6400 ticks.
     Engine e;
-    Stream s(e, 16.0, 4, "s");
+    Stream s(e, 16, 4, "s");
     std::vector<Chunk> got;
     Task snd = sendChunks(s, 100, 16, 16);
     Task rcv = recvChunks(s, 100, got);
@@ -115,7 +115,7 @@ TEST(Stream, LinkBandwidthBoundsThroughput)
 TEST(Stream, FunctionalPayloadSurvivesTransfer)
 {
     Engine e;
-    Stream s(e, 64.0, 2, "s");
+    Stream s(e, 64, 2, "s");
     std::vector<float> vals = {1.f, 2.f, 3.f, 4.f, 5.f, 6.f};
     auto snd = [&]() -> Task {
         co_await s.send(makeDataChunk(2, 3, vals));
@@ -133,8 +133,8 @@ TEST(Stream, ConcurrentStreamsDoNotInterfere)
 {
     // Two parallel streams each carry a chunk; total time = max not sum.
     Engine e;
-    Stream s1(e, 64.0, 2, "s1");
-    Stream s2(e, 32.0, 2, "s2");
+    Stream s1(e, 64, 2, "s1");
+    Stream s2(e, 32, 2, "s2");
     std::vector<Chunk> g1, g2;
     Task a = sendChunks(s1, 1, 32, 32);  // 64 ticks
     Task b = sendChunks(s2, 1, 32, 32);  // 128 ticks

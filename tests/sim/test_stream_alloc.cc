@@ -74,7 +74,7 @@ recvChunks(Stream &s, int n, double &sink)
 TEST(StreamAlloc, TimingOnlyChunkTransferIsAllocationFree)
 {
     Engine e;
-    Stream s(e, 64.0, 4, "alloc-timing");
+    Stream s(e, 64, 4, "alloc-timing");
     double sink = 0;
     Task snd = sendTimingChunks(s, 2000);
     Task rcv = recvChunks(s, 2000, sink);
@@ -92,7 +92,7 @@ TEST(StreamAlloc, TimingOnlyChunkTransferIsAllocationFree)
 TEST(StreamAlloc, PooledPayloadTransferIsAllocationFree)
 {
     Engine e;
-    Stream s(e, 64.0, 4, "alloc-pooled");
+    Stream s(e, 64, 4, "alloc-pooled");
     double sink = 0;
     Task snd = sendPooledChunks(s, 2000);
     Task rcv = recvChunks(s, 2000, sink);
@@ -112,7 +112,7 @@ TEST(StreamAlloc, BackPressuredPathIsAllocationFree)
     // Depth-1 FIFO keeps a sender permanently queued in pending_: the
     // admit-on-pop path must also be allocation-free.
     Engine e;
-    Stream s(e, 4096.0, 1, "alloc-bp");
+    Stream s(e, 4096, 1, "alloc-bp");
     double sink = 0;
     Task snd = sendTimingChunks(s, 4000);
     Task rcv = recvChunks(s, 4000, sink);
@@ -140,7 +140,7 @@ flushForever(Stream &s, int reps, int fanout)
 TEST(StreamAlloc, PostFlushBroadcastPatternIsAllocationFree)
 {
     Engine e;
-    Stream s(e, 64.0, 2, "alloc-bcast");
+    Stream s(e, 64, 2, "alloc-bcast");
     double sink = 0;
     Task snd = flushForever(s, 1000, 3);
     Task rcv = recvChunks(s, 3000, sink);

@@ -2,8 +2,8 @@
  * @file
  * Stream edge cases the coroutine-free rewrite must preserve: FIFO
  * serialization across many senders, minimum transfer durations,
- * busy-tick accounting under back-pressure, trySend/post/flush
- * semantics, and exact integer transfer timing for huge chunks.
+ * busy-tick accounting under back-pressure, post/flush semantics, and
+ * exact integer transfer timing for huge chunks.
  */
 
 #include <gtest/gtest.h>
@@ -41,7 +41,7 @@ recvChunks(Stream &s, int n, std::vector<Chunk> &out)
 TEST(StreamEdge, ManySendersOneLinkSerializeInArrivalOrder)
 {
     Engine e;
-    Stream s(e, 64.0, 2, "many");
+    Stream s(e, 64, 2, "many");
     std::vector<Task> senders;
     for (std::uint32_t i = 0; i < 8; ++i)
         senders.push_back(sendOne(s, i));
@@ -61,7 +61,7 @@ TEST(StreamEdge, ManySendersOneLinkSerializeInArrivalOrder)
 TEST(StreamEdge, ZeroByteChunkStillTakesOneTick)
 {
     Engine e;
-    Stream s(e, 64.0, 2, "zero");
+    Stream s(e, 64, 2, "zero");
     EXPECT_EQ(s.transferTicks(0), 1u);
     auto snd = [&]() -> Task {
         co_await s.send(Chunk{0, 0, {}, 42});
@@ -79,7 +79,7 @@ TEST(StreamEdge, ZeroByteChunkStillTakesOneTick)
 TEST(StreamEdge, SubWidthChunkRoundsUpToOneTick)
 {
     Engine e;
-    Stream s(e, 4096.0, 2, "tiny");
+    Stream s(e, 4096, 2, "tiny");
     EXPECT_EQ(s.transferTicks(1), 1u);
     EXPECT_EQ(s.transferTicks(4096), 1u);
     EXPECT_EQ(s.transferTicks(4097), 2u);
@@ -91,7 +91,7 @@ TEST(StreamEdge, BusyTicksCountTransfersNotBackPressureStalls)
     // link is stalled (not busy) from tick 64 until the pop admits the
     // second transfer, so busyTicks must be exactly 2 x 64.
     Engine e;
-    Stream s(e, 64.0, 1, "bp");
+    Stream s(e, 64, 1, "bp");
     auto producer = [](Stream &st) -> Task {
         co_await st.send(makeChunk(32, 32, 0));  // 4096 B = 64 ticks
         co_await st.send(makeChunk(32, 32, 1));
@@ -115,33 +115,10 @@ TEST(StreamEdge, BusyTicksCountTransfersNotBackPressureStalls)
     EXPECT_EQ(e.now(), 1064u);
 }
 
-TEST(StreamEdge, TrySendHonorsCapacityAndQueuedSenders)
-{
-    Engine e;
-    Stream s(e, 4096.0, 2, "try");
-    EXPECT_TRUE(s.trySend(makeChunk(1, 1, 0)));
-    EXPECT_TRUE(s.trySend(makeChunk(1, 1, 1)));
-    EXPECT_FALSE(s.trySend(makeChunk(1, 1, 2))) << "FIFO is full";
-    // A blocked coroutine sender queues behind the full FIFO; trySend
-    // must not jump that queue even after slots free up.
-    Task blocked = sendOne(s, 3);
-    EXPECT_TRUE(s.hasBlockedSender());
-    std::vector<Chunk> got;
-    Task rcv = recvChunks(s, 3, got);
-    ASSERT_TRUE(e.run());
-    ASSERT_EQ(got.size(), 3u);
-    EXPECT_EQ(got[0].tag, 0u);
-    EXPECT_EQ(got[1].tag, 1u);
-    EXPECT_EQ(got[2].tag, 3u);
-    EXPECT_TRUE(blocked.done());
-    // Drained: trySend succeeds again.
-    EXPECT_TRUE(s.trySend(makeChunk(1, 1, 4)));
-}
-
 TEST(StreamEdge, PostAndFlushDeliverEverythingInOrder)
 {
     Engine e;
-    Stream s(e, 4096.0, 2, "post");
+    Stream s(e, 4096, 2, "post");
     Tick flushed_at = 0;
     auto producer = [](Stream &st, Tick &done_at) -> Task {
         for (std::uint32_t i = 0; i < 5; ++i)
@@ -165,7 +142,7 @@ TEST(StreamEdge, PostAndFlushDeliverEverythingInOrder)
 TEST(StreamEdge, FlushOnDrainedStreamDoesNotSuspend)
 {
     Engine e;
-    Stream s(e, 64.0, 2, "noop-flush");
+    Stream s(e, 64, 2, "noop-flush");
     bool done = false;
     auto t = [&]() -> Task {
         co_await s.flush();
@@ -182,19 +159,19 @@ TEST(StreamEdge, TransferTicksIsExactIntegerCeilDivision)
     // mis-rounds once bytes exceed 2^53 (FP53 mantissa). The link
     // scheduler must use integer ceil-division.
     {
-        Stream s(e, 1.0, 1, "w1");
+        Stream s(e, 1, 1, "w1");
         Bytes b = (Bytes(1) << 53) + 1;  // not representable in double
         EXPECT_EQ(s.transferTicks(b), b);
     }
     {
-        Stream s(e, 64.0, 1, "w64");
+        Stream s(e, 64, 1, "w64");
         Bytes b = (Bytes(1) << 53) + 64;
         // Exact: (2^53 + 64) / 64 = 2^47 + 1. The double formula rounds
         // (2^53 + 127) up to 2^53 + 128 and lands one tick high.
         EXPECT_EQ(s.transferTicks(b), (Tick(1) << 47) + 1);
     }
     {
-        Stream s(e, 127.0, 1, "w127");  // non-power-of-two width
+        Stream s(e, 127, 1, "w127");  // non-power-of-two width
         Bytes b = (Bytes(1) << 53) + 127;
         Bytes expect = ((Bytes(1) << 53) + 127 + 126) / 127;
         EXPECT_EQ(s.transferTicks(b), expect);

@@ -87,7 +87,7 @@ recvChunk(Stream &s, std::vector<Chunk> &out)
 TEST(Watchdog, StreamWaitersShowUpInTheDrainDiagnosis)
 {
     Engine e;
-    Stream s(e, 64.0, 2, "starved");
+    Stream s(e, 64, 2, "starved");
     std::vector<Chunk> got;
     Task rcv = recvChunk(s, got);
     EXPECT_TRUE(e.run());

@@ -7,15 +7,6 @@
 
 namespace rsn::serve {
 
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 lib::Model
 RequestClass::build(std::uint32_t batch) const
 {

@@ -23,16 +23,15 @@
 #include <string>
 #include <vector>
 
+#include "common/mix64.hh"
 #include "common/status.hh"
 #include "common/types.hh"
 #include "lib/model.hh"
 
 namespace rsn::serve {
 
-/** SplitMix64 finalizer: the serving tier's one source of randomness
- *  (arrival gaps, class draws, retry jitter, per-request fault-seed
- *  salting). Pure, stateless, seedable. */
-std::uint64_t mix64(std::uint64_t x);
+/** The serving tier's one source of randomness (common/mix64.hh). */
+using rsn::mix64;
 
 /**
  * One request shape in the serving mix: a tiny-encoder configuration

@@ -2,9 +2,10 @@
 # Code-line count for refactor line deltas: non-blank lines left after
 # the compiler's preprocessor strips comments (includes and macros are
 # kept, not expanded). Prints one "COUNT PATH" line per file and a
-# total.
+# total. A directory stands for every .cc/.hh/.inc file under it, in
+# sorted order.
 #
-# Usage: tools/loc.sh PATH...
+# Usage: tools/loc.sh PATH...     e.g. tools/loc.sh src
 set -euo pipefail
 
 if [ "$#" -eq 0 ]; then
@@ -12,8 +13,20 @@ if [ "$#" -eq 0 ]; then
     exit 2
 fi
 
+files=()
+for p in "$@"; do
+    if [ -d "$p" ]; then
+        while IFS= read -r f; do
+            files+=("$f")
+        done < <(find "$p" -type f \( -name '*.cc' -o -name '*.hh' \
+                      -o -name '*.inc' \) | LC_ALL=C sort)
+    else
+        files+=("$p")
+    fi
+done
+
 total=0
-for f in "$@"; do
+for f in "${files[@]}"; do
     if [ ! -r "$f" ]; then
         echo "$0: cannot read $f" >&2
         exit 1

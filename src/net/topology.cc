@@ -61,7 +61,7 @@ Topology::validate() const
         if (e.src == e.dst)
             rsn_fatal("self-loop on %s", e.src.toString().c_str());
         if (e.bytes_per_tick == 0)
-            rsn_fatal("edge %s has non-positive width", e.name().c_str());
+            rsn_fatal("edge %s has zero width", e.name().c_str());
     }
     for (std::size_t i = 0; i < edges_.size(); ++i)
         for (std::size_t j = i + 1; j < edges_.size(); ++j)

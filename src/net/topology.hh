@@ -25,7 +25,7 @@ struct Edge {
     FuId src;
     FuId dst;
     Bytes bytes_per_tick = 0;  ///< Link width.
-    std::size_t depth = 2;      ///< FIFO depth in chunks.
+    std::size_t depth = 2;     ///< FIFO depth in chunks.
 
     std::string name() const
     {

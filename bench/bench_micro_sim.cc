@@ -8,8 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <vector>
 
+#include "common/mix64.hh"
 #include "sim/channel.hh"
 #include "sim/engine.hh"
 #include "sim/stream.hh"
@@ -35,7 +37,9 @@ nop(void *)
 {
 }
 
-/** Raw callbacks on consecutive ticks: wheel insertion plus dispatch. */
+/** Raw callbacks on consecutive ticks, all scheduled up front: a queue
+ *  range(0) distinct ticks deep, far deeper than the datapath's (see
+ *  BM_EngineDatapathMix), so every dispatch pays a heap pop. */
 void
 BM_EngineEventDispatch(benchmark::State &state)
 {
@@ -68,7 +72,7 @@ BM_CoroResumeDispatch(benchmark::State &state)
     for (auto _ : state) {
         Engine e;
         Task t = delayLoop(e, int(state.range(0)));
-        e.run(64);  // warmup: arena/wheel growth happens here
+        e.run(64);  // warmup: arena and run-heap growth happen here
         std::uint64_t warm = e.eventsProcessed();
         std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
         e.run();
@@ -125,6 +129,115 @@ BM_ZeroDelayNowQueue(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ZeroDelayNowQueue)->Arg(10000);
+
+/**
+ * One delay of the datapath's event mix, drawn from @p r. The shares are
+ * counted over a perfbench `sweep` run (1.38 events per dispatched tick,
+ * 6.9 pending ticks on average): 22% zero-delay wakeups, 17% 2-7 ticks,
+ * 21% 128-511, 7% 512-2047 and 32% 2048-8191 ticks (FU compute and link
+ * latencies); the last 1% is spread over 8-127 ticks.
+ */
+Tick
+datapathDelay(std::uint64_t r)
+{
+    const std::uint64_t pct = r % 100, u = r / 100;
+    if (pct < 22)
+        return 0;
+    if (pct < 39)
+        return 2 + u % 6;
+    if (pct < 40)
+        return 8 + u % 120;
+    if (pct < 61)
+        return 128 + u % 384;
+    if (pct < 68)
+        return 512 + u % 1536;
+    return 2048 + u % 6144;
+}
+
+/** A fixed table of datapath delays, so the bench times no RNG. */
+const std::array<Tick, 4096> &
+datapathDelays()
+{
+    static const auto table = [] {
+        std::array<Tick, 4096> t{};
+        for (std::size_t i = 0; i < t.size(); ++i)
+            t[i] = datapathDelay(rsn::mix64(i));
+        return t;
+    }();
+    return table;
+}
+
+/** Suspend for @p d ticks; 0 resumes through the now-queue, the way a
+ *  channel or stream wakeup does. */
+struct Hop {
+    Engine &e;
+    Tick d;
+
+    bool await_ready() const noexcept { return false; }
+    void
+    await_suspend(std::coroutine_handle<> h) const
+    {
+        if (d)
+            e.resumeAt(e.now() + d, h);
+        else
+            e.resumeNow(h);
+    }
+    void await_resume() const noexcept {}
+};
+
+/** An FU-like coroutine: @p n hops through the delay table from @p at. */
+Task
+mixActor(Engine &e, std::size_t at, long n)
+{
+    const auto &delays = datapathDelays();
+    for (long i = 0; i < n; ++i)
+        co_await Hop{e, delays[(at + i) % delays.size()]};
+}
+
+/** A link-completion-like raw callback rescheduling itself @p n times. */
+struct MixCallback {
+    Engine *e;
+    std::size_t at;
+    long n;
+
+    static void
+    step(void *p)
+    {
+        MixCallback *c = static_cast<MixCallback *>(p);
+        if (--c->n > 0) {
+            const auto &delays = datapathDelays();
+            c->e->callAt(c->e->now() + delays[c->at++ % delays.size()],
+                         step, c);
+        }
+    }
+};
+
+/** The datapath's event shape: 8 coroutines and 4 raw callback chains
+ *  (about 12 pending events) hopping by the measured delay mix. */
+void
+BM_EngineDatapathMix(benchmark::State &state)
+{
+    constexpr int kCoros = 8, kCallbacks = 4;
+    const long per_actor = long(state.range(0)) / (kCoros + kCallbacks);
+    std::uint64_t events = 0;
+    for (auto _ : state) {
+        Engine e;
+        std::vector<Task> coros;
+        coros.reserve(kCoros);
+        // Tasks start eagerly: each schedules its first hop here.
+        for (int i = 0; i < kCoros; ++i)
+            coros.push_back(mixActor(e, 331 * std::size_t(i), per_actor));
+        std::array<MixCallback, kCallbacks> cbs;
+        for (int i = 0; i < kCallbacks; ++i) {
+            cbs[i] = MixCallback{&e, 3001 + 97 * std::size_t(i), per_actor};
+            e.callAt(Tick(i), MixCallback::step, &cbs[i]);
+        }
+        e.run();
+        events += e.eventsProcessed();
+    }
+    state.SetItemsProcessed(std::int64_t(events));
+}
+BENCHMARK(BM_EngineDatapathMix)->Arg(120000);
 
 Task
 parkedCoro()

@@ -2,71 +2,65 @@
 
 namespace rsn::sim {
 
-/**
- * Redistribute every event of wheel bucket (lvl, bi) to its proper level
- * relative to the (just advanced) wheel base. Events near the base drop
- * several levels at once — e.g. the first 256 ticks of a level-2 segment
- * belong directly in level 0. List order is preserved, which preserves
- * same-tick FIFO order.
- */
 void
-Engine::cascade(int lvl, std::uint32_t bi)
+Engine::badTick(Tick when) const
 {
-    Level &l = wheel_[lvl];
-    Bucket b = l.b[bi];
-    l.b[bi] = Bucket{};
-    l.occupied[bi >> 6] &= ~(std::uint64_t(1) << (bi & 63));
-    for (std::uint32_t i = b.head; i != kNil;) {
-        std::uint32_t nxt = arena_[i].next;
-        arena_[i].next = kNil;
-        Tick when = arena_[i].when;
-        int lv = levelFor(when ^ base_);
-        appendBucket(lv, (when >> (kLevelBits * lv)) & kBucketMask, i);
-        i = nxt;
-    }
+    rsn_panic("scheduling at tick %llu with now() at %llu: %s",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(now_),
+              when < now_ ? "into the past" : "kTickMax is reserved");
 }
 
-/**
- * Find the tick of the next pending batch, cascading wheel levels as the
- * search advances — but never past a segment floor beyond @p max_ticks,
- * so an aborted run leaves the wheel base at or below the clamped now().
- * Returns kTickMax when no events are pending; a return value >
- * max_ticks may be a lower bound rather than an exact tick.
- */
-Tick
-Engine::nextEventTick(Tick max_ticks)
+void
+Engine::pushRun()
 {
-    for (;;) {
-        int i = findNextSet(wheel_[0].occupied,
-                            std::uint32_t(base_ & kBucketMask));
-        if (i >= 0)
-            return (base_ & ~kBucketMask) | Tick(i);
-
-        int lvl = 1;
-        for (; lvl < kLevels; ++lvl) {
-            const int shift = kLevelBits * lvl;
-            const int j = findNextSet(
-                wheel_[lvl].occupied,
-                std::uint32_t((base_ >> shift) & kBucketMask) + 1);
-            if (j < 0)
-                continue;
-            // The segment keeps base_'s bytes above this level (none at
-            // the top level) with this level's byte set to j. Masking
-            // rather than shifting by shift + kLevelBits avoids the
-            // undefined shift by 64 at the top.
-            const Tick below = (Tick(1) << shift) - 1;
-            const Tick floor = (base_ & ~((kBucketMask << shift) | below)) |
-                               (Tick(j) << shift);
-            if (floor > max_ticks)
-                return floor;  // beyond the limit: do not enter the segment
-            base_ = floor;
-            cascade(lvl, std::uint32_t(j));
+    heap_.push_back(newest_);
+    std::size_t i = heap_.size() - 1;
+    while (i > 0) {
+        std::size_t parent = (i - 1) / 4;
+        if (!(newest_ < heap_[parent]))
             break;
-        }
-        if (lvl == kLevels)
-            return kTickMax;  // every level empty
-        // Cascaded one level; rescan from level 0.
+        heap_[i] = heap_[parent];
+        i = parent;
     }
+    heap_[i] = newest_;
+}
+
+/** Remove the heap's minimum run (sift-down of the last entry). */
+void
+Engine::popRun()
+{
+    const Run last = heap_.back();
+    heap_.pop_back();
+    const std::size_t n = heap_.size();
+    if (n == 0)
+        return;
+    std::size_t i = 0;
+    for (;;) {
+        const std::size_t first = 4 * i + 1;
+        if (first >= n)
+            break;
+        std::size_t min = first;
+        for (std::size_t c = first + 1; c < first + 4 && c < n; ++c)
+            if (heap_[c] < heap_[min])
+                min = c;
+        if (!(heap_[min] < last))
+            break;
+        heap_[i] = heap_[min];
+        i = min;
+    }
+    heap_[i] = last;
+}
+
+/** Append run @p r's slots to the batch being assembled. */
+void
+Engine::splice(const Run &r)
+{
+    if (active_head_ == kNil)
+        active_head_ = r.head;
+    else
+        arena_[active_tail_].next = r.head;
+    active_tail_ = r.tail;
 }
 
 bool
@@ -83,7 +77,11 @@ Engine::run(Tick max_ticks)
             draining_ = false;
             if (stop_requested_) [[unlikely]]
                 return false;  // fault-diagnosed stop at a batch boundary
-            Tick t = nextEventTick(max_ticks);
+            // The newest run has the highest sequence, so at a shared
+            // tick it goes last, after the heap's runs.
+            Tick t = newest_.tick;
+            if (!heap_.empty() && heap_[0].tick < t)
+                t = heap_[0].tick;
             if (t == kTickMax)
                 return true;
             if (t > max_ticks) {
@@ -93,14 +91,15 @@ Engine::run(Tick max_ticks)
                     now_ = max_ticks;
                 return false;
             }
-            std::uint32_t bi = std::uint32_t(t & kBucketMask);
-            Bucket batch = wheel_[0].b[bi];
-            wheel_[0].b[bi] = Bucket{};
-            wheel_[0].occupied[bi >> 6] &=
-                ~(std::uint64_t(1) << (bi & 63));
-            now_ = base_ = t;
-            active_head_ = batch.head;
-            active_tail_ = batch.tail;
+            while (!heap_.empty() && heap_[0].tick == t) {
+                splice(heap_[0]);
+                popRun();
+            }
+            if (newest_.tick == t) {
+                splice(newest_);
+                newest_.tick = kTickMax;
+            }
+            now_ = t;
             draining_ = true;
             budget_left = budget_;
         }
@@ -112,7 +111,6 @@ Engine::run(Tick max_ticks)
             return false;
         }
         std::uint32_t cur = active_head_;
-        --pending_;
         ++events_processed_;
         // Read the payload into registers before dispatch: the event may
         // schedule and grow the arena, invalidating references into it.

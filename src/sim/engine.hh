@@ -16,41 +16,49 @@
  * (fu::Fu::recordSpans) only read now(), so observing a run never moves
  * its ticks.
  *
- * ## One queue: a hierarchical timing wheel over all 64 tick bits
+ * ## One queue: a small heap of same-tick runs
  *
- * Pending ticks are organized as an 8-level timing wheel (256 buckets per
- * level, so level L buckets span 256^L ticks and the top level covers
- * every bit of Tick) aligned to the wheel base. Scheduling appends to the
- * bucket whose level is the highest byte in which the target tick
- * differs from the base — O(1) with a bitmap of occupied buckets per
- * level. As time advances into a higher-level bucket's segment, that
- * bucket cascades its events to lower levels (an event moves at most
- * once per level). A level-0 bucket holds exactly one tick, so its
- * intrusive list *is* the tick's FIFO batch.
+ * A *run* is an intrusive FIFO list of slots that share one tick. The
+ * pending runs form a 4-ary min-heap ordered by (tick, sequence), the
+ * sequence numbering runs in creation order. Scheduling at the tick of
+ * the newest run appends to it in O(1), so a same-tick burst stays one
+ * run; any other tick starts a new run. Only the newest run's tail
+ * still moves, so it waits outside the heap and enters it when a newer
+ * run replaces it. Dispatch takes every run at the minimum tick, in
+ * sequence order, and splices them into the one batch it drains.
  * A "now-queue" fast path appends zero-delay events directly to the batch
  * currently being drained, which is how channel/stream wakeups
- * (`resumeNow`) bypass the wheel entirely.
+ * (`resumeNow`) bypass the heap entirely.
+ *
+ * Why a heap fits: the datapath's queue is shallow and sparse in time.
+ * FU compute and link latencies put most delays between 128 and 8191
+ * ticks, and a perfbench `sweep` run dispatches 1.38 events per tick
+ * with 6.9 ticks pending on average (21 at most). A heap that few runs
+ * deep costs a handful of compares per tick, where a timing wheel spent
+ * its time cascading events between levels and scanning occupancy
+ * bitmaps. A queue thousands of distinct ticks deep (the
+ * BM_EngineEventDispatch microbench) pays O(log n) per tick instead.
  *
  * ## Allocation-free invariant
  *
  * In steady state the schedule/dispatch path performs **zero heap
- * allocations**: slots are recycled through a free list, the wheel is
- * fixed-size inline storage, and an event stores nothing but a handle or
- * a (callback, argument) pair. The only allocating path is one-time
- * growth of the arena, amortized away after warmup. The engine owns no
- * event payload: coroutine frames belong to their Task and callback
- * arguments to their scheduler, so a destroyed engine drops its pending
- * events without invoking or freeing anything.
+ * allocations**: slots are recycled through a free list, the heap keeps
+ * its capacity, and an event stores nothing but a handle or a
+ * (callback, argument) pair. The only allocating paths are one-time
+ * growth of the arena and of the heap, amortized away after warmup. The
+ * engine owns no event payload: coroutine frames belong to their Task
+ * and callback arguments to their scheduler, so a destroyed engine drops
+ * its pending events without invoking or freeing anything.
  *
  * ## Ordering contract
  *
  * Events at the same tick run in FIFO order of scheduling — including
  * events scheduled *at the current tick during dispatch*, which run after
- * everything already queued for that tick. Cascades preserve intra-bucket
- * list order and segments are aligned, so an event can never be scheduled
- * into a same-tick bucket "ahead of" an earlier event still waiting at a
- * higher level. This makes simulations fully deterministic and is pinned
- * by tests/sim/test_engine_stress.cc against a reference
+ * everything already queued for that tick. An event joins either the
+ * newest run or a new one, so every run at a tick holds events scheduled
+ * after those of the runs before it, and dispatch splices runs in
+ * sequence order. This makes simulations fully deterministic and is
+ * pinned by tests/sim/test_engine_stress.cc against a reference
  * single-priority-queue engine with (tick, sequence) ordering.
  *
  * ## Tick-limit contract (run)
@@ -59,8 +67,10 @@
  * next pending event lies beyond the limit, run() returns false and
  * leaves `now()` at max(now(), max_ticks): a limit in the past never
  * rewinds time. If the queue drains, run() returns true and `now()`
- * stays at the tick of the last executed event. Ticks must be < kTickMax,
- * which is reserved as the "no limit" sentinel.
+ * stays at the tick of the last executed event. Runs beyond the limit
+ * stay queued as they were: a later schedule at the newest run's tick
+ * still joins it. Ticks must be < kTickMax, which is reserved as the
+ * "no limit" sentinel (and marks "no newest run" inside the engine).
  *
  * ## Watchdog and stop requests
  *
@@ -81,8 +91,6 @@
 #ifndef RSN_SIM_ENGINE_HH
 #define RSN_SIM_ENGINE_HH
 
-#include <array>
-#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <string>
@@ -115,7 +123,12 @@ struct WaitableRec {
 class Engine
 {
   public:
-    Engine() = default;
+    /** Reserves the run heap for the datapath's depth (at most 21
+     *  pending ticks measured), so it never grows in a run. Allocated
+     *  here, with the machine, rather than among a first run's
+     *  transient blocks, where it pinned the top of the malloc heap:
+     *  +0.5 MB peak RSS on perfbench `sweep`. */
+    Engine() { heap_.reserve(64); }
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
@@ -150,13 +163,13 @@ class Engine
      * Resume @p h at the current tick, after all events already queued for
      * it (same-tick FIFO). This is the zero-delay now-queue fast path used
      * by channel/stream wakeups: during dispatch it is a single append to
-     * the draining batch, with no wheel or heap traffic.
+     * the draining batch, with no run or heap traffic.
      */
     [[gnu::always_inline]] inline void
     resumeNow(std::coroutine_handle<> h)
     {
         // Cold branch out of line: the idle-engine case drags the whole
-        // wheel-insertion path into this function's inline cost and can
+        // run-insertion path into this function's inline cost and can
         // push the per-delivery hot append out of callers (measured on
         // BM_StreamChunkTransfer; hence also the always_inline above —
         // once the translation unit nears gcc's inline-growth cap this
@@ -171,7 +184,7 @@ class Engine
         s.when = now_;
         s.next = kNil;
         s.kind = Kind::Coro;
-        ++pending_;
+        ++scheduled_;
         arena_[active_tail_].next = idx;
         active_tail_ = idx;
     }
@@ -196,11 +209,12 @@ class Engine
     void
     reset()
     {
-        rsn_assert(pending_ == 0 && active_head_ == kNil,
+        rsn_assert(idle() && active_head_ == kNil,
                    "engine reset with %llu pending events",
-                   static_cast<unsigned long long>(pending_));
+                   static_cast<unsigned long long>(pendingEvents()));
         now_ = 0;
-        base_ = 0;
+        next_seq_ = 0;
+        scheduled_ = 0;
         events_processed_ = 0;
         stop_requested_ = false;
         watchdog_tripped_ = false;
@@ -267,10 +281,14 @@ class Engine
     std::uint64_t eventsProcessed() const { return events_processed_; }
 
     /** Number of events scheduled but not yet dispatched. */
-    std::uint64_t pendingEvents() const { return pending_; }
+    std::uint64_t
+    pendingEvents() const
+    {
+        return scheduled_ - events_processed_;
+    }
 
     /** True if no events are pending. */
-    bool idle() const { return pending_ == 0; }
+    bool idle() const { return scheduled_ == events_processed_; }
 
     /**
      * Awaitable that suspends the current coroutine for @p delay ticks.
@@ -300,7 +318,7 @@ class Engine
                 void *arg;
             } pair;
         } u;
-        Tick when;           ///< Target tick (needed by cascades).
+        Tick when;           ///< Target tick (for debuggers; runs carry theirs).
         std::uint32_t next;  ///< Next slot in the same-tick FIFO.
         Kind kind;
     };
@@ -308,44 +326,23 @@ class Engine
     static_assert(sizeof(Slot) == 32, "two slots per cache line");
 
     static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-    static constexpr int kLevelBits = 8;
-    static constexpr int kLevels = 64 / kLevelBits;  ///< Covers all of Tick.
-    static constexpr std::uint32_t kBucketsPerLevel = 1u << kLevelBits;
-    static constexpr Tick kBucketMask = kBucketsPerLevel - 1;
 
-    struct Bucket {
-        std::uint32_t head = kNil;
-        std::uint32_t tail = kNil;
-    };
-    struct Level {
-        std::array<Bucket, kBucketsPerLevel> b{};
-        std::array<std::uint64_t, kBucketsPerLevel / 64> occupied{};
-    };
+    /** A same-tick run: slots head..tail, linked through Slot::next. */
+    struct Run {
+        Tick tick;
+        std::uint64_t seq;  ///< Creation order; breaks same-tick ties.
+        std::uint32_t head;
+        std::uint32_t tail;
 
-    /** Wheel level holding tick @p when, given x = when ^ base_:
-     *  the highest differing byte. */
-    static int
-    levelFor(Tick x)
-    {
-        return (std::bit_width(x | 1) - 1) >> 3;
-    }
-
-    void
-    appendBucket(int lvl, std::uint32_t bi, std::uint32_t idx)
-    {
-        Level &l = wheel_[lvl];
-        Bucket &b = l.b[bi];
-        if (b.head == kNil) {
-            b.head = b.tail = idx;
-            l.occupied[bi >> 6] |= std::uint64_t(1) << (bi & 63);
-        } else {
-            arena_[b.tail].next = idx;
-            b.tail = idx;
+        bool
+        operator<(const Run &o) const
+        {
+            return tick < o.tick || (tick == o.tick && seq < o.seq);
         }
-    }
+    };
 
     /** Out-of-line cold half of resumeNow(): the engine is idle, take
-     *  the full wheel-insertion path. */
+     *  the full run-insertion path. */
     [[gnu::noinline]] void
     resumeNowIdle(std::coroutine_handle<> h)
     {
@@ -379,47 +376,49 @@ class Engine
     Slot &
     slotFor(Tick when)
     {
-        rsn_assert(when >= now_, "scheduling into the past");
+        if (when < now_ || when == kTickMax) [[unlikely]]
+            badTick(when);
         std::uint32_t idx = grabSlot();
         Slot &s = arena_[idx];
         s.when = when;
         s.next = kNil;
-        ++pending_;
+        ++scheduled_;
         if (when == now_ && draining_) {
             // Now-queue fast path: extend the batch being dispatched.
             arena_[active_tail_].next = idx;
             active_tail_ = idx;
-            return s;
+        } else if (when == newest_.tick) {
+            arena_[newest_.tail].next = idx;
+            newest_.tail = idx;
+        } else {
+            // The newest run can no longer grow: it joins the heap.
+            if (newest_.tick != kTickMax)
+                pushRun();
+            newest_ = Run{when, next_seq_++, idx, idx};
         }
-        const int lvl = levelFor(when ^ base_);
-        appendBucket(lvl, (when >> (kLevelBits * lvl)) & kBucketMask, idx);
         return s;
     }
 
-    /** Next occupied bucket index >= @p from, or -1. */
-    static int
-    findNextSet(const std::array<std::uint64_t, kBucketsPerLevel / 64> &bm,
-                std::uint32_t from)
-    {
-        if (from >= kBucketsPerLevel)
-            return -1;
-        std::uint32_t w = from >> 6;
-        std::uint64_t word = bm[w] & (~std::uint64_t(0) << (from & 63));
-        for (;;) {
-            if (word)
-                return int(w * 64 + std::countr_zero(word));
-            if (++w == bm.size())
-                return -1;
-            word = bm[w];
-        }
-    }
+    /** Panic on a tick in the past or at the kTickMax sentinel. Cold and
+     *  out of line: an inline rsn_assert's message formatting gave
+     *  slotFor() a stack frame that every schedule paid for. */
+    [[noreturn, gnu::cold, gnu::noinline]] void badTick(Tick when) const;
 
-    Tick nextEventTick(Tick max_ticks);
-    void cascade(int lvl, std::uint32_t bi);
+    /** Sift newest_ into the heap. Out of line: inlined, the sift and
+     *  the vector's growth path gave slotFor() a six-register prologue
+     *  that every append paid. */
+    [[gnu::noinline]] void pushRun();
+    void popRun();
+    void splice(const Run &r);
 
     std::vector<Slot> arena_;
     std::uint32_t free_head_ = kNil;  ///< Intrusive free list via Slot::next.
-    std::array<Level, kLevels> wheel_{};
+    /** Every pending run but the newest: a 4-ary min-heap. */
+    std::vector<Run> heap_;
+    /** The newest run, outside the heap while it may still grow;
+     *  tick kTickMax when there is none. */
+    Run newest_{kTickMax, 0, kNil, kNil};
+    std::uint64_t next_seq_ = 0;
     std::uint32_t active_head_ = kNil;  ///< Batch being drained by run().
     std::uint32_t active_tail_ = kNil;
     // stop_requested_ and the watchdog state sit here, among the scalars
@@ -430,9 +429,13 @@ class Engine
     bool stop_requested_ = false;
     bool watchdog_tripped_ = false;
     Tick now_ = 0;
-    Tick base_ = 0;  ///< Wheel alignment base; base_ <= now() between runs.
     std::uint64_t budget_ = ~std::uint64_t(0);  ///< Events per tick.
-    std::uint64_t pending_ = 0;
+    /** Events ever scheduled; pending = scheduled_ - events_processed_.
+     *  A pending count of its own cost dispatch a read-modify-write per
+     *  event, which gcc paired with events_processed_ into one 16-byte
+     *  access that stalled on the 8-byte store of the event's own
+     *  schedule (failed store-to-load forwarding). */
+    std::uint64_t scheduled_ = 0;
     std::uint64_t events_processed_ = 0;
     std::vector<WaitableRec> waitables_;
 };

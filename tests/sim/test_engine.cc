@@ -237,8 +237,8 @@ TEST(Engine, DestroyedEngineInvokesNoPendingEvent)
 
 TEST(Engine, TicksAcrossAllWheelLevelsRunInOrder)
 {
-    // One event on each of the timing wheel's lower levels, and one
-    // beyond 2^32 (the one-queue description in engine.hh).
+    // Ticks far apart, one beyond 2^32, scheduled out of order, run in
+    // tick order. (The name predates the heap of runs.)
     Engine e;
     std::vector<Tick> fired;
     auto record = [&fired, &e] { fired.push_back(e.now()); };
@@ -252,8 +252,9 @@ TEST(Engine, TicksAcrossAllWheelLevelsRunInOrder)
 
 TEST(Engine, TopWheelLevelTicksRunInOrder)
 {
-    // Level 7 holds ticks whose top byte differs from the base; its
-    // segment base is 0. A limit below the first event leaves it queued.
+    // Ticks near the top of the 64-bit range. A limit below the first
+    // event leaves every run queued. (The name predates the heap of
+    // runs.)
     Engine e;
     std::vector<Tick> fired;
     auto record = [&fired, &e] { fired.push_back(e.now()); };
@@ -266,6 +267,93 @@ TEST(Engine, TopWheelLevelTicksRunInOrder)
     EXPECT_TRUE(e.run());
     EXPECT_EQ(fired, (std::vector<Tick>{l6, Tick(1) << 56, top, top + 1}));
     EXPECT_EQ(e.now(), top + 1);
+}
+
+TEST(Engine, RunsAtAlternatingTicksKeepFifoOrderWithDispatchAppends)
+{
+    // Schedules at T, U, T, U, T start five runs (each one a new run,
+    // since only the newest run grows); events dispatched earlier and at
+    // T add more at both ticks. Every tick still runs in schedule order.
+    const Tick S = 5, T = 10, U = 20;
+    Engine e;
+    std::vector<int> order;
+    std::array<Mark, 12> m;
+    for (int i = 0; i < 12; ++i)
+        m[i] = Mark{&order, i};
+    // Tags: 1-6 run at T, 7-11 at U, in the order each tick must run them.
+    auto atS = [&] {
+        order.push_back(0);
+        e.callAt(T, Mark::fire, &m[4]);
+        e.callAt(U, Mark::fire, &m[9]);
+        e.callAt(T, Mark::fire, &m[5]);
+        e.callAt(U, Mark::fire, &m[10]);
+    };
+    auto firstAtT = [&] {
+        order.push_back(1);
+        e.callAt(U, Mark::fire, &m[11]);
+        e.callAt(T, Mark::fire, &m[6]);  // now-queue, behind tag 5
+    };
+    callAt(e, T, firstAtT);
+    e.callAt(U, Mark::fire, &m[7]);
+    e.callAt(T, Mark::fire, &m[2]);
+    e.callAt(U, Mark::fire, &m[8]);
+    e.callAt(T, Mark::fire, &m[3]);
+    callAt(e, S, atS);
+    EXPECT_TRUE(e.run());
+    EXPECT_EQ(order,
+              (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11}));
+    EXPECT_EQ(e.now(), U);
+}
+
+TEST(Engine, LimitStopsWithRunsPendingThenNewestRunGrows)
+{
+    // run(limit) leaves the runs beyond the limit queued as they were:
+    // a schedule at the newest run's tick joins it, one at an older
+    // run's tick starts a later run there, and both keep FIFO order.
+    Engine e;
+    std::vector<int> order;
+    std::array<Mark, 6> m;
+    for (int i = 0; i < 6; ++i)
+        m[i] = Mark{&order, i};
+    e.callAt(100, Mark::fire, &m[0]);
+    e.callAt(300, Mark::fire, &m[4]);
+    e.callAt(200, Mark::fire, &m[1]);  // the newest run
+    EXPECT_FALSE(e.run(150));
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(e.now(), 150u);
+    e.callAt(200, Mark::fire, &m[2]);  // joins the newest run
+    e.callAt(300, Mark::fire, &m[5]);  // a run behind tag 4's
+    e.callAt(200, Mark::fire, &m[3]);  // a run behind tags 1-2
+    EXPECT_EQ(e.pendingEvents(), 5u);
+    EXPECT_TRUE(e.run());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+    EXPECT_EQ(e.now(), 300u);
+}
+
+TEST(Engine, ResetEngineIsReusable)
+{
+    Engine e;
+    std::vector<int> order;
+    std::array<Mark, 4> m;
+    for (int i = 0; i < 4; ++i)
+        m[i] = Mark{&order, i};
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
+        order.clear();
+        if (round)
+            e.reset();
+        EXPECT_EQ(e.now(), 0u);
+        EXPECT_EQ(e.eventsProcessed(), 0u);
+        e.callAt(0, Mark::fire, &m[0]);
+        e.callAt(40, Mark::fire, &m[3]);
+        e.callAt(7, Mark::fire, &m[1]);
+        e.callAt(7, Mark::fire, &m[2]);
+        EXPECT_FALSE(e.run(20));
+        EXPECT_TRUE(e.run());
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+        EXPECT_EQ(e.now(), 40u);
+        EXPECT_EQ(e.eventsProcessed(), 4u);
+    }
 }
 
 TEST(Engine, PendingEventsTracksQueueDepth)

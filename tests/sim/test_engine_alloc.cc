@@ -42,7 +42,7 @@ TEST(EngineAlloc, CoroutineResumeDispatchIsAllocationFree)
 {
     Engine e;
     Task t = delayLoop(e, 20000);
-    e.run(1000);  // warmup: grows arena/wheel bookkeeping once
+    e.run(1000);  // warmup: grows the slot arena and run heap once
     std::uint64_t before = news();
     e.run(15000);  // ~14000 coroutine resume events
     EXPECT_EQ(news(), before) << "coroutine dispatch path allocated";

@@ -1,11 +1,11 @@
 /**
  * @file
- * Determinism stress test for the timing-wheel event engine.
+ * Determinism stress test for the event engine's heap of same-tick runs.
  *
  * Replays identical seeded scripts — interleaving near-tick callbacks,
- * callbacks spread across several wheel levels, coroutine resumes across
- * the wheel levels (including ticks beyond 2^32), same-tick bursts, and
- * zero-delay chains — on both the production Engine and a reference
+ * callbacks spread over 300000 ticks, coroutine resumes up to 70000
+ * ticks out and beyond 2^32, same-tick bursts (which grow one run or
+ * start several at a tick), and zero-delay chains — on both the production Engine and a reference
  * engine that reproduces the seed implementation (single priority queue
  * ordered by (tick, sequence)). The production engine runs the script's
  * callbacks as raw `callAt` events and its coroutines through
@@ -164,8 +164,8 @@ runScript(unsigned seed)
             post(e, keep, e.now() + d, [&log, tag] { log.push_back(tag); });
             break;
         }
-        case 1: {  // callback far enough out to cascade
-            Tick d = rng() % 300000;  // spans several wheel levels
+        case 1: {  // callback far out: many distinct pending ticks
+            Tick d = rng() % 300000;
             post(e, keep, e.now() + d, [&log, tag] { log.push_back(tag); });
             break;
         }
@@ -182,7 +182,7 @@ runScript(unsigned seed)
         }
         case 4: {  // parked coroutine resumed via raw handle
             tasks.push_back(parked(log, tag));
-            Tick d = rng() % 4 == 0 ? (Tick(1) << 33) + rng() % 100  // level 4
+            Tick d = rng() % 4 == 0 ? (Tick(1) << 33) + rng() % 100
                                     : rng() % 70000;
             e.resumeAt(e.now() + d, tasks.back().handle());
             break;

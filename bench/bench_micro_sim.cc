@@ -327,7 +327,7 @@ BM_StreamChunkTransfer(benchmark::State &state)
         long bytes = 0;
         Task snd = streamSender(s, state.range(0));
         Task rcv = streamReceiver(s, state.range(0), bytes);
-        e.run(2000);  // warmup: ring/arena growth
+        e.run(2000);  // warmup: arena growth, coroutine frames
         std::uint64_t warm = s.chunksTransferred();
         std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
         e.run();

@@ -66,10 +66,12 @@ MachineConfig::validate() const
     if (!positiveFinite(aie_macs_per_cycle))
         return invalid("aie_macs_per_cycle must be positive and finite");
 
-    if (uop_fifo_depth == 0)
-        return invalid("uop_fifo_depth must be positive");
-    if (fetch_fifo_depth == 0)
-        return invalid("fetch_fifo_depth must be positive");
+    const std::string depth_range =
+        " must be in 1.." + std::to_string(kMaxFifoDepth);
+    if (uop_fifo_depth == 0 || uop_fifo_depth > kMaxFifoDepth)
+        return invalid("uop_fifo_depth" + depth_range);
+    if (fetch_fifo_depth == 0 || fetch_fifo_depth > kMaxFifoDepth)
+        return invalid("fetch_fifo_depth" + depth_range);
 
     if (Status s = precision.validate(); !s)
         return s;

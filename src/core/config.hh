@@ -112,6 +112,12 @@ struct PrecisionPolicy {
     Status validate() const;
 };
 
+/// Deepest uOP or packet FIFO MachineConfig::validate() accepts. A
+/// FIFO's storage is allocated once, at its full depth, when the machine
+/// is built (sim::Ring), so an unbounded depth would be an unbounded
+/// allocation; the paper's FIFOs hold 6 entries.
+inline constexpr std::size_t kMaxFifoDepth = 4096;
+
 /**
  * What a caller varies about the machine. The datapath shape, link
  * widths, clocks and fixed costs are the constants above

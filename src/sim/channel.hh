@@ -38,7 +38,7 @@ class Channel
 {
   public:
     Channel(Engine &eng, std::size_t capacity, std::string name = "chan")
-        : eng_(eng), cap_(capacity), name_(std::move(name))
+        : eng_(eng), cap_(capacity), name_(std::move(name)), q_(capacity)
     {
         rsn_assert(capacity > 0, "channel capacity must be positive");
         eng_.registerWaitable(this);

@@ -1,20 +1,23 @@
 /**
  * @file
- * Ring: a power-of-two FIFO ring buffer with amortized O(1) push/pop.
+ * Ring: a fixed-capacity power-of-two FIFO ring buffer.
  *
  * Replacement for std::deque on the sim hot paths (channel payloads,
- * blocked-waiter queues): a deque pays block-map indexing on every access,
- * while the ring is a single masked index into contiguous storage that is
- * recycled in place — after warmup, pushes and pops never allocate.
+ * stream FIFOs): a deque pays block-map indexing on every access, while
+ * the ring is a single masked index into contiguous storage that is
+ * recycled in place. Its storage is allocated once, at construction, for
+ * the owner's depth, so pushes and pops never allocate and a push into a
+ * full ring trips rsn_assert.
  *
- * T must be default-constructible and movable; slots hold moved-from
- * values after a pop, which for the sim's payload types (ints, coroutine
- * handles, Chunks) is free.
+ * T must be default-constructible and movable; a retired slot keeps its
+ * moved-from value, which for the sim's payload types (uOP references,
+ * packet pointers, Chunks) is free.
  */
 
 #ifndef RSN_SIM_RING_HH
 #define RSN_SIM_RING_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -28,12 +31,15 @@ template <typename T>
 class Ring
 {
   public:
+    /** Room for at least @p capacity items (rounded up to a power of 2). */
+    explicit Ring(std::size_t capacity) : buf_(std::bit_ceil(capacity)) {}
+
     bool empty() const { return head_ == tail_; }
     std::size_t size() const { return tail_ - head_; }
 
-    // front/pop_front/drop_front are forced inline: they sit inside the
-    // engine's per-event delivery loop, and under LTO the global inline
-    // budget can otherwise evict them once unrelated code grows.
+    // front/drop_front are forced inline: they sit inside the engine's
+    // per-event delivery loop, and under LTO the global inline budget can
+    // otherwise evict them once unrelated code grows.
     [[gnu::always_inline]] T &front()
     {
         rsn_assert(!empty(), "ring underflow");
@@ -43,23 +49,11 @@ class Ring
     void
     push_back(T v)
     {
-        if (size() == buf_.size())
-            grow();
+        rsn_assert(size() < buf_.size(), "ring overflow");
         buf_[tail_++ & mask()] = std::move(v);
     }
 
-    [[gnu::always_inline]] T
-    pop_front()
-    {
-        rsn_assert(!empty(), "ring underflow");
-        return std::move(buf_[head_++ & mask()]);
-    }
-
-    /**
-     * Retire the front slot without moving it out. For callers that
-     * already consumed the front through front() — the slot keeps its
-     * moved-from value, exactly as after pop_front().
-     */
+    /** Retire the front slot; callers consume it through front() first. */
     [[gnu::always_inline]] void
     drop_front()
     {
@@ -69,20 +63,6 @@ class Ring
 
   private:
     std::size_t mask() const { return buf_.size() - 1; }
-
-    void
-    grow()
-    {
-        std::vector<T> bigger(buf_.empty() ? kMinCapacity : buf_.size() * 2);
-        std::size_t n = size();
-        for (std::size_t i = 0; i < n; ++i)
-            bigger[i] = std::move(buf_[(head_ + i) & mask()]);
-        buf_.swap(bigger);
-        head_ = 0;
-        tail_ = n;
-    }
-
-    static constexpr std::size_t kMinCapacity = 8;  // power of two
 
     std::vector<T> buf_;
     std::uint64_t head_ = 0;  ///< Free-running; index = head_ & mask().

@@ -5,46 +5,53 @@
  * This is an edge of the RSN network (paper Sec. 3.1). On top of Channel
  * semantics (FIFO, back-pressure) it models *link occupancy*: a chunk of B
  * bytes occupies the link for ceil(B / width) ticks, with an integer
- * width in bytes per tick, and transfers serialize on the link. A full
- * downstream FIFO back-pressures the link: the transfer does not start
- * until a slot is reserved.
+ * width in bytes per tick. A full downstream FIFO back-pressures the
+ * link: the transfer does not start until a slot is free.
+ *
+ * ## One writer, one reader, one chunk outstanding
+ *
+ * The RSN datapath is circuit-switched: every stream is a point-to-point
+ * edge from one FU to another (paper Fig. 10), and each FU kernel keeps
+ * at most one chunk outstanding per output — `co_await send(c)` resumes
+ * at delivery, and the mesh FU flushes each broadcast copy before the
+ * next. So a stream holds one outstanding transfer (waiting for a FIFO
+ * slot or on the link), at most one parked receiver and one parked
+ * flusher. A second concurrent sender, receiver or flusher, or a
+ * `post()` before the previous chunk was flushed, is a wiring bug and
+ * trips rsn_assert naming the stream.
  *
  * ## Coroutine-free data plane
  *
  * The send path spawns no coroutine frames and performs no heap
- * allocations in steady state. `send()` returns a plain awaitable: the
- * sender's chunk enters an internal ring of pending transfers and the
- * stream itself drives link occupancy with engine events — one inline
- * (SBO) completion callback per chunk, scheduled at the transfer's end
- * tick. Completions deliver in link order, wake the receiver and the
- * sender through the engine's now-queue, and admit the next pending
- * sender synchronously when a FIFO slot frees. Slot admission is strictly
- * FIFO over send/post arrival order, so several senders on one stream
- * are admitted in the order they arrived. `co_await send(c)` resumes the
- * sender at delivery time, so FU kernel overlap semantics hold.
+ * allocations. `send()` returns a plain awaitable: the sender's chunk
+ * enters the outstanding-transfer slot and the stream itself drives link
+ * occupancy with one engine completion event per chunk, scheduled at the
+ * transfer's end tick. A transfer starts when it is admitted — the link
+ * is free, since the chunk is the only one outstanding. The completion
+ * hands the chunk to a parked receiver (or the FIFO) and resumes the
+ * receiver, then the sender, directly; a parked flusher resumes through
+ * the engine's now-queue.
  *
- * A producer that must not suspend uses `post()` (unconditionally
- * enqueues, like a detached send) and then `flush()`, which awaits the
- * send side draining — the mesh FU uses post+flush to overlap one
- * broadcast chunk across all destination links.
+ * A producer that must not suspend uses `post()` (a detached send) and
+ * then `flush()`, which awaits its delivery — the mesh FU uses post+flush
+ * to overlap one broadcast chunk across all destination links.
  *
  * ## Lifetime
  *
- * Every chunk admitted to the link holds a raw `this` in its engine
- * completion event, so a Stream with admitted, undelivered chunks must
- * not be destroyed while its engine may still dispatch — the same rule
- * Task imposes for coroutine frames. The machine guarantees this by
- * destroying streams only after Engine::run returned and never running
- * that engine again (events pending at engine destruction are dropped,
- * never invoked).
+ * A chunk on the link holds a raw `this` in its engine completion event,
+ * so a Stream with a transfer in flight must not be destroyed while its
+ * engine may still dispatch — the same rule Task imposes for coroutine
+ * frames. The machine guarantees this by destroying streams only after
+ * Engine::run returned and never running that engine again (events
+ * pending at engine destruction are dropped, never invoked).
  */
 
 #ifndef RSN_SIM_STREAM_HH
 #define RSN_SIM_STREAM_HH
 
-#include <bit>
 #include <coroutine>
 #include <string>
+#include <utility>
 
 #include "common/log.hh"
 #include "sim/chunk.hh"
@@ -66,13 +73,10 @@ class Stream
     Stream(Engine &eng, Bytes bytes_per_tick, std::size_t depth_chunks,
            std::string name)
         : eng_(eng), bpt_(bytes_per_tick), cap_(depth_chunks),
-          name_(std::move(name))
+          name_(std::move(name)), q_(depth_chunks)
     {
         rsn_assert(bytes_per_tick > 0, "stream width must be positive");
         rsn_assert(depth_chunks > 0, "stream depth must be positive");
-        // Power-of-two widths get a shift instead of a divide.
-        if (std::has_single_bit(bpt_))
-            bpt_shift_ = std::countr_zero(bpt_);
         eng_.registerWaitable(this);
     }
 
@@ -100,22 +104,19 @@ class Stream
     bool
     waitQuiet() const
     {
-        return pending_.empty() && recv_waiters_.empty() &&
-               flush_waiters_.empty() && dead_sends_ == 0;
+        return out_state_ != Out::Blocked && !receiver_ && !flusher_ &&
+               dead_sends_ == 0;
     }
     [[gnu::cold]] std::string
     describeBlocked() const
     {
         std::string s = "stream " + name_ + ":";
-        if (!pending_.empty())
-            s += " " + std::to_string(pending_.size()) +
-                 " parked sender(s)";
-        if (!recv_waiters_.empty())
-            s += " " + std::to_string(recv_waiters_.size()) +
-                 " parked receiver(s)";
-        if (!flush_waiters_.empty())
-            s += " " + std::to_string(flush_waiters_.size()) +
-                 " parked flusher(s)";
+        if (out_state_ == Out::Blocked)
+            s += " 1 parked sender(s)";
+        if (receiver_)
+            s += " 1 parked receiver(s)";
+        if (flusher_)
+            s += " 1 parked flusher(s)";
         if (dead_sends_ > 0)
             s += " " + std::to_string(dead_sends_) +
                  " send(s) lost to a dead link";
@@ -138,46 +139,34 @@ class Stream
     std::uint64_t deadSends() const { return dead_sends_; }
 
     /** True if a chunk is waiting for a FIFO slot (back-pressure). */
-    bool hasBlockedSender() const { return !pending_.empty(); }
-    bool hasBlockedReceiver() const { return !recv_waiters_.empty(); }
+    bool hasBlockedSender() const { return out_state_ == Out::Blocked; }
+    bool hasBlockedReceiver() const { return receiver_ != nullptr; }
     std::size_t queued() const { return q_.size(); }
 
     /** Transfer duration in ticks for a chunk of @p b bytes (>= 1). */
     Tick
     transferTicks(Bytes b) const
     {
-        Tick t = bpt_shift_ >= 0 ? (b + bpt_ - 1) >> bpt_shift_
-                                 : (b + bpt_ - 1) / bpt_;
+        Tick t = (b + bpt_ - 1) / bpt_;
         return t ? t : 1;
     }
 
     /**
-     * Awaitable send: reserve a FIFO slot (FIFO-fair if full), occupy the
-     * link for the transfer duration, then deliver. The awaiting
-     * coroutine resumes at delivery time.
+     * Awaitable send: wait for a FIFO slot, occupy the link for the
+     * transfer duration, then deliver. The awaiting coroutine resumes at
+     * delivery time.
      */
     auto send(Chunk c) { return SendAwaiter{*this, std::move(c)}; }
 
     /**
-     * Detached send: unconditionally enqueue (never suspends, never
-     * fails). Pair with flush() to wait for delivery.
+     * Detached send: enqueue without suspending. Pair with flush() to
+     * wait for delivery before the next post().
      */
-    void
-    post(Chunk c)
-    {
-        if (pending_.empty() && claimed() < cap_)
-            admit(std::move(c), {});
-        else
-            pending_.push_back(Xfer{std::move(c), {}, 0});
-    }
+    void post(Chunk c) { enqueue(std::move(c), {}); }
 
     /**
-     * Awaitable: resume once the send side is fully drained (no chunk
-     * pending a slot or occupying the link). With a single producer —
-     * every stream is a point-to-point edge, so that is the normal case
-     * — this means "everything I enqueued was delivered". A producer
-     * that keeps enqueueing concurrently keeps pushing the drain point
-     * out; flush() is not a per-chunk completion.
+     * Awaitable: resume once the outstanding chunk was delivered (at
+     * once if none is outstanding).
      */
     auto flush() { return FlushAwaiter{*this}; }
 
@@ -185,18 +174,17 @@ class Stream
     auto recv() { return RecvAwaiter{*this, {}, {}, false}; }
 
     /**
-     * Clear stats and link occupancy for a fresh run on a rewound
-     * engine (RsnMachine::reset). Only legal when the stream is fully
-     * drained — no queued chunks, no transfer in flight, no blocked
-     * party — which a completed program run guarantees.
+     * Clear stats for a fresh run on a rewound engine
+     * (RsnMachine::reset). Only legal when the stream is fully drained —
+     * no queued chunk, no transfer outstanding, no parked party — which
+     * a completed program run guarantees.
      */
     void
     reset()
     {
-        rsn_assert(q_.empty() && pending_.empty() && xfer_.empty() &&
-                       recv_waiters_.empty() && flush_waiters_.empty(),
+        rsn_assert(q_.empty() && out_state_ == Out::None && !receiver_ &&
+                       !flusher_,
                    "reset of non-drained stream %s", name_.c_str());
-        link_free_ = 0;
         busy_ticks_ = 0;
         bytes_transferred_ = 0;
         chunks_transferred_ = 0;
@@ -205,15 +193,12 @@ class Stream
     }
 
   private:
-    /** One send operation: payload, waiting sender, completion tick. */
-    struct Xfer {
-        Chunk c;
-        std::coroutine_handle<> waiter;  ///< Null for post().
-        Tick end = 0;                    ///< Valid once admitted.
+    /** Where the outstanding chunk is. */
+    enum class Out : std::uint8_t {
+        None,     ///< No chunk outstanding.
+        Blocked,  ///< Waiting for a FIFO slot.
+        OnLink,   ///< Transferring; its completion event is scheduled.
     };
-
-    /** Slots claimed = delivered-and-queued + admitted to the link. */
-    std::size_t claimed() const { return q_.size() + xfer_.size(); }
 
     /**
      * Cold path of admit(): consult the injector and fold the outcome
@@ -240,89 +225,72 @@ class Stream
         return true;
     }
 
-    /** Claim a slot and put @p c on the link behind earlier transfers. */
+    /** Take @p c as the outstanding chunk; start it if a slot is free. */
     void
-    admit(Chunk &&c, std::coroutine_handle<> waiter)
+    enqueue(Chunk &&c, std::coroutine_handle<> sender)
     {
-        Tick start = std::max(eng_.now(), link_free_);
-        Tick dur = transferTicks(c.bytes());
+        rsn_assert(out_state_ == Out::None,
+                   "stream %s has a second concurrent sender",
+                   name_.c_str());
+        out_ = std::move(c);
+        sender_ = sender;
+        out_state_ = Out::Blocked;
+        if (q_.size() < cap_)
+            admit();
+    }
+
+    /** Put the outstanding chunk on the link, now. */
+    void
+    admit()
+    {
+        Tick dur = transferTicks(out_.bytes());
         if (fault_) [[unlikely]]
-            if (!admitFaulted(dur))
-                return;  // dead link: the chunk dies here
-        Tick end = start + dur;
+            if (!admitFaulted(dur)) {
+                out_ = Chunk{};  // dead link: the chunk dies here
+                sender_ = {};
+                out_state_ = Out::None;
+                return;
+            }
         busy_ticks_ += dur;
-        link_free_ = end;
-        bool link_was_idle = xfer_.empty();
-        xfer_.push_back(Xfer{std::move(c), waiter, end});
-        if (link_was_idle)
-            scheduleCompletion(end);
-    }
-
-    /** Admit pending senders while FIFO slots are free (FIFO order). */
-    void
-    pump()
-    {
-        while (!pending_.empty() && claimed() < cap_) {
-            Xfer &p = pending_.front();
-            Chunk c = std::move(p.c);
-            std::coroutine_handle<> waiter = p.waiter;
-            pending_.drop_front();
-            admit(std::move(c), waiter);
-        }
-    }
-
-    /** Raw engine callback firing at a transfer's end tick. */
-    void
-    scheduleCompletion(Tick when)
-    {
+        out_state_ = Out::OnLink;
         eng_.callAt(
-            when,
+            eng_.now() + dur,
             [](void *p) { static_cast<Stream *>(p)->onTransferDone(); },
             this);
     }
 
     /**
-     * A transfer finished: free the link head, hand the chunk over, and
-     * resume the parties. Receiver and sender continuations are resumed
-     * *directly* (not via the engine now-queue): the completion event is
-     * the only engine event on the per-chunk path, and all resumptions
-     * happen at the same tick either way. The next completion is
-     * scheduled before anyone resumes, so continuations observe a
-     * consistent link pipeline.
+     * The transfer finished: hand the chunk over and resume the parties.
+     * Receiver and sender continuations are resumed *directly* (not via
+     * the engine now-queue): the completion event is the only engine
+     * event on the per-chunk path, and all resumptions happen at the same
+     * tick either way. The slot is free before anyone resumes, so the
+     * sender may send its next chunk at once.
      */
     void
     onTransferDone()
     {
-        rsn_assert(!xfer_.empty(), "completion with no transfer in flight");
-        rsn_assert(xfer_.front().end == eng_.now(), "completion mistimed");
-        // Consume the head transfer in place (one Chunk move straight to
-        // its destination) instead of moving the whole Xfer out.
-        Xfer &head = xfer_.front();
-        Chunk c = std::move(head.c);
-        std::coroutine_handle<> sender = head.waiter;
-        xfer_.drop_front();
+        rsn_assert(out_state_ == Out::OnLink,
+                   "completion with no transfer in flight");
+        Chunk c = std::move(out_);
+        std::coroutine_handle<> sender = std::exchange(sender_, {});
+        out_state_ = Out::None;
         bytes_transferred_ += c.bytes();
         ++chunks_transferred_;
-        if (!xfer_.empty())
-            scheduleCompletion(xfer_.front().end);
-        if (!recv_waiters_.empty()) {
-            // Direct handoff: the chunk never touches the FIFO, so its
-            // slot frees immediately — admit pending senders first to
-            // keep claim accounting consistent, then resume.
+        if (receiver_) {
+            // Direct handoff: the chunk never touches the FIFO.
             rsn_assert(q_.empty(), "receiver waiting on non-empty stream");
-            RecvAwaiter *w = recv_waiters_.pop_front();
+            RecvAwaiter *w = std::exchange(receiver_, nullptr);
             w->got = std::move(c);
             w->has_got = true;
-            pump();
             w->waiter.resume();
         } else {
             q_.push_back(std::move(c));
         }
         if (sender)
             sender.resume();
-        if (xfer_.empty() && pending_.empty())
-            while (!flush_waiters_.empty())
-                eng_.resumeNow(flush_waiters_.pop_front());
+        if (out_state_ == Out::None && flusher_)
+            eng_.resumeNow(std::exchange(flusher_, {}));
     }
 
     struct SendAwaiter {
@@ -334,10 +302,7 @@ class Stream
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            if (s.pending_.empty() && s.claimed() < s.cap_)
-                s.admit(std::move(c), h);
-            else
-                s.pending_.push_back(Xfer{std::move(c), h, 0});
+            s.enqueue(std::move(c), h);
         }
         void await_resume() const noexcept {}
     };
@@ -347,22 +312,24 @@ class Stream
 
         bool await_ready() const noexcept
         {
-            return s.pending_.empty() && s.xfer_.empty();
+            return s.out_state_ == Out::None;
         }
         void await_suspend(std::coroutine_handle<> h)
         {
-            s.flush_waiters_.push_back(h);
+            rsn_assert(!s.flusher_,
+                       "stream %s has a second concurrent flusher",
+                       s.name_.c_str());
+            s.flusher_ = h;
         }
         void await_resume() const noexcept {}
     };
 
     /**
-     * Waiting receivers register the awaiter itself (it lives in the
+     * A parked receiver registers the awaiter itself (it lives in the
      * suspended coroutine's frame, so the pointer is stable): delivery
-     * moves the chunk straight into the frame and resumes — a waiting
+     * moves the chunk straight into the frame and resumes — a parked
      * receiver never round-trips through the FIFO or the event queue.
-     * Consequence: whenever a receiver waits the FIFO is empty, so no
-     * pop-reservation bookkeeping is needed.
+     * Consequence: whenever a receiver waits the FIFO is empty.
      */
     struct RecvAwaiter {
         Stream &s;
@@ -370,14 +337,14 @@ class Stream
         Chunk got;
         bool has_got = false;
 
-        bool await_ready() const
-        {
-            return s.recv_waiters_.empty() && !s.q_.empty();
-        }
+        bool await_ready() const { return !s.q_.empty(); }
         void await_suspend(std::coroutine_handle<> h)
         {
+            rsn_assert(!s.receiver_,
+                       "stream %s has a second concurrent receiver",
+                       s.name_.c_str());
             waiter = h;
-            s.recv_waiters_.push_back(this);
+            s.receiver_ = this;
         }
         Chunk await_resume()
         {
@@ -385,25 +352,25 @@ class Stream
                 return std::move(got);
             rsn_assert(!s.q_.empty(), "stream underflow");
             Chunk c = std::move(s.q_.front());
-            s.q_.pop_front();
-            s.pump();
+            s.q_.drop_front();
+            if (s.out_state_ == Out::Blocked)
+                s.admit();  // the pop freed the slot it waited for
             return c;
         }
     };
 
     Engine &eng_;
-    Bytes bpt_;           ///< Link width in bytes per tick.
-    int bpt_shift_ = -1;  ///< log2(width) when a power of two, else -1.
+    Bytes bpt_;  ///< Link width in bytes per tick.
     std::size_t cap_;
     std::string name_;
 
-    Ring<Chunk> q_;          ///< Delivered chunks awaiting recv().
-    Ring<Xfer> pending_;     ///< Sends waiting for a FIFO slot.
-    Ring<Xfer> xfer_;        ///< Admitted transfers, in link order.
-    Ring<RecvAwaiter *> recv_waiters_;
-    Ring<std::coroutine_handle<>> flush_waiters_;
+    Ring<Chunk> q_;  ///< Delivered chunks awaiting recv().
+    Chunk out_;      ///< The outstanding chunk (out_state_ != None).
+    std::coroutine_handle<> sender_;   ///< Its sender; null for post().
+    Out out_state_ = Out::None;
+    RecvAwaiter *receiver_ = nullptr;  ///< Parked reader, if any.
+    std::coroutine_handle<> flusher_;  ///< Parked flusher, if any.
 
-    Tick link_free_ = 0;
     Tick busy_ticks_ = 0;
     Bytes bytes_transferred_ = 0;
     std::uint64_t chunks_transferred_ = 0;

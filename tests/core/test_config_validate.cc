@@ -101,6 +101,23 @@ TEST(ConfigValidate, RejectsZeroFifoDepths)
     expectInvalid(cfg, "zero fetch FIFO depth", "fetch_fifo_depth");
 }
 
+TEST(ConfigValidate, RejectsFifoDepthsAboveTheCap)
+{
+    // FIFO storage is allocated at full depth when the machine is built.
+    auto cfg = good();
+    cfg.uop_fifo_depth = core::kMaxFifoDepth;
+    cfg.fetch_fifo_depth = core::kMaxFifoDepth;
+    EXPECT_TRUE(cfg.validate().ok()) << cfg.validate().toString();
+
+    cfg = good();
+    cfg.uop_fifo_depth = core::kMaxFifoDepth + 1;
+    expectInvalid(cfg, "huge uOP FIFO depth", "uop_fifo_depth");
+
+    cfg = good();
+    cfg.fetch_fifo_depth = core::kMaxFifoDepth + 1;
+    expectInvalid(cfg, "huge fetch FIFO depth", "fetch_fifo_depth");
+}
+
 TEST(ConfigValidate, PrecisionPolicyRejectsUnimplementedDtypes)
 {
     // I8 is reserved enum space (no quantization parameters in the
@@ -178,7 +195,7 @@ knobs()
                                              kInf};
     const std::vector<double> rates = {-1,  0,   1e-300, 1e-3, 0.5,
                                        8,   1e3, kNaN,   kInf};
-    const std::vector<double> depths = {0, 1, 2, 3, 6, 12, 64};
+    const std::vector<double> depths = {0, 1, 2, 3, 6, 12, 64, 4096, 1e12};
     auto scale = [](double mem::DramConfig::*rate,
                     mem::DramConfig core::MachineConfig::*chan) {
         return [=](core::MachineConfig &c, double v) {

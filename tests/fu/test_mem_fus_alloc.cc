@@ -115,7 +115,7 @@ TEST(MemStagingAlloc, LoadSliceSendRecvFuseStoreIsAllocationFree)
         sim::TilePool::instance().buffersAllocated();
 
     // Window 1: the slice -> send -> recv -> assemble loop. Warmup (FU
-    // kernel frames, stream rings, MemC's staging-tile acquire) is over
+    // kernel frames, MemC's staging-tile acquire) is over
     // once a handful of slices crossed the link.
     runUntilTransferred(h.eng, link, 16);
     std::uint64_t before = news();
@@ -255,7 +255,7 @@ TEST(MemStagingAlloc, MultiChunkGatherAssemblyIsZeroCopyAndAllocFree)
         EXPECT_EQ(got[i].data.data(), fed[i])
             << "store chunk " << i << " is not the producer's buffer";
     // The whole pipeline allocates only warmup state (kernel coroutine
-    // frames, stream/channel ring growth) — nothing that scales with
+    // frames, stream/channel rings) — nothing that scales with
     // the kChunks tiles that flowed through. The bound is the measured
     // warmup cost with headroom that would still catch 1 alloc/tile.
     EXPECT_LE(news() - news_before, 16u);

@@ -102,9 +102,10 @@ TEST(EngineAlloc, ChannelTrafficAllocatesO1NotPerItem)
         Task r = pingReceiver(ch, 10000, sum);
         EXPECT_TRUE(e.run());
     }
-    // 2 coroutine frames + ring/arena warmup growth; far below one
-    // allocation per item (the seed engine did one std::function event
-    // per wakeup through a node-based priority queue).
+    // 2 coroutine frames, the channel's ring and the arena's warmup
+    // growth; far below one allocation per item (the seed engine did one
+    // std::function event per wakeup through a node-based priority
+    // queue).
     EXPECT_LE(news() - before, 64u);
     EXPECT_EQ(sum, 10000L * 9999 / 2);
 }

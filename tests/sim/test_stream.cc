@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/chunk.hh"
@@ -30,6 +32,20 @@ recvChunks(Stream &s, int n, std::vector<Chunk> &out)
 {
     for (int i = 0; i < n; ++i)
         out.push_back(co_await s.recv());
+}
+
+/** Run @p f, which must trip rsn_assert with a message naming @p name. */
+template <typename F>
+void
+expectTripNaming(F &&f, const std::string &name)
+{
+    try {
+        f();
+        ADD_FAILURE() << "no assertion tripped";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Stream, TransferTicksRoundsUpAndIsAtLeastOne)
@@ -142,6 +158,70 @@ TEST(Stream, ConcurrentStreamsDoNotInterfere)
     Task rb = recvChunks(s2, 1, g2);
     e.run();
     EXPECT_EQ(e.now(), 128u);
+}
+
+TEST(Stream, SecondConcurrentSenderTrips)
+{
+    // One writer per stream: while its chunk is on the link, a second
+    // sender is a wiring bug.
+    Engine e;
+    Stream s(e, 64, 2, "two-writers");
+    Task snd = sendChunks(s, 2, 32, 32);
+    auto second = s.send(makeChunk(32, 32, 7));
+    ASSERT_FALSE(second.await_ready());
+    expectTripNaming(
+        [&] { second.await_suspend(std::noop_coroutine()); },
+        "two-writers");
+    // The first writer's chunks still arrive, in order.
+    std::vector<Chunk> got;
+    Task rcv = recvChunks(s, 2, got);
+    e.run();
+    EXPECT_TRUE(snd.done() && rcv.done());
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].tag, 0u);
+    EXPECT_EQ(got[1].tag, 1u);
+}
+
+TEST(Stream, SecondConcurrentReceiverTrips)
+{
+    Engine e;
+    Stream s(e, 64, 2, "two-readers");
+    std::vector<Chunk> got;
+    Task rcv = recvChunks(s, 1, got);
+    ASSERT_TRUE(s.hasBlockedReceiver());
+    auto second = s.recv();
+    ASSERT_FALSE(second.await_ready());
+    expectTripNaming(
+        [&] { second.await_suspend(std::noop_coroutine()); },
+        "two-readers");
+    Task snd = sendChunks(s, 1, 32, 32);
+    e.run();
+    EXPECT_TRUE(rcv.done());
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].tag, 0u);
+}
+
+TEST(Stream, SecondPostBeforeFlushTrips)
+{
+    // post() is a detached send: the next one must wait for flush().
+    Engine e;
+    Stream s(e, 64, 2, "early-post");
+    s.post(makeChunk(32, 32, 0));
+    expectTripNaming([&] { s.post(makeChunk(32, 32, 1)); }, "early-post");
+    auto producer = [](Stream &st) -> Task {
+        co_await st.flush();
+        st.post(makeChunk(32, 32, 2));
+        co_await st.flush();
+    };
+    Task prod = producer(s);
+    std::vector<Chunk> got;
+    Task rcv = recvChunks(s, 2, got);
+    e.run();
+    EXPECT_TRUE(prod.done() && rcv.done());
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].tag, 0u);
+    EXPECT_EQ(got[1].tag, 2u);
+    EXPECT_EQ(e.now(), 128u);  // two 64-tick transfers, back to back
 }
 
 } // namespace

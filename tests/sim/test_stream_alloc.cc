@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "alloc_count.hh"
 #include "sim/chunk.hh"
 #include "sim/engine.hh"
@@ -78,8 +80,9 @@ TEST(StreamAlloc, TimingOnlyChunkTransferIsAllocationFree)
     double sink = 0;
     Task snd = sendTimingChunks(s, 2000);
     Task rcv = recvChunks(s, 2000, sink);
-    // Warmup: engine arena, stream rings, and coroutine frames all
-    // reach steady state within the first few transfers (64 ticks each).
+    // Warmup: the engine arena and coroutine frames reach steady state
+    // within the first few transfers (64 ticks each); the stream's ring
+    // is sized at construction.
     e.run(2000);
     std::uint64_t before = news();
     e.run(100000);
@@ -109,7 +112,7 @@ TEST(StreamAlloc, PooledPayloadTransferIsAllocationFree)
 
 TEST(StreamAlloc, BackPressuredPathIsAllocationFree)
 {
-    // Depth-1 FIFO keeps a sender permanently queued in pending_: the
+    // Depth-1 FIFO keeps the sender's chunk waiting for a slot: the
     // admit-on-pop path must also be allocation-free.
     Engine e;
     Stream s(e, 4096, 1, "alloc-bp");
@@ -125,31 +128,40 @@ TEST(StreamAlloc, BackPressuredPathIsAllocationFree)
 }
 
 Task
-flushForever(Stream &s, int reps, int fanout)
+flushForever(std::vector<Stream *> &outs, int reps)
 {
     for (int i = 0; i < reps; ++i) {
         TileRef t = TilePool::instance().acquire(64);
         t.mutableData()[0] = float(i);
         Chunk c = makeTileChunk(8, 8, std::move(t), i);
-        for (int j = 0; j < fanout; ++j)
-            s.post(c);  // copies share the payload by refcount
-        co_await s.flush();
+        for (Stream *s : outs)
+            s->post(c);  // copies share the payload by refcount
+        for (Stream *s : outs)
+            co_await s->flush();
     }
 }
 
 TEST(StreamAlloc, PostFlushBroadcastPatternIsAllocationFree)
 {
+    // The mesh broadcast: one pooled chunk posted to three streams, all
+    // flushed before the next.
     Engine e;
-    Stream s(e, 64, 2, "alloc-bcast");
+    Stream s0(e, 64, 2, "alloc-bcast0"), s1(e, 64, 2, "alloc-bcast1"),
+        s2(e, 64, 2, "alloc-bcast2");
+    std::vector<Stream *> outs{&s0, &s1, &s2};
     double sink = 0;
-    Task snd = flushForever(s, 1000, 3);
-    Task rcv = recvChunks(s, 3000, sink);
+    Task snd = flushForever(outs, 1000);
+    Task r0 = recvChunks(s0, 1000, sink);
+    Task r1 = recvChunks(s1, 1000, sink);
+    Task r2 = recvChunks(s2, 1000, sink);
     e.run(800);
     std::uint64_t before = news();
-    e.run(8000);
+    e.run(3000);
     EXPECT_EQ(news(), before) << "post+flush path allocated";
     EXPECT_TRUE(e.run());
-    EXPECT_TRUE(snd.done() && rcv.done());
+    EXPECT_TRUE(snd.done() && r0.done() && r1.done() && r2.done());
+    for (Stream *s : outs)
+        EXPECT_EQ(s->chunksTransferred(), 1000u);
 }
 
 } // namespace

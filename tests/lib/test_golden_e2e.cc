@@ -11,6 +11,8 @@
  *    the accuracy contract (lib/runner.hh) against the independent
  *    reference (src/ref/ref_math), and under the exact scalar table the
  *    output checksum agrees with the reference checksum;
+ *  - the *bits*: under the scalar table, every tensor the functional
+ *    reduced encoder writes hashes to a pinned value (f32 and bf16);
  *  - the *separation*: payload carriage never perturbs timing;
  *  - the *dispatch*: all of the above under every kernel table this
  *    binary carries (fu/kernel_registry.hh). ctest also re-runs the
@@ -19,7 +21,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <string_view>
 #include <variant>
 
 #include "core/machine.hh"
@@ -175,6 +181,77 @@ TEST(GoldenTrace, MixedPrecisionBf16TickCountAndNumerics)
            "with the why; otherwise this is a regression.";
     expectContractCoversTheRun(mach, model, compiled,
                                lib::accuracyBound(cfg.precision));
+}
+
+/**
+ * 64-bit FNV-1a over every tensor the run wrote (every non-weight
+ * tensor but "input"), in name order: name, shape and float bits.
+ */
+std::uint64_t
+hashOutputs(core::RsnMachine &mach, const lib::CompiledModel &compiled)
+{
+    std::vector<const lib::TensorInfo *> outs;
+    for (const auto &t : compiled.tensors)
+        if (!t.is_weight && t.name != "input")
+            outs.push_back(&t);
+    std::sort(outs.begin(), outs.end(),
+              [](const auto *a, const auto *b) { return a->name < b->name; });
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto *t : outs) {
+        for (char ch : t->name)
+            mix(std::uint8_t(ch));
+        mix(t->rows);
+        mix(t->cols);
+        for (float v : lib::readTensor(mach, compiled, t->name).data)
+            mix(std::bit_cast<std::uint32_t>(v));
+    }
+    return h;
+}
+
+TEST(GoldenTrace, ScalarTableOutputBitsArePinned)
+{
+    // The accuracy contract holds outputs to a tolerance, so a datapath
+    // refactor could move payload bits and still pass it. Under the
+    // exact scalar table the functional reduced encoder's outputs are
+    // deterministic; their hash pins them, f32 and all-bf16. A
+    // deliberate change to a kernel, a conversion site or the fused
+    // operators' order updates the hashes with the why.
+    const kernel::KernelTable *scalar = nullptr;
+    for (const auto *t : kernel::runnableTables())
+        if (std::string_view(t->name) == "scalar")
+            scalar = t;
+    ASSERT_NE(scalar, nullptr) << "the scalar table is always runnable";
+    kernel::ScopedIsaOverride pin(*scalar);
+    struct Case {
+        Dtype dtype;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {Dtype::F32, 0x3ce9a2bab369df4cull},
+        {Dtype::Bf16, 0x9cf92c9df2037b02ull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(dtypeName(c.dtype));
+        core::MachineConfig cfg = core::MachineConfig::vck190(true);
+        cfg.precision = {c.dtype, c.dtype, c.dtype};
+        core::RsnMachine mach(cfg);
+        auto model = tinyModel();
+        auto compiled = lib::compileModel(
+            mach, model, lib::ScheduleOptions::optimized());
+        auto cr = lib::runModelChecked(mach, model, compiled, /*seed=*/123);
+        ASSERT_TRUE(cr.ok()) << cr.report.toString();
+        const std::uint64_t h = hashOutputs(mach, compiled);
+        char got[32];
+        std::snprintf(got, sizeof got, "0x%llxull",
+                      static_cast<unsigned long long>(h));
+        EXPECT_EQ(h, c.hash) << "output bits moved; measured " << got;
+    }
 }
 
 TEST(GoldenTrace, PayloadsDoNotPerturbTiming)

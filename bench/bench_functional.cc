@@ -38,8 +38,7 @@ namespace {
  * Functional tiny-encoder end-to-end (B=2, S=64, H=128, FF=256): the
  * ROADMAP headline number for the functional data plane — every lever
  * (GEMM microkernel, vectorized nonlinear layer, hostmem block copies,
- * gather-view assembly, zero-copy staging, stream fast path, decoder
- * uOP cache) lands here. One item == one full simulated run carrying
+ * zero-copy staging, stream fast path, decoder uOP cache) lands here. One item == one full simulated run carrying
  * FP32 payloads; compile/init are excluded from the timed region. The
  * machine comes from a SweepLane — the same reset()-on-equal-config
  * cache the sweep and serving tiers use — so every timed iteration

@@ -1,6 +1,7 @@
 #include "fu/mem_fus.hh"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/log.hh"
 #include "fu/kernel_registry.hh"
@@ -20,22 +21,20 @@ namespace {
 
 /**
  * Publish a row-slice of a staged tile (functional runs only). This is a
- * refcount-aliased view of a staged segment — no acquire, no copy:
+ * refcount-aliased view of the staged tile — no acquire, no copy:
  * consumers read [row_off*cols, (row_off+rows)*cols) of the staged data
- * directly. Only a slice that straddles a gather-segment boundary
- * forces the buffer to materialize contiguously first
- * (sim::GatherTile::window).
+ * directly.
  */
 sim::Chunk
-sliceChunk(TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
+sliceChunk(const TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
            std::uint32_t tag)
 {
     if (!buf.hasData())
         return sim::makeChunk(rows, buf.cols, tag, buf.dtype);
     return sim::makeTileChunk(
         rows, buf.cols,
-        buf.tile.window(std::uint64_t(row_off) * buf.cols,
-                        std::uint64_t(rows) * buf.cols),
+        buf.tile.slice(std::uint64_t(row_off) * buf.cols,
+                       std::uint64_t(rows) * buf.cols),
         tag);
 }
 
@@ -48,7 +47,7 @@ sliceChunk(TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
  * the send pipeline the same way the fused operators do.
  */
 sim::Chunk
-sliceChunkAs(TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
+sliceChunkAs(const TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
              std::uint32_t tag, Dtype out_dtype)
 {
     if (!buf.hasData() || buf.dtype == out_dtype) {
@@ -58,7 +57,7 @@ sliceChunkAs(TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
     }
     const std::uint64_t elems = std::uint64_t(rows) * buf.cols;
     sim::TileRef window =
-        buf.tile.window(std::uint64_t(row_off) * buf.cols, elems);
+        buf.tile.slice(std::uint64_t(row_off) * buf.cols, elems);
     sim::TileRef t = sim::TilePool::instance().acquire(elems, out_dtype);
     if (out_dtype == Dtype::F32) {
         kernel::active().convert_rows_to_f32(t.mutableData(),
@@ -76,8 +75,8 @@ sliceChunkAs(TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
 /**
  * Upconvert a typed staged buffer to FP32 ahead of the fused operators
  * (accuracy policy: MemC's non-MM operators always compute in FP32 —
- * docs/datapath.md). Segment-by-segment into fresh pooled tiles, so
- * row granularity is preserved and steady state allocates nothing.
+ * docs/datapath.md), into a fresh pooled tile, so steady state
+ * allocates nothing.
  */
 void
 upconvertBuffer(TileBuffer &buf)
@@ -85,41 +84,13 @@ upconvertBuffer(TileBuffer &buf)
     if (buf.dtype == Dtype::F32)
         return;
     if (buf.hasData()) {
-        sim::GatherTile f32;
-        for (std::size_t i = 0; i < buf.tile.segments(); ++i) {
-            const std::uint64_t elems = buf.tile.segmentElems(i);
-            sim::TileRef t = sim::TilePool::instance().acquire(elems);
-            kernel::active().convert_rows_to_f32(
-                t.mutableData(), buf.tile.segment(i).raw(), buf.dtype,
-                elems);
-            f32.append(std::move(t), elems);
-        }
-        buf.tile = std::move(f32);
+        const std::uint64_t n = std::uint64_t(buf.rows) * buf.cols;
+        sim::TileRef t = sim::TilePool::instance().acquire(n);
+        kernel::active().convert_rows_to_f32(t.mutableData(),
+                                             buf.tile.raw(), buf.dtype, n);
+        buf.tile = std::move(t);
     }
     buf.dtype = Dtype::F32;
-}
-
-/**
- * Run a row-wise transform over every staged segment: @p fn gets a
- * writable pointer (copy-on-write per segment), the segment's row
- * count, and its starting row. Segments always hold whole rows — MME
- * outputs and row-slices are row-granular — so row-wise operators never
- * need the buffer to be contiguous.
- */
-template <typename Fn>
-void
-forEachOwnedSegment(TileBuffer &buf, Fn &&fn)
-{
-    std::uint32_t row_off = 0;
-    for (std::size_t i = 0; i < buf.tile.segments(); ++i) {
-        const std::uint64_t seg_elems = buf.tile.segmentElems(i);
-        rsn_assert(buf.cols > 0 && seg_elems % buf.cols == 0,
-                   "gather segment not row-granular");
-        const auto seg_rows =
-            static_cast<std::uint32_t>(seg_elems / buf.cols);
-        fn(buf.tile.segmentMutable(i), seg_rows, row_off);
-        row_off += seg_rows;
-    }
 }
 
 } // namespace
@@ -166,9 +137,7 @@ MemAFu::loadPart(const isa::MemAUop &u, TileBuffer &buf)
     buf.dtype = c.dtype;
     // Adopt the payload tile by reference: the DDR FU loaded it straight
     // from host memory into a pooled tile, so staging is a pointer move.
-    buf.tile.clear();
-    if (c.hasData())
-        buf.tile.append(std::move(c.data), c.elems());
+    buf.tile = std::move(c.data);
 }
 
 sim::Task
@@ -215,7 +184,7 @@ MemBFu::loadPart(const isa::MemBUop &u, TileBuffer &buf)
     sim::Chunk c = co_await in(u.src).recv();
     countIn(c);
     checkIngress(c);
-    buf.tile.clear();
+    buf.tile.release();
     buf.dtype = c.dtype;
     if (u.transpose) {
         buf.rows = c.cols;
@@ -237,13 +206,12 @@ MemBFu::loadPart(const isa::MemBUop &u, TileBuffer &buf)
                 kernel::active().transpose_u16(t.mutableData16(),
                                                c.data.data16(), c.rows,
                                                c.cols);
-            buf.tile.append(std::move(t), c.elems());
+            buf.tile = std::move(t);
         }
     } else {
         buf.rows = c.rows;
         buf.cols = c.cols;
-        if (c.hasData())
-            buf.tile.append(std::move(c.data), c.elems());
+        buf.tile = std::move(c.data);
     }
 }
 
@@ -286,33 +254,51 @@ MemCFu::MemCFu(sim::Engine &eng, FuId id, FuId mme_src, FuId ddr,
 sim::Task
 MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
 {
-    // Assemble the tile from the partner MME as a gather view: every
-    // chunk payload is adopted as a segment (a refcount move), never
-    // copied into a staging tile. A contiguous buffer materializes only
-    // if a later consumer needs a window that straddles segments.
-    buf.rows = 0;
-    buf.cols = 0;
-    buf.tile.clear();
-    buf.dtype = Dtype::F32;
-    std::uint32_t row_fill = 0;
-    for (std::uint32_t i = 0; i < u.recv_chunks; ++i) {
+    // Receive the tile from the partner MME. One chunk (the only
+    // receive codegen emits) is adopted by move. Several are copied, in
+    // arrival order, into one pooled staging tile of the uOP's
+    // rows x cols, acquired at the first chunk that carries data.
+    buf.tile.release();
+    if (u.recv_chunks == 1) {
         sim::Chunk c = co_await in(mme_src_).recv();
         countIn(c);
-        if (i == 0) {
-            buf.cols = c.cols;
-            buf.dtype = c.dtype;
-        } else {
-            rsn_assert(c.cols == buf.cols,
-                       "%s assembly width mismatch: %u vs %u",
-                       name().c_str(), c.cols, buf.cols);
-            rsn_assert(c.dtype == buf.dtype,
-                       "%s assembly dtype mismatch", name().c_str());
+        buf.rows = c.rows;
+        buf.cols = c.cols;
+        buf.dtype = c.dtype;
+        buf.tile = std::move(c.data);
+    } else {
+        buf.cols = u.cols;
+        std::uint32_t row_fill = 0;
+        for (std::uint32_t i = 0; i < u.recv_chunks; ++i) {
+            sim::Chunk c = co_await in(mme_src_).recv();
+            countIn(c);
+            if (i == 0)
+                buf.dtype = c.dtype;
+            rsn_assert(c.cols == u.cols && c.dtype == buf.dtype,
+                       "%s multi-chunk receive: chunk %u is %u %s wide, "
+                       "its tile %u %s",
+                       name().c_str(), i, c.cols, dtypeName(c.dtype),
+                       u.cols, dtypeName(buf.dtype));
+            rsn_assert(row_fill + c.rows <= u.rows,
+                       "%s multi-chunk receive overflows its %ux%u tile "
+                       "at chunk %u",
+                       name().c_str(), u.rows, u.cols, i);
+            if (c.hasData()) {
+                if (!buf.hasData())
+                    buf.tile = sim::TilePool::instance().acquire(
+                        std::uint64_t(u.rows) * u.cols, buf.dtype);
+                const std::uint64_t esize = dtypeBytes(buf.dtype);
+                std::memcpy(static_cast<std::byte *>(buf.tile.mutableRaw()) +
+                                std::uint64_t(row_fill) * u.cols * esize,
+                            c.data.raw(), c.elems() * esize);
+            }
+            row_fill += c.rows;
         }
-        if (c.hasData())
-            buf.tile.append(std::move(c.data), c.elems());
-        row_fill += c.rows;
+        rsn_assert(row_fill == u.rows,
+                   "%s multi-chunk receive filled %u of its %u rows",
+                   name().c_str(), row_fill, u.rows);
+        buf.rows = row_fill;
     }
-    buf.rows = row_fill;
 
     // Accuracy policy: the fused non-MM operators always compute in
     // FP32. A typed staged tile is upconverted once, before the first
@@ -328,10 +314,9 @@ MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
     const double elems = double(buf.rows) * buf.cols;
     const std::uint64_t n = std::uint64_t(buf.rows) * buf.cols;
 
-    // The fused operators are all row-wise (or element-wise), so they
-    // run segment by segment — copy-on-write per segment when a
-    // producer still shares it (TileRef::ensureUnique), in place in the
-    // steady state where this MemC solely owns the MME's output tiles.
+    // Each fused operator runs once over the staged tile: copy-on-write
+    // when a producer still shares it (TileRef::ensureUnique), in place
+    // in the steady state where this MemC solely owns the MME's output.
     // Softmax/GELU/LayerNorm go through the active kernel table
     // (fu/kernel_registry.hh): vectorized approximate kernels under the
     // probed default, the exact scalar reference when the `scalar`
@@ -358,13 +343,7 @@ MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
                     res_f32.mutableData(), res.data.raw(), res.dtype, n);
                 rp = res_f32.data();
             }
-            forEachOwnedSegment(
-                buf, [&](float *p, std::uint32_t rows,
-                         std::uint32_t row_off) {
-                    addInplace(
-                        p, rp + std::uint64_t(row_off) * buf.cols,
-                        std::uint64_t(rows) * buf.cols);
-                });
+            addInplace(buf.tile.ensureUnique(n), rp, n);
         }
         flops += elems * kResidualFlopsPerElem;
     }
@@ -380,27 +359,19 @@ MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
 
     if (u.softmax) {
         if (buf.hasData())
-            forEachOwnedSegment(buf, [&](float *p, std::uint32_t rows,
-                                         std::uint32_t) {
-                kernel::active().softmax_rows(p, rows, buf.cols);
-            });
+            kernel::active().softmax_rows(buf.tile.ensureUnique(n),
+                                          buf.rows, buf.cols);
         flops += elems * kSoftmaxFlopsPerElem;
     }
     if (u.gelu) {
         if (buf.hasData())
-            forEachOwnedSegment(buf, [&](float *p, std::uint32_t rows,
-                                         std::uint32_t) {
-                kernel::active().gelu_inplace(
-                    p, std::uint64_t(rows) * buf.cols);
-            });
+            kernel::active().gelu_inplace(buf.tile.ensureUnique(n), n);
         flops += elems * kGeluFlopsPerElem;
     }
     if (u.layernorm) {
         if (buf.hasData())
-            forEachOwnedSegment(buf, [&](float *p, std::uint32_t rows,
-                                         std::uint32_t) {
-                kernel::active().layernorm_rows(p, rows, buf.cols);
-            });
+            kernel::active().layernorm_rows(buf.tile.ensureUnique(n),
+                                            buf.rows, buf.cols);
         flops += elems * kLayernormFlopsPerElem;
     }
     if (u.scale_shift && buf.hasData() && params.hasData()) {
@@ -427,11 +398,8 @@ MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
                    static_cast<unsigned long long>(
                        2 * std::uint64_t(params.cols)));
         const float *gamma = params.data.data();
-        forEachOwnedSegment(buf, [&](float *p, std::uint32_t rows,
-                                     std::uint32_t) {
-            scaleShiftRows(p, rows, buf.cols, gamma,
-                           gamma + params.cols);
-        });
+        scaleShiftRows(buf.tile.ensureUnique(n), buf.rows, buf.cols, gamma,
+                       gamma + params.cols);
     }
 
     if (flops > 0) {
@@ -445,19 +413,14 @@ sim::Task
 MemCFu::sendPart(const isa::MemCUop &u, TileBuffer &buf)
 {
     rsn_assert(buf.rows > 0, "%s sending before any recv", name().c_str());
-    if (u.store) {
-        sim::Stream &o = out(ddr_);
-        auto pieces = sliceRows(buf.rows, u.send_chunks);
-        for (std::uint32_t i = 0; i < pieces.size(); ++i) {
-            sim::Chunk c = sliceChunkAs(buf, pieces[i].first,
-                                        pieces[i].second, i, u.out_dtype);
-            countOut(c);
-            co_await o.send(std::move(c));
-        }
-    }
-    if (u.send_mme) {
-        sim::Stream &o = out(u.send_dest);
-        auto pieces = sliceRows(buf.rows, u.send_chunks);
+    // Store first, then the mesh: the order is part of the schedule.
+    const std::pair<bool, FuId> dests[] = {{u.store, ddr_},
+                                           {u.send_mme, u.send_dest}};
+    auto pieces = sliceRows(buf.rows, u.send_chunks);
+    for (const auto &[enabled, dst] : dests) {
+        if (!enabled)
+            continue;
+        sim::Stream &o = out(dst);
         for (std::uint32_t i = 0; i < pieces.size(); ++i) {
             sim::Chunk c = sliceChunkAs(buf, pieces[i].first,
                                         pieces[i].second, i, u.out_dtype);

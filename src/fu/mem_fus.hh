@@ -9,15 +9,15 @@
  * residual add) and can re-inject results into the network as the next
  * layer's operand (dynamic pipeline chaining).
  *
- * Staging is zero-copy: a TileBuffer holds a sim::GatherTile of pooled
- * tile segments, loads adopt the incoming chunk's tile by reference
- * (multi-chunk assembly appends segments instead of copying payloads),
- * and row-slices leave as offset/length views aliasing the staged
- * segments (sim/tile_pool.hh). MemC, the only writer, fuses its
- * operators segment by segment under the usual copy-on-write rule
- * (TileRef::ensureUnique); a contiguous tile is materialized only when
- * a published slice straddles a segment boundary. Ownership rules are
- * documented in docs/datapath.md.
+ * Staging is zero-copy on every path a program takes: a TileBuffer
+ * holds one pooled sim::TileRef, loads and MemC's one-chunk receive
+ * adopt the incoming chunk's tile by move, and row-slices leave as
+ * offset/length views aliasing it (sim/tile_pool.hh). MemC, the only
+ * writer, fuses its operators in place under the usual copy-on-write
+ * rule (TileRef::ensureUnique). A MemC receive of several chunks (legal
+ * in the ISA, never emitted by codegen) copies them, in arrival order,
+ * into one pooled staging tile of the uOP's rows x cols. Ownership rules
+ * are documented in docs/datapath.md.
  */
 
 #ifndef RSN_FU_MEM_FUS_HH
@@ -34,12 +34,12 @@ namespace rsn::fu {
 struct TileBuffer {
     std::uint32_t rows = 0;
     std::uint32_t cols = 0;
-    sim::GatherTile tile;  ///< Empty in timing-only runs.
+    sim::TileRef tile;  ///< Empty in timing-only runs.
     /** Element type of the staged tile. Tracked on the buffer (not just
-     *  the gather) so timing-only runs slice byte-true chunks. */
+     *  the tile) so timing-only runs slice byte-true chunks. */
     Dtype dtype = Dtype::F32;
 
-    bool hasData() const { return !tile.empty(); }
+    bool hasData() const { return static_cast<bool>(tile); }
 };
 
 /**

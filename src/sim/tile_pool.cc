@@ -27,80 +27,6 @@ TileRef::ensureUniqueRaw(std::uint64_t elems)
     return h_->payload();
 }
 
-void
-GatherTile::append(TileRef tile, std::uint64_t elems)
-{
-    rsn_assert(tile && elems > 0 && tile.capacity() >= elems,
-               "gather segment smaller than its logical size");
-    rsn_assert(count_ == 0 || tile.dtype() == dtype(),
-               "gather of mixed dtypes (%s into %s) — one staged tile "
-               "has one element type",
-               dtypeName(tile.dtype()), dtypeName(dtype()));
-    // Adjacent views of one buffer knit back into a single segment —
-    // the send side slices a staged tile into row windows, so a
-    // receiver that gathers them in order reassembles the original
-    // tile as pure window arithmetic (no copy, no list growth). Only
-    // merge exact windows: a whole-tile segment's bucket capacity may
-    // exceed its logical size, and widening across that gap would
-    // expose unrelated storage.
-    if (count_ > 0 && elems == tile.capacity()) {
-        Seg &last = segs_[count_ - 1];
-        if (last.elems == last.tile.capacity() &&
-            last.tile.tryExtend(tile)) {
-            last.elems += elems;
-            total_ += elems;
-            return;
-        }
-    }
-    if (count_ == kInlineSegments)
-        materialize();
-    segs_[count_].tile = std::move(tile);
-    segs_[count_].elems = elems;
-    ++count_;
-    total_ += elems;
-}
-
-TileRef &
-GatherTile::materialize()
-{
-    rsn_assert(count_ > 0, "materialize of empty gather");
-    if (count_ == 1)
-        return segs_[0].tile;
-    const Dtype dt = dtype();
-    const std::uint32_t esize = dtypeBytes(dt);
-    TileRef whole = TilePool::instance().acquire(total_, dt);
-    auto *dst = static_cast<std::byte *>(whole.mutableRaw());
-    for (std::size_t i = 0; i < count_; ++i) {
-        std::memcpy(dst, segs_[i].tile.raw(), segs_[i].elems * esize);
-        dst += segs_[i].elems * esize;
-        segs_[i].tile.release();
-    }
-    segs_[0].tile = std::move(whole);
-    segs_[0].elems = total_;
-    count_ = 1;
-    return segs_[0].tile;
-}
-
-TileRef
-GatherTile::window(std::uint64_t off, std::uint64_t len)
-{
-    rsn_assert(len > 0 && off + len <= total_,
-               "gather window [%llu,+%llu) outside %llu elems",
-               static_cast<unsigned long long>(off),
-               static_cast<unsigned long long>(len),
-               static_cast<unsigned long long>(total_));
-    std::uint64_t seg_off = 0;
-    for (std::size_t i = 0; i < count_; ++i) {
-        if (off < seg_off + segs_[i].elems) {
-            if (off + len <= seg_off + segs_[i].elems)
-                return segs_[i].tile.slice(off - seg_off, len);
-            break;  // straddles a boundary: need contiguity
-        }
-        seg_off += segs_[i].elems;
-    }
-    return materialize().slice(off, len);
-}
-
 TilePool &
 TilePool::instance()
 {

@@ -22,8 +22,8 @@
  * reusable as a bf16 tile of twice the elements and vice versa — the
  * pool is dtype-agnostic storage; only the header tag changes on
  * acquire. TileRef windows (offset/length) stay **element**-based:
- * slicing, COW, and tryExtend never need to know the element width
- * beyond converting to bytes at the copy sites. Typed access is
+ * slicing and COW never need to know the element width beyond
+ * converting to bytes at the copy sites. Typed access is
  * explicit — data()/mutableData() assert F32, data16()/mutableData16()
  * assert a 16-bit dtype, raw() is the untyped byte view (checksums,
  * fault injection) — so a dtype confusion fails loudly at the accessor
@@ -295,22 +295,6 @@ class TileRef
         return h_ && (off_ != 0 || len_ != h_->elemCap());
     }
 
-    /**
-     * If @p next views the same buffer immediately after this ref's
-     * window, widen this window to cover both and return true (the
-     * caller then drops @p next; this ref's refcount alone keeps the
-     * buffer alive). This is how GatherTile knits row-slices of one
-     * staged tile back into a single contiguous segment.
-     */
-    bool
-    tryExtend(const TileRef &next)
-    {
-        if (!h_ || next.h_ != h_ || off_ + len_ != next.off_)
-            return false;
-        len_ += next.len_;
-        return true;
-    }
-
     /** True when exactly one reference exists. */
     bool unique() const { return h_ && h_->refs == 1; }
 
@@ -337,118 +321,6 @@ class TileRef
     detail::TileHdr *h_ = nullptr;
     std::uint32_t off_ = 0;  ///< Window start (elements into payload).
     std::uint32_t len_ = 0;  ///< Window length in elements.
-};
-
-/**
- * A scatter/gather composition of pooled tile segments.
- *
- * MemC used to assemble a multi-chunk tile by copying every incoming
- * chunk payload into one pooled staging tile. A GatherTile instead
- * *adopts* each arriving payload as a segment — a refcount move, no
- * copy — and only materializes a contiguous buffer when a consumer
- * genuinely needs contiguity the segment list cannot serve:
- *
- *  - `window(off, len)` returns a refcount-bumped view when the range
- *    falls inside one segment (the common case: send-side row slicing
- *    matches receive-side chunking), and materializes first otherwise;
- *  - row-wise transforms (softmax/GELU/LayerNorm/scale-shift/residual)
- *    never need contiguity at all — they run per segment through
- *    `segmentMutable()`, which applies the usual copy-on-write rule
- *    (TileRef::ensureUnique) segment by segment;
- *  - the segment list is a fixed inline array: appending beyond its
- *    capacity first collapses the existing segments into one
- *    (materialize) rather than allocating list storage, so the gather
- *    path stays 0 allocs/tile in steady state.
- *
- * A single-segment GatherTile behaves exactly like the old adopted
- * TileRef (contiguous() is true, window() is a plain slice).
- */
-class GatherTile
-{
-  public:
-    /** Segment-list capacity; covers every recv_chunks codegen emits
-     *  (one chunk per MME row-slice), with materialize as overflow. */
-    static constexpr std::size_t kInlineSegments = 16;
-
-    /** Drop every segment (releases the refs). */
-    void
-    clear()
-    {
-        for (std::size_t i = 0; i < count_; ++i)
-            segs_[i].tile.release();
-        count_ = 0;
-        total_ = 0;
-    }
-
-    bool empty() const { return count_ == 0; }
-    std::size_t segments() const { return count_; }
-    /** Total logical elements across segments. */
-    std::uint64_t elems() const { return total_; }
-    /** True when the whole gather is one contiguous tile (or empty). */
-    bool contiguous() const { return count_ <= 1; }
-
-    /** Element type of the gathered segments (F32 when empty). All
-     *  segments share one dtype — append() asserts it. */
-    Dtype
-    dtype() const
-    {
-        return count_ ? segs_[0].tile.dtype() : Dtype::F32;
-    }
-
-    /** Adopt @p tile as the next @p elems logical elements. Segments
-     *  must agree on dtype (one staged tile has one element type). */
-    void append(TileRef tile, std::uint64_t elems);
-
-    const TileRef &
-    segment(std::size_t i) const
-    {
-        rsn_assert(i < count_, "gather segment out of range");
-        return segs_[i].tile;
-    }
-
-    std::uint64_t
-    segmentElems(std::size_t i) const
-    {
-        rsn_assert(i < count_, "gather segment out of range");
-        return segs_[i].elems;
-    }
-
-    /**
-     * Writable access to segment @p i (copy-on-write when the segment
-     * is still shared with its producer — TileRef::ensureUnique).
-     * F32 gathers only.
-     */
-    float *
-    segmentMutable(std::size_t i)
-    {
-        rsn_assert(i < count_, "gather segment out of range");
-        return segs_[i].tile.ensureUnique(segs_[i].elems);
-    }
-
-    /**
-     * Collapse to a single contiguous tile covering all elements. A
-     * refcount no-op when already contiguous; otherwise copies every
-     * segment into one freshly acquired pool tile (the one legitimate
-     * copy on the assembly path). Returns the contiguous ref.
-     */
-    TileRef &materialize();
-
-    /**
-     * A contiguous view of logical elements [off, off+len): a refcount
-     * bump when the range lies inside one segment, else materializes
-     * first. This is how the Mem FUs publish row-slices of staged data.
-     */
-    TileRef window(std::uint64_t off, std::uint64_t len);
-
-  private:
-    struct Seg {
-        TileRef tile;
-        std::uint64_t elems = 0;
-    };
-
-    std::array<Seg, kInlineSegments> segs_;
-    std::uint32_t count_ = 0;
-    std::uint64_t total_ = 0;
 };
 
 /** Size-bucketed free-list allocator of FP32 tiles; see file comment. */

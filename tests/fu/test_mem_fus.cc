@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "fu/kernel_registry.hh"
 #include "fu/mem_fus.hh"
 #include "ref/ref_math.hh"
@@ -353,14 +355,15 @@ TEST(MemCFu, GeluMatchesReference)
     EXPECT_TRUE(ref::allclose(gm, ref::gelu(x), 1e-5f, 1e-6f));
 }
 
-TEST(MemCFu, SimdKernelsRunPerGatherSegment)
+TEST(MemCFu, SimdSoftmaxRunsOverATileCopiedFromTwoChunks)
 {
-    // The vectorized dispatch must run over every adopted gather
-    // segment exactly like the exact kernels do: assemble a tile from
-    // two chunks (two segments) and fuse softmax under the best
-    // runnable table, then compare against ref_math at the documented
-    // softmax tolerance (fu/kernel_registry.hh). The front table is
-    // never scalar, so this really exercises an approximate kernel.
+    // A two-chunk receive copies both chunks into one staging tile in
+    // arrival order; the vectorized softmax must then see the whole
+    // tile exactly like the exact kernels do. Fuse softmax under the
+    // best runnable table and compare against ref_math at the
+    // documented softmax tolerance (fu/kernel_registry.hh). The front
+    // table is never scalar, so this really exercises an approximate
+    // kernel.
     kernel::ScopedIsaOverride simd(*kernel::runnableTables().front());
     MemCRig r;
     isa::MemCUop recv;
@@ -388,6 +391,41 @@ TEST(MemCFu, SimdKernelsRunPerGatherSegment)
     auto expect = ref::softmax(m);
     ref::Matrix gm(4, 16, got[0].data.data());
     EXPECT_TRUE(ref::allclose(gm, expect, 1e-5f, 1e-5f));
+}
+
+/** Run one MemC receive of @p chunks (rows x cols each) under a
+ *  4 x 16 uOP. */
+void
+receiveChunks(
+    std::initializer_list<std::pair<std::uint32_t, std::uint32_t>> chunks)
+{
+    MemCRig r;
+    isa::MemCUop recv;
+    recv.rows = 4;
+    recv.cols = 16;
+    recv.recv = true;
+    recv.recv_chunks = static_cast<std::uint32_t>(chunks.size());
+    sim::Task prog = r.h.program(r.fu, {recv});
+    std::vector<sim::Chunk> feed;
+    for (auto [rows, cols] : chunks)
+        feed.push_back(sim::makeDataChunk(rows, cols, iotaData(rows, cols)));
+    sim::Task f = r.h.feedChunks(r.from_mme, std::move(feed));
+    r.fu.start();
+    r.h.run();
+}
+
+TEST(MemCFu, MultiChunkReceiveMustFillItsRowsByCols)
+{
+    // A multi-chunk receive copies into one staging tile of the uOP's
+    // rows x cols. Chunks that overflow it, leave it short or differ
+    // in width are a malformed program, named at the MemC.
+    EXPECT_DEATH(receiveChunks({{2, 16}, {3, 16}}),
+                 "MemC0 multi-chunk receive overflows its 4x16 tile at "
+                 "chunk 1");
+    EXPECT_DEATH(receiveChunks({{2, 16}, {1, 16}}),
+                 "MemC0 multi-chunk receive filled 3 of its 4 rows");
+    EXPECT_DEATH(receiveChunks({{2, 16}, {2, 8}}),
+                 "MemC0 multi-chunk receive: chunk 1 is 8 f32 wide");
 }
 
 TEST(MemCFu, NonMmComputeTakesTime)

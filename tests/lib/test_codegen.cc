@@ -267,98 +267,122 @@ fnv1a(const std::vector<std::uint8_t> &bytes)
     return h;
 }
 
+/**
+ * The assembled-program table: every rsn-sim model (default options:
+ * batch 6, seq 512, one layer, fused QKV) under every schedule, f32 and
+ * all-bf16, on timing-only machines. The batch-1 rows ("bert1": 16
+ * heads, "tiny1": 2 heads) reach what batch 6 cannot: lanes left with
+ * one head fewer than their siblings, and the sequential pass's idle
+ * scratchpads.
+ */
+struct ProgramCase {
+    const char *model;
+    const char *schedule;
+    bool bf16;
+    std::uint64_t hash;
+};
+const ProgramCase kProgramCases[] = {
+    {"bert", "opt", false, 0x7c1e6108e3f42909ull},
+    {"bert", "opt", true, 0xecbf2c907e2ab10dull},
+    {"bert", "bw", false, 0x5ac13d06ebb01975ull},
+    {"bert", "bw", true, 0x600bbf26d6b65ee3ull},
+    {"bert", "noopt", false, 0x416b50bb4ff27477ull},
+    {"bert", "noopt", true, 0x6ffa39523b8a4bfbull},
+    {"vit", "opt", false, 0x5ae1087419a61357ull},
+    {"vit", "opt", true, 0xc638bf2fac274930ull},
+    {"vit", "bw", false, 0x2489bb51fe84d02dull},
+    {"vit", "bw", true, 0x6be30c016167255dull},
+    {"vit", "noopt", false, 0x3267ce6f593d47d4ull},
+    {"vit", "noopt", true, 0x358a06912d627aeeull},
+    {"ncf", "opt", false, 0xe68985a04f768788ull},
+    {"ncf", "opt", true, 0xf0d8c999c0d49a3dull},
+    {"ncf", "bw", false, 0x91908332c0262785ull},
+    {"ncf", "bw", true, 0xb31271b0ada4e8caull},
+    {"ncf", "noopt", false, 0x90da682da04f2784ull},
+    {"ncf", "noopt", true, 0xe5a6c0d2b019c030ull},
+    {"mlp", "opt", false, 0x5bdb9f0f00da602full},
+    {"mlp", "opt", true, 0xd77c82178419ebb2ull},
+    {"mlp", "bw", false, 0xac1d78fcbc828e32ull},
+    {"mlp", "bw", true, 0x6b8897a0a6fb0219ull},
+    {"mlp", "noopt", false, 0x68f757994b38b7a8ull},
+    {"mlp", "noopt", true, 0x81e4d983f7d7b43cull},
+    {"tiny", "opt", false, 0x68ac35495433c84bull},
+    {"tiny", "opt", true, 0x8ad8a4856759425ull},
+    {"tiny", "bw", false, 0x5922c761f7e4b73ull},
+    {"tiny", "bw", true, 0xda4e149a2993b847ull},
+    {"tiny", "noopt", false, 0x19e4cc7b111be5efull},
+    {"tiny", "noopt", true, 0xeabe14056d93c403ull},
+    {"bert1", "opt", false, 0x25f4c6dbe8d328f1ull},
+    {"bert1", "bw", false, 0xee36e02fdae0b80aull},
+    {"bert1", "noopt", false, 0x2ff507f1a7a39bebull},
+    {"tiny1", "opt", false, 0xc4015a1c7181daa0ull},
+    {"tiny1", "bw", false, 0x3141e98a53a8a3full},
+    {"tiny1", "noopt", false, 0x3e7bfe95d3c75e23ull},
+};
+
+Model
+programCaseModel(const std::string &name)
+{
+    constexpr std::uint32_t kBatch = 6;
+    if (name == "bert")
+        return bertLargeEncoder(kBatch, 512, true, 1);
+    if (name == "vit")
+        return vitEncoder(kBatch, true, 1);
+    if (name == "ncf")
+        return ncf(kBatch);
+    if (name == "mlp")
+        return mlp(kBatch);
+    if (name == "bert1")
+        return bertLargeEncoder(1, 512, true, 1);
+    if (name == "tiny1")
+        return tinyEncoder(1, 32, 64, 2, 128, true);
+    return tinyEncoder(kBatch, 32, 64, 4, 128, true);
+}
+
+ScheduleOptions
+programCaseSchedule(const std::string &name)
+{
+    if (name == "bw")
+        return ScheduleOptions::bwOptimized();
+    if (name == "noopt")
+        return ScheduleOptions::noOptimize();
+    return ScheduleOptions::optimized();
+}
+
+/** Compile one row of kProgramCases on a fresh timing-only machine. */
+CompiledModel
+compileProgramCase(const ProgramCase &c)
+{
+    auto cfg = core::MachineConfig::vck190();
+    if (c.bf16)
+        cfg.precision = {Dtype::Bf16, Dtype::Bf16, Dtype::Bf16};
+    core::RsnMachine mach(cfg);
+    return compileModel(mach, programCaseModel(c.model),
+                        programCaseSchedule(c.schedule));
+}
+
+/** "<model> <schedule> f32|bf16", for failure messages. */
+std::string
+caseName(const ProgramCase &c)
+{
+    return std::string(c.model) + " " + c.schedule +
+           (c.bf16 ? " bf16" : " f32");
+}
+
 TEST(Codegen, ProgramBytesArePinned)
 {
-    // The assembled program of every rsn-sim model (default options:
-    // batch 6, seq 512, one layer, fused QKV) under every schedule, f32
-    // and all-bf16, on timing-only machines. Golden ticks alone cannot
-    // prove that a codegen rewrite emits the same programs; these bytes
-    // do. The hashes were recorded by running this test against the
-    // build before the lane wiring was derived from the core/config.hh
-    // FU-count constants (it used literal 3s and 6s). The wire carries
-    // the uOP dtype tags, so each bf16 row must differ from its f32
-    // row. Every program must also disassemble back to itself, uOP by
-    // uOP. The batch-1 rows ("bert1": 16 heads, "tiny1": 2 heads) reach
-    // what batch 6 cannot: lanes left with one head fewer than their
-    // siblings, and the sequential pass's idle scratchpads.
-    struct Case {
-        const char *model;
-        const char *schedule;
-        bool bf16;
-        std::uint64_t hash;
-    };
-    const Case cases[] = {
-        {"bert", "opt", false, 0x7c1e6108e3f42909ull},
-        {"bert", "opt", true, 0xecbf2c907e2ab10dull},
-        {"bert", "bw", false, 0x5ac13d06ebb01975ull},
-        {"bert", "bw", true, 0x600bbf26d6b65ee3ull},
-        {"bert", "noopt", false, 0x416b50bb4ff27477ull},
-        {"bert", "noopt", true, 0x6ffa39523b8a4bfbull},
-        {"vit", "opt", false, 0x5ae1087419a61357ull},
-        {"vit", "opt", true, 0xc638bf2fac274930ull},
-        {"vit", "bw", false, 0x2489bb51fe84d02dull},
-        {"vit", "bw", true, 0x6be30c016167255dull},
-        {"vit", "noopt", false, 0x3267ce6f593d47d4ull},
-        {"vit", "noopt", true, 0x358a06912d627aeeull},
-        {"ncf", "opt", false, 0xe68985a04f768788ull},
-        {"ncf", "opt", true, 0xf0d8c999c0d49a3dull},
-        {"ncf", "bw", false, 0x91908332c0262785ull},
-        {"ncf", "bw", true, 0xb31271b0ada4e8caull},
-        {"ncf", "noopt", false, 0x90da682da04f2784ull},
-        {"ncf", "noopt", true, 0xe5a6c0d2b019c030ull},
-        {"mlp", "opt", false, 0x5bdb9f0f00da602full},
-        {"mlp", "opt", true, 0xd77c82178419ebb2ull},
-        {"mlp", "bw", false, 0xac1d78fcbc828e32ull},
-        {"mlp", "bw", true, 0x6b8897a0a6fb0219ull},
-        {"mlp", "noopt", false, 0x68f757994b38b7a8ull},
-        {"mlp", "noopt", true, 0x81e4d983f7d7b43cull},
-        {"tiny", "opt", false, 0x68ac35495433c84bull},
-        {"tiny", "opt", true, 0x8ad8a4856759425ull},
-        {"tiny", "bw", false, 0x5922c761f7e4b73ull},
-        {"tiny", "bw", true, 0xda4e149a2993b847ull},
-        {"tiny", "noopt", false, 0x19e4cc7b111be5efull},
-        {"tiny", "noopt", true, 0xeabe14056d93c403ull},
-        {"bert1", "opt", false, 0x25f4c6dbe8d328f1ull},
-        {"bert1", "bw", false, 0xee36e02fdae0b80aull},
-        {"bert1", "noopt", false, 0x2ff507f1a7a39bebull},
-        {"tiny1", "opt", false, 0xc4015a1c7181daa0ull},
-        {"tiny1", "bw", false, 0x3141e98a53a8a3full},
-        {"tiny1", "noopt", false, 0x3e7bfe95d3c75e23ull},
-    };
-    auto makeModel = [](const std::string &name) {
-        constexpr std::uint32_t kBatch = 6;
-        if (name == "bert")
-            return bertLargeEncoder(kBatch, 512, true, 1);
-        if (name == "vit")
-            return vitEncoder(kBatch, true, 1);
-        if (name == "ncf")
-            return ncf(kBatch);
-        if (name == "mlp")
-            return mlp(kBatch);
-        if (name == "bert1")
-            return bertLargeEncoder(1, 512, true, 1);
-        if (name == "tiny1")
-            return tinyEncoder(1, 32, 64, 2, 128, true);
-        return tinyEncoder(kBatch, 32, 64, 4, 128, true);
-    };
-    auto makeSchedule = [](const std::string &name) {
-        if (name == "bw")
-            return ScheduleOptions::bwOptimized();
-        if (name == "noopt")
-            return ScheduleOptions::noOptimize();
-        return ScheduleOptions::optimized();
-    };
+    // Golden ticks alone cannot prove that a codegen rewrite emits the
+    // same programs; these bytes do. The hashes were recorded by running
+    // this test against the build before the lane wiring was derived
+    // from the core/config.hh FU-count constants (it used literal 3s and
+    // 6s). The wire carries the uOP dtype tags, so each bf16 row must
+    // differ from its f32 row. Every program must also disassemble back
+    // to itself, uOP by uOP.
     std::string table;
     std::uint64_t f32_hash = 0;
-    for (const Case &c : cases) {
-        auto cfg = core::MachineConfig::vck190();
-        if (c.bf16)
-            cfg.precision = {Dtype::Bf16, Dtype::Bf16, Dtype::Bf16};
-        core::RsnMachine mach(cfg);
-        const auto compiled = compileModel(mach, makeModel(c.model),
-                                           makeSchedule(c.schedule));
-        const std::string what = std::string(c.model) + " " + c.schedule +
-                                 (c.bf16 ? " bf16" : " f32");
+    for (const ProgramCase &c : kProgramCases) {
+        const auto compiled = compileProgramCase(c);
+        const std::string what = caseName(c);
         const auto bytes = isa::assemble(compiled.program);
         const std::uint64_t h = fnv1a(bytes);
         EXPECT_EQ(h, c.hash) << what;
@@ -393,6 +417,25 @@ TEST(Codegen, ProgramBytesArePinned)
     }
     if (HasFailure())  // the rows to paste when re-recording
         std::printf("%s", table.c_str());
+}
+
+TEST(Codegen, MemCReceivesOneChunkPerUop)
+{
+    // MemC adopts a one-chunk receive's tile by move; a receive of
+    // several chunks is legal in the ISA but takes a copy into a staging
+    // tile (fu/mem_fus.hh). No program codegen emits takes that path.
+    for (const ProgramCase &c : kProgramCases) {
+        const auto compiled = compileProgramCase(c);
+        const auto &packets = compiled.program.packets();
+        for (std::size_t i = 0; i < packets.size(); ++i)
+            for (const auto &m : packets[i].mops) {
+                if (const auto *u = std::get_if<isa::MemCUop>(&m)) {
+                    EXPECT_EQ(u->recv_chunks, 1u)
+                        << caseName(c) << " packet " << i << ": "
+                        << isa::uopToString(m);
+                }
+            }
+    }
 }
 
 } // namespace

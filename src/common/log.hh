@@ -6,9 +6,7 @@
  * Thread safety: every entry point may be called from sweep-executor
  * worker lanes (lib/sweep.hh). The log level is an atomic, warn/inform
  * serialize their writes through one process-wide mutex (messages never
- * interleave mid-line), and `rsn_warn_once` wraps a `std::once_flag`
- * per call site so deprecation nags fire exactly once no matter how
- * many lanes race through the site.
+ * interleave mid-line).
  */
 
 #ifndef RSN_COMMON_LOG_HH
@@ -16,7 +14,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -60,18 +57,6 @@ std::string formatv(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 /** Warning that does not stop the simulation. */
 #define rsn_warn(...) \
     ::rsn::detail::warnImpl(::rsn::detail::formatv(__VA_ARGS__))
-
-/**
- * Warning emitted at most once per call site, no matter how many
- * threads race through it (std::once_flag per expansion). Use for
- * deprecation nags and other advice that would otherwise spam a sweep.
- */
-#define rsn_warn_once(...) \
-    do { \
-        static std::once_flag rsn_warn_once_flag_; \
-        std::call_once(rsn_warn_once_flag_, \
-                       [&] { rsn_warn(__VA_ARGS__); }); \
-    } while (0)
 
 /** Status message shown at logLevel() >= 1. */
 #define rsn_inform(...) \

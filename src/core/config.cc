@@ -32,15 +32,10 @@ PrecisionPolicy::validate() const
         {linear_activations, "linear_activations"},
         {attention_activations, "attention_activations"},
     };
-    for (const auto &f : fields) {
-        // I8 is reserved enum space: the datapath has no quantization
-        // parameters (scale/zero-point plumbing) yet, so reject it up
-        // front instead of failing in a kernel assert mid-run.
-        if (f.v != Dtype::F32 && f.v != Dtype::Bf16 && f.v != Dtype::F16)
+    for (const auto &f : fields)
+        if (f.v != Dtype::F32 && f.v != Dtype::Bf16)
             return invalid(std::string("precision.") + f.name +
-                           " must be one of f32|bf16|f16 (i8 is not "
-                           "implemented by the datapath)");
-    }
+                           " must be f32 or bf16");
     return Status::success();
 }
 

@@ -31,8 +31,7 @@ loadTypedBlock(mem::HostMemory &host, Addr addr, std::uint32_t pitch,
     auto f32 = pool.acquire(elems);
     host.readBlockInto(addr, pitch, rows, cols, f32.mutableData());
     auto typed = pool.acquire(elems, dtype);
-    kernel::active().convert_rows_from_f32(typed.mutableRaw(), dtype,
-                                           f32.data(), elems);
+    kernel::active().f32_to_bf16(typed.mutableData16(), f32.data(), elems);
     return typed;
 }
 
@@ -91,8 +90,8 @@ DdrFu::runKernel(isa::UopRef uop)
                 // pool tile before the write-back. DRAM traffic above
                 // is the typed byte count.
                 auto f32 = sim::TilePool::instance().acquire(c.elems());
-                kernel::active().convert_rows_to_f32(
-                    f32.mutableData(), c.data.raw(), c.dtype, c.elems());
+                kernel::active().bf16_to_f32(f32.mutableData(),
+                                             c.data.data16(), c.elems());
                 host_.writeBlock(addr, u.pitch, c.rows, c.cols,
                                  f32.data(), c.elems());
             }

@@ -112,14 +112,14 @@ struct KernelTable {
     // tables** (tests/fu/test_dtype_kernels.cc pins this), unlike the
     // tolerance-governed GEMM/nonlinear entries.
 
-    /** dst[i] = toF32(src[i]) for @p n elements of @p src_dtype
-     *  (F32 src is a plain copy; dst must not alias src). */
-    void (*convert_rows_to_f32)(float *dst, const void *src,
-                                Dtype src_dtype, std::uint64_t n);
-    /** dst[i] = fromF32(src[i]) for @p n elements into @p dst_dtype
-     *  (RNE rounding per common/dtype.hh; dst must not alias src). */
-    void (*convert_rows_from_f32)(void *dst, Dtype dst_dtype,
-                                  const float *src, std::uint64_t n);
+    /** dst[i] = bf16ToF32(src[i]) for @p n elements (exact; dst must
+     *  not alias src). */
+    void (*bf16_to_f32)(float *dst, const std::uint16_t *src,
+                        std::uint64_t n);
+    /** dst[i] = f32ToBf16(src[i]) for @p n elements (RNE rounding per
+     *  common/dtype.hh; dst must not alias src). */
+    void (*f32_to_bf16)(std::uint16_t *dst, const float *src,
+                        std::uint64_t n);
     /**
      * BF16 GEMM, FP32 accumulation: acc(m x n, f32) += lhs(m x k, bf16)
      * @ rhs(k x n, bf16). Operands upconvert on the fly (the LHS pack
@@ -134,7 +134,7 @@ struct KernelTable {
                                  const std::uint16_t *rhs,
                                  std::uint32_t m, std::uint32_t k,
                                  std::uint32_t n);
-    /** 16-bit tile transpose (MemB on bf16/f16 tiles): same contract as
+    /** 16-bit tile transpose (MemB on bf16 tiles): same contract as
      *  transpose — pure data movement, bit-identical across tables. */
     void (*transpose_u16)(std::uint16_t *dst, const std::uint16_t *src,
                           std::uint32_t rows, std::uint32_t cols);

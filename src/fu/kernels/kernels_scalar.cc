@@ -15,7 +15,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 
 #include "common/dtype.hh"
 #include "fu/gemm_kernel.hh"
@@ -67,41 +66,17 @@ transposeImpl(float *dst, const float *src, std::uint32_t rows,
 // (which must match bit-exactly, not within tolerance).
 
 void
-convertRowsToF32Impl(float *dst, const void *src, Dtype src_dtype,
-                     std::uint64_t n)
+bf16ToF32Impl(float *dst, const std::uint16_t *src, std::uint64_t n)
 {
-    switch (src_dtype) {
-    case Dtype::Bf16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            dst[i] = bf16ToF32(static_cast<const std::uint16_t *>(src)[i]);
-        break;
-    case Dtype::F16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            dst[i] = f16ToF32(static_cast<const std::uint16_t *>(src)[i]);
-        break;
-    default:
-        std::memcpy(dst, src, n * sizeof(float));
-        break;
-    }
+    for (std::uint64_t i = 0; i < n; ++i)
+        dst[i] = bf16ToF32(src[i]);
 }
 
 void
-convertRowsFromF32Impl(void *dst, Dtype dst_dtype, const float *src,
-                       std::uint64_t n)
+f32ToBf16Impl(std::uint16_t *dst, const float *src, std::uint64_t n)
 {
-    switch (dst_dtype) {
-    case Dtype::Bf16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            static_cast<std::uint16_t *>(dst)[i] = f32ToBf16(src[i]);
-        break;
-    case Dtype::F16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            static_cast<std::uint16_t *>(dst)[i] = f32ToF16(src[i]);
-        break;
-    default:
-        std::memcpy(dst, src, n * sizeof(float));
-        break;
-    }
+    for (std::uint64_t i = 0; i < n; ++i)
+        dst[i] = f32ToBf16(src[i]);
 }
 
 /** Reference bf16 GEMM: upconvert both operands into scratch panels,
@@ -116,8 +91,8 @@ gemmAccumulateBf16Impl(fu::GemmScratch &scratch, float *acc,
         return;
     float *lf = scratch.cvtLhsPanel(std::uint64_t(m) * k);
     float *rf = scratch.cvtRhsPanel(std::uint64_t(k) * n);
-    convertRowsToF32Impl(lf, lhs, Dtype::Bf16, std::uint64_t(m) * k);
-    convertRowsToF32Impl(rf, rhs, Dtype::Bf16, std::uint64_t(k) * n);
+    bf16ToF32Impl(lf, lhs, std::uint64_t(m) * k);
+    bf16ToF32Impl(rf, rhs, std::uint64_t(k) * n);
     fu::gemmRefAccumulate(acc, lf, rf, m, k, n);
 }
 
@@ -141,8 +116,8 @@ const KernelTable table = {
     &geluInplaceImpl,
     &layernormRowsImpl,
     &transposeImpl,
-    &convertRowsToF32Impl,
-    &convertRowsFromF32Impl,
+    &bf16ToF32Impl,
+    &f32ToBf16Impl,
     &gemmAccumulateBf16Impl,
     &transposeU16Impl,
 };

@@ -557,43 +557,19 @@ transposeU16Body(std::uint16_t *dst, const std::uint16_t *src,
 // vectorizes, so every table converts bit-identically.
 
 [[gnu::always_inline]] inline void
-convertRowsToF32Body(float *__restrict dst, const void *src,
-                     ::rsn::Dtype src_dtype, std::uint64_t n)
+bf16ToF32Body(float *__restrict dst, const std::uint16_t *src,
+              std::uint64_t n)
 {
-    const auto *s = static_cast<const std::uint16_t *>(src);
-    switch (src_dtype) {
-    case ::rsn::Dtype::Bf16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            dst[i] = ::rsn::bf16ToF32(s[i]);
-        break;
-    case ::rsn::Dtype::F16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            dst[i] = ::rsn::f16ToF32(s[i]);
-        break;
-    default:
-        std::memcpy(dst, src, n * sizeof(float));
-        break;
-    }
+    for (std::uint64_t i = 0; i < n; ++i)
+        dst[i] = ::rsn::bf16ToF32(src[i]);
 }
 
 [[gnu::always_inline]] inline void
-convertRowsFromF32Body(void *dst, ::rsn::Dtype dst_dtype,
-                       const float *__restrict src, std::uint64_t n)
+f32ToBf16Body(std::uint16_t *__restrict dst, const float *src,
+              std::uint64_t n)
 {
-    auto *d = static_cast<std::uint16_t *>(dst);
-    switch (dst_dtype) {
-    case ::rsn::Dtype::Bf16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            d[i] = ::rsn::f32ToBf16(src[i]);
-        break;
-    case ::rsn::Dtype::F16:
-        for (std::uint64_t i = 0; i < n; ++i)
-            d[i] = ::rsn::f32ToF16(src[i]);
-        break;
-    default:
-        std::memcpy(dst, src, n * sizeof(float));
-        break;
-    }
+    for (std::uint64_t i = 0; i < n; ++i)
+        dst[i] = ::rsn::f32ToBf16(src[i]);
 }
 
 } // namespace
@@ -631,15 +607,15 @@ convertRowsFromF32Body(void *dst, ::rsn::Dtype dst_dtype,
     {                                                                      \
         transposeBody<V>(dst, src, rows, cols);                            \
     }                                                                      \
-    target void convertRowsToF32(float *dst, const void *src,              \
-                                 ::rsn::Dtype dt, std::uint64_t n)         \
+    target void bf16ToF32(float *dst, const std::uint16_t *src,            \
+                          std::uint64_t n)                                 \
     {                                                                      \
-        convertRowsToF32Body(dst, src, dt, n);                             \
+        bf16ToF32Body(dst, src, n);                                        \
     }                                                                      \
-    target void convertRowsFromF32(void *dst, ::rsn::Dtype dt,             \
-                                   const float *src, std::uint64_t n)      \
+    target void f32ToBf16(std::uint16_t *dst, const float *src,            \
+                          std::uint64_t n)                                 \
     {                                                                      \
-        convertRowsFromF32Body(dst, dt, src, n);                           \
+        f32ToBf16Body(dst, src, n);                                        \
     }                                                                      \
     target void gemmAccumulateBf16(fu::GemmScratch &s, float *acc,         \
                                    const std::uint16_t *lhs,               \
@@ -659,7 +635,7 @@ convertRowsFromF32Body(void *dst, ::rsn::Dtype dst_dtype,
     const KernelTable table = {                                            \
         #isa,          false,         &gemmAccumulate,                     \
         &softmaxRows,  &geluInplace,  &layernormRows,                      \
-        &transpose,    &convertRowsToF32, &convertRowsFromF32,             \
+        &transpose,    &bf16ToF32,    &f32ToBf16,                          \
         &gemmAccumulateBf16, &transposeU16,                                \
     };                                                                     \
     }

@@ -59,16 +59,10 @@ sliceChunkAs(const TileBuffer &buf, std::uint32_t row_off, std::uint32_t rows,
     sim::TileRef window =
         buf.tile.slice(std::uint64_t(row_off) * buf.cols, elems);
     sim::TileRef t = sim::TilePool::instance().acquire(elems, out_dtype);
-    if (out_dtype == Dtype::F32) {
-        kernel::active().convert_rows_to_f32(t.mutableData(),
-                                             window.raw(), buf.dtype,
-                                             elems);
-    } else {
-        rsn_assert(buf.dtype == Dtype::F32,
-                   "typed-to-typed slice conversion unsupported");
-        kernel::active().convert_rows_from_f32(t.mutableRaw(), out_dtype,
-                                               window.data(), elems);
-    }
+    if (out_dtype == Dtype::F32)
+        kernel::active().bf16_to_f32(t.mutableData(), window.data16(), elems);
+    else
+        kernel::active().f32_to_bf16(t.mutableData16(), window.data(), elems);
     return sim::makeTileChunk(rows, buf.cols, std::move(t), tag);
 }
 
@@ -86,8 +80,7 @@ upconvertBuffer(TileBuffer &buf)
     if (buf.hasData()) {
         const std::uint64_t n = std::uint64_t(buf.rows) * buf.cols;
         sim::TileRef t = sim::TilePool::instance().acquire(n);
-        kernel::active().convert_rows_to_f32(t.mutableData(),
-                                             buf.tile.raw(), buf.dtype, n);
+        kernel::active().bf16_to_f32(t.mutableData(), buf.tile.data16(), n);
         buf.tile = std::move(t);
     }
     buf.dtype = Dtype::F32;
@@ -197,7 +190,7 @@ MemBFu::loadPart(const isa::MemBUop &u, TileBuffer &buf)
             // Layout conversion through the active kernel table; every
             // table's transpose (both widths) is bit-identical (pure
             // data movement), so the ISA choice cannot move payload
-            // values here. 16-bit dtypes share the u16 ladder.
+            // values here. bf16 tiles take the u16 transpose.
             if (c.dtype == Dtype::F32)
                 kernel::active().transpose(t.mutableData(),
                                            c.data.data(), c.rows,
@@ -339,8 +332,8 @@ MemCFu::recvPart(const isa::MemCUop &u, TileBuffer &buf)
                 rp = res.data.data();
             } else {
                 res_f32 = sim::TilePool::instance().acquire(n);
-                kernel::active().convert_rows_to_f32(
-                    res_f32.mutableData(), res.data.raw(), res.dtype, n);
+                kernel::active().bf16_to_f32(res_f32.mutableData(),
+                                             res.data.data16(), n);
                 rp = res_f32.data();
             }
             addInplace(buf.tile.ensureUnique(n), rp, n);

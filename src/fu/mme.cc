@@ -21,17 +21,16 @@ emitAccumulator(sim::TileRef acc, std::uint64_t elems, Dtype out_dtype)
     if (out_dtype == Dtype::F32)
         return acc;
     sim::TileRef t = sim::TilePool::instance().acquire(elems, out_dtype);
-    kernel::active().convert_rows_from_f32(t.mutableRaw(), out_dtype,
-                                           acc.data(), elems);
+    kernel::active().f32_to_bf16(t.mutableData16(), acc.data(), elems);
     return t;
 }
 
 /**
  * Typed-operand tile product: acc(m x n) += lhs(m x k) @ rhs(k x n),
  * accumulating in FP32 whatever the operand dtypes. Both-bf16 hits the
- * fused bf16 microkernel (packs and converts in one pass); any other
- * typed combination upconverts whole operands into the scratch
- * conversion panels and runs the FP32 kernel.
+ * fused bf16 microkernel (packs and converts in one pass); a mixed
+ * f32 x bf16 pair upconverts the bf16 operand into its scratch
+ * conversion panel and runs the FP32 kernel.
  */
 void
 gemmAccumulateTyped(GemmScratch &scratch, float *acc,
@@ -54,9 +53,8 @@ gemmAccumulateTyped(GemmScratch &scratch, float *acc,
         lp = lhs.data.data();
     } else {
         float *panel = scratch.cvtLhsPanel(std::uint64_t(m) * k);
-        kernel::active().convert_rows_to_f32(panel, lhs.data.raw(),
-                                             lhs.dtype,
-                                             std::uint64_t(m) * k);
+        kernel::active().bf16_to_f32(panel, lhs.data.data16(),
+                                     std::uint64_t(m) * k);
         lp = panel;
     }
     const float *rp;
@@ -64,9 +62,8 @@ gemmAccumulateTyped(GemmScratch &scratch, float *acc,
         rp = rhs.data.data();
     } else {
         float *panel = scratch.cvtRhsPanel(std::uint64_t(k) * n);
-        kernel::active().convert_rows_to_f32(panel, rhs.data.raw(),
-                                             rhs.dtype,
-                                             std::uint64_t(k) * n);
+        kernel::active().bf16_to_f32(panel, rhs.data.data16(),
+                                     std::uint64_t(k) * n);
         rp = panel;
     }
     gemmAccumulate(scratch, acc, lp, rp, m, k, n);

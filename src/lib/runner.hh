@@ -67,7 +67,7 @@ referenceForward(core::RsnMachine &mach, const Model &model,
                  const CompiledModel &compiled);
 
 /** The accuracy contract's bound t for a precision policy: one value
- *  for all-F32, a looser one when any field is 16-bit (values and
+ *  for all-F32, a looser one when any field is bf16 (values and
  *  measured margins: docs/datapath.md "Accuracy contract"). */
 float accuracyBound(const core::PrecisionPolicy &p);
 

@@ -111,7 +111,7 @@ class ServingSim
         Expiry,      ///< a = request id (deadline).
         Linger,      ///< a = class index (batch head aged out).
         Retry,       ///< a = request id (backoff elapsed).
-        Completion,  ///< a = flight index.
+        Completion,  ///< a = slot index (its flight finished).
         HalfOpen,    ///< a = slot index (breaker cooldown elapsed).
     };
 
@@ -143,6 +143,14 @@ class ServingSim
         } st = St::Pending;
     };
 
+    /** One dispatched batch awaiting its completion event. */
+    struct Flight {
+        std::vector<std::uint64_t> reqs;
+        StatusCode status = StatusCode::Ok;  ///< The inner run's outcome.
+        bool probe = false;
+        Tick ticks = 1;
+    };
+
     struct Slot {
         explicit Slot(std::size_t i) : lane(i) {}
         lib::SweepLane lane;
@@ -153,15 +161,7 @@ class ServingSim
             HalfOpen,  ///< Cooldown over: next dispatch is a probe.
         } st = St::Idle;
         std::uint32_t consec_hard = 0;  ///< Consecutive hard-fault runs.
-    };
-
-    /** One dispatched batch awaiting its completion event. */
-    struct Flight {
-        std::uint32_t slot = 0;
-        std::vector<std::uint64_t> reqs;
-        StatusCode status = StatusCode::Ok;  ///< The inner run's outcome.
-        bool probe = false;
-        Tick ticks = 1;
+        Flight flight;  ///< The batch in flight while Busy.
     };
 
     /** Everything a dispatch of one (class, batch) needs before it
@@ -239,7 +239,7 @@ class ServingSim
 
     void onArrival(std::uint64_t rid, Tick now);
     void onExpiry(std::uint64_t rid, Tick now);
-    void onCompletion(std::uint64_t fid, Tick now);
+    void onCompletion(std::uint64_t slot, Tick now);
     void onHalfOpen(std::uint64_t slot, Tick now);
     void tryDispatch(Tick now);
     void dispatch(Tick now, std::size_t slot, std::uint32_t cls,
@@ -264,7 +264,6 @@ class ServingSim
     std::vector<std::deque<std::uint64_t>> queues_;
     std::vector<Tick> linger_pending_;  ///< Earliest pending, per class.
     std::priority_queue<Event, std::vector<Event>, EventAfter> events_;
-    std::vector<Flight> flights_;
     std::uint64_t event_seq_ = 0;
     std::uint64_t dispatch_seq_ = 0;
     std::uint64_t queued_total_ = 0;
@@ -321,10 +320,10 @@ ServingSim::onHalfOpen(std::uint64_t slot, Tick now)
 }
 
 void
-ServingSim::onCompletion(std::uint64_t fid, Tick now)
+ServingSim::onCompletion(std::uint64_t slot, Tick now)
 {
-    const Flight &f = flights_[fid];
-    Slot &s = slots_[f.slot];
+    Slot &s = slots_[slot];
+    const Flight &f = s.flight;
     const ServePolicy &p = spec_.policy;
     est_service_ =
         est_service_ ? (est_service_ * 7 + f.ticks) / 8 : f.ticks;
@@ -386,7 +385,7 @@ ServingSim::onCompletion(std::uint64_t fid, Tick now)
     if (f.probe || s.consec_hard >= p.breaker_threshold) {
         // A failed probe reopens immediately; a closed slot opens once
         // the consecutive hard-fault threshold trips.
-        openBreaker(f.slot, now);
+        openBreaker(slot, now);
     } else {
         s.st = Slot::St::Idle;
     }
@@ -449,10 +448,9 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     auto &q = queues_[cls];
     const std::uint32_t n =
         static_cast<std::uint32_t>(std::min<std::size_t>(cap, q.size()));
-    Flight f;
-    f.slot = static_cast<std::uint32_t>(slot);
+    Flight &f = s.flight;
     f.probe = s.st == Slot::St::HalfOpen;
-    f.reqs.reserve(n);
+    f.reqs.clear();
     for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint64_t rid = q.front();
         q.pop_front();
@@ -480,9 +478,7 @@ ServingSim::dispatch(Tick now, std::size_t slot, std::uint32_t cls,
     rep_.faults_injected += cr.report.faults_injected;
     f.status = cr.report.status.code;
     f.ticks = cr.report.result.ticks ? cr.report.result.ticks : 1;
-    flights_.push_back(std::move(f));
-    push(now + flights_.back().ticks, EvKind::Completion,
-         flights_.size() - 1);
+    push(now + f.ticks, EvKind::Completion, slot);
 }
 
 const ServingSim::Memo &

@@ -65,14 +65,8 @@ struct Chunk {
     {
         rsn_assert(data && r < rows && c < cols, "chunk access out of range");
         const std::uint64_t i = std::uint64_t(r) * cols + c;
-        switch (dtype) {
-        case Dtype::Bf16:
-            return bf16ToF32(data.data16()[i]);
-        case Dtype::F16:
-            return f16ToF32(data.data16()[i]);
-        default:
-            return data.data()[i];
-        }
+        return dtype == Dtype::F32 ? data.data()[i]
+                                   : bf16ToF32(data.data16()[i]);
     }
 };
 

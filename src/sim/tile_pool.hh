@@ -25,7 +25,7 @@
  * slicing and COW never need to know the element width beyond
  * converting to bytes at the copy sites. Typed access is
  * explicit — data()/mutableData() assert F32, data16()/mutableData16()
- * assert a 16-bit dtype, raw() is the untyped byte view (checksums,
+ * assert bf16, raw() is the untyped byte view (checksums,
  * fault injection) — so a dtype confusion fails loudly at the accessor
  * instead of silently reinterpreting payload bits.
  *
@@ -182,12 +182,12 @@ class TileRef
         return reinterpret_cast<const float *>(h_->payload()) + off_;
     }
 
-    /** Read-only access to a 16-bit (bf16/f16) tile's payload. */
+    /** Read-only access to a bf16 tile's payload. */
     const std::uint16_t *
     data16() const
     {
         rsn_assert(h_, "deref of empty TileRef");
-        rsn_assert(h_->elemBytes() == 2,
+        rsn_assert(h_->dtype == Dtype::Bf16,
                    "u16 access to a %s tile", dtypeName(h_->dtype));
         return reinterpret_cast<const std::uint16_t *>(h_->payload()) +
                off_;
@@ -219,13 +219,13 @@ class TileRef
         return reinterpret_cast<float *>(h_->payload()) + off_;
     }
 
-    /** Writable access to a sole-owned 16-bit tile's payload. */
+    /** Writable access to a sole-owned bf16 tile's payload. */
     std::uint16_t *
     mutableData16()
     {
         rsn_assert(h_ && h_->refs == 1,
                    "mutable access to a shared or empty tile");
-        rsn_assert(h_->elemBytes() == 2,
+        rsn_assert(h_->dtype == Dtype::Bf16,
                    "u16 access to a %s tile", dtypeName(h_->dtype));
         return reinterpret_cast<std::uint16_t *>(h_->payload()) + off_;
     }
@@ -346,7 +346,7 @@ class TilePool
     /**
      * Acquire a tile of at least @p elems elements of @p dtype.
      * Contents are uninitialized; the caller fills via
-     * TileRef::mutableData() (F32) / mutableData16() (bf16, f16).
+     * TileRef::mutableData() (F32) / mutableData16() (bf16).
      * Buckets are byte-based, so any retired buffer of a sufficient
      * byte capacity is reused regardless of its previous dtype.
      */

@@ -1,16 +1,16 @@
 /**
  * @file
- * Property tests for the typed-tile kernel entries (ISSUE 10).
+ * Property tests for the typed-tile kernel entries.
  *
  * Three contracts, per docs/datapath.md "Typed tiles & precision
  * policy":
  *
  *  1. The scalar converters in common/dtype.hh are *correct*: f32 ->
- *     bf16/f16 is round-to-nearest-even (verified against the two
+ *     bf16 is round-to-nearest-even (verified against the two
  *     neighboring representable values), upconversion is exact
- *     (verified by exhaustive round-trip over all 65536 16-bit
- *     patterns), and inf/NaN/subnormals behave per IEEE.
- *  2. The convert_rows_* / transpose_u16 table entries are
+ *     (verified by exhaustive round-trip over all 65536 bf16
+ *     patterns), and inf/NaN/signed zero survive.
+ *  2. The bf16_to_f32 / f32_to_bf16 / transpose_u16 table entries are
  *     **bit-identical across every CPU-supported kernel table** — they
  *     all inline the same bit manipulation, only the loop is per-ISA.
  *  3. gemm_accumulate_bf16 matches the scalar reference (upconvert
@@ -36,11 +36,8 @@ namespace {
 using rsn::Dtype;
 using rsn::bf16ToF32;
 using rsn::dtypeBytes;
-using rsn::dtypeFromName;
 using rsn::dtypeName;
-using rsn::f16ToF32;
 using rsn::f32ToBf16;
-using rsn::f32ToF16;
 namespace kernel = rsn::kernel;
 
 bool
@@ -53,17 +50,10 @@ isNan16(std::uint16_t x, std::uint32_t exp_mask, std::uint32_t mant_mask)
 
 TEST(Dtype, NamesRoundTripAndBytesMatch)
 {
-    for (Dtype d : {Dtype::F32, Dtype::Bf16, Dtype::F16, Dtype::I8}) {
-        auto back = dtypeFromName(dtypeName(d));
-        ASSERT_TRUE(back.has_value()) << dtypeName(d);
-        EXPECT_EQ(*back, d);
-    }
+    EXPECT_STREQ(dtypeName(Dtype::F32), "f32");
+    EXPECT_STREQ(dtypeName(Dtype::Bf16), "bf16");
     EXPECT_EQ(dtypeBytes(Dtype::F32), 4u);
     EXPECT_EQ(dtypeBytes(Dtype::Bf16), 2u);
-    EXPECT_EQ(dtypeBytes(Dtype::F16), 2u);
-    EXPECT_EQ(dtypeBytes(Dtype::I8), 1u);
-    EXPECT_FALSE(dtypeFromName("fp16").has_value());
-    EXPECT_FALSE(dtypeFromName("BF16").has_value());  // lowercase only
 }
 
 // --------------------------------------------- scalar converter laws --
@@ -84,24 +74,8 @@ TEST(DtypeConvert, UpconversionIsExactForEveryBf16Pattern)
     }
 }
 
-TEST(DtypeConvert, UpconversionIsExactForEveryF16Pattern)
-{
-    // Includes all 2048 subnormals and both signed zeros / infinities.
-    for (std::uint32_t p = 0; p <= 0xffffu; ++p) {
-        const auto x = static_cast<std::uint16_t>(p);
-        const float f = f16ToF32(x);
-        const std::uint16_t back = f32ToF16(f);
-        if (isNan16(x, 0x7c00u, 0x03ffu)) {
-            EXPECT_TRUE(std::isnan(f)) << std::hex << p;
-            EXPECT_TRUE(isNan16(back, 0x7c00u, 0x03ffu)) << std::hex << p;
-        } else {
-            EXPECT_EQ(back, x) << std::hex << p;
-        }
-    }
-}
-
-/** Next/previous representable 16-bit value along the real line, in the
- *  sign-magnitude ordering both bf16 and f16 share with f32. */
+/** Next/previous representable bf16 value along the real line, in the
+ *  sign-magnitude ordering bf16 shares with f32. */
 std::uint16_t
 step16(std::uint16_t x, bool up)
 {
@@ -119,8 +93,8 @@ step16(std::uint16_t x, bool up)
 
 /** RNE law: the conversion of finite x must be one of the two
  *  representable neighbors, strictly closer than the other one (or the
- *  even of the two on an exact tie). @p to/from convert to and from the
- *  16-bit format; @p is_nan tests NaN patterns. */
+ *  even of the two on an exact tie). @p to/from convert to and from
+ *  bf16; @p is_nan tests NaN patterns. */
 template <typename To, typename From, typename IsNan>
 void
 checkNearestEven(float x, To to, From from, IsNan is_nan)
@@ -175,18 +149,6 @@ TEST(DtypeConvert, Bf16RoundsToNearestEven)
     }
 }
 
-TEST(DtypeConvert, F16RoundsToNearestEvenIncludingSubnormals)
-{
-    std::mt19937 rng(11);
-    std::uniform_real_distribution<float> uni(-65504.0f, 65504.0f);
-    std::uniform_real_distribution<float> tiny(-1e-4f, 1e-4f);  // subnormal band
-    auto is_nan = [](std::uint16_t v) { return isNan16(v, 0x7c00u, 0x03ffu); };
-    for (int i = 0; i < 20000; ++i) {
-        const float x = (i % 3 == 0) ? tiny(rng) : uni(rng);
-        checkNearestEven(x, f32ToF16, f16ToF32, is_nan);
-    }
-}
-
 TEST(DtypeConvert, SpecialsSurviveBothDownconversions)
 {
     const float inf = std::numeric_limits<float>::infinity();
@@ -195,27 +157,15 @@ TEST(DtypeConvert, SpecialsSurviveBothDownconversions)
     EXPECT_EQ(bf16ToF32(f32ToBf16(inf)), inf);
     EXPECT_EQ(bf16ToF32(f32ToBf16(-inf)), -inf);
     EXPECT_TRUE(std::isnan(bf16ToF32(f32ToBf16(nan))));
-    EXPECT_EQ(f16ToF32(f32ToF16(inf)), inf);
-    EXPECT_EQ(f16ToF32(f32ToF16(-inf)), -inf);
-    EXPECT_TRUE(std::isnan(f16ToF32(f32ToF16(nan))));
 
     // Signaling-ish NaN payloads must stay NaN, never become inf.
     const std::uint32_t snan_bits = 0x7f800001u;
     float snan;
     std::memcpy(&snan, &snan_bits, sizeof(snan));
     EXPECT_TRUE(std::isnan(bf16ToF32(f32ToBf16(snan))));
-    EXPECT_TRUE(std::isnan(f16ToF32(f32ToF16(snan))));
 
     // Signed zero is preserved bit-exactly.
     EXPECT_EQ(f32ToBf16(-0.0f), 0x8000u);
-    EXPECT_EQ(f32ToF16(-0.0f), 0x8000u);
-
-    // f16 overflow threshold: 65504 is the max finite, 65520 rounds up.
-    EXPECT_EQ(f16ToF32(f32ToF16(65504.0f)), 65504.0f);
-    EXPECT_EQ(f16ToF32(f32ToF16(65520.0f)), inf);
-    // Below half the smallest f16 subnormal: flushes to (signed) zero.
-    EXPECT_EQ(f32ToF16(2.0e-8f), 0x0000u);
-    EXPECT_EQ(f32ToF16(-2.0e-8f), 0x8000u);
 }
 
 // -------------------------------- table entries, cross-ISA identity --
@@ -235,8 +185,8 @@ randomPayload(std::uint64_t n, std::uint32_t seed)
         v[3] = std::numeric_limits<float>::infinity();
         v[4] = -std::numeric_limits<float>::infinity();
         v[5] = std::numeric_limits<float>::quiet_NaN();
-        v[6] = 6.0e-8f;   // f16 subnormal range
-        v[7] = 70000.0f;  // f16 overflow range
+        v[6] = 6.0e-39f;  // f32 subnormal
+        v[7] = 3.4e38f;   // rounds up to bf16 infinity
     }
     return v;
 }
@@ -250,28 +200,24 @@ TEST(DtypeKernels, ConvertRowsBitIdenticalAcrossTables)
     for (std::uint64_t n : {std::uint64_t(1), std::uint64_t(7),
                             std::uint64_t(64), std::uint64_t(1000)}) {
         const auto src = randomPayload(n, 17 + std::uint32_t(n));
-        for (Dtype d : {Dtype::F32, Dtype::Bf16, Dtype::F16}) {
-            // Down: f32 -> d, reference from the scalar table.
-            std::vector<std::uint8_t> ref_dn(n * dtypeBytes(d));
-            scalar->convert_rows_from_f32(ref_dn.data(), d, src.data(), n);
-            // Up: d -> f32 on the scalar-produced typed bytes.
-            std::vector<float> ref_up(n);
-            scalar->convert_rows_to_f32(ref_up.data(), ref_dn.data(), d, n);
+        // Down: f32 -> bf16, reference from the scalar table.
+        std::vector<std::uint16_t> ref_dn(n);
+        scalar->f32_to_bf16(ref_dn.data(), src.data(), n);
+        // Up: bf16 -> f32 on the scalar-produced bf16 bits.
+        std::vector<float> ref_up(n);
+        scalar->bf16_to_f32(ref_up.data(), ref_dn.data(), n);
 
-            for (const auto *t : tables) {
-                std::vector<std::uint8_t> dn(n * dtypeBytes(d), 0xAA);
-                t->convert_rows_from_f32(dn.data(), d, src.data(), n);
-                EXPECT_EQ(std::memcmp(dn.data(), ref_dn.data(), dn.size()),
-                          0)
-                    << t->name << " from_f32 " << dtypeName(d) << " n=" << n;
+        for (const auto *t : tables) {
+            std::vector<std::uint16_t> dn(n, 0xAAAA);
+            t->f32_to_bf16(dn.data(), src.data(), n);
+            EXPECT_EQ(dn, ref_dn) << t->name << " f32_to_bf16 n=" << n;
 
-                std::vector<float> up(n, -1.0f);
-                t->convert_rows_to_f32(up.data(), ref_dn.data(), d, n);
-                EXPECT_EQ(std::memcmp(up.data(), ref_up.data(),
-                                      n * sizeof(float)),
-                          0)
-                    << t->name << " to_f32 " << dtypeName(d) << " n=" << n;
-            }
+            std::vector<float> up(n, -1.0f);
+            t->bf16_to_f32(up.data(), ref_dn.data(), n);
+            EXPECT_EQ(std::memcmp(up.data(), ref_up.data(),
+                                  n * sizeof(float)),
+                      0)
+                << t->name << " bf16_to_f32 n=" << n;
         }
     }
 }

@@ -329,7 +329,7 @@ TEST(Assembler, RoundTripsEveryUopKind)
     d.rows = 768;
     d.cols = 128;
     d.pitch = 1024;
-    d.dtype = Dtype::F16;
+    d.dtype = Dtype::Bf16;
     ddr.mops.emplace_back(d);
     prog.append(ddr);
 
@@ -343,7 +343,7 @@ TEST(Assembler, RoundTripsEveryUopKind)
     l.rows = 2;
     l.cols = 1024;
     l.pitch = 1024;
-    l.dtype = Dtype::I8;
+    l.dtype = Dtype::F32;
     lp.mops.emplace_back(l);
     prog.append(lp);
 
@@ -538,6 +538,25 @@ TEST(Disassembler, RejectsMalformedBytesByName)
     b[11 + 4 + 4] = 3;  // one past Distribute
     EXPECT_EQ(reason(b), "packet 1 at byte 11: mesh mode code 3 is out of "
                          "range");
+
+    RsnPacket ddr;  // addr:32 | stride_offset:32 | stride_count:16 |
+    ddr.opcode = FuType::Ddr;  // load:1 store:1 dtype:2 pad:4 | ...
+    ddr.mask = 1;
+    DdrUop d;
+    d.load = true;
+    d.dest = {FuType::MemA, 0};
+    d.dtype = Dtype::Bf16;
+    ddr.mops = {d};
+    RsnProgram one;
+    one.append(ddr);
+    const std::vector<std::uint8_t> ddr_bytes = assemble(one);
+    ASSERT_EQ(ddr_bytes[4 + 10] & 0x0c, 1 << 2) << "dtype bits moved";
+    for (int code : {2, 3}) {
+        b = ddr_bytes;
+        b[4 + 10] = std::uint8_t((b[4 + 10] & ~0x0c) | code << 2);
+        EXPECT_EQ(reason(b), "packet 0 at byte 0: ddr dtype code " +
+                                 std::to_string(code) + " is out of range");
+    }
 }
 
 TEST(Uop, MatchesFuType)

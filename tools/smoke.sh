@@ -18,6 +18,20 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
     --benchmark_filter='BM_EngineEventDispatch/1000$|BM_ChannelPingPong/1000$|BM_CoroResumeDispatch/1000$|BM_SameTickBurst/10000$|BM_ZeroDelayNowQueue/10000$|BM_StreamChunkTransfer/1000$|BM_StreamPooledPayloadTransfer/1000$|BM_MemStagingTransfer/1000$' \
     >/dev/null 2>&1
 
+# The functional tiny-encoder series (f32, all-bf16, exact scalar table)
+# are the bench code that drives the bf16 converters: one fast rep each.
+out="$("$BUILD/bench_functional" --benchmark_min_time=0 \
+    --benchmark_filter='^BM_FunctionalTinyEncoder(Bf16|Exact)?$' 2>&1)" || {
+    echo "smoke: bench_functional failed" >&2
+    echo "$out" >&2
+    exit 1
+}
+if grep -q 'ERROR OCCURRED' <<<"$out"; then
+    echo "smoke: bench_functional reported an error" >&2
+    echo "$out" >&2
+    exit 1
+fi
+
 # Chaos smoke (docs/robustness.md): two seeded fault schedules on the
 # tiny functional model. Each run must terminate with a structured
 # outcome — clean completion (0) or diagnosed fault (4), never a hang or
